@@ -320,34 +320,27 @@ class GreensFunctionEngine:
                 self.factory, self.field, g, l, sigma, backend=self.backend
             )
 
-    def wrap_pair(self, gs: dict, l: int) -> dict:
+    def _spin_v_stack(self, l: int) -> np.ndarray:
+        """The ``(2, N)`` diagonals of ``V_l`` for spin up, then down."""
+        nu = self.factory.nu
+        return np.stack([self.field.v_diagonal(l, s, nu) for s in (1, -1)])
+
+    def wrap_pair(self, gs: np.ndarray, l: int) -> np.ndarray:
         """Wrap both spin sectors through slice ``l`` in one batched call.
 
-        ``gs`` maps spin (+1/-1) to its Green's function; the two sectors
-        are stacked so stacked-GEMM backends run them as single batched
-        products. Per-sector results are bit-identical to :meth:`wrap`.
+        ``gs`` is the ``(2, N, N)`` stack of the spin-up and spin-down
+        Green's functions, taken and returned whole so stacked-GEMM
+        backends run the pair as single batched products and the sweep
+        never copies between a dict and a stack. Per-sector results are
+        bit-identical to :meth:`wrap`.
         """
-        nu = self.factory.nu
-        spins = (1, -1)
         with self.profiler.phase("wrapping"):
-            vs = np.stack(
-                [self.field.v_diagonal(l, s, nu) for s in spins]
-            )
-            stacked = np.stack([np.asarray(gs[s]) for s in spins])
-            out = self.backend.wrap_batched(stacked, vs)
-        return {s: out[i] for i, s in enumerate(spins)}
+            return self.backend.wrap_batched(gs, self._spin_v_stack(l))
 
-    def unwrap_pair(self, gs: dict, l: int) -> dict:
-        """Batched inverse of :meth:`wrap_pair` for both spin sectors."""
-        nu = self.factory.nu
-        spins = (1, -1)
+    def unwrap_pair(self, gs: np.ndarray, l: int) -> np.ndarray:
+        """Batched inverse of :meth:`wrap_pair` for the spin stack."""
         with self.profiler.phase("wrapping"):
-            vs = np.stack(
-                [self.field.v_diagonal(l, s, nu) for s in spins]
-            )
-            stacked = np.stack([np.asarray(gs[s]) for s in spins])
-            out = self.backend.unwrap_batched(stacked, vs)
-        return {s: out[i] for i, s in enumerate(spins)}
+            return self.backend.unwrap_batched(gs, self._spin_v_stack(l))
 
     def configuration_sign(self) -> float:
         """Sign of ``det M_+ det M_-`` for the current field.

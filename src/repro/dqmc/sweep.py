@@ -8,8 +8,8 @@ slice loop is organized around the cluster structure:
    wrapping error — paper Sec. III-B),
 2. inside a cluster, the functions are *wrapped* slice to slice,
 3. at each slice, all N sites are visited; accepted flips are folded into
-   the Green's functions through :class:`~repro.core.DelayedUpdater`
-   block updates (flushed before every wrap).
+   both spins' Green's functions through one spin-stacked
+   :class:`~repro.core.DelayedUpdater` (flushed before every wrap).
 
 The Metropolis ratio at slice l, site i (leftmost-B_l orientation):
 
@@ -23,7 +23,7 @@ symmetry), away from it the average sign is an observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,6 +70,10 @@ class SweepStats:
         self.negative_ratios += other.negative_ratios
         self.refreshes += other.refreshes
         self.singular_rejects += other.singular_rejects
+        # Not a count: the aggregate carries the sign of the latest
+        # configuration (an empty ``other`` never saw one).
+        if other.proposed:
+            self.sign = other.sign
 
 
 def sweep(
@@ -77,7 +81,7 @@ def sweep(
     rng: np.random.Generator,
     max_delay: int = 32,
     profiler: Optional[PhaseProfiler] = None,
-    on_boundary: Optional[Callable[[int, Dict[int, np.ndarray], float], None]] = None,
+    on_boundary: Optional[Callable[[int, dict, float], None]] = None,
     start_sign: float = 1.0,
     direction: str = "forward",
     telemetry: Optional[Telemetry] = None,
@@ -134,18 +138,21 @@ def sweep(
     nc = engine.n_clusters
     cluster_order = range(nc) if forward else range(nc - 1, -1, -1)
 
+    upd = None
     for c in cluster_order:
         # Forward: the boundary-c G (rightmost factor = first slice of
         # cluster c), wrapped through each slice before updating it.
         # Backward: the boundary-(c+1) G already has the cluster's *last*
         # slice leftmost — update first, then unwrap toward slice c*k.
         boundary = c if forward else (c + 1) % nc
-        g: Dict[int, np.ndarray] = {
-            s: engine.boundary_greens(s, boundary) for s in SPINS
-        }
+        # Both spin sectors travel as one (2, N, N) stack: the batched
+        # wraps and the delayed updater consume and return it whole.
+        g = np.stack([engine.boundary_greens(s, boundary) for s in SPINS])
         stats.refreshes += 1
         if on_boundary is not None:
-            on_boundary(boundary, g, sign)
+            on_boundary(boundary, dict(zip(SPINS, g)), sign)
+        if upd is None:
+            upd = DelayedUpdater(g, max_delay=max_delay, backend=engine.backend)
 
         slices = engine.cache.ranges[c]
         slice_order = slices if forward else reversed(slices)
@@ -154,27 +161,23 @@ def sweep(
                 # Move slice l to the leftmost position before updating:
                 # both spin sectors wrapped in one batched backend call.
                 g = engine.wrap_pair(g, l)
-            upd = {
-                s: DelayedUpdater(
-                    g[s], max_delay=max_delay, backend=engine.backend
-                )
-                for s in SPINS
-            }
+            upd.anchor(g)
 
             with prof.phase("delayed_update"):
                 # Flip factors for the whole slice, vectorized up front.
                 # Safe because each site is visited exactly once per
                 # slice, so a flip at site i never changes alpha[j > i].
-                exp_up = np.exp(-2.0 * nu * field.h[l])
-                alpha_up = exp_up - 1.0
-                alpha_dn = 1.0 / exp_up - 1.0
-                uniforms = rng.random(n_sites)
-                up, dn = upd[1], upd[-1]
-                # Hot loop: locals only. The effective diagonals are the
-                # updaters' incrementally maintained views, so a rejected
-                # proposal costs a handful of scalar ops.
-                diag_up, diag_dn = up._diag, dn._diag
                 h_row = field.h[l]
+                exp_up = np.exp(-2.0 * nu * h_row)
+                # Hot loop: locals and Python floats only (numpy scalars
+                # cost several times more per arithmetic op). The
+                # effective diagonals are the updater's incrementally
+                # maintained rows, updated in place, so a rejected
+                # proposal costs a handful of scalar ops.
+                alpha_up = (exp_up - 1.0).tolist()
+                alpha_dn = (1.0 / exp_up - 1.0).tolist()
+                uniforms = rng.random(n_sites).tolist()
+                diag_up, diag_dn = upd.diag
                 accepted = 0
                 negative = 0
                 singular = 0
@@ -182,8 +185,8 @@ def sweep(
                 for i in range(n_sites):
                     a_up = alpha_up[i]
                     a_dn = alpha_dn[i]
-                    d_up = 1.0 + a_up * (1.0 - diag_up[i])
-                    d_dn = 1.0 + a_dn * (1.0 - diag_dn[i])
+                    d_up = 1.0 + a_up * (1.0 - diag_up.item(i))
+                    d_dn = 1.0 + a_dn * (1.0 - diag_dn.item(i))
                     r = d_up * d_dn
                     if r < 0.0:
                         negative += 1
@@ -195,10 +198,7 @@ def sweep(
                             singular += 1
                             continue
                         h_row[i] = -h_row[i]
-                        up.accept(i, a_up, d_up)
-                        dn.accept(i, a_dn, d_dn)
-                        # accept() may auto-flush and re-anchor; re-fetch
-                        diag_up, diag_dn = up._diag, dn._diag
+                        upd.accept(i, (a_up, a_dn), (d_up, d_dn))
                         if r < 0.0:
                             sign = -sign
                         accepted += 1
@@ -213,8 +213,7 @@ def sweep(
                     )
                 if accepted:
                     engine.invalidate_slice(l)
-                up.flush()
-                dn.flush()
+                upd.flush()
 
             if not forward and l != slices[0]:
                 # Retreat: remove the (freshly updated) B_l from the

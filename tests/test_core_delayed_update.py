@@ -122,3 +122,114 @@ class TestValidation:
         upd = DelayedUpdater(g0.copy())
         with pytest.raises(ZeroDivisionError):
             upd.accept(0, 1.0, 0.0)
+
+
+def loop_reference(g, seq, max_delay):
+    """The per-spin delayed update spelled out with plain slices and a
+    Python loop - the arithmetic the stacked kernel must reproduce."""
+    n = g.shape[0]
+    u = np.empty((n, max_delay), dtype=g.dtype)
+    w = np.empty((max_delay, n), dtype=g.dtype)
+    diag = np.diag(g).copy()
+    m = 0
+    for i, alpha in seq:
+        d = 1.0 + alpha * (1.0 - float(diag[i]))
+        col = g[:, i] + u[:, :m] @ w[:m, i] if m else g[:, i].copy()
+        row = g[i, :] + u[i, :m] @ w[:m, :] if m else g[i, :].copy()
+        u[:, m] = g.dtype.type(-alpha / d) * col
+        w[m, :] = -row
+        w[m, i] += 1.0
+        diag += u[:, m] * w[m, :]
+        m += 1
+        if m == max_delay:
+            g += u @ w
+            diag = np.diag(g).copy()
+            m = 0
+    return diag, u[:, :m].copy(), w[:m, :].copy()
+
+
+class TestSpinStack:
+    """One updater over an (S, n, n) stack is S independent updaters."""
+
+    SEQ = [(2, 0.4, -0.3), (7, -0.3, 0.5), (2, 0.9, -0.6), (0, 0.2, 0.1),
+           (11, -0.5, 0.7), (5, 0.3, -0.2), (7, 0.1, 0.1)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stack_equals_independent_sectors_bit_for_bit(self, g0, rng, dtype):
+        stack = np.stack([g0, g0.T + 0.1 * rng.normal(size=g0.shape)]).astype(dtype)
+        both = DelayedUpdater(stack.copy(), max_delay=3)
+        singles = [DelayedUpdater(g.copy(), max_delay=3) for g in stack]
+        for step, (i, a_up, a_dn) in enumerate(self.SEQ):
+            alphas = (a_up, a_dn)
+            ds = tuple(
+                1.0 + a * (1.0 - both.diag_element(i, s))
+                for s, a in enumerate(alphas)
+            )
+            both.accept(i, alphas, ds)
+            for upd, a, d in zip(singles, alphas, ds):
+                upd.accept(i, a, d)
+            # 7 accepts at max_delay=3: two auto-flushes, one pending
+            assert both.pending == (step + 1) % 3
+            for s, upd in enumerate(singles):
+                np.testing.assert_array_equal(both.diag[s], upd.diag[0])
+                np.testing.assert_array_equal(both.column(5)[s], upd.column(5))
+                np.testing.assert_array_equal(both.row(5)[s], upd.row(5))
+                m = both.pending
+                np.testing.assert_array_equal(both._u[s, :, :m], upd._u[0, :, :m])
+                np.testing.assert_array_equal(both._w[s, :m, :], upd._w[0, :m, :])
+        assert both.flushes == 2 and both.updates == len(self.SEQ)
+        both.flush()
+        for s, upd in enumerate(singles):
+            upd.flush()
+            np.testing.assert_array_equal(both.g[s], upd.g)
+        assert both.g.dtype == dtype
+
+    @pytest.mark.parametrize("max_delay", [1, 3, 16])
+    def test_matches_loop_reference_bit_for_bit(self, g0, max_delay):
+        seq = [(i, a) for i, a, _ in self.SEQ]
+        g_ref = g0.copy()
+        diag, u, w = loop_reference(g_ref, seq, max_delay)
+        g = g0.copy()
+        upd = DelayedUpdater(g, max_delay=max_delay)
+        for i, alpha in seq:
+            upd.accept(i, alpha, 1.0 + alpha * (1.0 - upd.diag_element(i)))
+        m = upd.pending
+        np.testing.assert_array_equal(g, g_ref)
+        np.testing.assert_array_equal(upd.diag[0], diag)
+        np.testing.assert_array_equal(upd._u[0, :, :m], u)
+        np.testing.assert_array_equal(upd._w[0, :m, :], w)
+
+    def test_anchor_adopts_a_new_matrix(self, g0):
+        upd = DelayedUpdater(g0.copy(), max_delay=4)
+        upd.accept(1, 0.3, 1.0 + 0.3 * (1.0 - upd.diag_element(1)))
+        first = upd.g
+        g1 = g0.T.copy()
+        upd.anchor(g1)
+        # the pending update went into the matrix it was made against
+        assert upd.pending == 0 and not np.array_equal(first, g0)
+        assert upd.g is g1
+        np.testing.assert_array_equal(upd.diag[0], np.diag(g1))
+        with pytest.raises(ValueError):
+            upd.anchor(np.eye(5))
+        with pytest.raises(ValueError):
+            upd.anchor(g1.astype(np.float32))
+
+    def test_singular_denominator_in_any_sector(self, g0):
+        upd = DelayedUpdater(np.stack([g0, g0]))
+        with pytest.raises(ZeroDivisionError):
+            upd.accept(0, (1.0, 1.0), (0.5, 0.0))
+
+    def test_flops_reach_the_ledger_once_per_flush(self, g0):
+        from repro.linalg import flops
+
+        n = g0.shape[0]
+        upd = DelayedUpdater(np.stack([g0, g0]), max_delay=8)
+        with flops.tally() as t:
+            for i in (0, 1, 2):
+                d = 1.0 + 0.1 * (1.0 - upd.diag_element(i))
+                upd.accept(i, (0.1, 0.1), (d, d))
+            assert "delayed_update" not in t.flops
+            upd.flush()
+        reads = sum(2 * 2 * n * m for m in range(3))
+        expected = 2 * (reads + 3 * 4 * n + flops.gemm_flops(n, n, 3))
+        assert t.flops["delayed_update"] == expected

@@ -148,6 +148,23 @@ class TestPhysicsSanity:
         res = Simulation(tiny_model(u=6.0), seed=2, cluster_size=4).run(5, 10)
         assert res.mean_sign == pytest.approx(1.0)
 
+    def test_stage_aggregates_report_the_chain_sign(self):
+        """Away from half filling the configuration sign visits -1; the
+        aggregate a stage returns must carry it, not a constant +1."""
+        model = HubbardModel(
+            SquareLattice(2, 2), u=8.0, mu=-2.5, beta=3.0, n_slices=24
+        )
+        sim = Simulation(model, seed=5, cluster_size=6)
+        seen = set()
+        for _ in range(15):
+            for stage in (sim.warmup, sim.measure_sweeps):
+                agg = stage(1)
+                assert agg.sign == sim._sign
+                seen.add(agg.sign)
+        assert seen == {1.0, -1.0}
+        assert sim.warmup(0).sign == 1.0  # no sweep, nothing to report
+        assert sim.total_stats.sign == sim._sign
+
     def test_interaction_suppresses_double_occupancy(self):
         free = Simulation(tiny_model(u=0.0), seed=3, cluster_size=4).run(2, 8)
         interacting = Simulation(

@@ -1,5 +1,6 @@
 """Unit tests for the Metropolis sweep."""
 
+import hashlib
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice, Telemetr
 from repro.core import DelayedUpdater, GreensFunctionEngine
 from repro.dqmc import SweepStats, sweep
 from repro.dqmc.sweep import SINGULAR_THRESHOLD
+from repro.linalg import flops
 from repro.telemetry import TelemetryWriter, read_events
 from tests.helpers import brute_greens, relerr
 
@@ -178,9 +180,11 @@ class RiggedUpdater(DelayedUpdater):
     #: set by the test to the (uniform) spin-up alpha of the field
     rig_alpha = None
 
-    def __init__(self, g, max_delay: int = 32, backend=None):
-        super().__init__(g, max_delay=max_delay, backend=backend)
-        self._diag[:] = 1.0 + (1.0 - self.D_TARGET) / self.rig_alpha
+    def anchor(self, g):
+        # the sweep builds one updater and re-anchors it on every slice,
+        # so the rig has to be renewed here, not in __init__
+        super().anchor(g)
+        self.diag[:] = 1.0 + (1.0 - self.D_TARGET) / self.rig_alpha
 
 
 class ZeroRng:
@@ -260,10 +264,86 @@ class TestSweepStats:
             14, 6, 1, 3,
         )
         assert a.singular_rejects == 3
+        assert a.sign == 1.0
+
+    def test_merge_carries_latest_sign(self):
+        """The aggregate reports the sign of the latest configuration,
+        not the +1 it was constructed with."""
+        agg = SweepStats()
+        agg.merge(SweepStats(proposed=4, sign=-1.0))
+        assert agg.sign == -1.0
+        agg.merge(SweepStats())  # e.g. warmup(0): no configuration seen
+        assert agg.sign == -1.0
+        agg.merge(SweepStats(proposed=4, sign=1.0))
+        assert agg.sign == 1.0
 
     def test_acceptance_rate(self):
         assert SweepStats(proposed=8, accepted=2).acceptance_rate == 0.25
         assert SweepStats().acceptance_rate == 0.0
+
+
+def golden_engine(seed, backend="numpy"):
+    """4x4, beta=2, U=4 with every option pinned, so the $REPRO_* CI legs
+    run the same chain."""
+    model = HubbardModel(SquareLattice(4, 4), u=4.0, beta=2.0, n_slices=20)
+    rng = np.random.default_rng(seed)
+    field = HSField.random(model.n_slices, model.n_sites, rng)
+    engine = GreensFunctionEngine(
+        BMatrixFactory(model, kinetic="exact"), field, cluster_size=5,
+        backend=backend, precision="full64",
+    )
+    return engine, rng
+
+
+def sha1(a):
+    return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestGoldenChain:
+    """Same-seed full64/exact chains recorded from the commit before the
+    spin-stacked delayed updater: SHA-1 of ``field.h`` and of the spin-up
+    boundary G, and the accepted count, after 5 forward+backward sweeps.
+    The parent gave one value per seed on every backend and block size."""
+
+    GOLDEN = {
+        11: ("38629d7e6715e5f8602147f352c906927064d57b",
+             "eae049df3d03e6ed5d802d77b80c9b165f068867", 2190),
+        12: ("d0a22a4c38dc5fe23a3731f386359d2113e28e3e",
+             "4e37e0c7bd407647eb43a25ad187267f5e6d73b7", 2126),
+    }
+    #: delayed_update flops of the first forward sweep of seed 11 (230
+    #: accepts), keyed by max_delay
+    GOLDEN_FLOPS = {1: 264960.0, 8: 352512.0, 32: 426240.0}
+
+    @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
+    @pytest.mark.parametrize("max_delay", [1, 8, 32])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_chain_is_bit_identical_to_parent(self, seed, max_delay, backend):
+        eng, rng = golden_engine(seed, backend)
+        accepted = 0
+        sign = 1.0
+        for _ in range(5):
+            for direction in ("forward", "backward"):
+                st = sweep(eng, rng, max_delay=max_delay, direction=direction,
+                           start_sign=sign)
+                accepted += st.accepted
+                sign = st.sign
+        got = (sha1(eng.field.h), sha1(eng.boundary_greens(1, 0)), accepted)
+        assert got == self.GOLDEN[seed]
+
+    @pytest.mark.parametrize("max_delay", [1, 8, 32])
+    def test_delayed_update_ledger_is_exact(self, max_delay):
+        """Handing the flops to the ledger once per flush must not move
+        the total: per accept and sector 2 * 2*n*pending for the G_eff
+        reads plus 4n, plus the flush GEMMs."""
+        eng, rng = golden_engine(11)
+        with flops.tally() as tally:
+            st = sweep(eng, rng, max_delay=max_delay)
+        assert st.accepted == 230
+        assert tally.flops["delayed_update"] == self.GOLDEN_FLOPS[max_delay]
+        if max_delay == 1:  # nothing ever pending: 4n + one rank-1 GEMM
+            n = eng.n
+            assert tally.flops["delayed_update"] == 2 * 230 * (4 * n + 2 * n * n)
 
 
 class TestHalfFillingInvariants:
