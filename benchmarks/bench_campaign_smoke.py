@@ -2,7 +2,7 @@
 
 Exercises the campaign orchestrator's whole failure surface end to end
 and publishes ``benchmarks/results/campaign_report.json`` as a CI
-artifact (next to ``BENCH_backends.json``):
+artifact:
 
 1. **Faulted run** — a 2x2 (U x mu) grid under
    ``FaultPlan(kill_job=1, on_attempt=1)``: the killed worker must be

@@ -97,8 +97,8 @@ def test_gf_gflops_headline(benchmark):
     benchmark(eval_once)
 
 
-def test_gf_threaded_norms(benchmark):
-    """Sec. IV-B variant: pre-pivot norms on the worker pool.
+def test_gf_threaded_backend(benchmark):
+    """Sec. IV-B variant: pre-pivot norms and scalings on the worker pool.
 
     Headline timing at the largest bench size; correctness (identical
     permutations, hence identical results) is asserted here, the wall-
@@ -109,9 +109,11 @@ def test_gf_threaded_norms(benchmark):
     from repro.core import GreensFunctionEngine
 
     factory, field, _ = make_field_engine(16, 16, u=4.0, n_slices=L, cluster=10)
-    serial = GreensFunctionEngine(factory, field, cluster_size=10)
+    serial = GreensFunctionEngine(
+        factory, field, cluster_size=10, backend="numpy"
+    )
     threaded = GreensFunctionEngine(
-        factory, field, cluster_size=10, threaded_norms=True
+        factory, field, cluster_size=10, backend="threaded"
     )
     np.testing.assert_allclose(
         threaded.boundary_greens(1, 0), serial.boundary_greens(1, 0),

@@ -31,7 +31,6 @@ from .registry import (
     known_backends,
     register_backend,
     resolve_backend,
-    serial_backend,
     validate_backend_method,
 )
 from .threaded import ThreadedBackend
@@ -52,6 +51,5 @@ __all__ = [
     "known_backends",
     "register_backend",
     "resolve_backend",
-    "serial_backend",
     "validate_backend_method",
 ]

@@ -73,10 +73,6 @@ class PropagatorBackend:
 
     #: registry name ("numpy", "threaded", "gpu-sim", "cupy")
     name: str = "abstract"
-    #: stratification methods this backend may drive (all of them for
-    #: every shipped backend — the QR chain itself runs on the host, as
-    #: in the paper's hybrid division of labour).
-    supported_methods: tuple = ("qrp", "prepivot", "nopivot", "svd", "jacobi")
 
     def bind(self, factory) -> "PropagatorBackend":
         raise NotImplementedError

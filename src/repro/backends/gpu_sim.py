@@ -16,6 +16,7 @@ importing the backends package never pulls in the simulator stack.
 
 from __future__ import annotations
 
+from .base import BackendError, BaseBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = ["SimulatedGPUBackend"]
@@ -74,8 +75,6 @@ class SimulatedGPUBackend(NumpyBackend):
 
     def _require_ops(self):
         if self.ops is None:
-            from .base import BackendError
-
             raise BackendError(
                 "gpu-sim backend is not bound to a model: call bind(factory)"
             )
@@ -100,8 +99,6 @@ class SimulatedGPUBackend(NumpyBackend):
         self._count("apply_structured")
         ops = self._require_ops()
         if self.structured is None:
-            from .base import BackendError
-
             raise BackendError(
                 "backend 'gpu-sim': no structured kinetic operator is "
                 "bound — the factory was built with kinetic='exact'"
@@ -128,25 +125,11 @@ class SimulatedGPUBackend(NumpyBackend):
         )
 
     # The batched entry points loop per sector on the device (one scratch
-    # set per device; a real multi-stream port would override these).
-
-    def wrap_batched(self, gs, vs):
-        self._count("wrap_batched")
-        import numpy as np
-
-        return np.stack([self.wrap(g, v) for g, v in zip(gs, vs)])
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        import numpy as np
-
-        return np.stack([self.unwrap(g, v) for g, v in zip(gs, vs)])
-
-    def cluster_product_batched(self, v_stack):
-        self._count("cluster_product_batched")
-        import numpy as np
-
-        return np.stack([self.cluster_product(list(vs)) for vs in v_stack])
+    # set per device; a real multi-stream port would override these):
+    # the protocol's looped defaults, not numpy's stacked GEMMs.
+    wrap_batched = BaseBackend.wrap_batched
+    unwrap_batched = BaseBackend.unwrap_batched
+    cluster_product_batched = BaseBackend.cluster_product_batched
 
     def stats(self):
         out = super().stats()

@@ -80,6 +80,16 @@ def available_backends() -> List[str]:
     return out
 
 
+def _require_registered(name) -> Callable[..., BaseBackend]:
+    _ensure_builtin_registered()
+    if name not in _REGISTRY:
+        raise BackendError(
+            f"unknown backend {name!r}; registered backends: "
+            f"{', '.join(sorted(_REGISTRY))}"
+        )
+    return _REGISTRY[name]
+
+
 def get_backend(name: str, **options) -> BaseBackend:
     """Instantiate the backend registered under ``name``.
 
@@ -87,13 +97,7 @@ def get_backend(name: str, **options) -> BaseBackend:
     option validation is the constructor's job (unknown options raise
     there, loudly, instead of being dropped).
     """
-    _ensure_builtin_registered()
-    if name not in _REGISTRY:
-        raise BackendError(
-            f"unknown backend {name!r}; registered backends: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        )
-    return _REGISTRY[name](**options)
+    return _require_registered(name)(**options)
 
 
 def default_backend_name() -> str:
@@ -104,11 +108,15 @@ def default_backend_name() -> str:
 def resolve_backend(
     spec: Union[None, str, BaseBackend], **options
 ) -> BaseBackend:
-    """Turn a user-facing backend spec into an instance.
+    """Turn a backend spec into an instance — the one place that does.
 
     ``None`` consults ``$REPRO_BACKEND`` (default "numpy"); a string goes
     through :func:`get_backend`; an existing instance passes through
-    (options are then rejected — they could not be applied).
+    (options are then rejected — they could not be applied). The engine
+    passes its ``backend`` argument straight in; library-level functions
+    default with ``resolve_backend(backend or "numpy")`` — a fresh serial
+    backend per call, deaf to the environment, and no hidden module-level
+    singleton that threaded ensembles would race on.
     """
     if isinstance(spec, BaseBackend):
         if options:
@@ -129,10 +137,12 @@ def resolve_backend(
 def validate_backend_method(
     backend: Union[str, BaseBackend], method: str
 ) -> None:
-    """Reject an invalid method/backend combination at configuration time.
+    """Reject an unknown method or backend name at configuration time.
 
     ``backend`` may be a name (nothing is constructed — config parsing
-    must stay side-effect free) or an instance.
+    must stay side-effect free) or an instance. Every backend drives
+    every method: the QR chain itself runs on the host, as in the
+    paper's hybrid division of labour.
     """
     from ..core.stratification import METHODS
 
@@ -140,27 +150,5 @@ def validate_backend_method(
         raise BackendError(
             f"unknown method {method!r}; expected one of {METHODS}"
         )
-    if isinstance(backend, BaseBackend):
-        name, supported = backend.name, backend.supported_methods
-    else:
-        _ensure_builtin_registered()
-        if backend not in _REGISTRY:
-            raise BackendError(
-                f"unknown backend {backend!r}; registered backends: "
-                f"{', '.join(sorted(_REGISTRY))}"
-            )
-        cls = _REGISTRY[backend]
-        name = getattr(cls, "name", backend)
-        supported = getattr(cls, "supported_methods", ())
-    if method not in supported:
-        raise BackendError(
-            f"backend {name!r} does not support method {method!r}; "
-            f"supported: {', '.join(supported)}"
-        )
-
-
-def serial_backend() -> BaseBackend:
-    """A fresh serial numpy backend (the default execution layer)."""
-    from .numpy_backend import NumpyBackend
-
-    return NumpyBackend()
+    if not isinstance(backend, BaseBackend):
+        _require_registered(backend)

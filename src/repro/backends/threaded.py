@@ -15,8 +15,6 @@ OpenMP norm loop gives relative to serial dnrm2.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..parallel import (
     parallel_column_norms,
     parallel_prepivot_permutation,
@@ -24,6 +22,7 @@ from ..parallel import (
     scale_rows,
     scale_two_sided,
 )
+from .base import BaseBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = ["ThreadedBackend"]
@@ -75,17 +74,10 @@ class ThreadedBackend(NumpyBackend):
 
     # wrap/unwrap inherit the numpy composition, which routes the
     # scalings back through the overrides above — pooled automatically.
-    # The *batched* variants fall back to per-sector loops here: the
-    # stacked elementwise pass would serialize the pool's row chunking.
+    # The *batched* variants fall back to the protocol's per-sector
+    # loops here: the stacked elementwise pass would serialize the pool's
+    # row chunking.
 
-    def wrap_batched(self, gs, vs):
-        self._count("wrap_batched")
-        return np.stack([self.wrap(g, v) for g, v in zip(gs, vs)])
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        return np.stack([self.unwrap(g, v) for g, v in zip(gs, vs)])
-
-    def cluster_product_batched(self, v_stack):
-        self._count("cluster_product_batched")
-        return np.stack([self.cluster_product(list(vs)) for vs in v_stack])
+    wrap_batched = BaseBackend.wrap_batched
+    unwrap_batched = BaseBackend.unwrap_batched
+    cluster_product_batched = BaseBackend.cluster_product_batched

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends.registry import resolve_backend
 from ..linalg import flops
 
 __all__ = ["DelayedUpdater", "delay_ladder"]
@@ -58,9 +59,9 @@ class DelayedUpdater:
         Flush automatically once this many updates are pending. 1
         degenerates to plain rank-1 updates (the ablation baseline).
     backend:
-        Optional :class:`~repro.backends.PropagatorBackend` executing the
-        rank-m flush GEMM of each sector (and counting it in the dispatch
-        telemetry); ``None`` keeps the plain in-process GEMM.
+        The :class:`~repro.backends.PropagatorBackend` (or registry name)
+        executing the rank-m flush GEMM of each sector and counting it in
+        the dispatch telemetry; ``None`` uses a fresh serial numpy backend.
     """
 
     def __init__(self, g: np.ndarray, max_delay: int = 32, backend=None):
@@ -72,7 +73,7 @@ class DelayedUpdater:
         s = g.shape[0] if g.ndim == 3 else 1
         self.n = n
         self.max_delay = max_delay
-        self.backend = backend
+        self.backend = resolve_backend(backend or "numpy")
         # Buffers follow G's dtype: under a narrowed precision policy
         # the rank-1 blocks accumulate in the compute dtype and the
         # rank-m flush GEMM runs at single-precision GEMM rates.
@@ -206,11 +207,7 @@ class DelayedUpdater:
         if m == 0:
             return
         for g, u, w in zip(self._stack, *self._heads[m]):
-            if self.backend is not None:
-                g += self.backend.gemm(u, w, category="delayed_update")
-            else:
-                self._record_flops(flops.gemm_flops(self.n, self.n, m))
-                g += u @ w
+            g += self.backend.gemm(u, w, category="delayed_update")
         flops.record("delayed_update", self._flops)
         self._flops = 0
         # Re-anchor the incremental diagonal on the freshly updated G so

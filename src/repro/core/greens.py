@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..backends.registry import resolve_backend, validate_backend_method
 from ..hamiltonian import BMatrixFactory, HSField
 from ..profiling import PhaseProfiler, ensure_profiler
 from ..telemetry import Telemetry, ensure_telemetry
@@ -31,6 +32,7 @@ from .recycling import ClusterCache
 from .stratification import (
     StratificationMethod,
     StratificationStats,
+    stratified_decomposition,
     stratified_inverse,
 )
 from .wrapping import wrap_backward, wrap_forward
@@ -68,8 +70,6 @@ class GreensFunctionEngine:
         :class:`~repro.backends.PropagatorBackend` instance) every
         propagator operation dispatches through; ``None`` consults
         ``$REPRO_BACKEND`` (default: the serial numpy backend).
-        ``threaded_norms=True`` is the deprecated spelling of
-        ``backend="threaded"``.
     precision:
         Precision policy (name or
         :class:`~repro.precision.PrecisionPolicy`) applied to the
@@ -86,23 +86,16 @@ class GreensFunctionEngine:
         method: StratificationMethod = "prepivot",
         cluster_size: int = 10,
         profiler: Optional[PhaseProfiler] = None,
-        threaded_norms: bool = False,
         telemetry: Optional[Telemetry] = None,
         backend=None,
         precision=None,
     ):
-        from ..backends import resolve_backend, validate_backend_method
-        from .stratification import _resolve_backend
-
         self.factory = factory
         self.field = field
         self.method = method
-        if backend is None and not threaded_norms:
-            # The engine is the user-facing entry point, so (unlike the
-            # library-level chain functions) its default is env-aware.
-            self.backend = resolve_backend(None)
-        else:
-            self.backend = _resolve_backend(backend, threaded_norms)
+        # The engine is the user-facing entry point, so (unlike the
+        # library-level chain functions) its default is env-aware.
+        self.backend = resolve_backend(backend)
         if precision is not None:
             # An explicit policy overrides whatever the backend carries
             # (constructor option or $REPRO_PRECISION); None keeps it —
@@ -110,7 +103,6 @@ class GreensFunctionEngine:
             self.backend.set_policy(precision)
         self.backend.bind(factory)
         validate_backend_method(self.backend, method)
-        self.threaded_norms = self.backend.name == "threaded"
         self.profiler = ensure_profiler(profiler)
         self.telemetry = ensure_telemetry(telemetry)
         self.cache = ClusterCache(
@@ -123,8 +115,8 @@ class GreensFunctionEngine:
         """Expose cluster-cache and backend stats to telemetry snapshots.
 
         The sources read ``self.cache`` / ``self.backend`` at snapshot
-        time, so subclasses that swap in their own (the hybrid GPU
-        engine) are covered without re-registration."""
+        time, so a re-tiled cache or a re-bound backend is covered
+        without re-registration."""
         if not self.telemetry.enabled:
             return
 
@@ -138,11 +130,9 @@ class GreensFunctionEngine:
 
     @property
     def device(self):
-        """The simulated device of a GPU-offload backend.
-
-        Raises AttributeError on backends without one, matching the old
-        hybrid-engine attribute surface.
-        """
+        """The simulated device of a GPU-offload backend (its virtual
+        clock and launch/transfer counters); AttributeError on backends
+        without one."""
         device = getattr(self.backend, "device", None)
         if device is None:
             raise AttributeError(
@@ -350,7 +340,6 @@ class GreensFunctionEngine:
         track it incrementally through Metropolis ratio signs.
         """
         from ..linalg import stable_log_det_from_graded
-        from .stratification import stratified_decomposition
 
         sign = 1.0
         for sigma in (1, -1):
@@ -377,8 +366,6 @@ class GreensFunctionEngine:
         diagnosing why a parameter point needs a smaller cluster size
         (see :func:`repro.linalg.chain_conditioning_report`).
         """
-        from .stratification import stratified_decomposition
-
         with self.profiler.phase("clustering"):
             chain = self.cache.chain(sigma, start_cluster)
         with self.profiler.phase("stratification"):

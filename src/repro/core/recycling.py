@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..backends.registry import resolve_backend
 from ..hamiltonian import BMatrixFactory, HSField
-from .clustering import cluster_product, cluster_slices
+from .clustering import cluster_slices
 
 __all__ = ["ClusterCache"]
 
@@ -33,28 +34,23 @@ class ClusterCache:
         factory: BMatrixFactory,
         field: HSField,
         cluster_size: int,
-        product_fn=None,
         backend=None,
     ):
-        """``product_fn(sigma, slices) -> ndarray`` overrides how a dense
-        cluster product is built — the legacy hook the GPU offload layer
-        used to route rebuilds through Algorithm 4/5 instead of the CPU
-        path. ``backend`` is the modern form: rebuilds go through
-        ``backend.cluster_product_batched`` and a miss on one spin
-        prefetches *both* spin sectors in one stacked call (both spins
-        are invalidated together, so the partner access is otherwise a
-        guaranteed second miss). ``product_fn`` wins when both are given.
+        """Rebuilds go through ``backend.cluster_product_batched`` (a
+        fresh serial numpy backend when none is given), and a miss on one
+        spin prefetches *both* spin sectors in one stacked call: both
+        spins are invalidated together, so the partner access is
+        otherwise a guaranteed second miss.
         """
         self.factory = factory
         self.field = field
         self.cluster_size = cluster_size
         self.ranges = cluster_slices(field.n_slices, cluster_size)
-        self._product_fn = product_fn
-        self.backend = backend
+        self.backend = resolve_backend(backend or "numpy")
         # Bound-factory identity, not exponential identity: a narrowed
         # precision policy realizes expk as a compute-dtype copy.
-        if backend is not None and getattr(backend, "bound_factory", None) is not factory:
-            backend.bind(factory)
+        if self.backend.bound_factory is not factory:
+            self.backend.bind(factory)
         # (sigma, cluster_index) -> dense product, or absent if stale.
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.hits = 0
@@ -108,12 +104,7 @@ class ClusterCache:
             self.hits += 1
             return cached
         self.misses += 1
-        if self._product_fn is not None:
-            prod = self._product_fn(sigma, self.ranges[j])
-        elif self.backend is not None:
-            prod = self._build_batched(sigma, j)
-        else:
-            prod = cluster_product(self.factory, self.field, sigma, self.ranges[j])
+        prod = self._build_batched(sigma, j)
         self._cache[key] = prod
         return prod
 

@@ -44,12 +44,12 @@ Three pivoting policies are offered:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 import numpy as np
 
+from ..backends.registry import resolve_backend
 from ..linalg import (
     GradedDecomposition,
     flops,
@@ -73,42 +73,11 @@ StratificationMethod = Literal["qrp", "prepivot", "nopivot", "svd", "jacobi"]
 
 METHODS = ("qrp", "prepivot", "nopivot", "svd", "jacobi")
 
-_FACTORIZERS: dict = {
-    "qrp": qr_pivoted,
-    "prepivot": qr_prepivoted,
-    "nopivot": qr_nopivot,
-}
+#: the LAPACK factorizers that need nothing from the backend
+_FACTORIZERS: dict = {"qrp": qr_pivoted, "nopivot": qr_nopivot}
 
 
-def _resolve_backend(backend, threaded_norms: bool):
-    """Map the (deprecated) ``threaded_norms`` flag and ``backend`` spec
-    to a live backend instance; the strat chain's scalings/GEMMs and the
-    pre-pivot norm pass dispatch through it."""
-    from ..backends import BaseBackend, get_backend, serial_backend
-
-    if threaded_norms:
-        warnings.warn(
-            "threaded_norms is deprecated; pass backend='threaded' "
-            "(or any registered backend) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend is not None:
-            raise ValueError(
-                "pass either backend= or the deprecated threaded_norms, "
-                "not both"
-            )
-        return get_backend("threaded")
-    if backend is None:
-        return serial_backend()
-    if isinstance(backend, str):
-        return get_backend(backend)
-    if not isinstance(backend, BaseBackend):
-        raise TypeError(f"backend must be a name or backend, got {backend!r}")
-    return backend
-
-
-def _step_factorize(method: str, c: np.ndarray, backend=None):
+def _step_factorize(method: str, c: np.ndarray, backend):
     """One chain step's factorization: ``c = q @ diag(d) @ t_factor``
     with ``t_factor`` well-conditioned; returns
     ``(q, d, t_factor, piv, sync_points)`` where ``piv`` is the row
@@ -133,7 +102,7 @@ def _step_factorize(method: str, c: np.ndarray, backend=None):
         u, s, vt = jacobi_svd(c)
         _check_diag(s)
         return u, s, vt, np.arange(c.shape[1]), min(c.shape)
-    if method == "prepivot" and backend is not None:
+    if method == "prepivot":
         res = qr_prepivoted(c, piv=backend.prepivot_permutation(c))
     else:
         res = _FACTORIZERS[method](c)
@@ -169,11 +138,87 @@ def _pivot_displacement(piv: np.ndarray) -> int:
     return int(np.max(np.abs(piv - np.arange(piv.size)), initial=0))
 
 
+class IncrementalStratifier:
+    """The stratified chain, built one factor at a time, snapshot-able.
+
+    The one implementation of the chain step: the batch entry point
+    :func:`stratified_decomposition` folds a whole chain through
+    :meth:`push`; algorithms that need the decomposition of *every
+    prefix* (e.g. the fast time-displaced series, which pairs prefix and
+    suffix decompositions at each cluster boundary) snapshot after each
+    push — O(1) QR steps per prefix instead of restratifying from
+    scratch.
+
+    ``backend`` is a :class:`~repro.backends.PropagatorBackend` (or
+    registry name) executing the chain's GEMMs, diagonal scalings, and
+    the pre-pivot norm pass; ``None`` uses a fresh serial numpy backend.
+    ``n_factors``, ``sync_points`` and ``max_pivot_displacement`` count
+    what has been pushed so far (see :class:`StratificationStats`).
+    """
+
+    def __init__(self, method: StratificationMethod = "prepivot", backend=None):
+        if method not in METHODS:
+            raise ValueError(
+                f"unknown method {method!r}; expected one of {METHODS}"
+            )
+        self.method = method
+        self.backend = resolve_backend(backend or "numpy")
+        self._q: np.ndarray | None = None
+        self._d: np.ndarray | None = None
+        self._t: np.ndarray | None = None
+        self.n_factors = 0
+        self.sync_points = 0
+        self.max_pivot_displacement = 0
+
+    def push(self, factor: np.ndarray) -> None:
+        """Fold one more (leftmost) factor into the chain."""
+        b = self.backend
+        # The stabilization spine runs in the policy's spine dtype —
+        # float64 under full64 *and* mixed (compute-dtype cluster factors
+        # are promoted here, before anything graded is formed), float32
+        # only under fast32.
+        f = b.policy.spine(factor)
+        n = f.shape[0]
+        if f.shape != (n, n):
+            raise ValueError("factors must be square")
+        if self._q is None:
+            # Step 1-2: the first factor is fully pivoted under both QR
+            # policies (paper Algorithm 3 keeps QRP there); the others
+            # use themselves.
+            method = "qrp" if self.method == "prepivot" else self.method
+            q, d, tf, piv, sync = _step_factorize(method, f, b)
+            t = np.empty((n, n), dtype=tf.dtype)
+            t[:, piv] = tf  # T = (graded factor) P^T: scatter columns back
+        else:
+            if f.shape != self._q.shape:
+                raise ValueError("factors must all be square of the same size")
+            # 3a: C = (F @ Q) * D  — GEMM first, diagonal column scaling
+            # after, so nothing graded enters the GEMM.
+            c = b.gemm(f, self._q, category="stratification")
+            c = b.scale_columns(c, self._d, out=c, category="stratification")
+            # 3b/3c: factor C under the chosen policy.
+            q, d, tf, piv, sync = _step_factorize(self.method, c, b)
+            # 3d: T <- (graded factor)(P^T T); P^T permutes T's *rows*.
+            t = b.gemm(tf, self._t[piv, :], category="stratification")
+        # Rebound, never written into: snapshots stay valid without copies.
+        self._q, self._d, self._t = q, d, t
+        self.n_factors += 1
+        self.sync_points += sync
+        self.max_pivot_displacement = max(
+            self.max_pivot_displacement, _pivot_displacement(piv)
+        )
+
+    def decomposition(self) -> GradedDecomposition:
+        """A snapshot of the current chain (safe to keep across pushes)."""
+        if self._q is None:
+            raise ValueError("empty factor chain")
+        return GradedDecomposition(q=self._q, d=self._d, t=self._t)
+
+
 def stratified_decomposition(
     factors: Iterable[np.ndarray],
     method: StratificationMethod = "prepivot",
     stats: StratificationStats | None = None,
-    threaded_norms: bool = False,
     backend=None,
 ) -> GradedDecomposition:
     """Graded decomposition of ``F_L ... F_2 F_1``.
@@ -190,12 +235,8 @@ def stratified_decomposition(
         L-1 chain steps.
     stats:
         Optional mutable diagnostics accumulator.
-    threaded_norms:
-        Deprecated spelling of ``backend="threaded"``.
     backend:
-        A :class:`~repro.backends.PropagatorBackend` (or registry name)
-        executing the chain's GEMMs, diagonal scalings, and the
-        pre-pivot norm pass; ``None`` uses the serial numpy backend.
+        As for :class:`IncrementalStratifier`.
 
     Returns
     -------
@@ -203,144 +244,29 @@ def stratified_decomposition(
         ``Q diag(D) T`` equal to the product, with T carried in original
         (unpermuted) column order.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    backend = _resolve_backend(backend, threaded_norms)
-
-    # The stabilization spine runs in the policy's spine dtype — float64
-    # under full64 *and* mixed (compute-dtype cluster factors are
-    # promoted here, before anything graded is formed), float32 only
-    # under fast32.
-    spine = backend.policy.spine
-
-    it = iter(factors)
-    try:
-        first = spine(next(it))
-    except StopIteration:
-        raise ValueError("empty factor chain") from None
-    n = first.shape[0]
-    if first.shape != (n, n):
-        raise ValueError("factors must be square")
-
-    # Step 1-2: the first factor is fully pivoted under both QR policies
-    # (paper Algorithm 3 keeps QRP there); svd/nopivot use themselves.
-    first_method = "qrp" if method in ("qrp", "prepivot") else method
-    q, d, tf, piv, sync = _step_factorize(first_method, first, backend=backend)
-    t = np.empty((n, n), dtype=tf.dtype)
-    t[:, piv] = tf  # T = (graded factor) P^T: scatter columns back
-
-    n_factors = 1
-    sync_points = sync
-    max_disp = _pivot_displacement(piv)
-
-    # Step 3: fold in the remaining factors left-to-right.
-    for f in it:
-        f = spine(f)
-        if f.shape != (n, n):
-            raise ValueError("factors must all be square of the same size")
-        # 3a: C = (F @ Q) * D  — GEMM first, diagonal column scaling after,
-        # so nothing graded enters the GEMM.
-        c = backend.gemm(f, q, category="stratification")
-        c = backend.scale_columns(c, d, out=c, category="stratification")
-        # 3b/3c: factor C under the chosen policy.
-        q, d, tf, piv, sync = _step_factorize(method, c, backend=backend)
-        sync_points += sync
-        max_disp = max(max_disp, _pivot_displacement(piv))
-        # 3d: T <- (graded factor)(P^T T); P^T permutes T's *rows* by piv.
-        t = backend.gemm(tf, t[piv, :], category="stratification")
-        n_factors += 1
-
-    out = GradedDecomposition(q=q, d=d, t=t)
+    chain = IncrementalStratifier(method, backend)
+    for f in factors:
+        chain.push(f)
+    out = chain.decomposition()
     if stats is not None:
-        stats.n_factors = n_factors
-        stats.sync_points = sync_points
-        stats.max_pivot_displacement = max_disp
+        stats.n_factors = chain.n_factors
+        stats.sync_points = chain.sync_points
+        stats.max_pivot_displacement = chain.max_pivot_displacement
         stats.grading_ratio = out.grading_ratio()
     return out
 
 
 def stratified_inverse(
-    factors: Sequence[np.ndarray],
+    factors: Iterable[np.ndarray],
     method: StratificationMethod = "prepivot",
     stats: StratificationStats | None = None,
-    threaded_norms: bool = False,
     backend=None,
 ) -> np.ndarray:
     """``(I + F_L ... F_1)^{-1}`` via stratification + the stable solve.
 
     This is the full Algorithm 2 (``method="qrp"``) or Algorithm 3
-    (``method="prepivot"``) including step 4; ``backend`` executes the
-    chain's GEMMs/scalings (``threaded_norms`` is the deprecated
-    spelling of ``backend="threaded"``).
+    (``method="prepivot"``) including step 4.
     """
-    g = stratified_decomposition(
-        factors,
-        method=method,
-        stats=stats,
-        threaded_norms=threaded_norms,
-        backend=backend,
+    return stable_inverse_from_graded(
+        stratified_decomposition(factors, method, stats, backend)
     )
-    return stable_inverse_from_graded(g)
-
-
-class IncrementalStratifier:
-    """Stratified chain built one factor at a time, snapshot-able.
-
-    The batch entry point :func:`stratified_decomposition` consumes a
-    whole chain; algorithms that need the decomposition of *every prefix*
-    (e.g. the fast time-displaced series, which pairs prefix and suffix
-    decompositions at each cluster boundary) push factors incrementally
-    and snapshot after each push — O(1) QR steps per prefix instead of
-    restratifying from scratch.
-    """
-
-    def __init__(self, method: StratificationMethod = "prepivot", backend=None):
-        if method not in METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {METHODS}"
-            )
-        self.method = method
-        self.backend = _resolve_backend(backend, threaded_norms=False)
-        self._q: np.ndarray | None = None
-        self._d: np.ndarray | None = None
-        self._t: np.ndarray | None = None
-
-    @property
-    def n_factors(self) -> int:
-        return 0 if self._q is None else self._n_factors
-
-    def push(self, factor: np.ndarray) -> None:
-        """Fold one more (leftmost) factor into the chain."""
-        f = self.backend.policy.spine(factor)
-        n = f.shape[0]
-        if f.shape != (n, n):
-            raise ValueError("factors must be square")
-        if self._q is None:
-            first_method = (
-                "qrp" if self.method in ("qrp", "prepivot") else self.method
-            )
-            q, d, tf, piv, _ = _step_factorize(
-                first_method, f, backend=self.backend
-            )
-            t = np.empty((n, n), dtype=tf.dtype)
-            t[:, piv] = tf
-            self._q, self._d, self._t = q, d, t
-            self._n_factors = 1
-            return
-        if f.shape != self._q.shape:
-            raise ValueError("factors must all be square of the same size")
-        b = self.backend
-        c = b.gemm(f, self._q, category="stratification")
-        c = b.scale_columns(c, self._d, out=c, category="stratification")
-        q, d, tf, piv, _ = _step_factorize(self.method, c, backend=b)
-        self._t = b.gemm(tf, self._t[piv, :], category="stratification")
-        self._q, self._d = q, d
-        self._n_factors += 1
-
-    def decomposition(self) -> GradedDecomposition:
-        """A snapshot of the current chain (copies; safe to keep)."""
-        if self._q is None:
-            raise ValueError("no factors pushed yet")
-        return GradedDecomposition(
-            q=self._q.copy(), d=self._d.copy(), t=self._t.copy()
-        )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends.registry import resolve_backend
 from ..contracts import shape_contract
 from ..hamiltonian import BMatrixFactory, HSField
 
@@ -31,18 +32,14 @@ __all__ = ["wrap_forward", "wrap_backward"]
 
 
 def _bound_backend(factory: BMatrixFactory, backend):
-    """The backend executing a wrap: the caller's, bound to ``factory``
-    if not already, or a fresh serial backend when none is supplied (a
-    fresh instance per call — no hidden module-level singleton that
-    threaded ensembles would race on)."""
-    if backend is None:
-        from ..backends import NumpyBackend
-
-        return NumpyBackend().bind(factory)
+    """The backend executing a wrap — the caller's, or a fresh serial
+    numpy backend when none is supplied — bound to ``factory`` if not
+    already."""
+    backend = resolve_backend(backend or "numpy")
     # Identity is tracked on the *factory*, not the exponentials: under
     # a narrowed precision policy the bound expk is a realized copy, not
     # the factory's float64 master.
-    if getattr(backend, "bound_factory", None) is not factory:
+    if backend.bound_factory is not factory:
         backend.bind(factory)
     return backend
 

@@ -30,45 +30,6 @@ from .sweep import SweepStats, sweep
 __all__ = ["Simulation", "SimulationResult"]
 
 
-def _resolve_backend_knobs(backend, use_gpu: bool, threaded_norms: bool):
-    """Fold the deprecated ``use_gpu``/``threaded_norms`` flags into the
-    single ``backend`` knob, loudly.
-
-    Every combination that used to be silently mis-handled (the old
-    hybrid path dropped ``threaded_norms`` on the floor) is now an
-    error; a lone legacy flag maps to its backend with a
-    DeprecationWarning.
-    """
-    import warnings
-
-    if use_gpu and threaded_norms:
-        raise ValueError(
-            "use_gpu=True and threaded_norms=True name two different "
-            "backends; pick one backend= ('gpu-sim' or 'threaded') — the "
-            "old hybrid engine silently ignored threaded_norms here"
-        )
-    if backend is not None and (use_gpu or threaded_norms):
-        flag = "use_gpu" if use_gpu else "threaded_norms"
-        raise ValueError(
-            f"pass either backend= or the deprecated {flag}, not both"
-        )
-    if use_gpu:
-        warnings.warn(
-            "use_gpu is deprecated; pass backend='gpu-sim' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "gpu-sim"
-    if threaded_norms:
-        warnings.warn(
-            "threaded_norms is deprecated; pass backend='threaded' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "threaded"
-    return backend
-
-
 @dataclass
 class SimulationResult:
     """Everything a finished run reports."""
@@ -141,15 +102,10 @@ class Simulation:
         a live :class:`~repro.backends.PropagatorBackend`. ``None``
         means the default (``$REPRO_BACKEND`` or ``"numpy"``). Physics
         is backend-independent by construction (bit-identical for the
-        simulated backends); only the execution/timing story differs.
-    use_gpu:
-        Deprecated spelling of ``backend="gpu-sim"`` (Sec. VI's hybrid
-        offload; the device's virtual clock is at ``sim.engine.device``).
-    threaded_norms:
-        Deprecated spelling of ``backend="threaded"`` (Sec. IV-B's
-        OpenMP-style norm/scaling pool). Combining either legacy flag
-        with ``backend=`` — or both legacy flags with each other — is an
-        error: nothing is silently ignored.
+        simulated backends); only the execution/timing story differs:
+        ``"threaded"`` is Sec. IV-B's OpenMP-style norm/scaling pool,
+        ``"gpu-sim"`` Sec. VI's hybrid offload (the device's virtual
+        clock is at ``sim.engine.device``).
     measure_dynamic:
         Also record the time-displaced observables once per measurement
         sweep: spin-averaged ``G(k, tau)`` and ``G_loc(tau)`` on the
@@ -200,8 +156,6 @@ class Simulation:
         measurements_per_sweep: int = 1,
         alternate_directions: bool = False,
         global_flips_per_sweep: int = 0,
-        use_gpu: bool = False,
-        threaded_norms: bool = False,
         measure_dynamic: bool = False,
         telemetry: Optional[Telemetry] = None,
         watchdog: Optional[WatchdogConfig] = None,
@@ -220,7 +174,6 @@ class Simulation:
             )
         self.factory = BMatrixFactory(model, kinetic=kinetic)
         self.field = HSField.random(model.n_slices, model.n_sites, self.rng)
-        backend = _resolve_backend_knobs(backend, use_gpu, threaded_norms)
         self.engine = GreensFunctionEngine(
             self.factory,
             self.field,

@@ -10,23 +10,13 @@ kernels — are the ones a real port exercises, and their structural costs
 
 from .cublas import Cublas
 from .device import DeviceArray, DeviceError, SimulatedDevice
-from .hybrid import HybridGreensEngine
 from .kernels import (
     DEFAULT_BLOCK,
-    extract_diagonal,
-    permute_rows_kernel,
-    scale_columns_kernel,
     scale_rows_kernel,
     two_sided_scale_kernel,
 )
-from .multi import MultiDeviceClusterFarm
 from .ops import GPUPropagatorOps
 from .perfmodel import NEHALEM_8CORE, TESLA_C2050, CPUModel, GPUModel
-from .qr import GpuBlockedQR, column_norms_kernel, permute_columns_kernel
-from .stratification import (
-    gpu_stratified_decomposition,
-    gpu_stratified_inverse,
-)
 
 __all__ = [
     "CPUModel",
@@ -36,19 +26,9 @@ __all__ = [
     "DeviceError",
     "GPUModel",
     "GPUPropagatorOps",
-    "GpuBlockedQR",
-    "HybridGreensEngine",
-    "MultiDeviceClusterFarm",
     "NEHALEM_8CORE",
     "SimulatedDevice",
     "TESLA_C2050",
-    "column_norms_kernel",
-    "extract_diagonal",
-    "gpu_stratified_decomposition",
-    "gpu_stratified_inverse",
-    "permute_columns_kernel",
-    "permute_rows_kernel",
-    "scale_columns_kernel",
     "scale_rows_kernel",
     "two_sided_scale_kernel",
 ]

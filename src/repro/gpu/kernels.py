@@ -28,10 +28,7 @@ from .device import DeviceArray, DeviceError, SimulatedDevice
 
 __all__ = [
     "scale_rows_kernel",
-    "scale_columns_kernel",
     "two_sided_scale_kernel",
-    "permute_rows_kernel",
-    "extract_diagonal",
     "checkerboard_apply_kernel",
     "DEFAULT_BLOCK",
 ]
@@ -80,77 +77,6 @@ def scale_rows_kernel(
     device.tick(
         device.model.time_bandwidth_kernel(2 * pb.nbytes + pv.nbytes)
     )
-
-
-def scale_columns_kernel(
-    device: SimulatedDevice,
-    b: DeviceArray,
-    v: DeviceArray,
-    out: DeviceArray,
-    block: int = DEFAULT_BLOCK,
-) -> None:
-    """``out[:, j] = b[:, j] * v[j]`` — the stratification step-3a scaling.
-
-    Same row-per-thread layout as Algorithm 5; the column factor is a
-    broadcast (texture-cached) read like Algorithm 7's.
-    """
-    for arr in (v, b, out):
-        if arr.device is not device:
-            raise DeviceError("array bound to a different device")
-    n_rows, n_cols = b.shape
-    if v.shape != (n_cols,) or out.shape != b.shape:
-        raise DeviceError("scale_columns_kernel shape mismatch")
-    pv, pb, pout = v._payload(), b._payload(), out._payload()
-
-    grid = _grid_size(n_rows, block)
-    for blk in range(grid):
-        k0 = blk * block
-        k1 = min(k0 + block, n_rows)
-        np.multiply(pb[k0:k1], pv[None, :], out=pout[k0:k1])
-
-    device.kernel_launches += 1
-    flops.record("gpu_scale", flops.scale_flops(n_rows, n_cols))
-    device.tick(device.model.time_bandwidth_kernel(2 * pb.nbytes + pv.nbytes))
-
-
-def permute_rows_kernel(
-    device: SimulatedDevice,
-    a: DeviceArray,
-    piv: np.ndarray,
-    out: DeviceArray,
-) -> None:
-    """``out = a[piv, :]`` — the ``P^T T`` row gather of step 3d.
-
-    The permutation (a host decision) rides up with the launch; the
-    matrix never leaves device memory.
-    """
-    for arr in (a, out):
-        if arr.device is not device:
-            raise DeviceError("array bound to a different device")
-    pa, pout = a._payload(), out._payload()
-    if pa.shape != pout.shape or piv.shape != (pa.shape[0],):
-        raise DeviceError("permute_rows_kernel shape mismatch")
-    np.take(pa, piv, axis=0, out=pout)
-    device.kernel_launches += 1
-    device.h2d_bytes += piv.nbytes
-    device.h2d_count += 1
-    device.tick(device.model.time_transfer(piv.nbytes))
-    device.tick(device.model.time_bandwidth_kernel(2 * pa.nbytes))
-
-
-def extract_diagonal(device: SimulatedDevice, a: DeviceArray) -> np.ndarray:
-    """Copy diag(a) to the host (strided gather + n-element transfer)."""
-    if a.device is not device:
-        raise DeviceError("array bound to a different device")
-    pa = a._payload()
-    n = min(pa.shape)
-    d = np.ascontiguousarray(np.diag(pa))
-    device.kernel_launches += 1
-    device.d2h_bytes += d.nbytes
-    device.d2h_count += 1
-    device.tick(device.model.time_bandwidth_kernel(2 * n * 8))
-    device.tick(device.model.time_transfer(d.nbytes))
-    return d
 
 
 def checkerboard_apply_kernel(

@@ -80,9 +80,9 @@ class NumericalHealthWatchdog:
     Parameters
     ----------
     engine:
-        The :class:`~repro.core.GreensFunctionEngine` (or hybrid
-        subclass) whose ``wrap_drift`` / ``grading_profile`` diagnostics
-        are sampled and whose caches are invalidated on alert.
+        The :class:`~repro.core.GreensFunctionEngine` whose
+        ``wrap_drift`` / ``grading_profile`` diagnostics are sampled and
+        whose caches are invalidated on alert.
     config:
         Tolerances and cadence.
     telemetry:

@@ -26,11 +26,10 @@ from repro.backends import (
     known_backends,
     register_backend,
     resolve_backend,
-    serial_backend,
     validate_backend_method,
 )
 from repro.dqmc.config import parse_config
-from repro.hamiltonian import BMatrixFactory, HSField
+from repro.hamiltonian import BMatrixFactory
 
 #: The backends whose outputs must be bit-for-bit identical.
 IDENTITY_BACKENDS = ("numpy", "threaded", "gpu-sim")
@@ -82,9 +81,6 @@ class TestRegistry:
         register_backend("my-test-backend", MyBackend)
         assert get_backend("my-test-backend").name == "my-test-backend"
 
-    def test_serial_backend_is_fresh(self):
-        assert serial_backend() is not serial_backend()
-
     def test_cupy_unavailable_raises(self):
         if cupy_available():
             pytest.skip("cupy present")
@@ -99,33 +95,6 @@ class TestLoudOptionRejection:
     def test_unknown_options_raise(self, name):
         with pytest.raises(BackendError, match="threaded_norms"):
             get_backend(name, threaded_norms=True)
-
-    def test_simulation_rejects_gpu_plus_threaded_norms(self):
-        """The old hybrid path silently ignored threaded_norms; now the
-        combination is a loud error."""
-        with pytest.raises(ValueError, match="threaded_norms"):
-            Simulation(
-                model_4x4(), cluster_size=4, use_gpu=True, threaded_norms=True
-            )
-
-    def test_simulation_rejects_backend_plus_legacy_flag(self):
-        with pytest.raises(ValueError, match="use_gpu"):
-            Simulation(
-                model_4x4(), cluster_size=4, backend="numpy", use_gpu=True
-            )
-        with pytest.raises(ValueError, match="threaded_norms"):
-            Simulation(
-                model_4x4(), cluster_size=4, backend="numpy",
-                threaded_norms=True,
-            )
-
-    def test_legacy_flags_deprecate_to_backends(self):
-        with pytest.warns(DeprecationWarning, match="gpu-sim"):
-            sim = Simulation(model_4x4(), cluster_size=4, use_gpu=True)
-        assert sim.engine.backend.name == "gpu-sim"
-        with pytest.warns(DeprecationWarning, match="threaded"):
-            sim = Simulation(model_4x4(), cluster_size=4, threaded_norms=True)
-        assert sim.engine.backend.name == "threaded"
 
 
 class TestMethodValidation:
@@ -349,17 +318,6 @@ class TestEngineIntegration:
         sim = Simulation(model_4x4(), seed=0, cluster_size=4, backend="numpy")
         with pytest.raises(AttributeError, match="no device"):
             sim.engine.device
-
-    def test_engine_rejects_backend_plus_threaded_norms(self):
-        from repro.core import GreensFunctionEngine
-
-        factory = BMatrixFactory(model_4x4())
-        field = HSField.ordered(16, 16)
-        with pytest.raises(ValueError, match="not both"):
-            GreensFunctionEngine(
-                factory, field, cluster_size=4,
-                backend="numpy", threaded_norms=True,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.linalg import GradedDecomposition
 from tests.helpers import relerr
+from tests.test_dqmc_sweep import golden_engine, sha1
 
 
 def brute_displaced(factory, field, sigma, l):
@@ -180,3 +181,22 @@ class TestFastSeries:
         mid = len(greens) // 2
         ref = displaced_greens(fac, field, 1, (mid + 1) * 8 - 1)
         assert relerr(greens[mid], ref) < 1e-8
+
+    #: SHA-1 of the stacked spin-up series on the seed-11 4x4 beta=2 U=4
+    #: field, recorded from the commit before ``decomposition()`` stopped
+    #: copying its snapshots
+    GOLDEN = {
+        "prepivot": "c2314d2c7e2a1425c45b695a9a719798e3fbab32",
+        "qrp": "b2c43d6cf6ba6334cf09c8003199fad26bd74a90",
+    }
+
+    @pytest.mark.parametrize("method", ["prepivot", "qrp"])
+    def test_series_is_bit_identical_to_parent(self, method):
+        from repro.core import displaced_series_fast
+
+        engine, _ = golden_engine(11)
+        taus, greens = displaced_series_fast(
+            engine.factory, engine.field, 1, 5, method=method
+        )
+        assert sha1(taus) == "1954f3046f071947e46eb8190a538013a6d1fbbb"
+        assert sha1(np.stack(greens)) == self.GOLDEN[method]

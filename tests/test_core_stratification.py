@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.linalg import naive_inverse
 from tests.helpers import brute_greens, brute_product, dense_chain
+from tests.test_dqmc_sweep import golden_engine, sha1
 
 
 class TestDecomposition:
@@ -172,3 +173,46 @@ class TestSvdMethods:
         ref = stratified_inverse(chain, method="qrp")
         g_svd = stratified_inverse(chain, method="svd")
         assert np.linalg.norm(g_svd - ref) / np.linalg.norm(ref) > 1e-3
+
+
+class TestGoldenChainKernel:
+    """Recorded from the commit before ``stratified_decomposition`` became
+    a fold over ``IncrementalStratifier.push``: SHA-1 of Q, D, T and of
+    the stable inverse, then the four ``StratificationStats`` fields, on
+    the spin-up cluster chain (k=5: four factors) of ``TestGoldenChain``'s
+    seed-11 4x4 beta=2 U=4 engine. The parent gave one value per method on
+    every backend."""
+
+    GOLDEN = {
+        "prepivot": (
+            "815ae0e1f6a3aaa42e8e23518b5030c0735dd38e",
+            "f3a6ed7f7ccdc0dcbcc6d88b3fe31399a6d2f6a2",
+            "a7a9bf16d128cdbf8bbfd8f511bc5fafedbd0baa",
+            "83b349065bfa7b32886eaa6ae3e9b18be9bc445d",
+            4, 19, 11, float.fromhex("0x1.6537c5c899dbfp+33"),
+        ),
+        "qrp": (
+            "65ae12fed942ce564a41f9145b1d0922d5782622",
+            "193de257fffd3da3c114b0fed5784bfc7aaa66df",
+            "7ac7edc0749dc6f5342c0f1afe06849cdfdeea89",
+            "b4b4f2f4153ebdfc0f5087b2e137a9924f7991ba",
+            4, 64, 11, float.fromhex("0x1.6537c5c899d19p+33"),
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
+    @pytest.mark.parametrize("method", ["prepivot", "qrp"])
+    def test_chain_is_bit_identical_to_parent(self, method, backend):
+        engine, _ = golden_engine(11, backend)
+        chain = engine.cache.chain(1, 0)
+        stats = StratificationStats()
+        dec = stratified_decomposition(
+            chain, method=method, stats=stats, backend=engine.backend
+        )
+        g = stratified_inverse(chain, method=method, backend=engine.backend)
+        got = (
+            sha1(dec.q), sha1(dec.d), sha1(dec.t), sha1(g),
+            stats.n_factors, stats.sync_points,
+            stats.max_pivot_displacement, stats.grading_ratio,
+        )
+        assert got == self.GOLDEN[method]

@@ -73,7 +73,9 @@ class TestDriverOptions:
         """The hybrid-GPU driver must walk the same chain as the CPU one
         (Sec. VI: offload changes timing, never physics)."""
         cpu = Simulation(tiny_model(), seed=7, cluster_size=4).run(2, 6)
-        gpu_sim = Simulation(tiny_model(), seed=7, cluster_size=4, use_gpu=True)
+        gpu_sim = Simulation(
+            tiny_model(), seed=7, cluster_size=4, backend="gpu-sim"
+        )
         gpu = gpu_sim.run(2, 6)
         assert cpu.observables["double_occupancy"].scalar == pytest.approx(
             gpu.observables["double_occupancy"].scalar
@@ -83,7 +85,7 @@ class TestDriverOptions:
     def test_threaded_norms_identical_markov_chain(self):
         a = Simulation(tiny_model(), seed=7, cluster_size=4).run(2, 6)
         b = Simulation(
-            tiny_model(), seed=7, cluster_size=4, threaded_norms=True
+            tiny_model(), seed=7, cluster_size=4, backend="threaded"
         ).run(2, 6)
         assert a.observables["kinetic_energy"].scalar == pytest.approx(
             b.observables["kinetic_energy"].scalar

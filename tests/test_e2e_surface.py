@@ -1,0 +1,141 @@
+"""Tier-1 guard for the surface ``benchmarks/e2e`` reads.
+
+The end-to-end harness records its spans from outside the package: it
+wraps public callables by name and reads public attributes. A refactor
+that renames one of them leaves every unit test green and the benchmark
+dead, so this file drives the harness's own ``tracer.py`` and
+``workloads.py`` (loaded by path, never modified) over the 4x4 shape of
+each workload and touches what ``child.py`` reads afterwards.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.dqmc.checkpoint import save_checkpoint
+from repro.linalg import flops
+from repro.profiling import PHASES
+
+E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"e2e_{name}", E2E / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module there
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load("tracer")
+workloads = load("workloads")
+
+#: the span names child.py's per-layer metrics are computed from
+SPANS = (
+    "dqmc.sweep",
+    "core.greens.boundary",
+    "core.recycling.get",
+    "core.greens.wrap",
+    "backends.gemm.stratification",
+    "backends.gemm.delayed_update",
+    "backends.cluster_product",
+    "backends.wrap",
+    "backends.prepivot",
+    "backends.scale",
+    "measure.collector.measure",
+)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_sweep_yields_every_span_and_counter(name, tmp_path):
+    w = workloads.smoke(workloads.WORKLOADS[name])
+    sim = workloads.build_simulation(w, 11, workdir=tmp_path)
+    sim.warmup(1)
+    engine, cache, backend = sim.engine, sim.engine.cache, sim.engine.backend
+    before = (cache.hits, cache.misses, cache.batched_builds,
+              sum(backend.op_counts.values()))
+
+    trace = tracer.Tracer()
+    trace.install(sim)
+    try:
+        with flops.tally() as tally:
+            stats = sim.measure_sweeps(1)
+    finally:
+        trace.uninstall()
+    assert not {"gemm", "wrap_batched"} & set(vars(backend))
+    assert "get" not in vars(cache)
+
+    totals = trace.totals()
+    spans = SPANS
+    if w.kinetic == "checkerboard":
+        spans += ("backends.structured",)
+    if w.observed:
+        spans += ("telemetry.sweep_done", "telemetry.watchdog_check")
+    for span in spans:
+        assert totals[span]["calls"] > 0, span
+    assert totals["backends.gemm.stratification"]["bytes"] > 0
+    # PhaseProfiler deltas over the traced sweep() calls, and its totals
+    assert set(PHASES) <= set(trace.profiler_seconds)
+    assert set(PHASES) <= set(sim.profiler.seconds)
+
+    # the counters of the traced pass
+    assert cache.hits > before[0] and cache.misses > before[1]
+    assert cache.batched_builds > before[2]
+    assert sum(backend.op_counts.values()) > before[3]
+    assert stats.proposed == engine.n * w.n_slices
+    assert 0 < stats.accepted <= stats.proposed
+    assert stats.singular_rejects == 0 and stats.sign in (1.0, -1.0)
+    for category in ("stratification", "clustering", "wrapping", "delayed_update"):
+        assert tally.flops[category] > 0, category
+    merged = flops.FlopTally()
+    merged.merge(tally)
+    assert merged.flops == tally.flops
+
+    # what finish() reports, after an untraced sweep as child.py interleaves
+    assert sim.measure_sweeps(1).proposed == stats.proposed
+    assert engine.policy.compute_dtype == (np.float32 if w.mixed else np.float64)
+    l = workloads.CLUSTER_SIZE - 1
+    direct = engine.greens_at_slice_direct(1, l)
+    assert direct.shape == engine.greens_at_slice(1, l).shape == (engine.n,) * 2
+    result = sim.result(n_warmup=1, n_measurement=2)
+    assert abs(float(result.observables["density"].mean) - 1.0) < 1e-3
+    docc = result.observables["double_occupancy"]
+    assert np.isfinite([float(docc.mean), float(docc.error), sim._sign]).all()
+    assert sim.total_stats.negative_ratios <= sim.total_stats.proposed
+    if w.observed:
+        save_checkpoint(tmp_path / "checkpoint.npz", sim)
+        assert sim.watchdog.alerts == 0 and isinstance(sim.watchdog.reports, list)
+        assert sim.telemetry.writer.seq > 0
+    else:
+        assert sim.watchdog is None and not sim.telemetry.enabled
+    sim.telemetry.close()
+
+
+def test_counts_leg_backends():
+    w = workloads.smoke(workloads.WORKLOADS["metro_8x8_b4"])
+    sim = workloads.build_simulation(w, 11, backend="gpu-sim")
+    sim.warmup(1)
+    device = sim.engine.device
+    before = (device.elapsed, device.kernel_launches, device.h2d_bytes)
+    sim.measure_sweeps(1)
+    after = (device.elapsed, device.kernel_launches, device.h2d_bytes)
+    assert all(a > b for a, b in zip(after, before))
+
+    threaded = workloads.build_simulation(w, 11, backend="threaded")
+    threaded.warmup(1)
+    assert threaded.measure_sweeps(1).accepted > 0
+    assert np.array_equal(threaded.field.h, sim.field.h)
+
+
+def test_u0_engine_matches_the_closed_form():
+    from repro import free_greens_function
+
+    w = workloads.smoke(workloads.WORKLOADS["dense_16x16_b8"])
+    sim = workloads.build_simulation(w, 11, u=0.0)
+    exact = free_greens_function(sim.model.kinetic_matrix(), sim.model.beta)
+    for sigma in (1, -1):
+        err = np.max(np.abs(sim.engine.boundary_greens(sigma, 0) - exact))
+        assert err <= workloads.U0_TOL["full64"]
