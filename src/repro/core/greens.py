@@ -5,7 +5,8 @@ for a fixed model and a live HS field:
 
 * a :class:`~repro.core.recycling.ClusterCache` of dense k-slice products,
 * fresh (stratified) evaluation of the equal-time Green's function at any
-  cluster boundary, under any pivoting policy,
+  cluster boundary, under any pivoting policy, from a prefix and a suffix
+  factorization of which a bounded few are kept between calls,
 * wrapping between adjacent slices,
 * drift diagnostics (wrapped vs. freshly stratified G).
 
@@ -26,10 +27,17 @@ import numpy as np
 
 from ..backends.registry import resolve_backend, validate_backend_method
 from ..hamiltonian import BMatrixFactory, HSField
+from ..linalg import (
+    GradedDecomposition,
+    stable_inverse_from_graded,
+    stable_inverse_two_sided,
+    stable_log_det_from_graded,
+)
 from ..profiling import PhaseProfiler, ensure_profiler
 from ..telemetry import Telemetry, ensure_telemetry
 from .recycling import ClusterCache
 from .stratification import (
+    IncrementalStratifier,
     StratificationMethod,
     StratificationStats,
     stratified_decomposition,
@@ -38,6 +46,45 @@ from .stratification import (
 from .wrapping import wrap_backward, wrap_forward
 
 __all__ = ["GreensFunctionEngine"]
+
+
+class _ChainSide:
+    """Kept partial decompositions of one side of one spin's cluster chain.
+
+    A side is a push sequence: the prefix pushes clusters ``0, 1, ...``,
+    the suffix pushes ``Btilde_{nc-1}^T, Btilde_{nc-2}^T, ...`` (a suffix
+    grows on its right, so it is held as the chain of its transpose). At
+    most two ``(n_factors, GradedDecomposition)`` pairs are kept, each an
+    exact intermediate state of that sequence, so continuing from one
+    gives bit for bit what a build from scratch gives.
+    """
+
+    __slots__ = ("running", "checkpoint")
+
+    def __init__(self) -> None:
+        #: result of the latest one-push extension (the running prefix
+        #: of a forward sweep, the running suffix of a backward one)
+        self.running: Optional[tuple] = None
+        #: the first ``max(1, n_clusters // 2)`` factors
+        self.checkpoint: Optional[tuple] = None
+
+    def kept(self) -> list:
+        return [k for k in (self.running, self.checkpoint) if k is not None]
+
+    def nearest(self, n: int) -> tuple:
+        """The kept pair with the most factors not exceeding ``n``."""
+        return max(
+            (k for k in self.kept() if k[0] <= n),
+            key=lambda k: k[0],
+            default=(0, None),
+        )
+
+    def drop_from(self, n: int) -> None:
+        """Forget every kept decomposition of ``n`` or more factors."""
+        if self.running is not None and self.running[0] >= n:
+            self.running = None
+        if self.checkpoint is not None and self.checkpoint[0] >= n:
+            self.checkpoint = None
 
 
 class GreensFunctionEngine:
@@ -109,6 +156,7 @@ class GreensFunctionEngine:
             factory, field, cluster_size, backend=self.backend
         )
         self._register_cache_stats()
+        self._drop_partials()
         self.last_stats = StratificationStats()
 
     def _register_cache_stats(self) -> None:
@@ -160,19 +208,36 @@ class GreensFunctionEngine:
 
     # -- cache maintenance -------------------------------------------------
 
+    def _drop_partials(self) -> None:
+        """Forget every kept partial decomposition, both spins."""
+        #: sigma -> (prefix side, suffix side)
+        self._partials = {s: (_ChainSide(), _ChainSide()) for s in (1, -1)}
+
+    def n_kept(self, sigma: int) -> int:
+        """How many partial decompositions spin ``sigma`` holds (<= 4)."""
+        return sum(len(side.kept()) for side in self._partials[sigma])
+
     def invalidate_slice(self, l: int) -> None:
         """Must be called after the HS field changes at slice l."""
         self.cache.invalidate_slice(l)
+        j = self.cache.cluster_of_slice(l)
+        # A prefix of n factors holds clusters 0..n-1, a suffix of n
+        # factors clusters nc-n..nc-1: drop the ones containing cluster j.
+        for prefix, suffix in self._partials.values():
+            prefix.drop_from(j + 1)
+            suffix.drop_from(self.n_clusters - j)
 
     def invalidate_all(self) -> None:
         self.cache.invalidate_all()
+        self._drop_partials()
 
     def repartition(self, cluster_size: int) -> None:
         """Adopt a new cluster size (= wrap interval) on the live engine.
 
         Everything downstream of the tiling is derived state: the
-        cluster cache re-tiles itself (dropping its products) and the
-        next ``boundary_greens`` stratifies the new chain from scratch,
+        cluster cache re-tiles itself (dropping its products), the kept
+        partial decompositions go with it and the next
+        ``boundary_greens`` stratifies the new chain from scratch,
         so a repartitioned engine is indistinguishable from one
         constructed with the new size over the same field. Safe between
         sweeps only — a sweep iterates the tiling it started with.
@@ -180,6 +245,7 @@ class GreensFunctionEngine:
         if cluster_size == self.cluster_size:
             return
         self.cache.repartition(cluster_size)
+        self._drop_partials()
         self.telemetry.counter("engine.repartitions")
 
     def set_precision(self, policy) -> bool:
@@ -238,26 +304,80 @@ class GreensFunctionEngine:
     def boundary_greens(self, sigma: int, start_cluster: int = 0) -> np.ndarray:
         """Freshly stratified G at the boundary before cluster ``start_cluster``.
 
-        Cluster products come from the recycling cache (phase
-        "clustering" inside the cache's misses); the chain itself is
-        phase "stratification".
+        Joins the prefix chain ``Btilde_{c-1} ... Btilde_0`` and the
+        suffix chain ``Btilde_{nc-1} ... Btilde_c`` with the two-sided
+        stable inversion. Each side continues from its nearest kept
+        decomposition (see :class:`_ChainSide`); what is kept never
+        changes the result, only the number of pushes, which
+        ``last_stats.n_factors`` reports. Cluster products come from the
+        recycling cache (phase "clustering"); the pushes and the
+        inversion are phase "stratification".
         """
+        nc = self.n_clusters
+        if not 0 <= start_cluster < nc:
+            raise IndexError(f"cluster {start_cluster} out of range")
+        prefix, suffix = self._partials[sigma]
         with self.profiler.phase("clustering"):
-            chain = self.cache.chain(sigma, start_cluster)
+            n0, right = prefix.nearest(start_cluster)
+            todo_right = [self.cache.get(sigma, j) for j in range(n0, start_cluster)]
+            m0, left_t = suffix.nearest(nc - start_cluster)
+            todo_left = [
+                self.cache.get(sigma, nc - 1 - i).T
+                for i in range(m0, nc - start_cluster)
+            ]
         with self.profiler.phase("stratification"):
             stats = StratificationStats()
-            g = stratified_inverse(
-                chain,
-                method=self.method,
-                stats=stats,
-                backend=self.backend,
-            )
+            right = self._extend(prefix, n0, right, todo_right, stats)
+            left_t = self._extend(suffix, m0, left_t, todo_left, stats)
+            if right is None:  # boundary 0: G = (I + L)^-1 = ((I + L^T)^-1)^T
+                stats.grading_ratio = left_t.grading_ratio()
+                g = stable_inverse_from_graded(left_t).T
+            else:
+                stats.grading_ratio = max(
+                    right.grading_ratio(), left_t.grading_ratio()
+                )
+                g = stable_inverse_two_sided(right, left_t, self.backend)
             self.last_stats = stats
         self.telemetry.counter("engine.stratifications")
         # The refresh is computed on the float64 spine; the running G
         # that wraps and delayed updates consume lives in the policy's
         # compute dtype (no-op passthrough under full64).
         return self.backend.policy.compute(g)
+
+    def _extend(
+        self,
+        side: _ChainSide,
+        n0: int,
+        start: Optional[GradedDecomposition],
+        factors: list,
+        stats: StratificationStats,
+    ) -> Optional[GradedDecomposition]:
+        """Push ``factors`` onto ``start``, the kept decomposition of the
+        first ``n0`` factors of ``side`` (None when ``n0`` is 0).
+
+        A one-push extension becomes the side's running decomposition
+        unless it extended the checkpoint (no sweep comes back for that
+        one); a longer build records the mid-chain checkpoint on its way
+        and its own result is not kept.
+        """
+        if not factors:
+            return start
+        chain = IncrementalStratifier(self.method, self.backend, start=start)
+        n_checkpoint = max(1, self.n_clusters // 2)
+        for f in factors:
+            chain.push(f)
+            if len(factors) > 1 and n0 + chain.n_factors == n_checkpoint:
+                side.checkpoint = (n_checkpoint, chain.decomposition())
+        dec = chain.decomposition()
+        extends_running = side.running is not None and start is side.running[1]
+        if len(factors) == 1 and (start is None or extends_running):
+            side.running = (n0 + 1, dec)
+        stats.n_factors += chain.n_factors
+        stats.sync_points += chain.sync_points
+        stats.max_pivot_displacement = max(
+            stats.max_pivot_displacement, chain.max_pivot_displacement
+        )
+        return dec
 
     def greens_at_slice(self, sigma: int, l: int) -> np.ndarray:
         """G_l (leftmost factor B_l) built fresh: boundary G + wraps.
@@ -332,26 +452,37 @@ class GreensFunctionEngine:
         with self.profiler.phase("wrapping"):
             return self.backend.unwrap_batched(gs, self._spin_v_stack(l))
 
+    def _chain_decomposition(
+        self, sigma: int, start_cluster: int = 0
+    ) -> GradedDecomposition:
+        """The whole chain at a boundary as one graded decomposition."""
+        with self.profiler.phase("clustering"):
+            chain = self.cache.chain(sigma, start_cluster)
+        with self.profiler.phase("stratification"):
+            return stratified_decomposition(
+                chain, method=self.method, backend=self.backend
+            )
+
+    def log_weight(self) -> tuple:
+        """``(sign, log|det M_+ det M_-|)`` for the current field.
+
+        Computed through the graded decomposition (no overflow); the
+        acceptance weight of a global move.
+        """
+        sign, log_abs = 1.0, 0.0
+        for sigma in (1, -1):
+            s, ld = stable_log_det_from_graded(self._chain_decomposition(sigma))
+            sign *= s
+            log_abs += ld
+        return sign, log_abs
+
     def configuration_sign(self) -> float:
         """Sign of ``det M_+ det M_-`` for the current field.
 
-        Computed through the graded decomposition (no overflow). The
-        simulation seeds its running sign with this once; sweeps then
+        The simulation seeds its running sign with this once; sweeps then
         track it incrementally through Metropolis ratio signs.
         """
-        from ..linalg import stable_log_det_from_graded
-
-        sign = 1.0
-        for sigma in (1, -1):
-            with self.profiler.phase("clustering"):
-                chain = self.cache.chain(sigma, 0)
-            with self.profiler.phase("stratification"):
-                dec = stratified_decomposition(
-                    chain, method=self.method, backend=self.backend
-                )
-            s, _ = stable_log_det_from_graded(dec)
-            sign *= s
-        return sign
+        return self.log_weight()[0]
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -366,12 +497,7 @@ class GreensFunctionEngine:
         diagnosing why a parameter point needs a smaller cluster size
         (see :func:`repro.linalg.chain_conditioning_report`).
         """
-        with self.profiler.phase("clustering"):
-            chain = self.cache.chain(sigma, start_cluster)
-        with self.profiler.phase("stratification"):
-            dec = stratified_decomposition(
-                chain, method=self.method, backend=self.backend
-            )
+        dec = self._chain_decomposition(sigma, start_cluster)
         return np.sort(np.abs(dec.d))[::-1]
 
     def wrap_drift(self, sigma: int, n_wraps: Optional[int] = None) -> float:

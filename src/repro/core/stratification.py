@@ -152,11 +152,20 @@ class IncrementalStratifier:
     ``backend`` is a :class:`~repro.backends.PropagatorBackend` (or
     registry name) executing the chain's GEMMs, diagonal scalings, and
     the pre-pivot norm pass; ``None`` uses a fresh serial numpy backend.
+    ``start`` continues a chain from a kept snapshot of it: the pushes
+    that follow give bit for bit what they would have given on the
+    stratifier the snapshot was taken from.
     ``n_factors``, ``sync_points`` and ``max_pivot_displacement`` count
-    what has been pushed so far (see :class:`StratificationStats`).
+    what this instance has pushed so far (see
+    :class:`StratificationStats`).
     """
 
-    def __init__(self, method: StratificationMethod = "prepivot", backend=None):
+    def __init__(
+        self,
+        method: StratificationMethod = "prepivot",
+        backend=None,
+        start: GradedDecomposition | None = None,
+    ):
         if method not in METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {METHODS}"
@@ -166,6 +175,8 @@ class IncrementalStratifier:
         self._q: np.ndarray | None = None
         self._d: np.ndarray | None = None
         self._t: np.ndarray | None = None
+        if start is not None:
+            self._q, self._d, self._t = start.q, start.d, start.t
         self.n_factors = 0
         self.sync_points = 0
         self.max_pivot_displacement = 0

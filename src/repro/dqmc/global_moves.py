@@ -27,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import GreensFunctionEngine
-from ..linalg import stable_log_det_from_graded
-from .sweep import SPINS
 
 __all__ = ["GlobalMoveStats", "global_site_flips"]
 
@@ -45,21 +43,6 @@ class GlobalMoveStats:
     def merge(self, other: "GlobalMoveStats") -> None:
         self.proposed += other.proposed
         self.accepted += other.accepted
-
-
-def _log_weight(engine: GreensFunctionEngine) -> tuple:
-    """(sign, log|det M_+ det M_-|) of the engine's current field."""
-    from ..core.stratification import stratified_decomposition
-
-    sign = 1.0
-    logw = 0.0
-    for sigma in SPINS:
-        chain = engine.cache.chain(sigma, 0)
-        dec = stratified_decomposition(chain, method=engine.method)
-        s, ld = stable_log_det_from_graded(dec)
-        sign *= s
-        logw += ld
-    return sign, logw
 
 
 def global_site_flips(
@@ -92,14 +75,14 @@ def global_site_flips(
     if sites is None:
         sites = rng.integers(0, field.n_sites, size=n_proposals)
 
-    sign_cur, logw_cur = _log_weight(engine)
+    sign_cur, logw_cur = engine.log_weight()
     for i in sites:
         i = int(i)
         stats.proposed += 1
         # propose: flip the whole worldline of site i
         field.h[:, i] *= -1.0
         engine.invalidate_all()
-        sign_new, logw_new = _log_weight(engine)
+        sign_new, logw_new = engine.log_weight()
         log_ratio = logw_new - logw_cur
         # accept with min(1, |R|); track the sign of R separately
         if np.log(rng.random()) < min(0.0, log_ratio):

@@ -50,6 +50,7 @@ from .stable import (
     SOLVE_KWARGS,
     naive_inverse,
     stable_inverse_from_graded,
+    stable_inverse_two_sided,
     stable_log_det_from_graded,
 )
 
@@ -84,6 +85,7 @@ __all__ = [
     "scale_flops",
     "split_scales",
     "stable_inverse_from_graded",
+    "stable_inverse_two_sided",
     "stable_log_det_from_graded",
     "tally",
 ]

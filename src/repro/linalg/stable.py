@@ -30,6 +30,7 @@ from .graded import GradedDecomposition, split_scales
 __all__ = [
     "SOLVE_KWARGS",
     "stable_inverse_from_graded",
+    "stable_inverse_two_sided",
     "stable_log_det_from_graded",
     "naive_inverse",
 ]
@@ -53,6 +54,42 @@ def stable_inverse_from_graded(g: GradedDecomposition) -> np.ndarray:
     n = g.n
     flops.record("stable_inverse", flops.lu_solve_flops(n, n) + 2 * n * n)
     return sla.solve(lhs, rhs, **SOLVE_KWARGS)
+
+
+def stable_inverse_two_sided(
+    right: GradedDecomposition, left_t: GradedDecomposition, backend
+) -> np.ndarray:
+    """``(I + R L)^{-1}`` from ``R = Q_R D_R T_R`` and ``L^T = Q_L D_L T_L``.
+
+    The join of a prefix chain ``R`` and a suffix chain ``L`` held as the
+    decomposition of its *transpose* (a suffix grows on its right, so it
+    is stratified as the leftward-growing ``L^T``; hence
+    ``L = T_L^T D_L Q_L^T``). With both diagonals split big/small,
+
+    .. math::
+
+        G = Q_L D_{Lb} \\big[ D_{Rb} (Q_R^T Q_L) D_{Lb}
+            + D_{Rs} (T_R T_L^T) D_{Ls} \\big]^{-1} D_{Rb} Q_R^T
+
+    and every entry inside the solve is O(1) (Bauer, "Fast and stable
+    determinant quantum Monte Carlo"). The three N x N products go
+    through ``backend.gemm``.
+    """
+    if right.n != left_t.n:
+        raise ValueError("mismatched decomposition sizes")
+    n = right.n
+    rb, rs = split_scales(right.d)
+    lb, ls = split_scales(left_t.d)
+    m = backend.gemm(right.q.T, left_t.q, category="stratification")
+    m *= rb[:, None]
+    m *= lb[None, :]
+    tt = backend.gemm(right.t, left_t.t.T, category="stratification")
+    tt *= rs[:, None]
+    tt *= ls[None, :]
+    m += tt
+    flops.record("stable_inverse", flops.lu_solve_flops(n, n) + 7 * n * n)
+    x = sla.solve(m, rb[:, None] * right.q.T, **SOLVE_KWARGS)
+    return backend.gemm(left_t.q * lb[None, :], x, category="stratification")
 
 
 def stable_log_det_from_graded(g: GradedDecomposition) -> tuple:

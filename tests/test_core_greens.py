@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
-from repro.core import GreensFunctionEngine
+from repro import (
+    BMatrixFactory,
+    HSField,
+    HubbardModel,
+    SquareLattice,
+    free_greens_function,
+)
+from repro.core import GreensFunctionEngine, stratified_inverse
+from repro.dqmc import sweep
 from repro.profiling import PhaseProfiler
 from tests.helpers import brute_greens, relerr
 
@@ -39,6 +46,201 @@ class TestBoundaryGreens:
     def test_stats_updated(self, engine4x4):
         engine4x4.boundary_greens(1, 0)
         assert engine4x4.last_stats.n_factors == engine4x4.n_clusters
+
+
+    def test_out_of_range_cluster_raises(self, engine4x4):
+        for c in (-1, engine4x4.n_clusters):
+            with pytest.raises(IndexError):
+                engine4x4.boundary_greens(1, c)
+
+
+def make_engine(lx=4, u=4.0, beta=2.0, k=5, seed=5, kinetic="exact", **options):
+    model = HubbardModel(
+        SquareLattice(lx, lx), u=u, beta=beta, n_slices=int(round(10 * beta))
+    )
+    rng = np.random.default_rng(seed)
+    field = HSField.random(model.n_slices, model.n_sites, rng)
+    factory = BMatrixFactory(model, kinetic=kinetic)
+    return GreensFunctionEngine(factory, field, cluster_size=k, **options), rng
+
+
+def counting_pushes(engine):
+    """Shadow ``boundary_greens`` the way the e2e tracer does; returns the
+    per-spin totals of ``last_stats.n_factors``, filled as calls happen."""
+    pushes = {1: 0, -1: 0}
+    inner = engine.boundary_greens
+
+    def counted(sigma, c=0):
+        g = inner(sigma, c)
+        pushes[sigma] += engine.last_stats.n_factors
+        return g
+
+    engine.boundary_greens = counted
+    return pushes
+
+
+class TestHistoryIndependence:
+    """``boundary_greens`` is a pure function of (field, options, c): the
+    kept partial decompositions change how many pushes a call performs,
+    never a bit of what it returns."""
+
+    OPTIONS = dict(precision="full64", kinetic="exact")
+
+    def assert_like_fresh(self, eng, **options):
+        opts = {**self.OPTIONS, "backend": eng.backend.name, **options}
+        fresh = GreensFunctionEngine(
+            BMatrixFactory(eng.factory.model, kinetic=opts.pop("kinetic")),
+            HSField(eng.field.h.copy()),
+            cluster_size=eng.cluster_size,
+            **opts,
+        )
+        for c in range(eng.n_clusters):
+            for sigma in (1, -1):
+                # every c served cold on the reference engine
+                fresh.invalidate_all()
+                assert np.array_equal(
+                    eng.boundary_greens(sigma, c), fresh.boundary_greens(sigma, c)
+                ), (sigma, c)
+
+    @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
+    def test_flips_between_calls_at_random_boundaries(self, backend):
+        eng, rng = make_engine(backend=backend, **self.OPTIONS)
+        for _ in range(6):
+            for _ in range(int(rng.integers(1, 6))):
+                eng.boundary_greens(
+                    int(rng.choice((1, -1))), int(rng.integers(eng.n_clusters))
+                )
+            for _ in range(int(rng.integers(1, 4))):
+                l = int(rng.integers(eng.field.n_slices))
+                eng.field.flip(l, int(rng.integers(eng.n)))
+                eng.invalidate_slice(l)
+            self.assert_like_fresh(eng)
+
+    @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
+    def test_every_drop_entry_point(self, backend):
+        eng, rng = make_engine(backend=backend, **self.OPTIONS)
+
+        def warm():
+            for c in rng.permutation(eng.n_clusters):
+                eng.boundary_greens(1, int(c))
+                eng.boundary_greens(-1, int(c))
+            assert eng.n_kept(1) and eng.n_kept(-1)
+
+        warm()
+        eng.field.h[:, 3] *= -1.0  # a global move's proposal
+        eng.invalidate_all()
+        assert eng.n_kept(1) == eng.n_kept(-1) == 0
+        self.assert_like_fresh(eng)
+
+        warm()
+        eng.repartition(10)
+        assert eng.n_kept(1) == eng.n_kept(-1) == 0
+        self.assert_like_fresh(eng)
+
+        warm()
+        assert eng.set_precision("mixed")
+        assert eng.n_kept(1) == eng.n_kept(-1) == 0
+        self.assert_like_fresh(eng, precision="mixed")
+
+        warm()
+        assert eng.set_kinetic("checkerboard")
+        assert eng.n_kept(1) == eng.n_kept(-1) == 0
+        self.assert_like_fresh(eng, precision="mixed", kinetic="checkerboard")
+
+    def test_sweeps_in_both_directions(self):
+        eng, rng = make_engine(**self.OPTIONS)
+        for direction in ("forward", "backward", "backward", "forward"):
+            sweep(eng, rng, direction=direction)
+            self.assert_like_fresh(eng)
+
+
+class TestAgainstSliceBySliceReference:
+    """The two-sided G against ``greens_at_slice_direct`` (one QR step per
+    time slice, no clusters, no kept state; within 1e-14 of a 120-digit
+    evaluation at U = 8, beta = 16) at every boundary of real sweeps,
+    judged against what one full cluster chain achieves there."""
+
+    @pytest.mark.parametrize("beta", [4.0, 8.0, 16.0])
+    @pytest.mark.parametrize("u", [4.0, 8.0])
+    def test_no_worse_than_the_full_chain(self, u, beta):
+        """Both evaluations sit on the same floor, eps x the conditioning
+        of a k = 10 cluster product, and scatter around it by a factor
+        of ~100 from one boundary to the next, independently of each
+        other. So each boundary is held to 10 x the worst full-chain
+        error of the run, and the typical boundary to the typical one."""
+        eng, rng = make_engine(lx=6, u=u, beta=beta, k=10, seed=19)
+        k, n_slices = eng.cluster_size, eng.field.n_slices
+        ours, full_chain = [], []
+
+        def check(c, gs, sign):
+            for sigma in (1, -1):
+                direct = eng.greens_at_slice_direct(sigma, (c * k - 1) % n_slices)
+                full = stratified_inverse(
+                    eng.cache.chain(sigma, c), backend=eng.backend
+                )
+                ours.append(relerr(gs[sigma], direct))
+                full_chain.append(relerr(full, direct))
+
+        for direction in ("forward", "forward", "backward", "backward"):
+            sweep(eng, rng, direction=direction, on_boundary=check)
+        assert len(ours) == 2 * 4 * eng.n_clusters
+        assert max(ours) <= max(10 * max(full_chain), 1e-11)
+        assert np.median(ours) <= 3 * np.median(full_chain)
+
+    @pytest.mark.parametrize("beta", [4.0, 8.0, 16.0])
+    def test_free_fermions_at_every_boundary(self, beta):
+        eng, _ = make_engine(lx=6, u=0.0, beta=beta, k=10)
+        exact = free_greens_function(eng.factory.model.kinetic_matrix(), beta)
+        for c in range(eng.n_clusters):
+            for sigma in (1, -1):
+                g = eng.boundary_greens(sigma, c)
+                assert np.max(np.abs(g - exact)) < 1e-12, (sigma, c)
+
+
+class TestChainStepsAndKeptState:
+    """Complexity and memory are part of the contract: pushes per sweep
+    and kept decompositions per spin."""
+
+    @pytest.mark.parametrize("c, again", [(0, 2), (1, 1), (3, 1)])
+    def test_cold_call_pushes_every_cluster_once(self, c, again):
+        eng, _ = make_engine()
+        eng.boundary_greens(1, c)
+        assert eng.last_stats.n_factors == eng.n_clusters == 4
+        # the longer side's own result was not kept, its checkpoint
+        # (two factors) was; the one-push side is the running one
+        eng.boundary_greens(1, c)
+        assert eng.last_stats.n_factors == again
+
+    @pytest.mark.parametrize("beta, forward_pushes", [(8.0, 27), (4.0, 9)])
+    def test_forward_sweeps(self, beta, forward_pushes):
+        eng, rng = make_engine(beta=beta, k=10)
+        pushes = counting_pushes(eng)
+        kept = []
+
+        def on_boundary(c, gs, sign):
+            kept.extend(eng.n_kept(sigma) for sigma in (1, -1))
+
+        for n in (1, 2, 3):
+            sweep(eng, rng, on_boundary=on_boundary)
+            assert pushes == {1: n * forward_pushes, -1: n * forward_pushes}
+        assert max(kept) == 2  # the running prefix and the suffix checkpoint
+
+    def test_alternating_sweeps(self):
+        eng, rng = make_engine(beta=8.0, k=10)
+        pushes = counting_pushes(eng)
+        kept = []
+
+        def on_boundary(c, gs, sign):
+            kept.extend(eng.n_kept(sigma) for sigma in (1, -1))
+
+        totals = []
+        for direction in ("forward", "backward", "forward", "backward"):
+            before = dict(pushes)
+            sweep(eng, rng, direction=direction, on_boundary=on_boundary)
+            totals.append([pushes[s] - before[s] for s in (1, -1)])
+        # a full chain at every boundary would be 64 per spin per sweep
+        assert totals == [[27, 27], [28, 28], [24, 24], [28, 28]]
+        assert max(kept) == 2
 
 
 class TestSliceGreens:

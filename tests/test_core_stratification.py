@@ -6,6 +6,7 @@ import pytest
 from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
 from repro.core import (
     METHODS,
+    IncrementalStratifier,
     StratificationStats,
     stratified_decomposition,
     stratified_inverse,
@@ -173,6 +174,46 @@ class TestSvdMethods:
         ref = stratified_inverse(chain, method="qrp")
         g_svd = stratified_inverse(chain, method="svd")
         assert np.linalg.norm(g_svd - ref) / np.linalg.norm(ref) > 1e-3
+
+
+class TestContinuedChain:
+    """``IncrementalStratifier(start=snapshot)``: what ``boundary_greens``
+    resumes its kept prefix and suffix chains with."""
+
+    @pytest.mark.parametrize("method", ["prepivot", "qrp"])
+    @pytest.mark.parametrize("n0", [1, 2, 3])
+    def test_resuming_a_snapshot_is_bit_identical(self, method, n0):
+        engine, _ = golden_engine(11)
+        chain = engine.cache.chain(1, 0)
+        whole = IncrementalStratifier(method)
+        for i, f in enumerate(chain):
+            whole.push(f)
+            if i + 1 == n0:
+                snapshot = whole.decomposition()
+        resumed = IncrementalStratifier(method, start=snapshot)
+        for f in chain[n0:]:
+            resumed.push(f)
+        a, b = whole.decomposition(), resumed.decomposition()
+        assert all(np.array_equal(x, y) for x, y in ((a.q, b.q), (a.d, b.d), (a.t, b.t)))
+        # the counters are this instance's own pushes
+        assert resumed.n_factors == len(chain) - n0
+        assert whole.n_factors == len(chain)
+
+    def test_snapshot_survives_the_pushes_that_follow(self):
+        engine, _ = golden_engine(11)
+        chain = engine.cache.chain(1, 0)
+        inc = IncrementalStratifier()
+        inc.push(chain[0])
+        snapshot = inc.decomposition()
+        kept = [x.copy() for x in (snapshot.q, snapshot.d, snapshot.t)]
+        resumed = IncrementalStratifier(start=snapshot)
+        for f in chain[1:]:
+            resumed.push(f)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(kept, (snapshot.q, snapshot.d, snapshot.t)))
+        # a mismatched factor is still rejected on a resumed chain
+        with pytest.raises(ValueError):
+            resumed.push(np.eye(engine.n + 1))
 
 
 class TestGoldenChainKernel:

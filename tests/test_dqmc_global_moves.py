@@ -12,12 +12,12 @@ from repro.dqmc.global_moves import GlobalMoveStats, global_site_flips
 from tests.helpers import brute_greens, relerr
 
 
-def make_engine(u=4.0, beta=1.5, n_slices=12, seed=0, lx=2, ly=1):
+def make_engine(u=4.0, beta=1.5, n_slices=12, seed=0, lx=2, ly=1, backend=None):
     model = HubbardModel(SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices)
     rng = np.random.default_rng(seed)
     field = HSField.random(n_slices, model.n_sites, rng)
     fac = BMatrixFactory(model)
-    return GreensFunctionEngine(fac, field, cluster_size=4), rng
+    return GreensFunctionEngine(fac, field, cluster_size=4, backend=backend), rng
 
 
 class TestMechanics:
@@ -54,6 +54,28 @@ class TestMechanics:
         eng, rng = make_engine(u=6.0, lx=2, ly=2)
         _, sign = global_site_flips(eng, rng, n_proposals=6)
         assert sign == 1.0
+
+    def test_weight_is_evaluated_on_the_engine_backend(self):
+        """The acceptance weight is ``engine.log_weight()``: its chain
+        GEMMs and pre-pivot passes dispatch through the engine's backend
+        (they used to run on a private serial numpy one)."""
+        eng, rng = make_engine(lx=2, ly=2, backend="gpu-sim")
+        counts = eng.backend.op_counts
+        assert not counts.get("gemm") and not counts.get("prepivot_permutation")
+        global_site_flips(eng, rng, n_proposals=2)
+        # three log-weights at least, two spins, two chain steps each
+        assert counts["gemm"] >= 3 * 2 * 2 * 2
+        assert counts["prepivot_permutation"] >= 3 * 2 * 2
+
+    def test_log_weight_matches_brute_force(self):
+        eng, _ = make_engine(lx=2, ly=2, seed=5)
+        sign, log_abs = eng.log_weight()
+        brute = 1.0
+        for sigma in (1, -1):
+            m = np.eye(4) + eng.factory.full_product(eng.field, sigma)
+            brute *= np.linalg.det(m)
+        assert sign == np.sign(brute) == eng.configuration_sign()
+        assert log_abs == pytest.approx(np.log(abs(brute)), rel=1e-10)
 
     def test_stats_merge(self):
         a = GlobalMoveStats(proposed=4, accepted=1)

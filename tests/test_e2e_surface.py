@@ -94,7 +94,15 @@ def test_traced_sweep_yields_every_span_and_counter(name, tmp_path):
     merged.merge(tally)
     assert merged.flops == tally.flops
 
-    # what finish() reports, after an untraced sweep as child.py interleaves
+    # boundary_vs_profiler compares the boundary spans with these two
+    # phases: one entry each per call, whatever the call has to rebuild
+    phases = ("clustering", "stratification")
+    calls = [sim.profiler.calls[p] for p in phases]
+    for c in (engine.n_clusters - 1, 0):
+        engine.boundary_greens(1, c)
+        calls = [n + 1 for n in calls]
+        assert [sim.profiler.calls[p] for p in phases] == calls
+
     assert sim.measure_sweeps(1).proposed == stats.proposed
     assert engine.policy.compute_dtype == (np.float32 if w.mixed else np.float64)
     l = workloads.CLUSTER_SIZE - 1

@@ -7,6 +7,7 @@ from repro.linalg import (
     GradedDecomposition,
     naive_inverse,
     stable_inverse_from_graded,
+    stable_inverse_two_sided,
     stable_log_det_from_graded,
 )
 
@@ -61,6 +62,58 @@ class TestStableInverse:
         np.testing.assert_allclose(
             stable_inverse_from_graded(g), 0.5 * np.eye(n), atol=1e-14
         )
+
+
+class Gemm:
+    """The one backend operation the two-sided inversion uses."""
+
+    def __init__(self):
+        self.categories = []
+
+    def gemm(self, a, b, category="gemm"):
+        self.categories.append(category)
+        return a @ b
+
+
+class TestTwoSidedInverse:
+    """``(I + R L)^{-1}`` from ``R = QDT`` and the decomposition of ``L^T``."""
+
+    def test_matches_naive_on_benign_grading(self, rng):
+        right, left_t = make_graded(rng, span=4), make_graded(rng, span=3)
+        backend = Gemm()
+        got = stable_inverse_two_sided(right, left_t, backend)
+        expected = naive_inverse(right.dense() @ left_t.dense().T)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
+        assert backend.categories == ["stratification"] * 3
+
+    def test_identity_prefix_is_the_transposed_one_sided_inverse(self, rng):
+        n = 10
+        one = GradedDecomposition(q=np.eye(n), d=np.ones(n), t=np.eye(n))
+        left_t = make_graded(rng, span=12)
+        got = stable_inverse_two_sided(one, left_t, Gemm())
+        expected = stable_inverse_from_graded(left_t).T
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-13)
+
+    def test_survives_extreme_grading_analytic(self):
+        """Two diagonal chains whose product spans 10^300: the dense
+        product overflows, the answer is ``diag(1 / (1 + d_R d_L))``."""
+        d_r = np.array([1e100, 1e40, 1e3, 1.0, 1e-3, 1e-40, 1e-100])
+        d_l = np.array([1e50, 1e10, 1e-3, -2.0, 1e-3, 1e-40, 1e-50])
+        eye = np.eye(d_r.size)
+        got = stable_inverse_two_sided(
+            GradedDecomposition(q=eye, d=d_r, t=eye),
+            GradedDecomposition(q=eye, d=d_l, t=eye),
+            Gemm(),
+        )
+        np.testing.assert_allclose(
+            got, np.diag(1.0 / (1.0 + d_r * d_l)), rtol=1e-12, atol=1e-300
+        )
+
+    def test_mismatched_sizes_raise(self, rng):
+        with pytest.raises(ValueError):
+            stable_inverse_two_sided(
+                make_graded(rng, n=4), make_graded(rng, n=5), Gemm()
+            )
 
 
 class TestStableLogDet:
