@@ -12,9 +12,10 @@ Protocol, per candidate:
    interval; the delayed-update block rides the sweep call),
 2. run ``sweeps_per_candidate`` warmup sweeps, timed through the
    simulation's :class:`~repro.profiling.PhaseProfiler` phase data,
-3. sample the same numerical-health signals the
-   :class:`~repro.telemetry.NumericalHealthWatchdog` watches and reject
-   the candidate if its wrap drift exceeds ``drift_tol`` — a
+3. read the numerical-health signals those same sweeps recorded (the
+   :class:`~repro.dqmc.sweep.SweepStats` the
+   :class:`~repro.telemetry.NumericalHealthWatchdog` also judges) and
+   reject the candidate if its wrap drift exceeds ``drift_tol`` — a
    fast-but-drifting configuration is not a winner, it is a correctness
    bug waiting for a long run. The graded dynamic range is gated
    *relative to the baseline's own measurement* (an order of magnitude
@@ -40,12 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..telemetry import (
-    NumericalHealthWatchdog,
-    Telemetry,
-    WatchdogConfig,
-    ensure_telemetry,
-)
+from ..telemetry import Telemetry, ensure_telemetry
 from .cache import TuningCache, profile_key
 from .params import TuningParameters, candidate_grid
 
@@ -233,17 +229,6 @@ class WarmupAutotuner:
             else lambda: sim.profiler.accounted
         )
         self.key = key
-        # promote=False: trials probe possibly-unhealthy candidates on
-        # purpose; the gate rejects them instead of letting the sampling
-        # watchdog promote the engine's precision mid-search.
-        self._watchdog = NumericalHealthWatchdog(
-            sim.engine,
-            WatchdogConfig(
-                check_every=1, drift_tol=drift_tol, range_tol=range_tol
-            ),
-            self.telemetry,
-            promote=False,
-        )
 
     # -- trial machinery -----------------------------------------------------
 
@@ -271,26 +256,30 @@ class WarmupAutotuner:
             )
         phases_before = dict(sim.profiler.seconds)
         t0 = self.timing_source()
-        sim.warmup(self.sweeps_per_candidate)
+        stats = sim.warmup(self.sweeps_per_candidate)
         seconds = max(0.0, self.timing_source() - t0)
         phase_seconds = {
             k: v - phases_before.get(k, 0.0)
             for k, v in sim.profiler.seconds.items()
             if v - phases_before.get(k, 0.0) > 0.0
         }
-        report = self._watchdog.check(sim._sweep_index)
+        # The trial's own sweeps measured both signals at every cluster
+        # boundary they crossed; the gate only rejects, it never promotes
+        # or refreshes the engine mid-search.
         reasons = []
-        if report.wrap_drift > self.drift_tol:
+        if not stats.boundaries:
+            reasons.append("wrap drift unmeasured: one-cluster chain")
+        if stats.wrap_drift > self.drift_tol:
             reasons.append(
-                f"wrap drift {report.wrap_drift:.3e} exceeds "
+                f"wrap drift {stats.wrap_drift:.3e} exceeds "
                 f"tolerance {self.drift_tol:.3e}"
             )
         range_cap = self.range_tol
         if range_ref is not None:
             range_cap = max(range_cap, 10.0 * range_ref)
-        if report.dynamic_range > range_cap:
+        if stats.grading_ratio > range_cap:
             reasons.append(
-                f"graded dynamic range {report.dynamic_range:.3e} exceeds "
+                f"graded dynamic range {stats.grading_ratio:.3e} exceeds "
                 f"{range_cap:.3e} (10x the baseline's)"
             )
         return TuningTrial(
@@ -299,8 +288,8 @@ class WarmupAutotuner:
             seconds=seconds,
             sweep_seconds=seconds / self.sweeps_per_candidate,
             phase_seconds=phase_seconds,
-            wrap_drift=report.wrap_drift,
-            dynamic_range=report.dynamic_range,
+            wrap_drift=stats.wrap_drift,
+            dynamic_range=stats.grading_ratio,
             accepted=not reasons,
             reason="; ".join(reasons),
         )

@@ -123,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--watchdog-every", type=int, default=0, metavar="SWEEPS",
-        help="sample wrap drift + graded conditioning every N sweeps and "
-        "force a refresh past tolerance (default 0 = watchdog off; each "
-        "sample costs ~one stratification)",
+        help="judge the wrap drift + graded range the sweeps record every "
+        "N sweeps and force a refresh past tolerance (default 0 = "
+        "watchdog off; a check costs no linear algebra)",
     )
     p_run.add_argument(
         "--watchdog-drift-tol", type=float, default=1e-6, metavar="TOL",

@@ -177,6 +177,8 @@ def displaced_series_fast(
     sigma: int,
     cluster_size: int,
     method: StratificationMethod = "prepivot",
+    clusters: Optional[List[np.ndarray]] = None,
+    backend=None,
 ) -> tuple:
     """``G(tau, 0)`` at every cluster boundary in O(L) QR steps total.
 
@@ -193,6 +195,11 @@ def displaced_series_fast(
     graded triple for :func:`stable_sum_inverse` (which needs bounded,
     well-conditioned outer factors — not orthogonality).
 
+    ``clusters`` are the dense cluster products in cluster order when the
+    caller already holds them (an engine's recycling cache); they are
+    built here otherwise. ``backend`` runs the chain steps (default: a
+    serial numpy backend).
+
     Returns
     -------
     (taus, greens):
@@ -205,13 +212,14 @@ def displaced_series_fast(
     ranges = cluster_slices(field.n_slices, cluster_size)
     nc = len(ranges)
     n = factory.n
-    clusters = [
-        cluster_product(factory, field, sigma, r) for r in ranges
-    ]
+    if clusters is None:
+        clusters = [
+            cluster_product(factory, field, sigma, r) for r in ranges
+        ]
 
     # prefix[c] = decomposition of clusters c-1 ... 0 (A_1 at boundary c)
     prefix: List[GradedDecomposition] = []
-    inc = IncrementalStratifier(method)
+    inc = IncrementalStratifier(method, backend)
     for c in range(nc):
         inc.push(clusters[c])
         prefix.append(inc.decomposition())
@@ -219,7 +227,7 @@ def displaced_series_fast(
     # suffix[c] = decomposition of clusters nc-1 ... c (A_2 at boundary c),
     # built from transposes so each step adds a leftmost factor
     suffix: List[Optional[GradedDecomposition]] = [None] * nc
-    inc_t = IncrementalStratifier(method)
+    inc_t = IncrementalStratifier(method, backend)
     for c in range(nc - 1, -1, -1):
         inc_t.push(clusters[c].T)
         dec_t = inc_t.decomposition()

@@ -34,11 +34,19 @@ from typing import Union
 import numpy as np
 
 from ..hamiltonian import HSField
+from ..stats.stream import (
+    STREAM_MEMBER,
+    checkpoint_state_arrays,
+    pack_state_arrays,
+)
 from .simulation import Simulation
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
-_FORMAT_VERSION = 1
+#: 2: the streaming state is one packed member plus a layout table in
+#: the header (1: one member per state array). Both load.
+_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 
 class CheckpointError(RuntimeError):
@@ -83,14 +91,15 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation) -> None:
     acc = sim.collector.accumulator
     payload = {}
     names = list(acc.names())
-    streaming_meta = None
+    streaming_meta = stream_layout = None
     if getattr(acc, "streaming", False):
         # Streaming mode: the log-binned Welford state (plus tracked
         # control series) is the whole resumable measurement state —
         # O(log n) floats per observable instead of the sample series.
         streaming_meta = acc.state_meta()
-        for key, arr in acc.state_arrays().items():
-            payload[f"stream/{key}"] = arr
+        payload[STREAM_MEMBER], stream_layout = pack_state_arrays(
+            acc.state_arrays()
+        )
     else:
         for i, name in enumerate(names):
             if acc.n_samples(name):
@@ -121,6 +130,7 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation) -> None:
     }
     if streaming_meta is not None:
         header["streaming"] = streaming_meta
+        header["stream_layout"] = stream_layout
     controller = getattr(sim, "controller", None)
     if controller is not None:
         header["controller"] = controller.state_dict()
@@ -156,7 +166,7 @@ def load_checkpoint(path: Union[str, Path], sim: Simulation) -> Simulation:
     """
     with np.load(Path(path), allow_pickle=False) as npz:
         header = json.loads(str(npz["header"]))
-        if header.get("version") != _FORMAT_VERSION:
+        if header.get("version") not in _READABLE_VERSIONS:
             raise CheckpointError(
                 f"unsupported checkpoint version {header.get('version')}"
             )
@@ -211,12 +221,9 @@ def load_checkpoint(path: Union[str, Path], sim: Simulation) -> Simulation:
                     "checkpoint was written by a streaming run; construct "
                     "the Simulation with streaming=True to resume it"
                 )
-            arrays = {
-                key[len("stream/"):]: np.asarray(npz[key])
-                for key in npz.files
-                if key.startswith("stream/")
-            }
-            acc.restore_state(stream_meta, arrays)
+            acc.restore_state(
+                stream_meta, checkpoint_state_arrays(npz, header)
+            )
         else:
             if getattr(acc, "streaming", False):
                 raise CheckpointError(

@@ -121,10 +121,11 @@ class Simulation:
         like a disabled ``REPRO_CONTRACTS``.
     watchdog:
         Optional :class:`~repro.telemetry.WatchdogConfig`. When given, a
-        :class:`~repro.telemetry.NumericalHealthWatchdog` samples wrap
-        drift and graded conditioning every ``check_every`` sweeps and —
-        past tolerance — emits a ``health_alert`` then forces a full
-        cache invalidation + fresh re-stratification. Under a narrowed
+        :class:`~repro.telemetry.NumericalHealthWatchdog` judges, every
+        ``check_every`` sweeps, the wrap drift and graded range the
+        sweeps recorded at their cluster boundaries and — past
+        tolerance — emits a ``health_alert`` then invalidates every
+        cached cluster product and kept factorization. Under a narrowed
         precision policy an alert additionally *promotes* the engine to
         the next-safer policy in place (``fast32`` -> ``mixed`` ->
         ``full64``) before the refresh.
@@ -301,16 +302,24 @@ class Simulation:
         from ..measure.dynamic import local_greens_tau, momentum_greens_tau
 
         is_square = isinstance(self.model.lattice, SquareLattice)
+        engine = self.engine
         with self.profiler.phase("measurements"):
             gk = None
             gloc = None
             for sigma in (1, -1):
+                # The recycled cluster products: the sweep that follows
+                # finds them cached instead of rebuilding the same ones.
                 taus, greens = displaced_series_fast(
                     self.factory,
                     self.field,
                     sigma,
-                    self.engine.cluster_size,
-                    method=self.engine.method,
+                    engine.cluster_size,
+                    method=engine.method,
+                    clusters=[
+                        engine.cache.get(sigma, j)
+                        for j in range(engine.n_clusters)
+                    ],
+                    backend=engine.backend,
                 )
                 if gloc is None:
                     gloc = np.zeros(len(greens))
@@ -350,7 +359,7 @@ class Simulation:
         if self.telemetry.enabled:
             self.telemetry.sweep_done(self._sweep_index, st, stage=stage)
         if self.watchdog is not None:
-            self.watchdog.maybe_check(self._sweep_index)
+            self.watchdog.maybe_check(self._sweep_index, st)
 
     # -- stages ------------------------------------------------------------------
 

@@ -59,6 +59,15 @@ class SweepStats:
     #: proposals rejected because the Metropolis denominator was within
     #: SINGULAR_THRESHOLD of zero (would have corrupted G if accepted)
     singular_rejects: int = 0
+    #: worst relative Frobenius distance between a G carried to a cluster
+    #: boundary by wraps and updates and the fresh one replacing it there
+    wrap_drift: float = 0.0
+    #: boundaries that comparison ran at (n_clusters - 1 per sweep); 0
+    #: means ``wrap_drift`` was never measured, not that it is zero
+    boundaries: int = 0
+    #: worst graded range max|D|/min|D| of the decompositions the fresh
+    #: G's were built from (boundary 0 sees the whole chain)
+    grading_ratio: float = 1.0
 
     @property
     def acceptance_rate(self) -> float:
@@ -70,10 +79,22 @@ class SweepStats:
         self.negative_ratios += other.negative_ratios
         self.refreshes += other.refreshes
         self.singular_rejects += other.singular_rejects
+        self.wrap_drift = max(self.wrap_drift, other.wrap_drift)
+        self.boundaries += other.boundaries
+        self.grading_ratio = max(self.grading_ratio, other.grading_ratio)
         # Not a count: the aggregate carries the sign of the latest
         # configuration (an empty ``other`` never saw one).
         if other.proposed:
             self.sign = other.sign
+
+
+def _wrap_drift(g: np.ndarray, fresh: np.ndarray) -> float:
+    """``max_s ||g_s - fresh_s||_F / ||fresh_s||_F`` over the spin stack
+    (``inf`` for a non-finite ``g``, so it can never pass a tolerance)."""
+    drift = max(
+        np.linalg.norm(d) / np.linalg.norm(f) for d, f in zip(g - fresh, fresh)
+    )
+    return float(drift) if drift == drift else float("inf")
 
 
 def sweep(
@@ -139,6 +160,7 @@ def sweep(
     cluster_order = range(nc) if forward else range(nc - 1, -1, -1)
 
     upd = None
+    g = None
     for c in cluster_order:
         # Forward: the boundary-c G (rightmost factor = first slice of
         # cluster c), wrapped through each slice before updating it.
@@ -147,8 +169,21 @@ def sweep(
         boundary = c if forward else (c + 1) % nc
         # Both spin sectors travel as one (2, N, N) stack: the batched
         # wraps and the delayed updater consume and return it whole.
-        g = np.stack([engine.boundary_greens(s, boundary) for s in SPINS])
+        fresh = []
+        for s in SPINS:
+            fresh.append(engine.boundary_greens(s, boundary))
+            stats.grading_ratio = max(
+                stats.grading_ratio, engine.last_stats.grading_ratio
+            )
+        fresh = np.stack(fresh)
         stats.refreshes += 1
+        if g is not None:
+            # The G that wraps and updates carried to this boundary is
+            # replaced here: its distance from the fresh one is the wrap
+            # drift of the cluster just swept.
+            stats.wrap_drift = max(stats.wrap_drift, _wrap_drift(g, fresh))
+            stats.boundaries += 1
+        g = fresh
         if on_boundary is not None:
             on_boundary(boundary, dict(zip(SPINS, g)), sign)
         if upd is None:
@@ -215,10 +250,12 @@ def sweep(
                     engine.invalidate_slice(l)
                 upd.flush()
 
-            if not forward and l != slices[0]:
+            if not forward and l != 0:
                 # Retreat: remove the (freshly updated) B_l from the
                 # leftmost position so slice l-1 is exposed next (both
-                # spins in one batched call).
+                # spins in one batched call). Past the cluster's first
+                # slice this lands on the boundary the next cluster
+                # starts from, where the drift comparison above reads it.
                 g = engine.unwrap_pair(g, l)
 
     stats.sign = sign

@@ -39,7 +39,11 @@ from ..measure.estimators import (
 )
 from .equilibration import detect_equilibration
 from .ratio import rhat_from_estimates, sign_corrected_results
-from .stream import StreamingAccumulator, StreamingError
+from .stream import (
+    StreamingAccumulator,
+    StreamingError,
+    checkpoint_state_arrays,
+)
 
 __all__ = [
     "analyze_archive",
@@ -48,9 +52,6 @@ __all__ = [
     "analyze_path",
     "render_analysis",
 ]
-
-#: checkpoint payload prefix for streaming accumulator state arrays
-STREAM_PREFIX = "stream/"
 
 #: preferred control observable for diagnostics, in order
 _CONTROL_PREFERENCE = ("density", "kinetic_energy", "double_occupancy")
@@ -141,13 +142,10 @@ def analyze_checkpoint(path: Union[str, Path]) -> Dict[str, object]:
         header = json.loads(str(npz["header"]))
         stream_meta = header.get("streaming")
         if stream_meta is not None:
-            arrays = {
-                key[len(STREAM_PREFIX):]: np.asarray(npz[key])
-                for key in npz.files
-                if key.startswith(STREAM_PREFIX)
-            }
             acc: object = StreamingAccumulator()
-            acc.restore_state(stream_meta, arrays)
+            acc.restore_state(
+                stream_meta, checkpoint_state_arrays(npz, header)
+            )
             mode = "streaming"
         else:
             acc = Accumulator()

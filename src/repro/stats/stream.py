@@ -38,10 +38,51 @@ import numpy as np
 
 from ..measure.estimators import BinnedEstimate
 
-__all__ = ["LogBinningAccumulator", "StreamingAccumulator", "StreamingError"]
+__all__ = [
+    "LogBinningAccumulator",
+    "StreamingAccumulator",
+    "StreamingError",
+    "pack_state_arrays",
+    "checkpoint_state_arrays",
+]
 
 #: 2^48 samples — beyond any conceivable run; bounds the level list.
 _MAX_LEVELS = 48
+
+#: checkpoint member holding the packed state arrays (format version 2);
+#: version-1 files carry one ``stream/<key>`` member per array instead
+STREAM_MEMBER = "stream"
+
+
+def pack_state_arrays(arrays: Dict[str, np.ndarray]) -> Tuple[np.ndarray, list]:
+    """Every state array end to end in one flat float64 array, plus the
+    JSON-safe ``[key, shape]`` table that splits it back. (One zip member
+    per tiny array made the per-member overhead most of a checkpoint.)"""
+    layout = [[key, list(arr.shape)] for key, arr in arrays.items()]
+    parts = [np.ravel(arr) for arr in arrays.values()]
+    # the empty tail makes "no arrays yet" an empty member, not an error
+    return np.concatenate(parts + [np.zeros(0)]), layout
+
+
+def checkpoint_state_arrays(npz, header: dict) -> Dict[str, np.ndarray]:
+    """The streaming state arrays of an open checkpoint, either format:
+    split out of the packed member by ``header["stream_layout"]``, or
+    gathered from the per-array members of a version-1 file."""
+    layout = header.get("stream_layout")
+    if layout is None:
+        prefix = STREAM_MEMBER + "/"
+        return {
+            key[len(prefix):]: np.asarray(npz[key])
+            for key in npz.files
+            if key.startswith(prefix)
+        }
+    sizes = [int(np.prod(shape)) for _, shape in layout]
+    # the last part takes whatever is left, so a member of the wrong
+    # length fails its reshape instead of loading shifted state
+    parts = np.split(np.asarray(npz[STREAM_MEMBER]), np.cumsum(sizes)[:-1])
+    return {
+        key: part.reshape(shape) for (key, shape), part in zip(layout, parts)
+    }
 
 
 class StreamingError(RuntimeError):

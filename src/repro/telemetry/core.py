@@ -112,6 +112,8 @@ class Telemetry:
         reg.inc("sweep.singular_rejects", stats.singular_rejects)
         reg.inc("sweep.refreshes", stats.refreshes)
         reg.set_gauge("sweep.sign", stats.sign)
+        reg.set_gauge("sweep.wrap_drift", stats.wrap_drift)
+        reg.set_gauge("sweep.grading_ratio", stats.grading_ratio)
         reg.observe(
             "sweep.acceptance_rate",
             stats.acceptance_rate,
@@ -127,6 +129,8 @@ class Telemetry:
             singular_rejects=stats.singular_rejects,
             refreshes=stats.refreshes,
             sign=stats.sign,
+            wrap_drift=stats.wrap_drift,
+            grading_ratio=stats.grading_ratio,
         )
         if self.snapshot_every and self._sweeps_seen % self.snapshot_every == 0:
             self.snapshot()

@@ -12,12 +12,16 @@ the two the paper's stability machinery exists to control:
   stratified scales. When it approaches 1/eps the cluster products are
   no longer representable and every downstream number is suspect.
 
-The watchdog samples both every ``check_every`` sweeps (each sample
-costs roughly one direct stratification — strictly off the hot path)
-and, past the configured tolerances, *degrades gracefully*: it emits a
-``health_alert`` event, invalidates every cached cluster product and
-forces a fresh re-stratification of both spin species, replacing the
-drifted state instead of letting it contaminate further measurements.
+Neither is recomputed here. The sweep already holds both at every
+cluster boundary — the G it is about to discard next to the fresh one
+replacing it, and the decompositions that fresh one was built from — and
+records them in its :class:`~repro.dqmc.sweep.SweepStats`. The watchdog
+folds every sweep's record into a running worst case and judges it every
+``check_every`` sweeps, so a report covers *every* boundary of *every*
+sweep since the previous one. Past the configured tolerances it
+*degrades gracefully*: it emits a ``health_alert`` event and invalidates
+every cached cluster product and kept factorization, so the next sweep
+rebuilds from the field instead of compounding the drift.
 """
 
 from __future__ import annotations
@@ -40,14 +44,13 @@ class WatchdogConfig:
     pathological parameter point trips within one check interval.
     """
 
-    #: sweeps between health samples (each costs ~one stratification)
+    #: sweeps folded into one report (the judging cadence; every sweep
+    #: is observed whatever this is)
     check_every: int = 50
     #: alert when wrap drift (relative Frobenius error) exceeds this
     drift_tol: float = 1e-6
     #: alert when max|D|/min|D| of the graded scales exceeds this
     range_tol: float = 1e14
-    #: wraps to accumulate before comparing (None: one full cluster)
-    n_wraps: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.check_every < 1:
@@ -58,11 +61,15 @@ class WatchdogConfig:
 
 @dataclass
 class HealthReport:
-    """Outcome of one watchdog sample."""
+    """Worst case over the sweeps since the previous report."""
 
     sweep: int
     wrap_drift: float
     dynamic_range: float
+    #: cluster boundaries ``wrap_drift`` was measured at; 0 (a
+    #: one-cluster chain never replaces a wrapped G mid-sweep) means the
+    #: drift is unmeasured, not zero
+    boundaries: int = 0
     alerts: List[str] = field(default_factory=list)
     forced_refresh: bool = False
     #: name of the policy the engine was promoted to, when an alert
@@ -75,25 +82,19 @@ class HealthReport:
 
 
 class NumericalHealthWatchdog:
-    """Periodic numerical-health sampling bound to one engine.
+    """Judges the health signals the sweeps of one engine record.
 
     Parameters
     ----------
     engine:
-        The :class:`~repro.core.GreensFunctionEngine` whose
-        ``wrap_drift`` / ``grading_profile`` diagnostics are sampled and
+        The :class:`~repro.core.GreensFunctionEngine` whose precision
+        policy scales the drift tolerance and is promoted on alert, and
         whose caches are invalidated on alert.
     config:
         Tolerances and cadence.
     telemetry:
         Sink for ``health_alert`` / ``forced_refresh`` events and the
         ``health.*`` gauge series; ``None`` keeps reports in-memory only.
-    promote:
-        When True (the default, production behaviour) an alert under a
-        narrowed precision policy promotes the engine to the next-safer
-        rung. The autotuner disables this: its trials deliberately probe
-        configurations that may be unhealthy, and the gate's job is to
-        *reject* them, not to mutate the engine's policy mid-search.
     """
 
     def __init__(
@@ -101,59 +102,57 @@ class NumericalHealthWatchdog:
         engine,
         config: Optional[WatchdogConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        promote: bool = True,
     ):
         self.engine = engine
         self.config = config if config is not None else WatchdogConfig()
         self.telemetry = ensure_telemetry(telemetry)
-        self.promote = promote
         self.reports: List[HealthReport] = []
         self.alerts = 0
         self.forced_refreshes = 0
         self.promotions = 0
+        self._reset_window()
 
-    def maybe_check(self, sweep_index: int) -> Optional[HealthReport]:
-        """Run a health sample if ``sweep_index`` falls on the cadence.
+    def _reset_window(self) -> None:
+        self._drift = 0.0
+        self._boundaries = 0
+        self._range = 0.0
 
-        Returns the report when a sample ran, ``None`` otherwise. Called
-        by the simulation driver after every sweep with a 1-based index.
+    def maybe_check(self, sweep_index: int, stats) -> Optional[HealthReport]:
+        """Fold one sweep's record in; report if on the cadence.
+
+        ``stats`` is the :class:`~repro.dqmc.sweep.SweepStats` of the
+        sweep that just finished (``wrap_drift``, ``boundaries``,
+        ``grading_ratio`` are read). Returns the report when
+        ``sweep_index`` (1-based, from the simulation driver) falls on
+        ``check_every``, ``None`` otherwise.
         """
+        self._drift = max(self._drift, stats.wrap_drift)
+        self._boundaries += stats.boundaries
+        self._range = max(self._range, stats.grading_ratio)
         if sweep_index % self.config.check_every != 0:
             return None
-        return self.check(sweep_index)
+        return self._check(sweep_index)
 
-    def check(self, sweep_index: int = 0) -> HealthReport:
-        """Sample both diagnostics, alert + refresh past tolerance.
+    def _check(self, sweep_index: int) -> HealthReport:
+        """Judge the window folded so far, alert + refresh past tolerance.
 
         The wrap-drift tolerance is scaled by the active precision
         policy's ``drift_scale``: a narrowed pipeline legitimately
         drifts more between refreshes (float32 eps ~1e-7), and the
         scale keeps one configured tolerance meaningful on every rung
-        of the ladder. Under ``full64`` the scale is 1 — behaviour is
-        exactly historical.
+        of the ladder. Under ``full64`` the scale is 1.
         """
         cfg = self.config
-        policy = getattr(self.engine, "policy", None)
-        drift_tol = cfg.drift_tol * (
-            policy.drift_scale if policy is not None else 1.0
-        )
-        drift = max(
-            self.engine.wrap_drift(sigma, n_wraps=cfg.n_wraps)
-            for sigma in (1, -1)
-        )
-        dyn_range = 0.0
-        for sigma in (1, -1):
-            scales = self.engine.grading_profile(sigma)
-            # sorted descending; the smallest scale can underflow to 0 on
-            # a truly lost chain — report an infinite range, not a crash.
-            smallest = float(scales[-1])
-            largest = float(scales[0])
-            ratio = largest / smallest if smallest > 0.0 else float("inf")
-            dyn_range = max(dyn_range, ratio)
-
+        drift, dyn_range = self._drift, self._range
         report = HealthReport(
-            sweep=sweep_index, wrap_drift=drift, dynamic_range=dyn_range
+            sweep=sweep_index,
+            wrap_drift=drift,
+            dynamic_range=dyn_range,
+            boundaries=self._boundaries,
         )
+        self._reset_window()
+
+        drift_tol = cfg.drift_tol * self.engine.policy.drift_scale
         if drift > drift_tol:
             report.alerts.append(
                 f"wrap_drift {drift:.3e} exceeds tolerance {drift_tol:.3e}"
@@ -181,7 +180,7 @@ class NumericalHealthWatchdog:
                 alerts=list(report.alerts),
             )
             # Promotion before refresh: when a narrowed policy is what
-            # drifted, the forced re-stratification below already runs
+            # drifted, the rebuild the refresh forces already runs
             # under the next-safer rung.
             self._maybe_promote(sweep_index, report)
             self._force_refresh(sweep_index)
@@ -190,7 +189,7 @@ class NumericalHealthWatchdog:
         self.reports.append(report)
         return report
 
-    def _maybe_promote(self, sweep_index: int, report: "HealthReport") -> bool:
+    def _maybe_promote(self, sweep_index: int, report: "HealthReport") -> None:
         """Promote a narrowed engine to the next-safer precision policy.
 
         An alert under ``mixed``/``fast32`` means the narrowed pipeline
@@ -201,16 +200,11 @@ class NumericalHealthWatchdog:
         ``full64`` there is no safer rung and the historical
         alert-and-refresh behaviour stands alone.
         """
-        if not self.promote:
-            return False
-        policy = getattr(self.engine, "policy", None)
-        set_precision = getattr(self.engine, "set_precision", None)
-        if policy is None or set_precision is None:
-            return False
+        policy = self.engine.policy
         safer = policy.safer
         if safer is None:
-            return False
-        set_precision(safer)
+            return
+        self.engine.set_precision(safer)
         self.promotions += 1
         report.promoted_to = safer.name
         self.telemetry.counter("health.precision_promotions")
@@ -221,19 +215,16 @@ class NumericalHealthWatchdog:
             to_policy=safer.name,
             reason="; ".join(report.alerts),
         )
-        return True
 
     def _force_refresh(self, sweep_index: int) -> None:
-        """Graceful degradation: drop all derived state and re-stratify.
+        """Graceful degradation: drop all derived state.
 
-        ``invalidate_all`` empties the cluster cache; the immediate
-        ``boundary_greens`` calls rebuild the products and run a fresh
-        stratification for both spins, so the next sweep starts from
-        clean state instead of compounding the drift.
+        ``invalidate_all`` empties the cluster cache and forgets every
+        kept factorization, so the next sweep's first boundary rebuilds
+        both from the field. Nothing is rebuilt here: a fresh G computed
+        now would be used by nobody.
         """
         self.engine.invalidate_all()
-        for sigma in (1, -1):
-            self.engine.boundary_greens(sigma, 0)
         self.forced_refreshes += 1
         self.telemetry.counter("health.forced_refreshes")
         self.telemetry.event("forced_refresh", sweep=sweep_index)

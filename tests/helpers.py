@@ -25,3 +25,17 @@ def brute_greens(factory, field, sigma):
 
 def relerr(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def noisy_wraps(engine, monkeypatch, rel=1e-4, seed=5):
+    """Make every ``wrap_pair`` of ``engine`` return its result with
+    ``rel`` relative noise on top: a wrap that drifts."""
+    noise = np.random.default_rng(seed)
+    clean = engine.wrap_pair
+
+    def wrap_pair(gs, l):
+        out = clean(gs, l)
+        factor = 1.0 + rel * noise.standard_normal(out.shape)
+        return out * factor.astype(out.dtype)
+
+    monkeypatch.setattr(engine, "wrap_pair", wrap_pair)

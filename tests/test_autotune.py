@@ -226,6 +226,48 @@ class TestTuner:
         assert all(not t.accepted for t in result.trials)
         assert sim.engine.cluster_size == 8
 
+    def test_drifting_candidate_rejected_from_its_own_sweeps(self, monkeypatch):
+        """The gate reads what the trial's warmup sweeps recorded: a
+        candidate whose wraps drift is rejected however fast it ran, and
+        judging it costs no Green's function beyond the sweeps' own."""
+        sim = small_sim()
+        engine = sim.engine
+        clean = engine.wrap_pair
+
+        def wrap_pair(gs, l):  # drifts under the k=4 tiling only
+            out = clean(gs, l)
+            return out * (1.0 + 1e-4) if engine.cluster_size == 4 else out
+
+        monkeypatch.setattr(engine, "wrap_pair", wrap_pair)
+        fresh = []
+        boundary_greens = engine.boundary_greens
+        monkeypatch.setattr(
+            engine, "boundary_greens",
+            lambda *a: fresh.append(a) or boundary_greens(*a),
+        )
+        result = WarmupAutotuner(
+            sim, candidates=self.CANDS, sweeps_per_candidate=1,
+            timing_source=scripted_timer([5.0, 1.0, 3.0]),
+        ).run()
+        drifting = result.trials[1]
+        assert not drifting.accepted and "wrap drift" in drifting.reason
+        assert drifting.wrap_drift > 1e-5
+        assert result.chosen == self.CANDS[2]
+        healthy = (result.trials[0], result.trials[2])
+        assert all(t.accepted and t.wrap_drift < 1e-8 for t in healthy)
+        # one sweep per trial: two spins at each of 16 / k boundaries
+        assert len(fresh) == 2 * (2 + 4 + 8)
+
+    def test_one_cluster_candidate_rejected_as_unmeasured(self):
+        sim = small_sim()
+        cands = [self.CANDS[0], TuningParameters.make(16, 32)]
+        result = WarmupAutotuner(
+            sim, candidates=cands, sweeps_per_candidate=1,
+            timing_source=scripted_timer([2.0, 1.0]),
+        ).run()
+        assert "unmeasured" in result.trials[1].reason
+        assert result.chosen == self.CANDS[0]
+
     def test_non_divisor_candidate_marked_inapplicable(self):
         sim = small_sim()
         cands = [self.CANDS[0], TuningParameters.make(5, 16)]

@@ -1,5 +1,8 @@
 """Unit tests for simulation checkpointing."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,29 @@ from repro import HubbardModel, Simulation, SquareLattice
 from repro.dqmc import CheckpointError, load_checkpoint, save_checkpoint
 
 
-def make_sim(seed=3, u=4.0):
+def make_sim(seed=3, u=4.0, **options):
     model = HubbardModel(SquareLattice(2, 2), u=u, beta=1.0, n_slices=8)
-    return Simulation(model, seed=seed, cluster_size=4)
+    return Simulation(model, seed=seed, cluster_size=4, **options)
+
+
+def make_streaming_sim(seed=3):
+    return make_sim(seed, streaming=True, measure_dynamic=True)
+
+
+def rewrite_as_version_1(path):
+    """Re-express a version-2 streaming checkpoint the way version 1
+    wrote it: one ``stream/<key>`` member per state array, no layout."""
+    from repro.stats.stream import checkpoint_state_arrays
+
+    with np.load(path, allow_pickle=False) as npz:
+        header = json.loads(str(npz["header"]))
+        payload = {"field": npz["field"]}
+        for key, arr in checkpoint_state_arrays(npz, header).items():
+            payload[f"stream/{key}"] = arr
+    assert header.pop("version") == 2
+    del header["stream_layout"]
+    header["version"] = 1
+    np.savez_compressed(path, header=np.array(json.dumps(header)), **payload)
 
 
 class TestRoundTrip:
@@ -176,8 +199,6 @@ class TestLosslessObservables:
     def test_pre_guard_checkpoint_loads_with_zero_rejects(self, tmp_path):
         """Checkpoints written before the singular-guard counter existed
         lack the stats key; loading must default it to zero."""
-        import json
-
         path = tmp_path / "ckpt.npz"
         a = make_sim()
         a.warmup(1)
@@ -193,6 +214,99 @@ class TestLosslessObservables:
         assert b.total_stats.singular_rejects == 0
 
 
+@pytest.mark.parametrize("version", [1, 2])
+class TestStreamingFormats:
+    """Streaming checkpoints: the packed version-2 member and the
+    per-array version-1 members both load, atomically and losslessly."""
+
+    def save(self, path, sim, version):
+        save_checkpoint(path, sim)
+        if version == 1:
+            rewrite_as_version_1(path)
+        members = zipfile.ZipFile(path).namelist()
+        if version == 2:
+            assert sorted(members) == ["field.npy", "header.npy", "stream.npy"]
+        else:
+            assert len(members) > 20
+
+    def test_resume_is_bit_exact(self, tmp_path, version):
+        path = tmp_path / "ckpt.npz"
+        ref = make_streaming_sim()
+        ref.warmup(3)
+        ref.measure_sweeps(5)
+        ref.measure_sweeps(4)
+        ref_obs = ref.collector.results()
+
+        a = make_streaming_sim()
+        a.warmup(3)
+        a.measure_sweeps(5)
+        self.save(path, a, version)
+        b = make_streaming_sim()
+        load_checkpoint(path, b)
+        b.measure_sweeps(4)
+        got_obs = b.collector.results()
+
+        np.testing.assert_array_equal(b.field.h, ref.field.h)
+        assert set(got_obs) == set(ref_obs) and "g_loc_tau" in ref_obs
+        for name, est in ref_obs.items():
+            np.testing.assert_array_equal(got_obs[name].mean, est.mean)
+            np.testing.assert_array_equal(got_obs[name].error, est.error)
+
+    def test_every_state_array_restored_exactly(self, tmp_path, version):
+        path = tmp_path / "ckpt.npz"
+        a = make_streaming_sim()
+        a.collector.accumulator.track("density")
+        a.warmup(1)
+        a.measure_sweeps(3)
+        self.save(path, a, version)
+        b = make_streaming_sim()
+        load_checkpoint(path, b)
+        acc, bacc = a.collector.accumulator, b.collector.accumulator
+        assert bacc.state_meta() == acc.state_meta()
+        saved, restored = acc.state_arrays(), bacc.state_arrays()
+        assert list(restored) == list(saved)
+        for key, arr in saved.items():
+            assert restored[key].shape == arr.shape, key
+            np.testing.assert_array_equal(restored[key], arr)
+
+    def test_failed_save_preserves_previous_checkpoint(
+        self, tmp_path, monkeypatch, version
+    ):
+        import repro.dqmc.checkpoint as ckpt_mod
+
+        path = tmp_path / "ckpt.npz"
+        a = make_streaming_sim()
+        a.warmup(1)
+        a.measure_sweeps(2)
+        self.save(path, a, version)
+        good_bytes = path.read_bytes()
+
+        def explode(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ckpt_mod.np, "savez_compressed", explode)
+        a.measure_sweeps(1)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, a)
+        assert path.read_bytes() == good_bytes
+        assert list(tmp_path.iterdir()) == [path]
+        load_checkpoint(path, make_streaming_sim())
+
+
+def test_truncated_packed_member_is_rejected(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    a = make_streaming_sim()
+    a.warmup(1)
+    a.measure_sweeps(2)
+    save_checkpoint(path, a)
+    with np.load(path, allow_pickle=False) as npz:
+        payload = {k: npz[k] for k in npz.files}
+    payload["stream"] = payload["stream"][:-1]
+    np.savez_compressed(path, **payload)
+    with pytest.raises(ValueError):
+        load_checkpoint(path, make_streaming_sim())
+
+
 class TestValidation:
     def test_model_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
@@ -201,8 +315,6 @@ class TestValidation:
             load_checkpoint(path, make_sim(u=6.0))
 
     def test_version_check(self, tmp_path):
-        import json
-
         path = tmp_path / "ckpt.npz"
         a = make_sim()
         save_checkpoint(path, a)

@@ -141,6 +141,41 @@ class TestDriverOptions:
         assert res.observables["g_k_tau"].n_samples == 4
 
 
+    def test_measure_dynamic_recycles_through_the_engine(self):
+        """The dynamic sample takes its cluster products from the engine's
+        cache and runs its chain on the engine's backend: the work is
+        counted, the products are left for the next sweep, and the series
+        is the one the standalone routine computes from scratch."""
+        from repro.core import displaced_series_fast
+
+        model = tiny_model(u=4.0, beta=2.0, n_slices=16)
+        sim = Simulation(
+            model, seed=1, cluster_size=4, measure_dynamic=True,
+            backend="gpu-sim",
+        )
+        sim.warmup(1)
+        engine, cache = sim.engine, sim.engine.cache
+        ops = sum(engine.backend.op_counts.values())
+        sim._measure_dynamic_sample()
+        assert sum(engine.backend.op_counts.values()) > ops
+        assert len(cache._cache) == 2 * engine.n_clusters
+        builds = cache.batched_builds
+        engine.boundary_greens(1, 0)
+        engine.boundary_greens(-1, 0)
+        assert cache.batched_builds == builds  # all hits
+
+        gloc = np.asarray(sim.collector.accumulator.series("g_loc_tau"))[-1]
+        expected = 0.0
+        for sigma in (1, -1):
+            _, greens = displaced_series_fast(
+                sim.factory, sim.field, sigma, engine.cluster_size
+            )
+            expected = expected + 0.5 * np.array(
+                [np.trace(g) / model.n_sites for g in greens]
+            )
+        np.testing.assert_allclose(gloc, sim._sign * expected, atol=1e-12)
+
+
 class TestPhysicsSanity:
     def test_half_filling_density(self):
         res = Simulation(tiny_model(u=4.0), seed=2, cluster_size=4).run(5, 10)

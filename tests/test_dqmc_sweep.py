@@ -12,7 +12,7 @@ from repro.dqmc import SweepStats, sweep
 from repro.dqmc.sweep import SINGULAR_THRESHOLD
 from repro.linalg import flops
 from repro.telemetry import TelemetryWriter, read_events
-from tests.helpers import brute_greens, relerr
+from tests.helpers import brute_greens, noisy_wraps, relerr
 
 
 def small_engine(u=4.0, beta=1.5, n_slices=12, cluster=4, seed=0, lx=2, ly=2):
@@ -266,6 +266,13 @@ class TestSweepStats:
         assert a.singular_rejects == 3
         assert a.sign == 1.0
 
+    def test_merge_keeps_the_worst_health_signal(self):
+        a = SweepStats(wrap_drift=1e-9, boundaries=3, grading_ratio=1e5)
+        a.merge(SweepStats(wrap_drift=1e-12, boundaries=3, grading_ratio=1e7))
+        assert (a.wrap_drift, a.boundaries, a.grading_ratio) == (1e-9, 6, 1e7)
+        a.merge(SweepStats())  # nothing measured: nothing changes
+        assert (a.wrap_drift, a.boundaries, a.grading_ratio) == (1e-9, 6, 1e7)
+
     def test_merge_carries_latest_sign(self):
         """The aggregate reports the sign of the latest configuration,
         not the +1 it was constructed with."""
@@ -280,6 +287,114 @@ class TestSweepStats:
     def test_acceptance_rate(self):
         assert SweepStats(proposed=8, accepted=2).acceptance_rate == 0.25
         assert SweepStats().acceptance_rate == 0.0
+
+
+def replayed_forward_drift(eng, h_before, monkeypatch=None):
+    """The per-boundary wrap drift of the forward sweep that took
+    ``h_before`` to ``eng.field.h``, recomputed independently: a second
+    engine built cold at every boundary, per-spin wraps, and one plain
+    rank-1 update per accepted flip instead of the delayed updater. With
+    ``monkeypatch`` the replay wraps through the same noisy pair wrap."""
+    h_after = eng.field.h
+    field = HSField(h_before.copy())
+    ref = GreensFunctionEngine(
+        BMatrixFactory(eng.factory.model), field, cluster_size=eng.cluster_size
+    )
+    if monkeypatch is not None:
+        noisy_wraps(ref, monkeypatch)
+    nu = ref.factory.nu
+    drifts, g = [], None
+    for c in range(ref.n_clusters):
+        ref.invalidate_all()
+        fresh = [ref.boundary_greens(s, c) for s in (1, -1)]
+        if g is not None:
+            drifts.append(max(relerr(a, b) for a, b in zip(g, fresh)))
+        g = fresh
+        for l in ref.cache.ranges[c]:
+            if monkeypatch is None:
+                g = [ref.wrap(gs, l, s) for gs, s in zip(g, (1, -1))]
+            else:
+                g = list(ref.wrap_pair(np.stack(g), l))
+            for i in np.flatnonzero(h_before[l] != h_after[l]):
+                for gs, s in zip(g, (1, -1)):
+                    alpha = np.exp(-2.0 * s * nu * field.h[l, i]) - 1.0
+                    d = 1.0 + alpha * (1.0 - gs[i, i])
+                    row = -gs[i, :].copy()
+                    row[i] += 1.0
+                    gs -= (alpha / d) * np.outer(gs[:, i].copy(), row)
+                field.h[l, i] = -field.h[l, i]
+    np.testing.assert_array_equal(field.h, h_after)
+    return drifts
+
+
+class TestHealthSignals:
+    """What the sweep records about the G it discards at each boundary."""
+
+    @pytest.mark.parametrize("lx, cluster", [(4, 5), (6, 4)])
+    def test_healthy_chain_records_small_drift_at_every_boundary(
+        self, lx, cluster
+    ):
+        eng, rng = small_engine(beta=2.0, n_slices=20, cluster=cluster,
+                                seed=3, lx=lx, ly=lx)
+        h_before = eng.field.h.copy()
+        st = sweep(eng, rng)
+        assert st.boundaries == eng.n_clusters - 1
+        assert 0.0 < st.wrap_drift < 1e-8
+        # rounding-level numbers: equal to the independent replay to
+        # rounding, not digit for digit
+        replay = replayed_forward_drift(eng, h_before)
+        assert len(replay) == st.boundaries
+        assert abs(st.wrap_drift - max(replay)) < 1e-10
+        # boundary 0 decomposes the whole chain
+        assert st.grading_ratio >= eng.last_stats.grading_ratio > 1.0
+
+    def test_recorded_drift_equals_independent_replay(self, monkeypatch):
+        """With a wrap that loses 1e-4 per call the drift is far above
+        rounding, and the recorded number is the replayed one."""
+        eng, rng = small_engine(beta=2.0, n_slices=20, cluster=5, seed=3,
+                                lx=4, ly=4)
+        noisy_wraps(eng, monkeypatch)
+        h_before = eng.field.h.copy()
+        st = sweep(eng, rng)
+        replay = replayed_forward_drift(eng, h_before, monkeypatch)
+        assert st.wrap_drift > 1e-5
+        assert st.wrap_drift == pytest.approx(max(replay), rel=1e-6)
+
+    def test_backward_and_alternating_sweeps_record_drift(self):
+        eng, rng = small_engine(seed=8, lx=4, ly=2)
+        for direction in ("backward", "forward", "backward"):
+            st = sweep(eng, rng, direction=direction)
+            assert st.boundaries == eng.n_clusters - 1
+            assert 0.0 < st.wrap_drift < 1e-8
+            assert st.grading_ratio > 1.0
+
+    def test_backward_sweep_sees_a_drifting_unwrap(self, monkeypatch):
+        eng, rng = small_engine(seed=8, lx=4, ly=2)
+        clean = eng.unwrap_pair
+        monkeypatch.setattr(
+            eng, "unwrap_pair", lambda gs, l: clean(gs, l) * (1.0 + 1e-4)
+        )
+        assert sweep(eng, rng, direction="backward").wrap_drift > 1e-5
+
+    def test_one_cluster_chain_compares_no_boundary(self):
+        eng, rng = small_engine(cluster=12)
+        for direction in ("forward", "backward"):
+            st = sweep(eng, rng, direction=direction)
+            assert st.boundaries == 0 and st.wrap_drift == 0.0
+            assert st.grading_ratio > 1.0
+
+    def test_non_finite_g_can_never_pass_a_tolerance(self, monkeypatch):
+        eng, rng = small_engine()
+        clean = eng.wrap_pair
+
+        def poisoned(gs, l):
+            out = clean(gs, l)
+            if l == 3:  # last slice of cluster 0
+                out[0, 0, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(eng, "wrap_pair", poisoned)
+        assert sweep(eng, rng).wrap_drift == np.inf
 
 
 def golden_engine(seed, backend="numpy"):

@@ -122,6 +122,38 @@ def test_traced_sweep_yields_every_span_and_counter(name, tmp_path):
     sim.telemetry.close()
 
 
+def test_watchdog_check_span_has_no_linear_algebra_under_it(tmp_path):
+    """A check judges what the sweeps recorded: on the observed shape the
+    ``telemetry.watchdog_check`` span of a sweep that reports must have no
+    Green's-function or backend span below it."""
+    w = workloads.smoke(workloads.WORKLOADS["observed_8x8_b4"])
+    sim = workloads.build_simulation(w, 11, workdir=tmp_path)
+    every = sim.watchdog.config.check_every
+    sim.warmup(every - 1)
+    trace = tracer.Tracer()
+    trace.install(sim)
+    try:
+        sim.measure_sweeps(1)
+    finally:
+        trace.uninstall()
+    sim.telemetry.close()
+    (report,) = sim.watchdog.reports
+    assert report.healthy
+    assert report.boundaries == every * (sim.engine.n_clusters - 1)
+
+    spans = trace.spans
+    checks = [i for i, s in enumerate(spans)
+              if s[tracer.NAME] == "telemetry.watchdog_check"]
+    assert len(checks) == 1
+    below = [s[tracer.NAME] for s in spans if s[tracer.PARENT] in checks]
+    assert below == []
+    # and the sweep's own boundaries are the only fresh G's of the sweep
+    boundary = [s for s in spans if s[tracer.NAME] == "core.greens.boundary"]
+    assert len(boundary) == 2 * sim.engine.n_clusters
+    parents = {spans[s[tracer.PARENT]][tracer.NAME] for s in boundary}
+    assert parents == {"dqmc.sweep"}
+
+
 def test_counts_leg_backends():
     w = workloads.smoke(workloads.WORKLOADS["metro_8x8_b4"])
     sim = workloads.build_simulation(w, 11, backend="gpu-sim")

@@ -24,6 +24,7 @@ from repro.telemetry import (
     render_report,
     summarize_jsonl,
 )
+from tests.helpers import noisy_wraps
 
 
 def make_model(lx=2, ly=2, u=4.0, beta=1.0, n_slices=8):
@@ -158,6 +159,9 @@ class DummyStats:
     refreshes = 2
     sign = -1.0
     acceptance_rate = 0.4
+    wrap_drift = 3e-11
+    boundaries = 1
+    grading_ratio = 1e5
 
 
 class TestTelemetryFacade:
@@ -232,40 +236,88 @@ class TestEngineWiring:
 class TestWatchdog:
     def test_healthy_engine_no_alert(self):
         eng, rng = make_engine()
-        sweep(eng, rng)
         wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1))
-        report = wd.check(sweep_index=1)
+        report = wd.maybe_check(1, sweep(eng, rng))
         assert report.healthy
         assert not report.forced_refresh
-        assert report.wrap_drift < 1e-6
+        assert report.boundaries == eng.n_clusters - 1
+        assert 0.0 < report.wrap_drift < 1e-8
         assert report.dynamic_range > 1.0
 
     def test_tight_tolerance_alerts_and_forces_refresh(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tel = Telemetry(TelemetryWriter(path), snapshot_every=0)
         eng, rng = make_engine(telemetry=tel)
-        sweep(eng, rng)
+        st = sweep(eng, rng)
+        eng.boundary_greens(1, 0)
         assert eng.cache._cache  # warm cache before the forced refresh
+        assert eng.n_kept(1)
         wd = NumericalHealthWatchdog(
             eng, WatchdogConfig(check_every=1, drift_tol=1e-300), tel
         )
-        report = wd.check(sweep_index=3)
+        before = tel.registry.counter("engine.stratifications")
+        report = wd.maybe_check(3, st)
         assert not report.healthy
         assert report.forced_refresh
         assert wd.alerts == 1 and wd.forced_refreshes == 1
         assert tel.registry.counter("health.alerts") == 1
+        # the refresh drops derived state and rebuilds nothing itself
+        assert not eng.cache._cache and not eng.n_kept(1)
+        assert tel.registry.counter("engine.stratifications") == before
         tel.close()
         kinds = [e["event"] for e in read_events(path)]
         # the alert must be followed by the forced refresh
         assert kinds.index("health_alert") < kinds.index("forced_refresh")
 
+    def test_drifting_wrap_trips_the_alert(self, monkeypatch):
+        """A wrap that loses 1e-4 per call is caught from the sweep's own
+        boundary comparison, at the default tolerance."""
+        eng, rng = make_engine()
+        noisy_wraps(eng, monkeypatch)
+        wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1))
+        report = wd.maybe_check(1, sweep(eng, rng))
+        assert report.wrap_drift > 1e-5
+        assert report.alerts and "wrap_drift" in report.alerts[0]
+        assert report.forced_refresh and report.promoted_to is None
+
     def test_cadence(self):
-        eng, _ = make_engine()
+        eng, rng = make_engine()
         wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=3))
-        assert wd.maybe_check(1) is None
-        assert wd.maybe_check(2) is None
-        assert wd.maybe_check(3) is not None
+        stats = [sweep(eng, rng) for _ in range(3)]
+        assert wd.maybe_check(1, stats[0]) is None
+        assert wd.maybe_check(2, stats[1]) is None
+        report = wd.maybe_check(3, stats[2])
         assert len(wd.reports) == 1
+        # the report is the worst case over every sweep since the last
+        assert report.wrap_drift == max(st.wrap_drift for st in stats)
+        assert report.boundaries == sum(st.boundaries for st in stats)
+        assert wd.maybe_check(4, stats[0]) is None
+        assert wd.maybe_check(6, stats[0]).boundaries == 2 * stats[0].boundaries
+
+    def test_healthy_check_costs_no_linear_algebra(self):
+        """The watchdog only reads what the sweep recorded: no fresh
+        Green's function, no backend dispatch."""
+        eng, rng = make_engine()
+        wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1))
+        st = sweep(eng, rng)
+        ops = sum(eng.backend.op_counts.values())
+        calls = []
+        eng.boundary_greens = lambda *a, **k: calls.append(a)
+        assert wd.maybe_check(1, st).healthy
+        assert not calls
+        assert sum(eng.backend.op_counts.values()) == ops
+
+    def test_one_cluster_chain_reports_drift_unmeasured(self):
+        model = make_model()
+        rng = np.random.default_rng(0)
+        field = HSField.random(model.n_slices, model.n_sites, rng)
+        eng = GreensFunctionEngine(
+            BMatrixFactory(model), field, cluster_size=model.n_slices
+        )
+        wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1))
+        report = wd.maybe_check(1, sweep(eng, rng))
+        assert report.boundaries == 0 and report.wrap_drift == 0.0
+        assert report.dynamic_range > 1.0  # boundary 0 still saw the chain
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
