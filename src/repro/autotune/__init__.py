@@ -22,7 +22,6 @@ from .tuner import (
     AutotuneResult,
     TuningTrial,
     WarmupAutotuner,
-    tune_config,
     tune_simulation,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "divisor_near",
     "divisors",
     "profile_key",
-    "tune_config",
     "tune_simulation",
 ]

@@ -22,6 +22,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..options import RunOptions, resolve_options
 from .params import TuningParameters
 
 __all__ = ["TuningCache", "default_cache_path", "profile_key"]
@@ -40,22 +41,23 @@ def default_cache_path() -> Path:
     return base / "repro" / "tuning.json"
 
 
-def profile_key(model, backend: Optional[str] = None, method: str = "prepivot") -> str:
+def profile_key(
+    model, options: Optional[RunOptions] = None, method: str = "prepivot"
+) -> str:
     """The cache key of one workload shape.
 
     Keyed on everything that changes which engineering parameters win:
     the lattice (matrix size and structure), U and beta (conditioning),
     the slice count (which sizes divide L), the pivoting method and the
-    execution backend. Deliberately *not* keyed on mu or seed — a
-    chemical-potential calibration sweeps mu at fixed everything-else
-    and must reuse one profile across the whole bisection.
+    execution backend of the run's resolved ``options`` (``sim.options``
+    / ``cfg.options()``; None: an all-unset run). Deliberately *not*
+    keyed on mu or seed — a chemical-potential calibration sweeps mu at
+    fixed everything-else and must reuse one profile across the bisection.
     """
-    resolved = backend if backend and backend != "auto" else (
-        os.environ.get("REPRO_BACKEND") or "numpy"
-    )
+    backend = (options or resolve_options()).names()["backend"]
     return (
         f"{model.lattice}|U={model.u:g}|beta={model.beta:g}"
-        f"|L={model.n_slices}|{method}|{resolved}"
+        f"|L={model.n_slices}|{method}|{backend}"
     )
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..options import resolve_option
+
 __all__ = [
     "TuningParameters",
     "divisors",
@@ -60,14 +62,9 @@ class TuningParameters:
             )
         if self.max_delay < 1:
             raise ValueError("max_delay must be >= 1")
-        if self.precision is not None:
-            from ..precision import resolve_policy
-
-            resolve_policy(self.precision)  # raises on unknown names
-        if self.kinetic is not None:
-            from ..hamiltonian import resolve_kinetic
-
-            resolve_kinetic(self.kinetic)  # raises on unknown names
+        for option in ("precision", "kinetic"):
+            if getattr(self, option) is not None:
+                resolve_option(option, getattr(self, option))  # unknown names raise
 
     @classmethod
     def make(

@@ -50,7 +50,6 @@ __all__ = [
     "AutotuneResult",
     "WarmupAutotuner",
     "tune_simulation",
-    "tune_config",
 ]
 
 
@@ -378,11 +377,7 @@ def tune_simulation(
     workload shape reuses it.
     """
     if key is None:
-        key = profile_key(
-            sim.model,
-            backend=sim.engine.backend.name,
-            method=sim.engine.method,
-        )
+        key = profile_key(sim.model, sim.options, sim.engine.method)
     if cache is not None and not force:
         hit = cache.lookup(key)
         if hit is not None:
@@ -413,23 +408,3 @@ def tune_simulation(
             },
         )
     return result
-
-
-def tune_config(
-    cfg,
-    cache: Optional[TuningCache] = None,
-    backend: Optional[str] = None,
-    **tuner_kwargs,
-) -> AutotuneResult:
-    """Tune a :class:`~repro.dqmc.SimulationConfig` on a throwaway run.
-
-    Used by the campaign scheduler's pre-tune pass: builds a short-lived
-    simulation for the config's workload shape, tunes it, persists the
-    winner, and discards the simulation — the campaign's real jobs then
-    all hit the cache.
-    """
-    sim = cfg.simulation(backend=backend)
-    key = profile_key(
-        sim.model, backend=sim.engine.backend.name, method=cfg.method
-    )
-    return tune_simulation(sim, cache=cache, key=key, **tuner_kwargs)

@@ -26,12 +26,10 @@ from .gpu_sim import SimulatedGPUBackend
 from .numpy_backend import NumpyBackend
 from .registry import (
     available_backends,
-    default_backend_name,
     get_backend,
     known_backends,
     register_backend,
     resolve_backend,
-    validate_backend_method,
 )
 from .threaded import ThreadedBackend
 
@@ -46,10 +44,8 @@ __all__ = [
     "ThreadedBackend",
     "available_backends",
     "cupy_available",
-    "default_backend_name",
     "get_backend",
     "known_backends",
     "register_backend",
     "resolve_backend",
-    "validate_backend_method",
 ]

@@ -50,7 +50,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..linalg import flops
-from ..precision import PrecisionPolicy, resolve_policy
+from ..options import resolve_option
+from ..precision import resolve_policy
 
 __all__ = ["BackendError", "BackendUnavailableError", "PropagatorBackend", "BaseBackend"]
 
@@ -136,7 +137,7 @@ class BaseBackend(PropagatorBackend):
                 f"backend {self.name!r} got unknown option(s): {bad} — "
                 "options that would be silently ignored are rejected"
             )
-        self.policy: PrecisionPolicy = resolve_policy(precision)
+        self.policy = resolve_policy(resolve_option("precision", precision))
         self.op_counts: Dict[str, int] = {}
         self.expk: Optional[np.ndarray] = None
         self.inv_expk: Optional[np.ndarray] = None

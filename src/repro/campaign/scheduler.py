@@ -289,7 +289,7 @@ class CampaignScheduler:
         path = self._tune_cache_path()
         if path is None:
             return
-        from ..autotune import TuningCache, profile_key, tune_config
+        from ..autotune import TuningCache, profile_key, tune_simulation
 
         cache = TuningCache(path)
         seen = set()
@@ -297,9 +297,7 @@ class CampaignScheduler:
             cfg = job.config()
             if not cfg.autotune:
                 continue
-            key = profile_key(
-                cfg.model(), backend=cfg.backend, method=cfg.method
-            )
+            key = profile_key(cfg.model(), cfg.options(), cfg.method)
             if key in seen:
                 continue
             seen.add(key)
@@ -308,7 +306,7 @@ class CampaignScheduler:
             if cache.peek(key) is not None:
                 self._event("campaign_tuned", key=key, cache_hit=True)
                 continue
-            result = tune_config(cfg, cache=cache)
+            result = tune_simulation(cfg.simulation(), cache=cache, key=key)
             self._event(
                 "campaign_tuned",
                 key=result.key,

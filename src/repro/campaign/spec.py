@@ -188,8 +188,8 @@ class CampaignSpec:
         product in each key's listed value order, replicas innermost.
 
         Every job's parameters are validated through
-        :meth:`SimulationConfig.validate` (including backend-name and
-        backend x method checks) *here*, at expansion time — a bad grid
+        :meth:`SimulationConfig.validate` (including the backend /
+        precision / kinetic names) *here*, at expansion time — a bad grid
         point fails before any job is scheduled.
         """
         keys = sorted(self.grid)

@@ -140,9 +140,7 @@ def _apply_cached_tuning(sim, cfg, job_dir: Path, cache_path: str):
         params = TuningParameters.from_dict(entry["params"])
         source = "pinned"
     else:
-        key = profile_key(
-            sim.model, backend=sim.engine.backend.name, method=cfg.method
-        )
+        key = profile_key(sim.model, sim.options, cfg.method)
         params = TuningCache(cache_path).lookup(key)
         if params is None:
             return None
@@ -280,7 +278,7 @@ def run_campaign_job(payload: dict) -> dict:
         "extend_round": extend_round,
         "acceptance": result.sweep_stats.acceptance_rate,
         "mean_sign": result.mean_sign,
-        "backend": sim.engine.backend.name,
+        **sim.options.names(),
         "elapsed_s": round(time.monotonic() - t0, 3),
         "tuning": tuning,
         "control": control,

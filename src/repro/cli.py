@@ -54,6 +54,7 @@ from . import __version__
 from .dqmc import load_checkpoint, load_config, save_checkpoint
 from .io import save_observables
 from .linalg import chain_conditioning_report, flops
+from .options import OptionError, resolve_option
 from .telemetry import (
     Telemetry,
     TelemetryWriter,
@@ -73,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the simulation in an input file")
+    p_run.set_defaults(func=cmd_run)
     p_run.add_argument("input", type=Path, help="QUEST-style input file")
     p_run.add_argument(
         "--output", type=Path, default=None,
@@ -170,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tune",
         help="autotune engine parameters for an input file's workload",
     )
+    p_tune.set_defaults(func=cmd_tune)
     p_tune.add_argument("input", type=Path, help="QUEST-style input file")
     p_tune.add_argument(
         "--tune-cache", type=Path, default=None, metavar="PATH",
@@ -210,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--quiet", action="store_true")
 
     p_info = sub.add_parser("info", help="analyze an input file without running")
+    p_info.set_defaults(func=cmd_info)
     p_info.add_argument("input", type=Path)
     p_info.add_argument(
         "--tune-cache", type=Path, default=None, metavar="PATH",
@@ -221,12 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry-report",
         help="summarize a JSONL telemetry archive (Table-I-style view)",
     )
+    p_report.set_defaults(func=cmd_telemetry_report)
     p_report.add_argument("jsonl", type=Path, help="telemetry file from run --telemetry")
 
     p_campaign = sub.add_parser(
         "campaign",
         help="orchestrate a parameter-sweep campaign (docs/campaigns.md)",
     )
+    p_campaign.set_defaults(func=cmd_campaign)
     csub = p_campaign.add_subparsers(dest="campaign_command", required=True)
 
     def add_exec_flags(p):
@@ -304,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign directory (means, errors, tau_int, equilibration, "
         "sign correction, R-hat; see docs/analysis.md)",
     )
+    p_analyze.set_defaults(func=cmd_analyze)
     p_analyze.add_argument(
         "path", type=Path,
         help="checkpoint .npz, results .npz, or campaign directory",
@@ -313,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the report dict to this JSON file",
     )
 
-    sub.add_parser("version", help="print the package version")
+    p_version = sub.add_parser("version", help="print the package version")
+    p_version.set_defaults(func=cmd_version)
     return parser
 
 
@@ -341,64 +349,47 @@ def _build_watchdog(args: argparse.Namespace) -> Optional[WatchdogConfig]:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.input)
-    if args.backend is not None:
-        from .backends import validate_backend_method
-
-        try:
-            validate_backend_method(args.backend, cfg.method)
-        except Exception as exc:
-            print(f"--backend {args.backend}: {exc}", file=sys.stderr)
-            return 2
-    if args.precision is not None:
-        from .precision import PrecisionError, resolve_policy
-
-        try:
-            resolve_policy(args.precision)
-        except PrecisionError as exc:
-            print(f"--precision {args.precision}: {exc}", file=sys.stderr)
-            return 2
-    if args.kinetic is not None:
-        from .hamiltonian import resolve_kinetic
-
-        try:
-            resolve_kinetic(args.kinetic)
-        except ValueError as exc:
-            print(f"--kinetic {args.kinetic}: {exc}", file=sys.stderr)
-            return 2
-    # CLI statistics flags override the input file's keys, exactly like
-    # --backend / --precision above.
-    if args.streaming:
-        cfg.streaming = 1
-    if args.target_error is not None:
-        cfg.target_error = args.target_error
-    if args.target_observable is not None:
-        cfg.target_obs = args.target_observable
+def _load_config(args: argparse.Namespace, **flags):
+    """The input file with the flags that were given laid over its keys,
+    validated once - or None after a one-line report (exit status 2)."""
+    flags = {k: v for k, v in flags.items() if v is not None}
     try:
-        cfg.validate()
+        return load_config(args.input, **flags)
+    except OptionError as exc:
+        # Only this layer knows a caller's value was typed as a flag.
+        flagged = exc.option in flags and not exc.from_env
+        message = (
+            f"--{exc.option} {exc.value}: {exc.detail}" if flagged else str(exc)
+        )
     except ValueError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
-    telemetry = _build_telemetry(args)
-    sim = cfg.simulation(
-        telemetry=telemetry,
-        watchdog=_build_watchdog(args),
+        message = str(exc)
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return None
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = _load_config(
+        args,
         backend=args.backend,
         precision=args.precision,
         kinetic=args.kinetic,
+        autotune=1 if args.autotune else None,
+        streaming=1 if args.streaming else None,
+        target_error=args.target_error,
+        target_obs=args.target_observable,
     )
+    if cfg is None:
+        return 2
+    telemetry = _build_telemetry(args)
+    sim = cfg.simulation(telemetry=telemetry, watchdog=_build_watchdog(args))
+    resolved = sim.options.names()
     controller = cfg.controller()
     if controller is not None:
         # Attach before any checkpoint load so a resumed run restores
         # the saved decision state into this controller instance.
         sim.attach_controller(controller)
     output = args.output if args.output else args.input.with_suffix(".npz")
-    _emit(
-        args.quiet,
-        f"backend: {sim.engine.backend.name}  precision: {sim.precision}  "
-        f"kinetic: {sim.kinetic}",
-    )
+    _emit(args.quiet, "  ".join(f"{k}: {v}" for k, v in resolved.items()))
     try:
         with flops.tally() as flop_tally:
             if telemetry is not None:
@@ -407,7 +398,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                         "flops.total", flop_tally.total_flops
                     )
                 )
-                telemetry.event("run_started", input=str(args.input), config=cfg.dumps())
+                telemetry.event(
+                    "run_started",
+                    input=str(args.input),
+                    config=cfg.dumps(),
+                    options=resolved,
+                )
             result = _run_stages(args, cfg, sim, telemetry)
     finally:
         if telemetry is not None:
@@ -427,6 +423,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         observables,
         metadata={
             "input": cfg.dumps(),
+            "options": resolved,
             "acceptance": result.sweep_stats.acceptance_rate,
             "mean_sign": result.mean_sign,
             "control": result.control,
@@ -441,23 +438,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _autotune_setup(args, cfg, sim):
-    """(cache, key) when autotuning is requested, else None."""
-    if not (getattr(args, "autotune", False) or cfg.autotune):
-        return None
-    from .autotune import TuningCache, profile_key
-
-    cache = TuningCache(getattr(args, "tune_cache", None))
-    key = profile_key(
-        sim.model, backend=sim.engine.backend.name, method=cfg.method
-    )
-    return cache, key
-
-
 def _run_stages(args, cfg, sim, telemetry):
     """Warmup (or resume), checkpointed measurement loop, reduction."""
     measured = 0
-    tune = _autotune_setup(args, cfg, sim)
+    tune = None
+    if cfg.autotune:
+        from .autotune import TuningCache, profile_key, tune_simulation
+
+        tune = (
+            TuningCache(args.tune_cache),
+            profile_key(sim.model, sim.options, cfg.method),
+        )
     if args.checkpoint and args.checkpoint.exists():
         if tune is not None:
             # A resume must replay the engine shape the original run
@@ -491,8 +482,6 @@ def _run_stages(args, cfg, sim, telemetry):
             f"(U = {cfg.u}, beta = {cfg.beta:g}, L = {cfg.l})",
         )
         if tune is not None:
-            from .autotune import tune_simulation
-
             cache, key = tune
             result = tune_simulation(
                 sim, cache=cache, key=key, telemetry=telemetry
@@ -542,53 +531,34 @@ def _run_stages(args, cfg, sim, telemetry):
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    from .autotune import TuningCache, profile_key, tune_simulation
+    from .autotune import TuningCache, tune_simulation
 
-    cfg = load_config(args.input)
-    if args.backend is not None:
-        from .backends import validate_backend_method
-
-        try:
-            validate_backend_method(args.backend, cfg.method)
-        except Exception as exc:
-            print(f"--backend {args.backend}: {exc}", file=sys.stderr)
-            return 2
-    sim = cfg.simulation(backend=args.backend)
+    cfg = _load_config(args, backend=args.backend)
+    if cfg is None:
+        return 2
+    sim = cfg.simulation()
     cache = TuningCache(args.tune_cache)
-    key = profile_key(
-        sim.model, backend=sim.engine.backend.name, method=cfg.method
-    )
     _emit(
         args.quiet,
         f"tuning {sim.model.lattice} (U = {cfg.u}, beta = {cfg.beta:g}, "
         f"L = {cfg.l}) on backend {sim.engine.backend.name}",
     )
-    precisions = None
-    if args.precisions:
-        from .precision import PrecisionError, resolve_policy
 
-        precisions = [p.strip() for p in args.precisions.split(",") if p.strip()]
-        try:
-            for p in precisions:
-                resolve_policy(p)
-        except PrecisionError as exc:
-            print(f"--precisions {args.precisions}: {exc}", file=sys.stderr)
-            return 2
-    kinetics = None
-    if args.kinetics:
-        from .hamiltonian import resolve_kinetic
+    def axis(option: str, flag: Optional[str]) -> Optional[List[str]]:
+        names = [x.strip() for x in (flag or "").split(",") if x.strip()]
+        for name in names:
+            resolve_option(option, name)
+        return names or None
 
-        kinetics = [k.strip() for k in args.kinetics.split(",") if k.strip()]
-        try:
-            for k in kinetics:
-                resolve_kinetic(k)
-        except ValueError as exc:
-            print(f"--kinetics {args.kinetics}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        precisions = axis("precision", args.precisions)
+        kinetics = axis("kinetic", args.kinetics)
+    except OptionError as exc:
+        print(f"tune: --{exc.option}s {exc.value}: {exc.detail}", file=sys.stderr)
+        return 2
     result = tune_simulation(
         sim,
         cache=cache,
-        key=key,
         force=args.force,
         sweeps_per_candidate=args.trial_sweeps,
         drift_tol=args.drift_tol,
@@ -741,8 +711,16 @@ def _qmclint_summary() -> Optional[str]:
         return None
 
 
+def cmd_version(args: argparse.Namespace) -> int:
+    print(__version__)
+    return 0
+
+
 def cmd_info(args: argparse.Namespace) -> int:
-    cfg = load_config(args.input)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 2
+    options = cfg.options()
     model = cfg.model()
     report = chain_conditioning_report(model)
     n = model.n_sites
@@ -754,19 +732,13 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"beta = {cfg.beta:g}  (L = {cfg.l}, dtau = {cfg.dtau:g})")
     print(f"HS coupling nu   {model.nu:.6f}")
     print(f"method           {cfg.method}, k = {cfg.north}, delay = {cfg.ndelay}")
-    print(f"backend          {cfg.backend}")
-    from .precision import resolve_policy
-
-    policy = resolve_policy(None if cfg.precision == "auto" else cfg.precision)
-    print(f"precision        {policy.name} ({policy.description})")
-    from .hamiltonian import resolve_kinetic
-
-    kin = resolve_kinetic(None if cfg.kinetic == "auto" else cfg.kinetic)
+    print(f"backend          {options.backend}")
+    print(f"precision        {options.policy.name} ({options.policy.description})")
     kin_desc = {
         "exact": "dense exp(-dtau K) GEMMs",
         "checkerboard": "split bond-group rotation passes, O(N) apply",
-    }[kin]
-    print(f"kinetic          {kin} ({kin_desc})")
+    }[options.kinetic]
+    print(f"kinetic          {options.kinetic} ({kin_desc})")
     print(f"conditioning     {report.describe()}")
     if cfg.north > report.suggested_cluster_size:
         print(
@@ -784,9 +756,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         f"tuning cache     {cache.path} ({len(profiles)} profiles, "
         f"{stats['hits']} hits / {stats['misses']} misses)"
     )
-    profile = profiles.get(
-        profile_key(model, backend=cfg.backend, method=cfg.method)
-    )
+    profile = profiles.get(profile_key(model, options, cfg.method))
     if profile is not None:
         print(
             f"tuned profile    k = {profile['cluster_size']}, "
@@ -802,22 +772,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "version":
-        print(__version__)
-        return 0
-    if args.command == "info":
-        return cmd_info(args)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "tune":
-        return cmd_tune(args)
-    if args.command == "telemetry-report":
-        return cmd_telemetry_report(args)
-    if args.command == "campaign":
-        return cmd_campaign(args)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    raise AssertionError("unreachable")
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

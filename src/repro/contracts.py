@@ -66,9 +66,10 @@ def _ambient_compute_dtype() -> np.dtype:
     else full64), so with nothing configured anywhere the historical
     exact-float64 check is preserved bit for bit.
     """
+    from .options import resolve_option
     from .precision import resolve_policy
 
-    return resolve_policy(None).compute_dtype
+    return resolve_policy(resolve_option("precision")).compute_dtype
 
 
 def contracts_enabled() -> bool:

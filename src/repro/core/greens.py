@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..backends.registry import resolve_backend, validate_backend_method
+from ..backends.registry import get_backend
 from ..hamiltonian import BMatrixFactory, HSField
 from ..linalg import (
     GradedDecomposition,
@@ -33,6 +33,8 @@ from ..linalg import (
     stable_inverse_two_sided,
     stable_log_det_from_graded,
 )
+from ..options import resolve_option, resolve_options
+from ..precision import resolve_policy
 from ..profiling import PhaseProfiler, ensure_profiler
 from ..telemetry import Telemetry, ensure_telemetry
 from .recycling import ClusterCache
@@ -115,15 +117,16 @@ class GreensFunctionEngine:
     backend:
         Execution backend (registry name or
         :class:`~repro.backends.PropagatorBackend` instance) every
-        propagator operation dispatches through; ``None`` consults
-        ``$REPRO_BACKEND`` (default: the serial numpy backend).
+        propagator operation dispatches through.
     precision:
         Precision policy (name or
         :class:`~repro.precision.PrecisionPolicy`) applied to the
         backend: compute dtype for cluster products / wrapping / the
-        running G, spine dtype for stratification. ``None`` keeps the
-        backend's own policy (constructor option, ``$REPRO_PRECISION``,
-        default ``full64``).
+        running G, spine dtype for stratification.
+
+    ``None`` for either falls to the environment, then the default
+    (:func:`repro.options.resolve_options`); a passed-in backend
+    instance keeps its own policy.
     """
 
     def __init__(
@@ -141,15 +144,14 @@ class GreensFunctionEngine:
         self.field = field
         self.method = method
         # The engine is the user-facing entry point, so (unlike the
-        # library-level chain functions) its default is env-aware.
-        self.backend = resolve_backend(backend)
-        if precision is not None:
-            # An explicit policy overrides whatever the backend carries
-            # (constructor option or $REPRO_PRECISION); None keeps it —
-            # a passed-in backend instance arrives policy-complete.
-            self.backend.set_policy(precision)
+        # library-level chain functions) its defaults are env-aware.
+        options = resolve_options(backend, precision, factory.kinetic_mode)
+        if isinstance(options.backend, str):
+            self.backend = get_backend(options.backend, precision=options.policy)
+        else:
+            # A live backend keeps its own policy unless one was asked for.
+            self.backend = options.backend.set_policy(options.policy)
         self.backend.bind(factory)
-        validate_backend_method(self.backend, method)
         self.profiler = ensure_profiler(profiler)
         self.telemetry = ensure_telemetry(telemetry)
         self.cache = ClusterCache(
@@ -260,9 +262,7 @@ class GreensFunctionEngine:
         sweeps only (same contract as :meth:`repartition`). Returns True
         when the policy actually changed.
         """
-        from ..precision import resolve_policy
-
-        policy = resolve_policy(policy)
+        policy = resolve_policy(resolve_option("precision", policy))
         if policy is self.backend.policy:
             return False
         self.backend.set_policy(policy)
@@ -287,9 +287,7 @@ class GreensFunctionEngine:
             the bond partitioner rejects (the autotuner treats that as
             "candidate inapplicable").
         """
-        from ..hamiltonian.bmatrix import BMatrixFactory, resolve_kinetic
-
-        mode = resolve_kinetic(kinetic)
+        mode = resolve_option("kinetic", kinetic)
         if mode == self.factory.kinetic_mode:
             return False
         self.factory = BMatrixFactory(self.factory.model, kinetic=mode)

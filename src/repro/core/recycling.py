@@ -46,11 +46,7 @@ class ClusterCache:
         self.field = field
         self.cluster_size = cluster_size
         self.ranges = cluster_slices(field.n_slices, cluster_size)
-        self.backend = resolve_backend(backend or "numpy")
-        # Bound-factory identity, not exponential identity: a narrowed
-        # precision policy realizes expk as a compute-dtype copy.
-        if self.backend.bound_factory is not factory:
-            self.backend.bind(factory)
+        self.backend = resolve_backend(backend or "numpy", factory=factory)
         # (sigma, cluster_index) -> dense product, or absent if stale.
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.hits = 0

@@ -31,19 +31,6 @@ from ..hamiltonian import BMatrixFactory, HSField
 __all__ = ["wrap_forward", "wrap_backward"]
 
 
-def _bound_backend(factory: BMatrixFactory, backend):
-    """The backend executing a wrap — the caller's, or a fresh serial
-    numpy backend when none is supplied — bound to ``factory`` if not
-    already."""
-    backend = resolve_backend(backend or "numpy")
-    # Identity is tracked on the *factory*, not the exponentials: under
-    # a narrowed precision policy the bound expk is a realized copy, not
-    # the factory's float64 master.
-    if backend.bound_factory is not factory:
-        backend.bind(factory)
-    return backend
-
-
 @shape_contract("(n,n)", dtype="compute", finite=True)
 def wrap_forward(
     factory: BMatrixFactory,
@@ -60,7 +47,7 @@ def wrap_forward(
     scalings (the shape of the paper's GPU Algorithm 6/7).
     """
     v = field.v_diagonal(l, sigma, factory.nu)
-    return _bound_backend(factory, backend).wrap(g, v)
+    return resolve_backend(backend or "numpy", factory=factory).wrap(g, v)
 
 
 @shape_contract("(n,n)", dtype="compute", finite=True)
@@ -81,4 +68,4 @@ def wrap_backward(
     ``v``) first, then the two GEMMs.
     """
     v = field.v_diagonal(l, sigma, factory.nu)
-    return _bound_backend(factory, backend).unwrap(g, v)
+    return resolve_backend(backend or "numpy", factory=factory).unwrap(g, v)

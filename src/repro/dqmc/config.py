@@ -30,6 +30,7 @@ from typing import Union
 
 from ..hamiltonian import HubbardModel
 from ..lattice import MultilayerLattice, SquareLattice
+from ..options import OptionError, RunOptions, resolve_options
 from .simulation import Simulation
 
 __all__ = ["SimulationConfig", "parse_config", "load_config"]
@@ -56,15 +57,14 @@ class SimulationConfig:
     ndelay: int = 32
     nmeas: int = 1
     altdir: int = 0
-    #: execution backend name; "auto" defers to $REPRO_BACKEND / "numpy"
+    #: execution backend name; "auto" (here and in the two keys below)
+    #: leaves the choice to the environment, then the default
     backend: str = "auto"
-    #: precision policy name (full64 / mixed / fast32); "auto" defers to
-    #: $REPRO_PRECISION / "full64"
+    #: precision policy name (full64 / mixed / fast32)
     precision: str = "auto"
-    #: kinetic propagator (exact / checkerboard); "auto" defers to
-    #: $REPRO_KINETIC / "exact" — checkerboard swaps the dense
-    #: exp(-dtau K) GEMMs for O(N) bond-group rotation passes at the
-    #: cost of one more O(dtau^2) Trotter term
+    #: kinetic propagator (exact / checkerboard) — checkerboard swaps
+    #: the dense exp(-dtau K) GEMMs for O(N) bond-group rotation passes
+    #: at the cost of one more O(dtau^2) Trotter term
     kinetic: str = "auto"
     #: 1 = pick (cluster size, delay) from the tuning cache / a warmup
     #: autotune pass instead of trusting north/ndelay (see
@@ -99,12 +99,19 @@ class SimulationConfig:
             n_slices=self.l,
         )
 
+    def options(self) -> RunOptions:
+        """The backend / precision / kinetic this config runs with: its
+        keys where set, else the environment, else the defaults."""
+        return resolve_options(self.backend, self.precision, self.kinetic)
+
     def validate(self) -> "SimulationConfig":
         """Check cross-field consistency; returns self for chaining.
 
         Shared by :func:`parse_config` and the campaign spec expansion,
         so a bad method/cluster/backend combination fails identically
-        whether it arrives from an input file or a sweep grid.
+        whether it arrives from an input file or a sweep grid. The
+        *resolved* options are checked, so a flag or ``$REPRO_*`` value
+        fails like the file key would.
         """
         if self.method not in ("prepivot", "qrp", "nopivot"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -113,40 +120,17 @@ class SimulationConfig:
                 f"north = {self.north} must divide l = {self.l} "
                 "(cluster boundaries must tile the time axis)"
             )
-        if self.backend != "auto":
-            # Unknown backend names and unsupported method/backend pairs
-            # are configuration errors — caught here before any model is
-            # built (no backend is constructed; names are checked
-            # against the registry).
-            from ..backends import validate_backend_method
-
-            try:
-                validate_backend_method(self.backend, self.method)
-            except Exception as exc:
-                raise ValueError(f"backend = {self.backend!r}: {exc}") from exc
-        if self.precision != "auto":
-            # Same contract as backend names: a typo'd policy is a
-            # configuration error at parse/spec time, not a silent
-            # full64 run discovered after the fact.
-            from ..precision import PrecisionError, resolve_policy
-
-            try:
-                resolve_policy(self.precision)
-            except PrecisionError as exc:
-                raise ValueError(f"precision = {self.precision!r}: {exc}") from exc
-        if self.kinetic != "auto":
-            from ..hamiltonian import resolve_kinetic
-
-            try:
-                resolve_kinetic(self.kinetic)
-            except ValueError as exc:
-                raise ValueError(f"kinetic = {self.kinetic!r}: {exc}") from exc
-            if self.kinetic == "checkerboard" and self.nlayers > 1:
-                raise ValueError(
-                    "kinetic = 'checkerboard' cannot partition a "
-                    "multilayer stack into disjoint bond groups; use "
-                    "kinetic = 'exact' for nlayers > 1"
-                )
+        # Unknown names are configuration errors, caught here before
+        # any model is built (nothing is constructed).
+        options = self.options()
+        if options.kinetic == "checkerboard" and self.nlayers > 1:
+            raise OptionError(
+                "kinetic",
+                self.kinetic,
+                options.kinetic,
+                "cannot partition a multilayer stack into disjoint bond "
+                "groups; use kinetic = 'exact' for nlayers > 1",
+            )
         if self.target_error < 0:
             raise ValueError(
                 f"target_error = {self.target_error} must be >= 0 "
@@ -168,38 +152,17 @@ class SimulationConfig:
             target_error=self.target_error,
         )
 
-    def simulation(
-        self,
-        telemetry=None,
-        watchdog=None,
-        backend=None,
-        seed=None,
-        precision=None,
-        kinetic=None,
-    ) -> Simulation:
+    def simulation(self, telemetry=None, watchdog=None, seed=None) -> Simulation:
         """Build the configured :class:`Simulation`.
 
         ``telemetry`` / ``watchdog`` are runtime concerns (a Telemetry
         facade and a WatchdogConfig), not physics, so they ride as
         arguments rather than input-file keys — the same input file must
         describe the same Markov chain with or without observability.
-        ``backend`` (e.g. from ``repro run --backend``) overrides the
-        file's ``backend`` key; backends are execution policy, not
-        physics, so the Markov chain is the same either way. ``seed``
-        overrides the file's integer seed and may be anything
+        ``seed`` overrides the file's integer seed and may be anything
         ``np.random.default_rng`` accepts — the campaign layer passes a
         spawned ``SeedSequence`` here so jobs get independent streams.
-        ``precision`` (e.g. from ``repro run --precision``) overrides
-        the file's ``precision`` key the same way ``backend`` does —
-        unlike a backend swap it *does* change the floating-point
-        trajectory, which is exactly the point of the policy ladder.
-        ``kinetic`` (e.g. from ``repro run --kinetic``) overrides the
-        file's ``kinetic`` key; like precision it changes the numerics
-        (one extra Trotter term), so it is physics the user opts into.
         """
-        chosen = backend if backend is not None else self.backend
-        chosen_precision = precision if precision is not None else self.precision
-        chosen_kinetic = kinetic if kinetic is not None else self.kinetic
         return Simulation(
             self.model(),
             seed=self.seed if seed is None else seed,
@@ -210,9 +173,9 @@ class SimulationConfig:
             alternate_directions=bool(self.altdir),
             telemetry=telemetry,
             watchdog=watchdog,
-            backend=None if chosen == "auto" else chosen,
-            precision=None if chosen_precision == "auto" else chosen_precision,
-            kinetic=None if chosen_kinetic == "auto" else chosen_kinetic,
+            backend=self.backend,
+            precision=self.precision,
+            kinetic=self.kinetic,
             streaming=bool(self.streaming),
         )
 
@@ -224,9 +187,11 @@ class SimulationConfig:
         return out.getvalue()
 
 
-def parse_config(text: str) -> SimulationConfig:
+def parse_config(text: str, **overrides) -> SimulationConfig:
     """Parse input-file text. Unknown keys raise (typos must not pass
-    silently); types are coerced from the dataclass annotations."""
+    silently); types are coerced from the dataclass annotations.
+    ``overrides`` (the CLI's flags) replace the file's keys before the
+    one validation, so a flag outranks the key it shadows."""
     known = {f.name: f.type for f in fields(SimulationConfig)}
     coerce = {"int": int, "float": float, "str": str}
     values = {}
@@ -249,9 +214,9 @@ def parse_config(text: str) -> SimulationConfig:
             raise ValueError(
                 f"line {lineno}: cannot parse {val!r} as {typ_name} for {key!r}"
             ) from exc
-    return SimulationConfig(**values).validate()
+    return SimulationConfig(**{**values, **overrides}).validate()
 
 
-def load_config(path: Union[str, Path]) -> SimulationConfig:
-    """Read and parse an input file from disk."""
-    return parse_config(Path(path).read_text())
+def load_config(path: Union[str, Path], **overrides) -> SimulationConfig:
+    """Read and parse an input file from disk (see :func:`parse_config`)."""
+    return parse_config(Path(path).read_text(), **overrides)

@@ -18,6 +18,7 @@ import numpy as np
 from ..core import GreensFunctionEngine, StratificationMethod
 from ..hamiltonian import BMatrixFactory, HSField, HubbardModel
 from ..measure import BinnedEstimate, MeasurementCollector
+from ..options import resolve_options
 from ..profiling import PhaseProfiler
 from ..telemetry import (
     NumericalHealthWatchdog,
@@ -99,8 +100,7 @@ class Simulation:
     backend:
         Execution backend for every propagator operation: a registry
         name (``"numpy"``, ``"threaded"``, ``"gpu-sim"``, ``"cupy"``) or
-        a live :class:`~repro.backends.PropagatorBackend`. ``None``
-        means the default (``$REPRO_BACKEND`` or ``"numpy"``). Physics
+        a live :class:`~repro.backends.PropagatorBackend`. Physics
         is backend-independent by construction (bit-identical for the
         simulated backends); only the execution/timing story differs:
         ``"threaded"`` is Sec. IV-B's OpenMP-style norm/scaling pool,
@@ -131,12 +131,10 @@ class Simulation:
         ``full64``) before the refresh.
     precision:
         Precision policy name (``"full64"``, ``"mixed"``, ``"fast32"``)
-        or a :class:`~repro.precision.PrecisionPolicy`. ``None`` defers
-        to the backend's own policy (``$REPRO_PRECISION``, default
-        ``full64``). Narrowed policies change the Markov chain's
-        floating-point trajectory; observables agree to the compute
-        dtype's accuracy, and measurement accumulators always stay
-        float64.
+        or a :class:`~repro.precision.PrecisionPolicy`. Narrowed
+        policies change the Markov chain's floating-point trajectory;
+        observables agree to the compute dtype's accuracy, and
+        measurement accumulators always stay float64.
     streaming:
         Accumulate measurements through the constant-memory streaming
         pipeline (:class:`repro.stats.StreamingAccumulator`): O(log n)
@@ -144,6 +142,11 @@ class Simulation:
         sample. Estimates agree with post-hoc binning (identical means,
         errors matching at power-of-two sample counts); sample series
         are only available for observables a controller tracks.
+
+    ``backend`` / ``precision`` / ``kinetic`` (the propagator mode) left
+    at ``None`` fall to the environment, then the defaults
+    (:func:`repro.options.resolve_options`); ``sim.options`` keeps the
+    resolved triple.
     """
 
     def __init__(
@@ -173,7 +176,9 @@ class Simulation:
             self.telemetry.add_snapshot_source(
                 self.profiler.export_to_registry
             )
-        self.factory = BMatrixFactory(model, kinetic=kinetic)
+        #: backend / precision / kinetic as resolved at construction
+        self.options = resolve_options(backend, precision, kinetic)
+        self.factory = BMatrixFactory(model, kinetic=self.options.kinetic)
         self.field = HSField.random(model.n_slices, model.n_sites, self.rng)
         self.engine = GreensFunctionEngine(
             self.factory,
@@ -182,8 +187,8 @@ class Simulation:
             cluster_size=cluster_size,
             profiler=self.profiler,
             telemetry=telemetry,
-            backend=backend,
-            precision=precision,
+            backend=self.options.backend,
+            precision=self.options.precision,
         )
         self.watchdog = (
             NumericalHealthWatchdog(self.engine, watchdog, self.telemetry)

@@ -1,6 +1,6 @@
 """Hubbard Hamiltonian, Trotter discretization, HS field and B matrices."""
 
-from .bmatrix import BMatrixFactory, KINETIC_MODES, resolve_kinetic
+from .bmatrix import BMatrixFactory, KINETIC_MODES
 from .checkerboard import CheckerboardError, CheckerboardPropagator, bond_groups
 from .hs_field import HSField
 from .hubbard import HubbardModel, hs_coupling
@@ -13,7 +13,6 @@ __all__ = [
     "HSField",
     "KINETIC_MODES",
     "bond_groups",
-    "resolve_kinetic",
     "HubbardModel",
     "KineticPropagator",
     "free_dispersion_2d",

@@ -11,37 +11,21 @@ sampling.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
 from ..linalg import flops
+from ..options import resolve_option
 from .checkerboard import CheckerboardPropagator
 from .hs_field import HSField
 from .hubbard import HubbardModel
 from .kinetic import KineticPropagator
 
-__all__ = ["KINETIC_MODES", "resolve_kinetic", "BMatrixFactory"]
+__all__ = ["KINETIC_MODES", "BMatrixFactory"]
 
 #: the two kinetic propagators QUEST supports (paper Sec. II).
 KINETIC_MODES = ("exact", "checkerboard")
-
-
-def resolve_kinetic(name: Optional[str] = None) -> str:
-    """Resolve a kinetic-propagator mode name.
-
-    ``None`` falls back to ``$REPRO_KINETIC`` and then to ``"exact"`` —
-    the bit-identical default. Unknown names are rejected loudly.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_KINETIC") or "exact"
-    name = str(name).lower()
-    if name not in KINETIC_MODES:
-        raise ValueError(
-            f"unknown kinetic mode {name!r}: expected one of {KINETIC_MODES}"
-        )
-    return name
 
 
 class BMatrixFactory:
@@ -60,7 +44,7 @@ class BMatrixFactory:
 
     def __init__(self, model: HubbardModel, kinetic: Optional[str] = None):
         self.model = model
-        self.kinetic_mode = resolve_kinetic(kinetic)
+        self.kinetic_mode = resolve_option("kinetic", kinetic)
         self.kinetic = KineticPropagator(model.kinetic_matrix(), model.dtau)
         self.nu = model.nu
         #: the structured checkerboard operator, or ``None`` under the

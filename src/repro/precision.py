@@ -49,7 +49,6 @@ choke point for narrowing decisions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -60,16 +59,8 @@ __all__ = [
     "PrecisionError",
     "POLICIES",
     "PROMOTION_LADDER",
-    "DEFAULT_POLICY_NAME",
-    "ENV_VAR",
     "resolve_policy",
 ]
-
-#: environment variable consulted when the precision spec is "auto"
-ENV_VAR = "REPRO_PRECISION"
-
-#: policy applied when nothing is configured anywhere
-DEFAULT_POLICY_NAME = "full64"
 
 # The two dtypes the pipeline is allowed to narrow between. Spelled via
 # np.dtype(<name>) so the policy module itself stays the only place a
@@ -160,20 +151,15 @@ POLICIES: Dict[str, PrecisionPolicy] = {
 }
 
 
-def resolve_policy(
-    spec: Union[None, str, PrecisionPolicy] = None,
-) -> PrecisionPolicy:
-    """Resolve a precision spec to a policy.
+def resolve_policy(spec: Union[str, PrecisionPolicy]) -> PrecisionPolicy:
+    """Look up a policy by name; a :class:`PrecisionPolicy` passes through.
 
-    Accepts a :class:`PrecisionPolicy` (returned unchanged), a policy
-    name, ``"auto"``/None/"" (consult ``$REPRO_PRECISION``, then fall
-    back to ``full64``). Unknown names raise :class:`PrecisionError`
-    listing the valid choices — a typo must not silently run full64.
+    Unknown names raise :class:`PrecisionError` listing the valid
+    choices. What an *unset* precision means (``$REPRO_PRECISION``, then
+    ``full64``) is :func:`repro.options.resolve_options`' business.
     """
     if isinstance(spec, PrecisionPolicy):
         return spec
-    if spec is None or spec == "" or spec == "auto":
-        spec = os.environ.get(ENV_VAR, "") or DEFAULT_POLICY_NAME
     if not isinstance(spec, str):
         raise PrecisionError(
             f"precision spec must be a name or PrecisionPolicy, got "

@@ -18,6 +18,7 @@ from repro.autotune import (
     profile_key,
     tune_simulation,
 )
+from repro.options import resolve_options
 
 
 def small_model():
@@ -132,7 +133,11 @@ class TestCache:
         m2 = m1.with_(mu=-1.5)
         assert profile_key(m1) == profile_key(m2)
         # both sides explicit: the default follows $REPRO_BACKEND (CI leg)
-        assert profile_key(m1, backend="threaded") != profile_key(m1, backend="numpy")
+        threaded, serial = (
+            resolve_options(backend=b) for b in ("threaded", "numpy")
+        )
+        assert profile_key(m1, threaded) != profile_key(m1, serial)
+        assert profile_key(m1, serial).endswith("|prepivot|numpy")
 
 
 class TestRepartition:

@@ -9,6 +9,8 @@ per-matrix loop. ``cupy`` (real GPU BLAS, not bitwise-reproducible) is
 excluded from the identity class and only smoke-tested when installed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from repro.backends import (
     known_backends,
     register_backend,
     resolve_backend,
-    validate_backend_method,
 )
 from repro.dqmc.config import parse_config
 from repro.hamiltonian import BMatrixFactory
@@ -63,16 +64,23 @@ class TestRegistry:
         with pytest.raises(BackendError, match="numpy"):
             get_backend("cuda")
 
-    def test_resolve_passthrough_and_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_resolve_passthrough_and_default(self):
         b = NumpyBackend()
         assert resolve_backend(b) is b
-        assert resolve_backend(None).name == "numpy"
         assert resolve_backend("threaded").name == "threaded"
+        # No implicit default: choosing one (and reading $REPRO_BACKEND)
+        # is repro.options' job, see tests/test_options.py.
+        with pytest.raises(BackendError):
+            resolve_backend(None)
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threaded")
-        assert resolve_backend(None).name == "threaded"
+    def test_resolve_binds_to_factory_once(self):
+        factory = BMatrixFactory(model_4x4())
+        b = resolve_backend("numpy", factory=factory)
+        assert b.bound_factory is factory
+        expk = b.expk
+        assert resolve_backend(b, factory=factory).expk is expk
+        other = BMatrixFactory(model_4x4(beta=1.0))
+        assert resolve_backend(b, factory=other).bound_factory is other
 
     def test_custom_backend_registration(self):
         class MyBackend(NumpyBackend):
@@ -100,17 +108,28 @@ class TestLoudOptionRejection:
 class TestMethodValidation:
     """Satellite 2: method/backend combos validated before anything runs."""
 
-    def test_valid_combo_passes(self):
-        validate_backend_method("numpy", "prepivot")
-        validate_backend_method("gpu-sim", "qrp")
+    @staticmethod
+    def engine(**kwargs):
+        from repro.core import GreensFunctionEngine
+        from repro.hamiltonian import HSField
+
+        model = model_4x4()
+        field = HSField.random(
+            model.n_slices, model.n_sites, np.random.default_rng(0)
+        )
+        return GreensFunctionEngine(
+            BMatrixFactory(model), field, cluster_size=4, **kwargs
+        )
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError, match="unknown method"):
-            validate_backend_method("numpy", "cholesky")
+            self.engine(method="cholesky").boundary_greens(1)
+        with pytest.raises(ValueError, match="unknown method"):
+            Simulation(model_4x4(), cluster_size=4, method="cholesky")
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(BackendError):
-            validate_backend_method("cuda", "prepivot")
+        with pytest.raises(ValueError, match="unknown backend.*numpy"):
+            self.engine(backend="cuda")
 
     def test_config_parse_time_validation(self):
         good = "l = 8\nnorth = 4\nbackend = threaded\n"
@@ -129,7 +148,7 @@ class TestMethodValidation:
 
     def test_config_backend_override(self):
         cfg = parse_config("l = 8\nnorth = 4\nbackend = numpy\n")
-        sim = cfg.simulation(backend="threaded")
+        sim = dataclasses.replace(cfg, backend="threaded").simulation()
         assert sim.engine.backend.name == "threaded"
 
 

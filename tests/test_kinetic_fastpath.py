@@ -18,7 +18,6 @@ from repro.hamiltonian import (
     CheckerboardPropagator,
     KINETIC_MODES,
     bond_groups,
-    resolve_kinetic,
 )
 from repro.lattice import GeneralLattice, MultilayerLattice
 
@@ -48,18 +47,12 @@ class TestKineticModes:
     def test_catalogue(self):
         assert KINETIC_MODES == ("exact", "checkerboard")
 
-    def test_resolve_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KINETIC", raising=False)
-        assert resolve_kinetic(None) == "exact"
-        monkeypatch.setenv("REPRO_KINETIC", "checkerboard")
-        assert resolve_kinetic(None) == "checkerboard"
-        assert resolve_kinetic("exact") == "exact"  # explicit beats env
-
     def test_resolve_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown kinetic mode"):
-            resolve_kinetic("trotterize-harder")
+            BMatrixFactory(model_4x4(), kinetic="trotterize-harder")
 
-    def test_factory_default_is_exact(self):
+    def test_factory_default_is_exact(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KINETIC", raising=False)
         assert BMatrixFactory(model_4x4()).kinetic_mode == "exact"
         assert BMatrixFactory(model_4x4()).structured is None
 

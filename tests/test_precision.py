@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro import BMatrixFactory, HSField, HubbardModel, Simulation, SquareLattice
+from repro.options import OptionError
 from repro.precision import (
-    DEFAULT_POLICY_NAME,
-    ENV_VAR,
     POLICIES,
     PROMOTION_LADDER,
     PrecisionError,
@@ -22,6 +21,8 @@ from repro.precision import (
     resolve_policy,
 )
 from tests.helpers import noisy_wraps
+
+ENV_VAR = "REPRO_PRECISION"
 
 F32 = np.dtype("float32")
 F64 = np.dtype("float64")
@@ -44,6 +45,9 @@ def make_engine(seed=0, precision=None, **kwargs):
 
 
 class TestResolvePolicy:
+    """Name-or-instance lookup only; what an *unset* precision means is
+    a row of tests/test_options.py."""
+
     def test_names_resolve(self):
         for name in PROMOTION_LADDER:
             assert resolve_policy(name).name == name
@@ -52,31 +56,20 @@ class TestResolvePolicy:
         p = POLICIES["mixed"]
         assert resolve_policy(p) is p
 
-    def test_default_is_full64(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        for spec in (None, "", "auto"):
-            assert resolve_policy(spec).name == DEFAULT_POLICY_NAME
-
-    def test_env_var_consulted_for_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "mixed")
-        assert resolve_policy(None).name == "mixed"
-        assert resolve_policy("auto").name == "mixed"
-        # an explicit name still wins over the environment
-        assert resolve_policy("full64").name == "full64"
-
-    def test_unknown_name_lists_choices(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_unknown_name_lists_choices(self):
         with pytest.raises(PrecisionError, match="full64.*mixed.*fast32"):
             resolve_policy("float16")
 
     def test_bad_env_value_raises_rather_than_running_full64(self, monkeypatch):
+        """A bare engine under a typo'd ambient policy must not run."""
         monkeypatch.setenv(ENV_VAR, "fats32")
-        with pytest.raises(PrecisionError):
-            resolve_policy(None)
+        with pytest.raises(ValueError, match="REPRO_PRECISION"):
+            make_engine()
 
     def test_non_string_spec_raises(self):
-        with pytest.raises(PrecisionError):
-            resolve_policy(32)
+        for spec in (32, None):
+            with pytest.raises(PrecisionError):
+                resolve_policy(spec)
 
 
 class TestPolicyObjects:
@@ -414,7 +407,7 @@ class TestAutotunePrecisionAxis:
     def test_invalid_precision_rejected(self):
         from repro.autotune import TuningParameters
 
-        with pytest.raises(PrecisionError):
+        with pytest.raises(OptionError, match="full64, mixed, fast32"):
             TuningParameters.make(8, 16, precision="float16")
 
     def test_candidate_grid_gains_precision_axis(self):
