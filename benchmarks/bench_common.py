@@ -18,6 +18,25 @@ def time_call(fn, *args, repeats: int = 3, **kwargs) -> float:
     return best
 
 
+def dense_gemm_lattice(lx, ly):
+    """The lx x ly torus as a ``GeneralLattice`` bond list.
+
+    Same K, but no separable structure for the factory to exploit, so
+    ``exp(-dtau K)`` stays the dense N x N GEMM of the paper's Algorithms
+    4-7 — what the benches whose premise *is* that GEMM must keep timing
+    (on a plain ``SquareLattice`` the kinetic factor is applied as its
+    ``lx x lx`` / ``ly x ly`` Kronecker blocks instead).
+    """
+    from repro import SquareLattice
+    from repro.lattice import GeneralLattice
+
+    adj = SquareLattice(lx, ly).adjacency
+    pairs = zip(*np.nonzero(np.triu(adj, 1)))
+    return GeneralLattice(
+        lx * ly, tuple((int(i), int(j), float(adj[i, j])) for i, j in pairs)
+    )
+
+
 def make_field_engine(
     lx, ly, *, u=2.0, beta=None, n_slices=40, cluster=10, seed=0,
     method="prepivot", profiler=None,

@@ -13,6 +13,11 @@ serialized, as in the paper's preliminary implementation (documented as
 model-derived in EXPERIMENTS.md). The CPU-only line is the same
 evaluation timed entirely on the host.
 
+The model sits on ``dense_gemm_lattice`` (the torus as a bond list), so
+clustering and wrapping are the dense ``exp(-dtau K)`` GEMMs the paper
+offloads (Algorithms 4-7), not the small Kronecker-block applications a
+plain ``SquareLattice`` gets — those are too small to feed a GPU.
+
 Asserted shape: hybrid beats CPU-only at the largest size, with the
 advantage growing with N as GEMM work dominates.
 """
@@ -20,8 +25,8 @@ advantage growing with N as GEMM work dominates.
 import numpy as np
 import pytest
 
-from bench_common import format_table, make_field_engine, time_call
-from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
+from bench_common import dense_gemm_lattice, format_table, time_call
+from repro import BMatrixFactory, HSField, HubbardModel
 from repro.core import GreensFunctionEngine
 from repro.linalg import tally
 from repro.profiling import PhaseProfiler
@@ -32,7 +37,7 @@ L = 40
 
 def _build(lx, ly, hybrid: bool):
     model = HubbardModel(
-        SquareLattice(lx, ly), u=4.0, beta=5.0, n_slices=L
+        dense_gemm_lattice(lx, ly), u=4.0, beta=5.0, n_slices=L
     )
     rng = np.random.default_rng(lx)
     field = HSField.random(L, model.n_sites, rng)

@@ -5,10 +5,17 @@ update, stratification, clustering, wrapping, physical measurements —
 and reports shares like 14/44/12/12/18 % at N = 1024, with the Green's
 function work (stratification + clustering + wrapping) around 65%.
 
-Bench scale: N = 16..100, short runs, same phase accounting through
-:class:`repro.profiling.PhaseProfiler`. Asserted shape: stratification
-is the single largest phase at the largest N, every phase is a
-non-trivial share, and the shares sum to ~100%.
+Bench scale: N = 16..256, short runs, same phase accounting through
+:class:`repro.profiling.PhaseProfiler`. Each size is profiled twice from
+the same seed (the same Markov chain): the run on a plain
+``SquareLattice`` gives the delayed-update, stratification and
+measurement rows, and its ``dense_gemm_lattice`` twin (the torus as a
+bond list) gives the clustering and wrapping rows, so those two stay the
+paper's dense ``exp(-dtau K)`` GEMMs rather than the Kronecker-block
+applications the rectangle gets — a bond list alone would measure scalar
+observables only and lose the measurement row. Asserted shape:
+stratification is the single largest phase at the largest N, every phase
+is a non-trivial share, and the shares sum to ~100%.
 
 The phase numbers are read back *through the telemetry pipeline* (the
 profiler's registry-export hook) rather than straight off the profiler,
@@ -19,17 +26,18 @@ carries everything needed to reconstruct Table I offline
 
 import pytest
 
-from bench_common import format_table
+from bench_common import dense_gemm_lattice, format_table
 from repro import HubbardModel, Simulation, SquareLattice, Telemetry
 from repro.profiling import PHASES
 
 SIZES = [4, 8, 12, 16]
 
+#: the rows whose premise is the dense N x N propagator GEMM
+DENSE_GEMM_PHASES = ("clustering", "wrapping")
 
-def _profile(size: int):
-    model = HubbardModel(
-        SquareLattice(size, size), u=4.0, beta=4.0, n_slices=32
-    )
+
+def _phase_seconds(lattice, size: int):
+    model = HubbardModel(lattice, u=4.0, beta=4.0, n_slices=32)
     sweeps = (2, 4) if size <= 12 else (1, 2)
     telemetry = Telemetry(writer=None, snapshot_every=0)
     sim = Simulation(model, seed=size, cluster_size=8, telemetry=telemetry)
@@ -45,6 +53,13 @@ def _profile(size: int):
     }
     for phase, sec in seconds.items():
         assert sec == pytest.approx(sim.profiler.seconds[phase]), phase
+    return seconds
+
+
+def _profile(size: int):
+    seconds = _phase_seconds(SquareLattice(size, size), size)
+    dense = _phase_seconds(dense_gemm_lattice(size, size), size)
+    seconds.update({phase: dense[phase] for phase in DENSE_GEMM_PHASES})
     total = sum(seconds.values())
     return {k: 100.0 * v / total for k, v in seconds.items()}
 

@@ -161,7 +161,7 @@ class WarmupAutotuner:
         precision unless explicitly asked to.
     kinetics:
         Optional kinetic-propagator axis for the default grid (e.g.
-        ``["checkerboard"]`` to also try the structured fast path).
+        ``["checkerboard"]`` to also try the Trotter-split blocks).
         Omitted, the search keeps the run's configured mode — like
         precision, a kinetic swap changes the floating-point trajectory
         (one extra Trotter term), so it is opt-in. Candidates on a mode

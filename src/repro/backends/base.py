@@ -143,7 +143,7 @@ class BaseBackend(PropagatorBackend):
         self.inv_expk: Optional[np.ndarray] = None
         self.bound_factory = None
         #: the factory's structured kinetic operator (a
-        #: CheckerboardPropagator) or None under the exact mode; set at
+        #: SeparablePropagator) or None off the rectangle; set at
         #: bind() time and consulted by the wrap / cluster kernels to
         #: pick the structured fast path over the dense GEMM.
         self.structured = None
@@ -211,20 +211,20 @@ class BaseBackend(PropagatorBackend):
     def apply_structured(self, a, side="left", inverse=False, category="structured"):
         """Apply the bound structured kinetic operator to ``a``.
 
-        ``side="left"`` is ``B_cb @ a``; ``side="right"`` is ``a @ B_cb``;
-        ``inverse=True`` applies the exact reversed-rotation inverse. The
+        ``side="left"`` is ``B @ a``; ``side="right"`` is ``a @ B``;
+        ``inverse=True`` applies the exact block-wise inverse. The
         operand is realized in the policy compute dtype and the flops are
         charged to ``category`` — O(N (lx + ly)) per column instead of the
         dense GEMM's O(N^2), which is the whole point of the fast path.
         Raises :class:`BackendError` when the bound factory has no
-        structured operator (exact kinetic mode).
+        structured operator (multilayer / general lattices).
         """
         self._count("apply_structured")
         self._require_bound()
         if self.structured is None:
             raise BackendError(
                 f"backend {self.name!r}: no structured kinetic operator is "
-                "bound — the factory was built with kinetic='exact'"
+                "bound — the model's lattice has no separable structure"
             )
         if side not in ("left", "right"):
             raise BackendError(f"apply_structured side must be left/right, got {side!r}")

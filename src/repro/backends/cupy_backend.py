@@ -66,7 +66,7 @@ class CupyBackend(NumpyBackend):
         super().bind(factory)
         self._d_expk = self._cp.asarray(self.expk)
         self._d_inv_expk = self._cp.asarray(self.inv_expk)
-        # Checkerboard direction blocks are tiny (lx^2 + ly^2 elements);
+        # The separable direction blocks are tiny (lx^2 + ly^2 elements);
         # resident uploads like the exponentials.
         self._d_blocks = None
         if self.structured is not None:
@@ -77,8 +77,8 @@ class CupyBackend(NumpyBackend):
     # -- device-side structured application --------------------------------
 
     def _structured_dev(self, a, side: str = "left", inverse: bool = False):
-        """Blocked checkerboard apply on a device array (same spelling as
-        :meth:`CheckerboardPropagator.apply_expk_left/right`)."""
+        """Blocked separable apply on a device array (same spelling as
+        :meth:`SeparablePropagator.apply_expk_left/right`)."""
         cp = self._cp
         cb = self.structured
         bx, by, bx_inv, by_inv = self._d_blocks
@@ -112,7 +112,7 @@ class CupyBackend(NumpyBackend):
         return out
 
     def apply_structured(self, a, side="left", inverse=False, category="structured"):
-        """Host-in / host-out checkerboard application on the device."""
+        """Host-in / host-out separable application on the device."""
         self._count("apply_structured")
         self._require_bound()
         if self.structured is None:
@@ -120,7 +120,7 @@ class CupyBackend(NumpyBackend):
 
             raise BackendError(
                 "backend 'cupy': no structured kinetic operator is bound "
-                "— the factory was built with kinetic='exact'"
+                "— the model's lattice has no separable structure"
             )
         cp = self._cp
         a = self.policy.compute(a)

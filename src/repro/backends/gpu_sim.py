@@ -95,13 +95,13 @@ class SimulatedGPUBackend(NumpyBackend):
         return self._require_ops().unwrap(g, v)
 
     def apply_structured(self, a, side="left", inverse=False, category="structured"):
-        """Device-side checkerboard application (upload, rotate, download)."""
+        """Device-side separable application (upload, apply, download)."""
         self._count("apply_structured")
         ops = self._require_ops()
         if self.structured is None:
             raise BackendError(
                 "backend 'gpu-sim': no structured kinetic operator is "
-                "bound — the factory was built with kinetic='exact'"
+                "bound — the model's lattice has no separable structure"
             )
         from ..linalg import flops
 

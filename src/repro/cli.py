@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kinetic", type=str, default=None, metavar="MODE",
         help="kinetic propagator: exact or checkerboard (default: the "
         "input file's 'kinetic' key, else $REPRO_KINETIC, else exact); "
-        "checkerboard swaps the dense exp(-dtau K) GEMMs for O(N) "
-        "bond-group rotation passes at the cost of one extra O(dtau^2) "
-        "Trotter term (see docs/performance.md)",
+        "on a plain square lattice both apply small lx x lx / ly x ly "
+        "blocks at the same cost, and checkerboard's Trotter-split blocks "
+        "add one O(dtau^2) term (see docs/performance.md)",
     )
     p_run.add_argument(
         "--telemetry", type=Path, default=None, metavar="JSONL",
@@ -735,8 +735,9 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"backend          {options.backend}")
     print(f"precision        {options.policy.name} ({options.policy.description})")
     kin_desc = {
-        "exact": "dense exp(-dtau K) GEMMs",
-        "checkerboard": "split bond-group rotation passes, O(N) apply",
+        "exact": "exact exp(-dtau K): Kronecker blocks on a square "
+        "lattice, dense GEMMs otherwise",
+        "checkerboard": "Trotter-split bond-group blocks, extra O(dtau^2) term",
     }[options.kinetic]
     print(f"kinetic          {options.kinetic} ({kin_desc})")
     print(f"conditioning     {report.describe()}")

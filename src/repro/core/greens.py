@@ -275,7 +275,7 @@ class GreensFunctionEngine:
 
         Rebuilds the B-matrix factory in the requested mode
         (``"exact"`` or ``"checkerboard"``), re-binds the backend (which
-        picks up or drops the structured operator) and invalidates every
+        picks up the new mode's structured operator) and invalidates every
         cached cluster product — the caller owns refreshing any Green's
         function it holds, exactly as for :meth:`set_precision`. Safe
         between sweeps only. Returns True when the mode actually changed.

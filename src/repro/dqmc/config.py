@@ -62,9 +62,9 @@ class SimulationConfig:
     backend: str = "auto"
     #: precision policy name (full64 / mixed / fast32)
     precision: str = "auto"
-    #: kinetic propagator (exact / checkerboard) — checkerboard swaps
-    #: the dense exp(-dtau K) GEMMs for O(N) bond-group rotation passes
-    #: at the cost of one more O(dtau^2) Trotter term
+    #: kinetic propagator (exact / checkerboard) — checkerboard feeds
+    #: the same lx x lx / ly x ly block pipeline Trotter-split blocks,
+    #: at the cost of one more O(dtau^2) term
     kinetic: str = "auto"
     #: 1 = pick (cluster size, delay) from the tuning cache / a warmup
     #: autotune pass instead of trusting north/ndelay (see

@@ -29,7 +29,7 @@ from .device import DeviceArray, DeviceError, SimulatedDevice
 __all__ = [
     "scale_rows_kernel",
     "two_sided_scale_kernel",
-    "checkerboard_apply_kernel",
+    "structured_apply_kernel",
     "DEFAULT_BLOCK",
 ]
 
@@ -79,22 +79,23 @@ def scale_rows_kernel(
     )
 
 
-def checkerboard_apply_kernel(
+def structured_apply_kernel(
     device: SimulatedDevice,
     propagator,
     g: DeviceArray,
     side: str = "left",
     inverse: bool = False,
+    pass_seconds=None,
 ) -> None:
-    """Apply the checkerboard kinetic propagator to ``g`` in place.
+    """Apply the separable kinetic propagator to ``g`` in place.
 
-    One launch per bond group: a thread per bond streams its two operand
-    rows (columns for ``side="right"``) through the 2x2 cosh/sinh
-    rotation — coalesced, O(1) flops per element, no GEMM. The simulated
-    execution runs the propagator's blocked spelling on the payload so
-    device results stay bit-identical to the host backends' structured
-    path; the *cost* is modelled as the per-group rotation passes a real
-    port would launch (plus one diagonal pass when mu folds in).
+    The simulated execution runs the propagator's blocked spelling on the
+    payload so device results stay bit-identical to the host backends'
+    structured path; the *cost* is one launch per entry of
+    ``pass_seconds`` — by default what the operator itself reports
+    (``propagator.device_pass_seconds``): two batched small GEMMs for
+    exact Kronecker blocks, or one bandwidth-bound rotation pass per
+    checkerboard bond group, and a diagonal pass more when mu folds in.
     """
     if g.device is not device:
         raise DeviceError("array bound to a different device")
@@ -106,19 +107,16 @@ def checkerboard_apply_kernel(
         result = propagator.apply_expk_right(payload, inverse=inverse)
         width = payload.shape[0]
     else:
-        raise DeviceError(f"checkerboard side must be left/right, got {side!r}")
+        raise DeviceError(f"structured side must be left/right, got {side!r}")
     payload[...] = result
 
-    itemsize = payload.dtype.itemsize
-    for group in propagator.groups:
-        device.kernel_launches += 1
-        device.tick(
-            device.model.time_checkerboard_pass(len(group), width, itemsize)
+    if pass_seconds is None:
+        pass_seconds = propagator.device_pass_seconds(
+            device.model, width, payload.dtype
         )
-    if propagator.mu != 0.0:
-        # the commuting exp(+-dtau mu) diagonal factor: one streaming pass
+    for seconds in pass_seconds:
         device.kernel_launches += 1
-        device.tick(device.model.time_bandwidth_kernel(2 * payload.nbytes))
+        device.tick(seconds)
     flops.record("gpu_structured", propagator.apply_flops(width))
 
 

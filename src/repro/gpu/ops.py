@@ -26,8 +26,8 @@ import numpy as np
 from .cublas import Cublas
 from .device import DeviceArray, SimulatedDevice
 from .kernels import (
-    checkerboard_apply_kernel,
     scale_rows_kernel,
+    structured_apply_kernel,
     two_sided_scale_kernel,
 )
 
@@ -47,12 +47,18 @@ class GPUPropagatorOps:
         Select the fused-kernel implementations (Algorithms 5/7) instead
         of the plain CUBLAS listings (Algorithms 4/6) for the scalings.
     structured:
-        A :class:`~repro.hamiltonian.CheckerboardPropagator` (or None).
-        When set, the kinetic GEMMs of clustering and wrapping are
-        replaced by per-bond-group rotation kernels
-        (:func:`~repro.gpu.kernels.checkerboard_apply_kernel`) — the
-        resident dense exponentials remain uploaded only as the first
-        cluster factor / dense fallback.
+        A :class:`~repro.hamiltonian.SeparablePropagator` (or None).
+        When set, the kinetic GEMMs of clustering and wrapping run its
+        blocked application
+        (:func:`~repro.gpu.kernels.structured_apply_kernel`) and are
+        charged the cheaper launch plan under the device model, fixed
+        here at bind time: the operator's own passes, or the one GEMM
+        against the resident exponential it would replace (on the C2050
+        model exact 16 x 16 blocks sit at the foot of the GEMM efficiency
+        ramp, so below N ~ 370 a port keeps the resident GEMM;
+        checkerboard rotation passes are bandwidth-bound and always win).
+        The payload is the blocked spelling either way, so results stay
+        bit-identical to the host backends.
     """
 
     def __init__(
@@ -84,6 +90,11 @@ class GPUPropagatorOps:
         self._a = device.alloc((n, n), dtype=self.dtype)
         self._v = device.alloc((n,), dtype=self.dtype)
         self._v2 = device.alloc((n,), dtype=self.dtype)
+        self._kinetic_seconds = None
+        if structured is not None:
+            passes = structured.device_pass_seconds(device.model, n, self.dtype)
+            gemm = device.model.time_gemm(n, n, n, dtype=self.dtype)
+            self._kinetic_seconds = passes if sum(passes) < gemm else [gemm]
 
     # -- diagonal upload -------------------------------------------------------
 
@@ -114,8 +125,8 @@ class GPUPropagatorOps:
         for v in v_diagonals[1:]:
             dv = self._send_v(np.asarray(v, dtype=self.dtype))
             if self.structured is not None:
-                # A <- B_cb A via per-group rotation passes, then V A
-                checkerboard_apply_kernel(dev, self.structured, self._a)
+                # A <- B A via the separable blocks, then V A
+                self._kinetic(self._a)
                 scale_rows_kernel(dev, dv, self._a, self._a)
                 continue
             blas.dgemm(self.d_expk, self._a, self._t)  # T <- B x A
@@ -129,15 +140,22 @@ class GPUPropagatorOps:
 
     # -- structured kinetic application ------------------------------------------
 
+    def _kinetic(self, g: DeviceArray, side: str = "left", inverse: bool = False):
+        """One N x N kinetic application, charged the bind-time launch plan."""
+        structured_apply_kernel(
+            self.device, self.structured, g, side=side, inverse=inverse,
+            pass_seconds=self._kinetic_seconds,
+        )
+
     def apply_structured(
         self, a: np.ndarray, side: str = "left", inverse: bool = False
     ) -> np.ndarray:
-        """Checkerboard-apply ``a`` on device (upload, rotate, download)."""
+        """Apply the separable propagator to ``a`` on device (upload, apply, download)."""
         if self.structured is None:
             raise ValueError("no structured propagator bound to these ops")
         dev = self.device
         da = dev.set_matrix(np.asarray(a, dtype=self.dtype))
-        checkerboard_apply_kernel(
+        structured_apply_kernel(
             dev, self.structured, da, side=side, inverse=inverse
         )
         out = dev.get_matrix(da)
@@ -157,11 +175,9 @@ class GPUPropagatorOps:
         dg = dev.set_matrix(np.asarray(g, dtype=self.dtype), dest=self._a)
         dv = self._send_v(v)
         if self.structured is not None:
-            # G <- B_cb G B_cb^{-1} as four rotation passes per direction
-            checkerboard_apply_kernel(dev, self.structured, dg, side="left")
-            checkerboard_apply_kernel(
-                dev, self.structured, dg, side="right", inverse=True
-            )
+            # G <- B G B^{-1}, one separable application per side
+            self._kinetic(dg, side="left")
+            self._kinetic(dg, side="right", inverse=True)
         else:
             blas.dgemm(self.d_expk, dg, self._t)  # T <- B G
             blas.dgemm(self._t, self.d_inv_expk, dg)  # G <- T B^{-1}
@@ -209,10 +225,8 @@ class GPUPropagatorOps:
                     dev.model.time_bandwidth_kernel(2 * payload[:, j].nbytes)
                 )
         if self.structured is not None:
-            checkerboard_apply_kernel(
-                dev, self.structured, dg, side="left", inverse=True
-            )
-            checkerboard_apply_kernel(dev, self.structured, dg, side="right")
+            self._kinetic(dg, side="left", inverse=True)
+            self._kinetic(dg, side="right")
         else:
             blas.dgemm(self.d_inv_expk, dg, self._t)  # T <- B^{-1} G'
             blas.dgemm(self._t, self.d_expk, dg)  # G <- T B

@@ -1,7 +1,12 @@
 """Hubbard Hamiltonian, Trotter discretization, HS field and B matrices."""
 
 from .bmatrix import BMatrixFactory, KINETIC_MODES
-from .checkerboard import CheckerboardError, CheckerboardPropagator, bond_groups
+from .checkerboard import (
+    CheckerboardError,
+    CheckerboardPropagator,
+    SeparablePropagator,
+    bond_groups,
+)
 from .hs_field import HSField
 from .hubbard import HubbardModel, hs_coupling
 from .kinetic import KineticPropagator, free_dispersion_2d, free_greens_function
@@ -12,6 +17,7 @@ __all__ = [
     "CheckerboardPropagator",
     "HSField",
     "KINETIC_MODES",
+    "SeparablePropagator",
     "bond_groups",
     "HubbardModel",
     "KineticPropagator",

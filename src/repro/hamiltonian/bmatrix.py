@@ -17,7 +17,8 @@ import numpy as np
 
 from ..linalg import flops
 from ..options import resolve_option
-from .checkerboard import CheckerboardPropagator
+from ..lattice import SquareLattice
+from .checkerboard import CheckerboardPropagator, SeparablePropagator
 from .hs_field import HSField
 from .hubbard import HubbardModel
 from .kinetic import KineticPropagator
@@ -47,19 +48,21 @@ class BMatrixFactory:
         self.kinetic_mode = resolve_option("kinetic", kinetic)
         self.kinetic = KineticPropagator(model.kinetic_matrix(), model.dtau)
         self.nu = model.nu
-        #: the structured checkerboard operator, or ``None`` under the
-        #: exact mode — backends pick this up at bind() time to decide
-        #: whether the structured fast path exists.
-        self.structured: Optional[CheckerboardPropagator] = None
-        if self.kinetic_mode == "checkerboard":
-            self.structured = CheckerboardPropagator(
+        #: the separable kinetic operator — exact Kronecker blocks or the
+        #: checkerboard split, by mode — or ``None`` where no such
+        #: structure exists (multilayer / general lattices under the exact
+        #: mode keep the dense GEMM). Backends pick this up at bind()
+        #: time to decide whether the structured fast path exists.
+        self.structured: Optional[SeparablePropagator] = None
+        checkerboard = self.kinetic_mode == "checkerboard"
+        if checkerboard or type(model.lattice) is SquareLattice:
+            # A geometry checkerboard cannot partition fails here, at
+            # construction (a typed ValueError the autotuner treats as
+            # "candidate inapplicable"), rather than mid-sweep.
+            kind = CheckerboardPropagator if checkerboard else SeparablePropagator
+            self.structured = kind(
                 model.lattice, t=model.t, dtau=model.dtau, mu=model.mu
             )
-            # Force the lattice-type / disjointness validation now, so a
-            # non-partitionable geometry fails at construction (a typed
-            # ValueError the autotuner treats as "candidate inapplicable")
-            # rather than mid-sweep.
-            self.structured.groups
         # dtype -> (expk, inv_expk) realized for that width; float64
         # masters are shared, narrower widths are cast once and reused
         # across rebinds (and across promotions back down the ladder).
@@ -87,10 +90,10 @@ class BMatrixFactory:
         The precision-policy seam of the hamiltonian layer: backends
         bind their compute-dtype exponentials through this cache. The
         eigendecomposition behind the masters is never redone — only
-        the final cast is, once per width. Under checkerboard mode the
-        pair is the *checkerboard* product and its exact inverse (the
-        propagator keeps its own per-dtype cache), so dense fallbacks
-        stay consistent with the structured applications.
+        the final cast is, once per width. With a structured operator
+        the pair is *its* product and inverse (the propagator keeps its
+        own per-dtype cache), so dense fallbacks stay consistent with
+        the structured applications.
         """
         if self.structured is not None:
             return (
@@ -118,9 +121,9 @@ class BMatrixFactory:
     ) -> np.ndarray:
         """``exp(-dtau K) @ a`` (``exp(+dtau K) @ a`` when ``inverse``).
 
-        Exact mode spells this as the dense GEMM it always was;
-        checkerboard mode routes through the bond-group direction blocks
-        in O(N (lx+ly)) flops per column instead of O(N^2).
+        A structured operator routes through its direction blocks in
+        O(N (lx+ly)) flops per column; without one this is the dense
+        O(N^2)-per-column GEMM.
         """
         ncols = a.shape[1] if a.ndim == 2 else 1
         if self.structured is not None:

@@ -1,37 +1,33 @@
-"""Checkerboard (split-bond) approximation of the kinetic propagator.
+"""Separable kinetic propagators on a periodic rectangle.
 
-QUEST supports two kinetic propagators: the exact dense ``exp(-dtau K)``
-(this package's default, :mod:`repro.hamiltonian.kinetic`) and the
-*checkerboard* method, which partitions the bonds into groups of
-non-overlapping pairs and writes
+On a plain :class:`~repro.lattice.SquareLattice` with nearest-neighbour
+hopping ``K = I (x) Kx + Ky (x) I`` and the two terms commute, so
+
+.. math::
+
+    e^{-\\Delta\\tau K} = e^{-\\Delta\\tau K_y} \\otimes e^{-\\Delta\\tau K_x}
+
+*exactly*: the N x N exponential never has to be formed or multiplied.
+:class:`SeparablePropagator` holds the ``lx x lx`` / ``ly x ly`` ring
+exponentials and applies ``B = By_big Bx_big`` as two *tiny* batched
+GEMMs (``2 N (lx + ly)`` flops per column versus ``2 N^2`` for the dense
+exponential) — the structured path every backend takes on a rectangle.
+
+:class:`CheckerboardPropagator` feeds the same blocked pipeline with
+QUEST's *checkerboard* blocks instead: the bonds are partitioned into
+groups of non-overlapping pairs and
 
 .. math::
 
     e^{-\\Delta\\tau K} \\approx \\prod_g e^{-\\Delta\\tau K_g}
 
-where each group exponential is *exact and cheap*: a K made of disjoint
-2x2 bond blocks exponentiates to independent 2x2 rotations
-(``cosh``/``sinh`` pairs), applied in O(N) per group instead of a dense
-O(N^2) GEMM. The splitting adds another O(dtau^2) Trotter error of the
-same order as the one already accepted in the time discretization.
-
-On a periodic rectangular lattice four groups suffice: even/odd bonds in
-x, even/odd bonds in y (for odd extents a fifth wrap group appears).
-This module builds the groups, applies the checkerboard propagator, and
-quantifies the splitting error against the exact exponential.
-
-Fast application
-----------------
-The group product factors by direction: all x-groups act within one
-lattice row, so their ordered product is block-diagonal with identical
-``lx x lx`` blocks, and likewise the y-groups with ``ly x ly`` blocks.
-:meth:`CheckerboardPropagator.apply_expk_left` exploits this — the whole
-checkerboard product ``B_cb = B_y B_x`` is applied as two *tiny* batched
-GEMMs (``2 N (lx + ly)`` flops per column versus ``2 N^2`` for the dense
-exponential), which is what makes the structured backend path beat the
-dense GEMM pipeline. The blocked form is an exact regrouping of the
-bond-group rotations, not an extra approximation: tests assert it equals
-the pass-by-pass reference to rounding.
+where each group exponential is exact and cheap (disjoint 2x2
+``cosh``/``sinh`` rotations). All x-groups act within one lattice row, so
+their ordered product is block-diagonal with identical ``lx x lx`` blocks
+(likewise y) — an exact regrouping of the rotations, asserted against the
+pass-by-pass reference to rounding. The split adds an O(dtau^2) Trotter
+error (four groups on even extents, a fifth/sixth wrap group on odd
+ones) at the same application cost as the exact blocks.
 """
 
 from __future__ import annotations
@@ -43,18 +39,34 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..lattice import SquareLattice
+from .kinetic import KineticPropagator
 
-__all__ = ["CheckerboardError", "bond_groups", "CheckerboardPropagator"]
+__all__ = [
+    "CheckerboardError",
+    "bond_groups",
+    "SeparablePropagator",
+    "CheckerboardPropagator",
+]
 
 
 class CheckerboardError(ValueError):
-    """The lattice cannot be partitioned into disjoint bond groups.
+    """The lattice has no x/y-separable structure to build blocks from.
 
-    Raised loudly instead of silently producing overlapping groups (which
-    would make the "group exponential is exact" property false and the
-    propagator subtly wrong). Multilayer stacks and general bond-list
-    lattices need a graph-coloring pass this module does not implement.
+    Raised loudly instead of silently producing overlapping bond groups
+    or wrong Kronecker factors. Multilayer stacks and general bond-list
+    lattices keep the dense ``KineticPropagator``.
     """
+
+
+def _require_rectangle(lattice) -> None:
+    """The separable structure exists only on a plain periodic rectangle."""
+    if type(lattice) is not SquareLattice:
+        raise CheckerboardError(
+            "the separable x/y direction blocks need a plain periodic "
+            f"SquareLattice; got {type(lattice).__name__} — multilayer "
+            "stacks and general bond-list lattices go through the dense "
+            "KineticPropagator (BMatrixFactory picks it under kinetic='exact')"
+        )
 
 
 def _direction_protos(extent: int) -> List[List[Tuple[int, int]]]:
@@ -92,22 +104,12 @@ def bond_groups(lattice: SquareLattice) -> List[List[Tuple[int, int]]]:
     directions contribute their doubled bond once with doubled weight at
     application time (handled by the caller via the adjacency count).
 
-    Raises
-    ------
-    CheckerboardError
-        If ``lattice`` is not a plain periodic rectangle (multilayer
-        stacks and :class:`~repro.lattice.GeneralLattice` bond lists are
-        rejected — their bonds need a general graph coloring, and
-        pretending otherwise would produce overlapping groups), or if an
-        internal group ever fails the disjointness invariant.
+    Raises :class:`CheckerboardError` if ``lattice`` is not a plain
+    periodic rectangle (multilayer stacks and general bond lists need a
+    graph coloring; pretending otherwise would produce overlapping
+    groups), or if a group ever fails the disjointness invariant.
     """
-    if type(lattice) is not SquareLattice:
-        raise CheckerboardError(
-            "checkerboard bond partitioning needs a plain periodic "
-            f"SquareLattice; got {type(lattice).__name__} — multilayer "
-            "stacks and general bond-list lattices are not partitionable "
-            "by the even/odd x/y scheme (use kinetic='exact' for these)"
-        )
+    _require_rectangle(lattice)
     groups: List[List[Tuple[int, int]]] = []
     lx, ly = lattice.lx, lattice.ly
 
@@ -138,19 +140,26 @@ def bond_groups(lattice: SquareLattice) -> List[List[Tuple[int, int]]]:
     return groups
 
 
-def _chain_block(extent: int, args: Dict[Tuple[int, int], float]) -> np.ndarray:
-    """Ordered product of the one-direction group rotations.
+def _rotation_chain(
+    ring: np.ndarray, t: float, dtau: float, inverse: bool = False
+) -> np.ndarray:
+    """Ordered product of one direction's bond-group rotations.
 
-    ``args`` maps each proto bond to its rotation argument
-    ``dtau * weight``. The returned ``extent x extent`` block, replicated
-    along the other direction, is exactly that direction's slice of the
-    checkerboard product.
+    ``ring`` is that direction's ring adjacency (bond counts, so an
+    extent-2 doubled bond rotates by twice the angle). The returned
+    block, replicated along the other direction, is exactly that
+    direction's slice of the checkerboard product; ``inverse`` negates
+    the angles and reverses the group order, which is exactly the matrix
+    inverse, so ``np.linalg.inv`` never enters.
     """
-    block = np.eye(max(extent, 1))
-    for proto in _direction_protos(extent):
+    extent = ring.shape[0]
+    block = np.eye(extent)
+    protos = _direction_protos(extent)
+    sign = -1.0 if inverse else 1.0
+    for proto in reversed(protos) if inverse else protos:
         rot = np.eye(extent)
         for (i, j) in proto:
-            arg = args[(i, j)]
+            arg = sign * (dtau * (float(ring[i, j]) * t))
             c, s = np.cosh(arg), np.sinh(arg)
             rot[i, i] = c
             rot[j, j] = c
@@ -160,15 +169,27 @@ def _chain_block(extent: int, args: Dict[Tuple[int, int], float]) -> np.ndarray:
     return block
 
 
+def _checkerboard_blocks(ring, t, dtau) -> Tuple[np.ndarray, np.ndarray]:
+    """Checkerboard recipe: the rotation chain and its exact inverse."""
+    return _rotation_chain(ring, t, dtau), _rotation_chain(ring, t, dtau, True)
+
+
+def _exact_blocks(ring, t, dtau) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact recipe: ``exp(-+dtau K_ring)`` with ``K_ring = -t * ring``."""
+    ring_propagator = KineticPropagator(-t * ring, dtau)
+    return ring_propagator.expk, ring_propagator.inv_expk
+
+
 @dataclass(frozen=True)
-class CheckerboardPropagator:
-    """Applies ``prod_g exp(-dtau K_g)`` in O(N) per bond group.
+class SeparablePropagator:
+    """``exp(-dtau K)`` on a periodic rectangle as its Kronecker factors.
 
     Parameters
     ----------
     lattice:
-        Geometry; bond weights come from its adjacency (so extent-2
-        doubled bonds are honoured).
+        Geometry; the two ring-hopping matrices are read off its
+        adjacency (so extent-2 doubled bonds, ``lx != ly`` and odd
+        extents are honoured).
     t:
         Hopping amplitude.
     dtau:
@@ -183,23 +204,11 @@ class CheckerboardPropagator:
     dtau: float
     mu: float = 0.0
 
-    @cached_property
-    def groups(self) -> List[List[Tuple[int, int]]]:
-        return bond_groups(self.lattice)
+    #: block recipe: (ring adjacency, t, dtau) -> (block, inverse block)
+    _recipe = staticmethod(_exact_blocks)
 
-    @cached_property
-    def _group_arrays(self) -> List[Tuple[np.ndarray, np.ndarray, float, float]]:
-        """Per group: (i-indices, j-indices, cosh, sinh) of the 2x2 blocks."""
-        adj = self.lattice.adjacency
-        out = []
-        for group in self.groups:
-            ii = np.array([b[0] for b in group], dtype=np.int64)
-            jj = np.array([b[1] for b in group], dtype=np.int64)
-            # all bonds in a group share a weight on these lattices
-            w = float(adj[ii[0], jj[0]]) * self.t
-            arg = self.dtau * w
-            out.append((ii, jj, float(np.cosh(arg)), float(np.sinh(arg))))
-        return out
+    def __post_init__(self) -> None:
+        _require_rectangle(self.lattice)
 
     # -- blocked (separable) representation ---------------------------------
 
@@ -207,58 +216,25 @@ class CheckerboardPropagator:
     def _blocks64(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Float64 masters ``(bx, by, bx_inv, by_inv)`` of the direction blocks.
 
-        ``B_cb = By_big @ Bx_big`` where the big matrices are the blocks
-        replicated over the other direction; inverses negate the rotation
-        angles and reverse the group order, which is exactly the matrix
-        inverse, so ``np.linalg.inv`` never enters.
+        ``B = By_big @ Bx_big`` where the big matrices are the blocks
+        replicated over the other direction; each block comes from that
+        direction's ring adjacency (row ``y = 0``, column ``x = 0``).
         """
-        lattice = self.lattice
-        self.groups  # force the lattice-type / disjointness validation
-        adj = self.lattice.adjacency
-        lx, ly = lattice.lx, lattice.ly
-
-        def args_along(extent: int, site_of) -> Dict[Tuple[int, int], float]:
-            out: Dict[Tuple[int, int], float] = {}
-            for proto in _direction_protos(extent):
-                for (a, b) in proto:
-                    w = float(adj[site_of(a), site_of(b)]) * self.t
-                    out[(a, b)] = self.dtau * w
-            return out
-
-        x_args = args_along(lx, lambda x: lattice.index(x, 0))
-        y_args = args_along(ly, lambda y: lattice.index(0, y))
-        bx = _chain_block(lx, x_args)
-        by = _chain_block(ly, y_args)
-        bx_inv = self._inverse_chain(lx, x_args)
-        by_inv = self._inverse_chain(ly, y_args)
+        adj, lx = self.lattice.adjacency, self.lattice.lx
+        (bx, bx_inv), (by, by_inv) = (
+            self._recipe(ring, self.t, self.dtau)
+            for ring in (adj[:lx, :lx], adj[::lx, ::lx])
+        )
         return bx, by, bx_inv, by_inv
-
-    @staticmethod
-    def _inverse_chain(extent: int, args: Dict[Tuple[int, int], float]) -> np.ndarray:
-        """Reversed product of the negated-angle group rotations."""
-        block = np.eye(max(extent, 1))
-        for proto in reversed(_direction_protos(extent)):
-            rot = np.eye(extent)
-            for (i, j) in proto:
-                arg = -args[(i, j)]
-                c, s = np.cosh(arg), np.sinh(arg)
-                rot[i, i] = c
-                rot[j, j] = c
-                rot[i, j] = s
-                rot[j, i] = s
-            block = rot @ block
-        return block
 
     @cached_property
     def _dtype_cache(self) -> Dict:
-        """dtype -> realized (bx, by, bx_inv, by_inv, matrix, inv_matrix)."""
+        """Realized narrow-dtype blocks and dense matrices, by key."""
         return {}
 
     def blocks(self, dtype=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Direction blocks realized in ``dtype`` (float64 masters cached)."""
-        if dtype is None:
-            return self._blocks64
-        dt = np.dtype(dtype)
+        dt = np.dtype(np.float64 if dtype is None else dtype)
         if dt == np.dtype(np.float64):
             return self._blocks64
         key = ("blocks", dt)
@@ -274,17 +250,34 @@ class CheckerboardPropagator:
 
     def apply_flops(self, ncols: int) -> int:
         """Flop count of one blocked application to an ``(n, ncols)`` operand."""
+        per_element = 2 * (self.lattice.lx + self.lattice.ly) + (self.mu != 0.0)
+        return self.n_sites * ncols * per_element
+
+    def device_pass_seconds(self, model, ncols: int, dtype) -> List[float]:
+        """Modelled seconds of each kernel launch a device port pays per
+        blocked application to ``ncols`` columns: two batched small GEMMs,
+        then one streaming pass when ``exp(+-dtau mu)`` folds in. gpu-sim
+        ticks this list; its payload always runs the blocked spelling."""
         lx, ly = self.lattice.lx, self.lattice.ly
-        n = self.n_sites
-        count = 2 * n * ncols * (lx + ly)
-        if self.mu != 0.0:
-            count += n * ncols
-        return count
+        gemms = [(lx, ly * ncols, lx), (ly, lx * ncols, ly)]
+        kinetic = [model.time_gemm(*mnk, dtype=dtype) for mnk in gemms]
+        return kinetic + self._mu_pass_seconds(model, ncols, dtype)
+
+    def _mu_pass_seconds(self, model, ncols: int, dtype) -> List[float]:
+        nbytes = 2 * self.n_sites * ncols * np.dtype(dtype).itemsize
+        return [model.time_bandwidth_kernel(nbytes)] if self.mu != 0.0 else []
 
     # -- blocked application (the structured fast path) ----------------------
 
+    def _scale_mu(self, out: np.ndarray, inverse: bool) -> np.ndarray:
+        """Fold the commuting scalar ``exp(+-dtau mu)`` into ``out`` in place."""
+        if self.mu != 0.0:
+            factor = np.exp((-self.dtau if inverse else self.dtau) * self.mu)
+            out *= np.asarray(factor, dtype=out.dtype)
+        return out
+
     def apply_expk_left(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """``B_cb @ a`` (or ``B_cb^{-1} @ a``) via the direction blocks.
+        """``B @ a`` (or ``B^{-1} @ a``) via the direction blocks.
 
         Two small batched GEMMs instead of one dense N x N GEMM; the
         operand's dtype is preserved (blocks realized per dtype, like the
@@ -307,14 +300,11 @@ class CheckerboardPropagator:
         else:
             t = np.matmul(by_inv, a.reshape(lead + (ly, lx * ncols)))
             t = np.matmul(bx_inv, t.reshape(lead + (ly, lx, ncols)))
-        out = t.reshape(lead + (self.n_sites, ncols))
-        if self.mu != 0.0:
-            factor = np.exp((-self.dtau if inverse else self.dtau) * self.mu)
-            out *= np.asarray(factor, dtype=out.dtype)
+        out = self._scale_mu(t.reshape(lead + (self.n_sites, ncols)), inverse)
         return out[..., 0] if squeeze else out
 
     def apply_expk_right(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """``a @ B_cb`` (or ``a @ B_cb^{-1}``) via the direction blocks.
+        """``a @ B`` (or ``a @ B^{-1}``) via the direction blocks.
 
         Same stacking contract as :meth:`apply_expk_left`, with the site
         axis last: accepts ``(n,)``, ``(r, n)``, or ``(..., r, n)``.
@@ -336,11 +326,61 @@ class CheckerboardPropagator:
             # a @ (Bx_inv_big @ By_inv_big)
             t = np.matmul(a.reshape(batch + (nrows * ly, lx)), bx_inv)
             t = np.matmul(by_inv.T, t.reshape(lead + (ly, lx)))
-        out = t.reshape(lead + (self.n_sites,))
-        if self.mu != 0.0:
-            factor = np.exp((-self.dtau if inverse else self.dtau) * self.mu)
-            out *= np.asarray(factor, dtype=out.dtype)
+        out = self._scale_mu(t.reshape(lead + (self.n_sites,)), inverse)
         return out[0] if squeeze else out
+
+    # -- materialization ------------------------------------------------------
+
+    def _realized(self, inverse: bool, dtype=None) -> np.ndarray:
+        """Dense ``B`` (or ``B^{-1}``) in ``dtype``.
+
+        The float64 master is built once from the blocked application to
+        the identity; narrower widths are cast once and cached — the same
+        realize-per-dtype discipline as the dense exponentials, so the
+        precision policy governs this path too instead of always paying
+        (and leaking) float64.
+        """
+        cache = self._dtype_cache
+        master = cache.get(("matrix", inverse))
+        if master is None:
+            master = self.apply_expk_left(np.eye(self.n_sites), inverse=inverse)
+            cache[("matrix", inverse)] = master
+        if dtype is None or np.dtype(dtype) == master.dtype:
+            return master
+        key = ("matrix", inverse, np.dtype(dtype))
+        cached = cache.get(key)
+        if cached is None:
+            cached = cache[key] = np.asarray(master, dtype=key[2])
+        return cached
+
+    def as_matrix(self, dtype=None) -> np.ndarray:
+        """The propagator as a dense matrix, in ``dtype``."""
+        return self._realized(False, dtype)
+
+    def inverse_matrix(self, dtype=None) -> np.ndarray:
+        """Dense ``B^{-1}`` in ``dtype`` (product of the inverse blocks)."""
+        return self._realized(True, dtype)
+
+
+@dataclass(frozen=True)
+class CheckerboardPropagator(SeparablePropagator):
+    """``prod_g exp(-dtau K_g)``: the separable pipeline on Trotter-split blocks.
+
+    Same parameters as :class:`SeparablePropagator`; bond weights come
+    from the lattice adjacency (so extent-2 doubled bonds are honoured).
+    """
+
+    _recipe = staticmethod(_checkerboard_blocks)
+
+    @cached_property
+    def groups(self) -> List[List[Tuple[int, int]]]:
+        return bond_groups(self.lattice)
+
+    def device_pass_seconds(self, model, ncols: int, dtype) -> List[float]:
+        """One bandwidth-bound rotation pass per bond group (then mu's)."""
+        size = np.dtype(dtype).itemsize
+        kinetic = [model.time_checkerboard_pass(len(g), ncols, size) for g in self.groups]
+        return kinetic + self._mu_pass_seconds(model, ncols, dtype)
 
     # -- reference (pass-by-pass) application --------------------------------
 
@@ -353,7 +393,12 @@ class CheckerboardPropagator:
         (:meth:`apply_expk_left`) must agree with this to rounding.
         """
         a = np.array(a, dtype=np.float64, copy=True)  # qmclint: disable=QL008 -- checkerboard reference path applies the float64 master rotations
-        for ii, jj, c, s in self._group_arrays:
+        adj = self.lattice.adjacency
+        for group in self.groups:
+            ii, jj = np.array(group, dtype=np.int64).T
+            # all bonds in a group share a weight on these lattices
+            arg = self.dtau * (float(adj[ii[0], jj[0]]) * self.t)
+            c, s = np.cosh(arg), np.sinh(arg)
             rows_i = a[ii]
             rows_j = a[jj]
             a[ii] = c * rows_i + s * rows_j
@@ -362,49 +407,6 @@ class CheckerboardPropagator:
             a *= np.exp(self.dtau * self.mu)
         return a
 
-    # -- materialization ------------------------------------------------------
-
-    def as_matrix(self, dtype=None) -> np.ndarray:
-        """The checkerboard propagator as a dense matrix, in ``dtype``.
-
-        The float64 master is built once from the blocked application to
-        the identity; narrower widths are cast once and cached — the same
-        realize-per-dtype discipline as the dense exponentials, so the
-        precision policy governs this path too instead of always paying
-        (and leaking) float64.
-        """
-        key = ("matrix", False)
-        master = self._dtype_cache.get(key)
-        if master is None:
-            master = self.apply_expk_left(np.eye(self.n_sites))
-            self._dtype_cache[key] = master
-        if dtype is None or np.dtype(dtype) == master.dtype:
-            return master
-        dt = np.dtype(dtype)
-        cast_key = ("matrix", False, dt)
-        cached = self._dtype_cache.get(cast_key)
-        if cached is None:
-            cached = np.asarray(master, dtype=dt)
-            self._dtype_cache[cast_key] = cached
-        return cached
-
-    def inverse_matrix(self, dtype=None) -> np.ndarray:
-        """Dense ``B_cb^{-1}`` in ``dtype`` (exact reversed-rotation product)."""
-        key = ("matrix", True)
-        master = self._dtype_cache.get(key)
-        if master is None:
-            master = self.apply_expk_left(np.eye(self.n_sites), inverse=True)
-            self._dtype_cache[key] = master
-        if dtype is None or np.dtype(dtype) == master.dtype:
-            return master
-        dt = np.dtype(dtype)
-        cast_key = ("matrix", True, dt)
-        cached = self._dtype_cache.get(cast_key)
-        if cached is None:
-            cached = np.asarray(master, dtype=dt)
-            self._dtype_cache[cast_key] = cached
-        return cached
-
     def dense(self) -> np.ndarray:
         """Materialize the checkerboard propagator as a dense matrix."""
         return self.as_matrix()
@@ -412,10 +414,5 @@ class CheckerboardPropagator:
     def splitting_error(self) -> float:
         """``||B_cb - exp(-dtau K)|| / ||exp(-dtau K)||`` — the O(dtau^2)
         Trotter cost of the split, measurable and testable."""
-        from .kinetic import KineticPropagator
-
-        k = -self.t * self.lattice.adjacency
-        np.fill_diagonal(k, -self.mu)
-        exact = KineticPropagator(k, self.dtau).expk
-        approx = self.as_matrix()
-        return float(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
+        exact = SeparablePropagator(self.lattice, self.t, self.dtau, self.mu).as_matrix()
+        return float(np.linalg.norm(self.as_matrix() - exact) / np.linalg.norm(exact))

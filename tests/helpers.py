@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.lattice import GeneralLattice
+
 
 def dense_chain(factory, field, sigma):
     """All slice B matrices, rightmost-first."""
@@ -21,6 +23,17 @@ def brute_product(factory, field, sigma):
 def brute_greens(factory, field, sigma):
     """Unstabilized (I + B_L ... B_1)^{-1}; benign chains only."""
     return np.linalg.inv(np.eye(factory.n) + brute_product(factory, field, sigma))
+
+
+def dense_twin(lattice):
+    """``lattice``'s bonds as a ``GeneralLattice``: the same K bit for bit
+    with none of the rectangle's structure, so the factory keeps the dense
+    ``exp(-dtau K)`` GEMM path."""
+    adj = lattice.adjacency
+    pairs = zip(*np.nonzero(np.triu(adj, 1)))
+    return GeneralLattice(
+        adj.shape[0], tuple((int(i), int(j), float(adj[i, j])) for i, j in pairs)
+    )
 
 
 def relerr(a, b):

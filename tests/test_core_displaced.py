@@ -184,7 +184,8 @@ class TestFastSeries:
 
     #: SHA-1 of the stacked spin-up series on the seed-11 4x4 beta=2 U=4
     #: field, recorded from the commit before ``decomposition()`` stopped
-    #: copying its snapshots
+    #: copying its snapshots (``GeneralLattice`` twin: the dense GEMM path
+    #: the hashes were recorded on)
     GOLDEN = {
         "prepivot": "c2314d2c7e2a1425c45b695a9a719798e3fbab32",
         "qrp": "b2c43d6cf6ba6334cf09c8003199fad26bd74a90",
@@ -194,7 +195,7 @@ class TestFastSeries:
     def test_series_is_bit_identical_to_parent(self, method):
         from repro.core import displaced_series_fast
 
-        engine, _ = golden_engine(11)
+        engine, _ = golden_engine(11, dense=True)
         taus, greens = displaced_series_fast(
             engine.factory, engine.field, 1, 5, method=method
         )

@@ -221,8 +221,9 @@ class TestGoldenChainKernel:
     a fold over ``IncrementalStratifier.push``: SHA-1 of Q, D, T and of
     the stable inverse, then the four ``StratificationStats`` fields, on
     the spin-up cluster chain (k=5: four factors) of ``TestGoldenChain``'s
-    seed-11 4x4 beta=2 U=4 engine. The parent gave one value per method on
-    every backend."""
+    seed-11 4x4 beta=2 U=4 engine, built on the ``GeneralLattice`` twin so
+    the chain factors still come from the dense ``exp(-dtau K)`` GEMM. The
+    parent gave one value per method on every backend."""
 
     GOLDEN = {
         "prepivot": (
@@ -244,7 +245,7 @@ class TestGoldenChainKernel:
     @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
     @pytest.mark.parametrize("method", ["prepivot", "qrp"])
     def test_chain_is_bit_identical_to_parent(self, method, backend):
-        engine, _ = golden_engine(11, backend)
+        engine, _ = golden_engine(11, backend, dense=True)
         chain = engine.cache.chain(1, 0)
         stats = StratificationStats()
         dec = stratified_decomposition(

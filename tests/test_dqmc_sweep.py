@@ -12,7 +12,7 @@ from repro.dqmc import SweepStats, sweep
 from repro.dqmc.sweep import SINGULAR_THRESHOLD
 from repro.linalg import flops
 from repro.telemetry import TelemetryWriter, read_events
-from tests.helpers import brute_greens, noisy_wraps, relerr
+from tests.helpers import brute_greens, dense_twin, noisy_wraps, relerr
 
 
 def small_engine(u=4.0, beta=1.5, n_slices=12, cluster=4, seed=0, lx=2, ly=2):
@@ -397,10 +397,15 @@ class TestHealthSignals:
         assert sweep(eng, rng).wrap_drift == np.inf
 
 
-def golden_engine(seed, backend="numpy"):
+def golden_engine(seed, backend="numpy", dense=False):
     """4x4, beta=2, U=4 with every option pinned, so the $REPRO_* CI legs
-    run the same chain."""
-    model = HubbardModel(SquareLattice(4, 4), u=4.0, beta=2.0, n_slices=20)
+    run the same chain. ``dense=True`` carries the same torus bonds on a
+    ``GeneralLattice``: the same K bit for bit, but no separable structure,
+    so the kernels under test see the dense ``exp(-dtau K)`` GEMM path."""
+    lattice = SquareLattice(4, 4)
+    if dense:
+        lattice = dense_twin(lattice)
+    model = HubbardModel(lattice, u=4.0, beta=2.0, n_slices=20)
     rng = np.random.default_rng(seed)
     field = HSField.random(model.n_slices, model.n_sites, rng)
     engine = GreensFunctionEngine(
@@ -425,23 +430,32 @@ class TestGoldenChain:
     transposed-suffix factorization instead of inverting one full chain:
     the same G to ~1e-13, rounded differently (at boundary 0 it is the
     transpose of the stable inverse of the transposed chain), which moved
-    no accept decision in any of the 18 cases."""
+    no accept decision in any of the 18 cases. They were re-recorded once
+    more when ``kinetic="exact"`` on a rectangle began applying
+    ``exp(-dtau K)`` as its Kronecker factors ``exp(-dtau Ky) (x)
+    exp(-dtau Kx)`` instead of one dense GEMM: the same propagator to
+    ~1e-15, so G moves by ~5e-15 and again no accept decision does. The
+    dense-GEMM values live on as ``GOLDEN_DENSE_G``, reproduced by the
+    ``GeneralLattice`` twin of the same torus."""
 
     GOLDEN = {
         11: ("38629d7e6715e5f8602147f352c906927064d57b",
-             "e812361fb3fbab2fcba28a1a690ad53b47fdb1e4", 2190),
+             "59e33805906d4a6a12392514a671b85310864d0f", 2190),
         12: ("d0a22a4c38dc5fe23a3731f386359d2113e28e3e",
-             "b4497b937a708b8462ba9ea8bad1e27f48e3678e", 2126),
+             "68b156d70024d0cee83872ec0a119812091edbc0", 2126),
+    }
+    #: boundary-G hashes of the same chains through the dense GEMM path
+    GOLDEN_DENSE_G = {
+        11: "e812361fb3fbab2fcba28a1a690ad53b47fdb1e4",
+        12: "b4497b937a708b8462ba9ea8bad1e27f48e3678e",
     }
     #: delayed_update flops of the first forward sweep of seed 11 (230
     #: accepts), keyed by max_delay
     GOLDEN_FLOPS = {1: 264960.0, 8: 352512.0, 32: 426240.0}
 
-    @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
-    @pytest.mark.parametrize("max_delay", [1, 8, 32])
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_chain_is_bit_identical_to_parent(self, seed, max_delay, backend):
-        eng, rng = golden_engine(seed, backend)
+    @staticmethod
+    def run_chain(eng, rng, max_delay):
+        """Five forward+backward sweeps; returns (field, boundary G, accepts)."""
         accepted = 0
         sign = 1.0
         for _ in range(5):
@@ -450,8 +464,25 @@ class TestGoldenChain:
                            start_sign=sign)
                 accepted += st.accepted
                 sign = st.sign
-        got = (sha1(eng.field.h), sha1(eng.boundary_greens(1, 0)), accepted)
-        assert got == self.GOLDEN[seed]
+        return eng.field.h, eng.boundary_greens(1, 0), accepted
+
+    @pytest.mark.parametrize("backend", ["numpy", "threaded", "gpu-sim"])
+    @pytest.mark.parametrize("max_delay", [1, 8, 32])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_chain_is_bit_identical_to_parent(self, seed, max_delay, backend):
+        h, g, accepted = self.run_chain(*golden_engine(seed, backend), max_delay)
+        assert (sha1(h), sha1(g), accepted) == self.GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_dense_twin_runs_the_same_chain(self, seed):
+        """Kronecker factors vs the dense GEMM (the ``GeneralLattice``
+        twin): identical HS field and accept count, boundary G to 1e-11 —
+        and the dense path still gives its recorded hash."""
+        h, g, accepted = self.run_chain(*golden_engine(seed), 8)
+        h_d, g_d, accepted_d = self.run_chain(*golden_engine(seed, dense=True), 8)
+        assert np.array_equal(h, h_d) and accepted == accepted_d
+        assert np.abs(g - g_d).max() < 1e-11
+        assert sha1(g_d) == self.GOLDEN_DENSE_G[seed]
 
     @pytest.mark.parametrize("max_delay", [1, 8, 32])
     def test_delayed_update_ledger_is_exact(self, max_delay):

@@ -1,4 +1,5 @@
-"""Unit tests for the checkerboard kinetic propagator."""
+"""Unit tests for the separable kinetic propagators (exact Kronecker
+blocks and the checkerboard split)."""
 
 from collections import Counter
 
@@ -6,8 +7,13 @@ import numpy as np
 import pytest
 
 from repro import HubbardModel, SquareLattice
-from repro.hamiltonian import CheckerboardPropagator, bond_groups
+from repro.hamiltonian import (
+    CheckerboardPropagator,
+    SeparablePropagator,
+    bond_groups,
+)
 from repro.hamiltonian.kinetic import KineticPropagator
+from tests.helpers import relerr
 
 
 class TestBondGroups:
@@ -98,3 +104,59 @@ class TestPropagator:
         v = np.ones((36, 1)) / 6.0
         err = np.linalg.norm(cb.apply_left(v) - exact @ v)
         assert err < 1e-3
+
+
+SHAPES = [(4, 4), (6, 3), (2, 5), (2, 2), (5, 5)]
+
+
+def exact_pair(shape, mu):
+    """The Kronecker-block operator and the dense eigh reference."""
+    model = HubbardModel(SquareLattice(*shape), u=4.0, beta=2.0, n_slices=16, mu=mu)
+    sep = SeparablePropagator(model.lattice, t=model.t, dtau=model.dtau, mu=mu)
+    return sep, KineticPropagator(model.kinetic_matrix(), model.dtau)
+
+
+class TestExactKroneckerBlocks:
+    """``exp(-dtau K) = exp(-dtau Ky) (x) exp(-dtau Kx)`` on a periodic
+    rectangle: doubled extent-2 bonds, ``lx != ly`` and odd extents."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matrix_and_inverse_match_dense_exponential(self, shape, mu):
+        sep, dense = exact_pair(shape, mu)
+        assert relerr(sep.as_matrix(), dense.expk) <= 1e-13
+        assert relerr(sep.inverse_matrix(), dense.inv_expk) <= 1e-13
+        assert sep.as_matrix(np.float32).dtype == np.float32
+        assert all(b.dtype == np.float32 for b in sep.blocks(np.float32))
+        eye32 = np.eye(sep.n_sites, dtype=np.float32)
+        assert relerr(sep.apply_expk_left(eye32), dense.expk) <= 1e-6
+        assert relerr(sep.apply_expk_left(eye32, inverse=True), dense.inv_expk) <= 1e-6
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_left_and_right_application_match_dense_products(self, shape, inverse):
+        sep, dense = exact_pair(shape, 0.3)
+        b = dense.inv_expk if inverse else dense.expk
+        n = sep.n_sites
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(2, n, n))
+        np.testing.assert_allclose(
+            sep.apply_expk_left(stack, inverse=inverse), b @ stack, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            sep.apply_expk_right(stack, inverse=inverse), stack @ b, atol=1e-12
+        )
+        vec = rng.normal(size=n)
+        np.testing.assert_allclose(
+            sep.apply_expk_left(vec, inverse=inverse), b @ vec, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            sep.apply_expk_right(vec, inverse=inverse), vec @ b, atol=1e-12
+        )
+
+    def test_rejects_lattices_without_the_structure(self):
+        from repro.hamiltonian import CheckerboardError
+        from repro.lattice import MultilayerLattice
+
+        with pytest.raises(CheckerboardError):
+            SeparablePropagator(MultilayerLattice(2, 2, 2), t=1.0, dtau=0.1)

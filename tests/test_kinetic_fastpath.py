@@ -1,25 +1,38 @@
-"""Integration tests for the structured (checkerboard) kinetic fast path.
+"""Integration tests for the structured (separable) kinetic fast path.
 
-The checkerboard propagator's unit behaviour lives in
+The propagators' unit behaviour lives in
 ``test_hamiltonian_checkerboard.py``; this file covers the *pipeline*:
-the factory's kinetic modes, the backend ``apply_structured`` protocol,
-cross-backend equivalence under the fast path, the Trotter-error
-property the mode trades on, and end-to-end observable parity between
-the two kinetic modes.
+the factory's kinetic modes (exact Kronecker blocks and the checkerboard
+split both ride the structured path on a rectangle; only lattices with
+no such structure keep the dense GEMM), the backend ``apply_structured``
+protocol, cross-backend equivalence under the fast path, the
+Trotter-error property the checkerboard mode trades on, and end-to-end
+observable parity between the two kinetic modes.
 """
 
 import numpy as np
 import pytest
 
-from repro import BMatrixFactory, HSField, HubbardModel, Simulation, SquareLattice
+from repro import (
+    BMatrixFactory,
+    HSField,
+    HubbardModel,
+    Simulation,
+    SquareLattice,
+    free_greens_function,
+)
 from repro.backends import BackendError, get_backend
+from repro.core import GreensFunctionEngine
+from repro.gpu.perfmodel import TESLA_C2050
 from repro.hamiltonian import (
     CheckerboardError,
     CheckerboardPropagator,
     KINETIC_MODES,
+    SeparablePropagator,
     bond_groups,
 )
 from repro.lattice import GeneralLattice, MultilayerLattice
+from tests.helpers import dense_twin
 
 STRUCTURED_BACKENDS = ("numpy", "threaded", "gpu-sim")
 
@@ -28,6 +41,15 @@ def model_4x4(beta=2.0, n_slices=16, u=4.0, mu=0.0):
     return HubbardModel(
         SquareLattice(4, 4), u=u, beta=beta, n_slices=n_slices, mu=mu
     )
+
+
+def dense_factories():
+    """Exact-mode factories on lattices with no separable structure."""
+    torus = dense_twin(SquareLattice(4, 4))
+    return [
+        BMatrixFactory(HubbardModel(lat, u=4.0, beta=2.0, n_slices=16))
+        for lat in (torus, MultilayerLattice(2, 2, 4))
+    ]
 
 
 def factories(model=None):
@@ -53,8 +75,14 @@ class TestKineticModes:
 
     def test_factory_default_is_exact(self, monkeypatch):
         monkeypatch.delenv("REPRO_KINETIC", raising=False)
-        assert BMatrixFactory(model_4x4()).kinetic_mode == "exact"
-        assert BMatrixFactory(model_4x4()).structured is None
+        factory = BMatrixFactory(model_4x4())
+        assert factory.kinetic_mode == "exact"
+        # on a rectangle exact means the exact Kronecker blocks ...
+        assert type(factory.structured) is SeparablePropagator
+        # ... and the dense GEMM only where no such structure exists
+        for dense in dense_factories():
+            assert dense.kinetic_mode == "exact"
+            assert dense.structured is None
 
     def test_multilayer_lattice_raises_typed_error(self):
         lat = MultilayerLattice(4, 4, 2)
@@ -149,7 +177,7 @@ class TestSplittingErrorScaling:
 
 class TestFactoryRouting:
     def test_exact_mode_bit_identical_to_legacy(self, rng):
-        """kinetic='exact' must be byte-for-byte the old pipeline."""
+        """kinetic='exact' must be byte-for-byte the default pipeline."""
         model = model_4x4()
         legacy = BMatrixFactory(model)
         exact = BMatrixFactory(model, kinetic="exact")
@@ -229,23 +257,23 @@ class TestFactoryRouting:
 class TestBackendStructuredOps:
     @pytest.mark.parametrize("name", STRUCTURED_BACKENDS)
     def test_apply_structured_matches_numpy(self, name, rng):
-        _, cb = factories()
-        ref = get_backend("numpy").bind(cb)
-        other = get_backend(name).bind(cb)
         a = rng.standard_normal((16, 16))
-        for side in ("left", "right"):
-            for inverse in (False, True):
-                assert np.array_equal(
-                    other.apply_structured(a, side=side, inverse=inverse),
-                    ref.apply_structured(a, side=side, inverse=inverse),
-                ), (name, side, inverse)
+        for factory in factories():
+            ref = get_backend("numpy").bind(factory)
+            other = get_backend(name).bind(factory)
+            for side in ("left", "right"):
+                for inverse in (False, True):
+                    assert np.array_equal(
+                        other.apply_structured(a, side=side, inverse=inverse),
+                        ref.apply_structured(a, side=side, inverse=inverse),
+                    ), (factory.kinetic_mode, name, side, inverse)
 
     @pytest.mark.parametrize("name", STRUCTURED_BACKENDS)
     def test_apply_structured_raises_without_structured(self, name):
-        exact, _ = factories()
-        backend = get_backend(name).bind(exact)
-        with pytest.raises(BackendError, match="structured"):
-            backend.apply_structured(np.eye(16))
+        for dense in dense_factories():
+            backend = get_backend(name).bind(dense)
+            with pytest.raises(BackendError, match="structured"):
+                backend.apply_structured(np.eye(16))
 
     def test_apply_structured_counts_dispatch(self, rng):
         _, cb = factories()
@@ -301,15 +329,15 @@ class TestBackendStructuredOps:
 
     @pytest.mark.parametrize("name", STRUCTURED_BACKENDS)
     def test_batched_ops_match_loop(self, name, rng):
-        _, cb = factories()
-        backend = get_backend(name).bind(cb)
         gs = rng.standard_normal((2, 16, 16))
         vs = np.exp(rng.standard_normal((2, 16)))
-        want = np.stack([backend.wrap(g, v) for g, v in zip(gs, vs)])
-        assert np.array_equal(backend.wrap_batched(gs, vs), want)
         stack = rng.standard_normal((2, 16, 5))
-        want = np.stack([backend.apply_structured(a) for a in stack])
-        assert np.array_equal(backend.apply_structured_batched(stack), want)
+        for factory in factories():
+            backend = get_backend(name).bind(factory)
+            want = np.stack([backend.wrap(g, v) for g, v in zip(gs, vs)])
+            assert np.array_equal(backend.wrap_batched(gs, vs), want)
+            want = np.stack([backend.apply_structured(a) for a in stack])
+            assert np.array_equal(backend.apply_structured_batched(stack), want)
 
     def test_gpu_sim_launches_checkerboard_kernels(self, rng):
         _, cb = factories()
@@ -319,6 +347,108 @@ class TestBackendStructuredOps:
         backend.wrap(rng.standard_normal((16, 16)), np.exp(rng.standard_normal(16)))
         assert backend.device.kernel_launches > before
         assert backend.device.elapsed > clock
+
+
+# ---------------------------------------------------------------------------
+# exact mode on a rectangle: Kronecker blocks through the structured path
+# ---------------------------------------------------------------------------
+
+
+class TestExactSeparablePipeline:
+    @pytest.mark.parametrize("name", STRUCTURED_BACKENDS)
+    def test_ops_match_the_dense_gemm_path(self, name, rng):
+        """Wrap, unwrap and cluster product on the 4x4 rectangle agree
+        with the same ops on its ``GeneralLattice`` twin (dense GEMMs),
+        and are bit-identical to numpy's on every backend."""
+        exact, _ = factories()
+        dense = get_backend(name).bind(dense_factories()[0])
+        backend = get_backend(name).bind(exact)
+        ref = get_backend("numpy").bind(exact)
+        g = rng.standard_normal((16, 16))
+        vs = [np.exp(rng.standard_normal(16)) for _ in range(4)]
+        for op, args in (
+            ("wrap", (g, vs[0])), ("unwrap", (g, vs[0])), ("cluster_product", (vs,))
+        ):
+            got = getattr(backend, op)(*args)
+            assert np.array_equal(got, getattr(ref, op)(*args)), (name, op)
+            np.testing.assert_allclose(got, getattr(dense, op)(*args), atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_free_fermions_at_every_boundary_of_a_rectangle(self, mu):
+        """U = 0 on 6x4: every boundary G from the Kronecker-factor
+        pipeline is the analytic free Green's function to 1e-12."""
+        model = HubbardModel(
+            SquareLattice(6, 4), u=0.0, beta=4.0, n_slices=40, mu=mu
+        )
+        rng = np.random.default_rng(5)
+        field = HSField.random(model.n_slices, model.n_sites, rng)
+        eng = GreensFunctionEngine(
+            BMatrixFactory(model, kinetic="exact"), field, cluster_size=10
+        )
+        assert eng.backend.structured is eng.factory.structured is not None
+        exact = free_greens_function(model.kinetic_matrix(), model.beta)
+        for c in range(eng.n_clusters):
+            for sigma in (1, -1):
+                g = eng.boundary_greens(sigma, c)
+                assert np.max(np.abs(g - exact)) < 1e-12, (sigma, c)
+
+    @pytest.mark.parametrize("shape, mu", [((4, 4), 0.0), ((6, 3), 0.3)])
+    def test_gpu_sim_charges_two_gemm_launches_per_application(self, shape, mu, rng):
+        """One exact-mode blocked application on the device, as the
+        operator reports it: two batched small-GEMM launches through
+        ``time_gemm`` (plus a diagonal pass when mu folds in) between the
+        upload and the download."""
+        lx, ly = shape
+        n = lx * ly
+        model = HubbardModel(SquareLattice(lx, ly), u=4.0, beta=2.0, n_slices=16, mu=mu)
+        backend = get_backend("gpu-sim").bind(BMatrixFactory(model, kinetic="exact"))
+        dev, m = backend.device, TESLA_C2050
+        apply_s = [m.time_gemm(lx, ly * n, lx), m.time_gemm(ly, lx * n, ly)]
+        if mu:
+            apply_s.append(m.time_bandwidth_kernel(2 * 8 * n * n))
+        assert backend.structured.device_pass_seconds(m, n, np.float64) == apply_s
+        launches, clock = dev.kernel_launches, dev.elapsed
+        backend.apply_structured(rng.standard_normal((n, n)))
+        assert dev.kernel_launches - launches == len(apply_s)
+        want_s = 2 * m.time_transfer(8 * n * n) + sum(apply_s)
+        assert dev.elapsed - clock == pytest.approx(want_s, rel=1e-12)
+        # the checkerboard operator reports one rotation pass per bond group
+        cb = BMatrixFactory(model, kinetic="checkerboard").structured
+        assert cb.device_pass_seconds(m, n, np.float64)[: len(cb.groups)] == [
+            m.time_checkerboard_pass(len(g), n, 8) for g in cb.groups
+        ]
+
+    @pytest.mark.parametrize(
+        "shape, kinetic, blocked",
+        [((4, 4), "exact", False), ((20, 20), "exact", True), ((4, 4), "checkerboard", True)],
+    )
+    def test_gpu_sim_wrap_is_charged_the_cheaper_launch_plan(self, shape, kinetic, blocked, rng):
+        """The ops fix the launch plan of an N x N kinetic application at
+        bind time: the operator's passes, or the one resident-exponential
+        GEMM where the device model prices that lower (exact blocks below
+        N ~ 370 on the C2050). The result is the blocked spelling's —
+        bit-identical to numpy — under either plan."""
+        lx, ly = shape
+        n = lx * ly
+        model = HubbardModel(SquareLattice(lx, ly), u=4.0, beta=2.0, n_slices=16, mu=0.3)
+        factory = BMatrixFactory(model, kinetic=kinetic)
+        backend = get_backend("gpu-sim").bind(factory)
+        dev, m = backend.device, TESLA_C2050
+        passes = factory.structured.device_pass_seconds(m, n, np.float64)
+        gemm = m.time_gemm(n, n, n)
+        assert (sum(passes) < gemm) is blocked
+        plan = passes if blocked else [gemm]
+        g, v = rng.standard_normal((n, n)), np.exp(rng.standard_normal(n))
+        launches, clock = dev.kernel_launches, dev.elapsed
+        got = backend.wrap(g, v)
+        want_s = (
+            2 * m.time_transfer(8 * n * n) + m.time_transfer(8 * n)
+            + 2 * sum(plan)
+            + m.time_bandwidth_kernel(2 * 8 * n * n + 2 * 8 * n)
+        )
+        assert dev.kernel_launches - launches == 2 * len(plan) + 1
+        assert dev.elapsed - clock == pytest.approx(want_s, rel=1e-12)
+        assert np.array_equal(got, get_backend("numpy").bind(factory).wrap(g, v))
 
 
 # ---------------------------------------------------------------------------
