@@ -179,6 +179,7 @@ def displaced_series_fast(
     method: StratificationMethod = "prepivot",
     clusters: Optional[List[np.ndarray]] = None,
     backend=None,
+    suffix_t: Optional[List[GradedDecomposition]] = None,
 ) -> tuple:
     """``G(tau, 0)`` at every cluster boundary in O(L) QR steps total.
 
@@ -197,8 +198,12 @@ def displaced_series_fast(
 
     ``clusters`` are the dense cluster products in cluster order when the
     caller already holds them (an engine's recycling cache); they are
-    built here otherwise. ``backend`` runs the chain steps (default: a
-    serial numpy backend).
+    built here otherwise. ``suffix_t[m - 1]`` is the decomposition of
+    the transposed chain of the last ``m`` clusters when the caller
+    already holds those
+    (:meth:`GreensFunctionEngine.suffix_decompositions`, whose sweeps
+    build the same chain); they are stratified here otherwise.
+    ``backend`` runs the chain steps (default: a serial numpy backend).
 
     Returns
     -------
@@ -217,32 +222,32 @@ def displaced_series_fast(
             cluster_product(factory, field, sigma, r) for r in ranges
         ]
 
-    # prefix[c] = decomposition of clusters c-1 ... 0 (A_1 at boundary c)
+    # prefix[c] = decomposition of clusters c ... 0 (A_1 at boundary c + 1)
     prefix: List[GradedDecomposition] = []
     inc = IncrementalStratifier(method, backend)
     for c in range(nc):
         inc.push(clusters[c])
         prefix.append(inc.decomposition())
 
-    # suffix[c] = decomposition of clusters nc-1 ... c (A_2 at boundary c),
-    # built from transposes so each step adds a leftmost factor
-    suffix: List[Optional[GradedDecomposition]] = [None] * nc
-    inc_t = IncrementalStratifier(method, backend)
-    for c in range(nc - 1, -1, -1):
-        inc_t.push(clusters[c].T)
-        dec_t = inc_t.decomposition()
-        suffix[c] = GradedDecomposition(
-            q=dec_t.t.T, d=dec_t.d, t=dec_t.q.T
-        )
+    # built from transposes so each step adds a leftmost factor; the
+    # whole chain (all nc clusters) is never paired
+    if suffix_t is None:
+        suffix_t = []
+        inc_t = IncrementalStratifier(method, backend)
+        for c in range(nc - 1, 0, -1):
+            inc_t.push(clusters[c].T)
+            suffix_t.append(inc_t.decomposition())
 
     dtau = factory.model.dtau
     taus = np.array([(c + 1) * cluster_size * dtau for c in range(nc)])
     greens = []
     for c in range(nc):
         a1 = prefix[c]
-        a2 = (
-            suffix[c + 1] if c + 1 < nc else _identity_decomposition(n)
-        )
+        if c + 1 < nc:  # A_2 = clusters nc-1 ... c+1
+            dec_t = suffix_t[nc - c - 2]
+            a2 = GradedDecomposition(q=dec_t.t.T, d=dec_t.d, t=dec_t.q.T)
+        else:
+            a2 = _identity_decomposition(n)
         greens.append(stable_sum_inverse(a1, a2))
     return taus, greens
 

@@ -6,7 +6,8 @@ for a fixed model and a live HS field:
 * a :class:`~repro.core.recycling.ClusterCache` of dense k-slice products,
 * fresh (stratified) evaluation of the equal-time Green's function at any
   cluster boundary, under any pivoting policy, from a prefix and a suffix
-  factorization of which a bounded few are kept between calls,
+  factorization; a from-scratch build keeps the stack of decompositions
+  it passes through, so a sweep builds each side once,
 * wrapping between adjacent slices,
 * drift diagnostics (wrapped vs. freshly stratified G).
 
@@ -55,23 +56,30 @@ class _ChainSide:
 
     A side is a push sequence: the prefix pushes clusters ``0, 1, ...``,
     the suffix pushes ``Btilde_{nc-1}^T, Btilde_{nc-2}^T, ...`` (a suffix
-    grows on its right, so it is held as the chain of its transpose). At
-    most two ``(n_factors, GradedDecomposition)`` pairs are kept, each an
-    exact intermediate state of that sequence, so continuing from one
-    gives bit for bit what a build from scratch gives.
+    grows on its right, so it is held as the chain of its transpose).
+    Everything kept is an exact intermediate state of that sequence,
+    identified by its factor count, so continuing from one gives bit for
+    bit what a build from scratch gives.
     """
 
-    __slots__ = ("running", "checkpoint")
+    __slots__ = ("length", "running", "stack")
 
-    def __init__(self) -> None:
-        #: result of the latest one-push extension (the running prefix
-        #: of a forward sweep, the running suffix of a backward one)
+    def __init__(self, length: int) -> None:
+        #: factors of the longest chain a boundary asks of this side
+        self.length = length
+        #: ``(n_factors, decomposition)`` of the latest one-push extension
+        #: (the running prefix of a forward sweep, the running suffix of
+        #: a backward one), while there is a boundary left to extend it to
         self.running: Optional[tuple] = None
-        #: the first ``max(1, n_clusters // 2)`` factors
-        self.checkpoint: Optional[tuple] = None
+        #: ``n_factors -> decomposition`` for every state a build of more
+        #: than one push passed through, its result included
+        self.stack: dict = {}
 
     def kept(self) -> list:
-        return [k for k in (self.running, self.checkpoint) if k is not None]
+        pairs = list(self.stack.items())
+        if self.running is not None:
+            pairs.append(self.running)
+        return pairs
 
     def nearest(self, n: int) -> tuple:
         """The kept pair with the most factors not exceeding ``n``."""
@@ -85,8 +93,8 @@ class _ChainSide:
         """Forget every kept decomposition of ``n`` or more factors."""
         if self.running is not None and self.running[0] >= n:
             self.running = None
-        if self.checkpoint is not None and self.checkpoint[0] >= n:
-            self.checkpoint = None
+        for m in [m for m in self.stack if m >= n]:
+            del self.stack[m]
 
 
 class GreensFunctionEngine:
@@ -213,10 +221,15 @@ class GreensFunctionEngine:
     def _drop_partials(self) -> None:
         """Forget every kept partial decomposition, both spins."""
         #: sigma -> (prefix side, suffix side)
-        self._partials = {s: (_ChainSide(), _ChainSide()) for s in (1, -1)}
+        nc = self.n_clusters
+        self._partials = {
+            s: (_ChainSide(nc - 1), _ChainSide(nc)) for s in (1, -1)
+        }
 
     def n_kept(self, sigma: int) -> int:
-        """How many partial decompositions spin ``sigma`` holds (<= 4)."""
+        """How many partial decompositions spin ``sigma`` holds: at most
+        ``n_clusters - c + 1`` at boundary ``c`` of a forward sweep (the
+        suffix stack, the running prefix), ``2 n_clusters - 1`` ever."""
         return sum(len(side.kept()) for side in self._partials[sigma])
 
     def invalidate_slice(self, l: int) -> None:
@@ -317,12 +330,9 @@ class GreensFunctionEngine:
         prefix, suffix = self._partials[sigma]
         with self.profiler.phase("clustering"):
             n0, right = prefix.nearest(start_cluster)
-            todo_right = [self.cache.get(sigma, j) for j in range(n0, start_cluster)]
+            todo_right = self._products(sigma, range(n0, start_cluster))
             m0, left_t = suffix.nearest(nc - start_cluster)
-            todo_left = [
-                self.cache.get(sigma, nc - 1 - i).T
-                for i in range(m0, nc - start_cluster)
-            ]
+            todo_left = self._suffix_factors(sigma, m0, nc - start_cluster)
         with self.profiler.phase("stratification"):
             stats = StratificationStats()
             right = self._extend(prefix, n0, right, todo_right, stats)
@@ -342,6 +352,51 @@ class GreensFunctionEngine:
         # compute dtype (no-op passthrough under full64).
         return self.backend.policy.compute(g)
 
+    def suffix_decompositions(self, sigma: int) -> list:
+        """``[S_1, ..., S_nc]``: ``S_m`` is the graded decomposition of
+        ``(Btilde_{nc-1} ... Btilde_{nc-m})^T``, the suffix chain of
+        boundary ``nc - m`` held as the chain of its transpose.
+
+        Built and kept exactly as ``boundary_greens(sigma, 0)`` builds
+        and keeps them, so the forward sweep that follows pushes nothing
+        on its suffix side. The time-displaced series pairs the same
+        decompositions with its prefixes
+        (:func:`~repro.core.displaced.displaced_series_fast`).
+        """
+        nc = self.n_clusters
+        suffix = self._partials[sigma][1]
+        stack = suffix.stack
+        # S_1 .. S_m0 are on the stack already
+        m0 = next(m for m in range(nc + 1) if m + 1 not in stack)
+        with self.profiler.phase("clustering"):
+            todo = self._suffix_factors(sigma, m0, nc)
+        with self.profiler.phase("stratification"):
+            last = self._extend(
+                suffix, m0, stack.get(m0), todo, StratificationStats()
+            )
+        # a one-push completion is returned without joining the stack
+        return [stack.get(m, last) for m in range(1, nc + 1)]
+
+    def _products(self, sigma: int, clusters: range) -> list:
+        """The cluster products a chain build is about to push.
+
+        A build of more than one push keeps every state it passes
+        through (:meth:`_extend`), which makes the products it folds in
+        redundant until their clusters are swept and rebuilt: it takes
+        them out of the cache and :meth:`_extend` lets each go as it is
+        pushed. A one-push build borrows its product.
+        """
+        fetch = self.cache.take if len(clusters) > 1 else self.cache.get
+        return [fetch(sigma, j) for j in clusters]
+
+    def _suffix_factors(self, sigma: int, m0: int, m: int) -> list:
+        """Factors ``m0 .. m-1`` of the suffix side's push sequence
+        (factor ``i`` is cluster ``nc - 1 - i``, transposed)."""
+        last = self.n_clusters - 1
+        return [
+            p.T for p in self._products(sigma, range(last - m0, last - m, -1))
+        ]
+
     def _extend(
         self,
         side: _ChainSide,
@@ -353,23 +408,27 @@ class GreensFunctionEngine:
         """Push ``factors`` onto ``start``, the kept decomposition of the
         first ``n0`` factors of ``side`` (None when ``n0`` is 0).
 
-        A one-push extension becomes the side's running decomposition
-        unless it extended the checkpoint (no sweep comes back for that
-        one); a longer build records the mid-chain checkpoint on its way
-        and its own result is not kept.
+        A one-push extension of the running decomposition (or of
+        nothing) replaces it, so a chain walked one boundary at a time
+        stays one entry - and none once the side is complete, when no
+        boundary is left to extend it to. A longer build puts every
+        decomposition it passes through on the side's stack, its result
+        included. ``factors`` is consumed: each is released as soon as
+        it is folded in.
         """
         if not factors:
             return start
         chain = IncrementalStratifier(self.method, self.backend, start=start)
-        n_checkpoint = max(1, self.n_clusters // 2)
-        for f in factors:
-            chain.push(f)
-            if len(factors) > 1 and n0 + chain.n_factors == n_checkpoint:
-                side.checkpoint = (n_checkpoint, chain.decomposition())
+        one_push = len(factors) == 1
+        factors.reverse()
+        while factors:
+            chain.push(factors.pop())
+            if not one_push:
+                side.stack[n0 + chain.n_factors] = chain.decomposition()
         dec = chain.decomposition()
         extends_running = side.running is not None and start is side.running[1]
-        if len(factors) == 1 and (start is None or extends_running):
-            side.running = (n0 + 1, dec)
+        if one_push and (start is None or extends_running):
+            side.running = (n0 + 1, dec) if n0 + 1 < side.length else None
         stats.n_factors += chain.n_factors
         stats.sync_points += chain.sync_points
         stats.max_pivot_displacement = max(

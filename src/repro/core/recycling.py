@@ -104,6 +104,19 @@ class ClusterCache:
         self._cache[key] = prod
         return prod
 
+    def take(self, sigma: int, j: int) -> np.ndarray:
+        """:meth:`get`, then forget: the caller becomes the only owner.
+
+        For a reader that keeps something which makes the product
+        redundant (a stack of decompositions that contain it): the
+        memory goes when the caller lets go, and any later reader
+        misses and rebuilds. The partner spin of a batched build stays
+        cached; the two share one buffer, freed once both are gone.
+        """
+        prod = self.get(sigma, j)
+        del self._cache[(sigma, j)]
+        return prod
+
     def _build_batched(self, sigma: int, j: int) -> np.ndarray:
         """Rebuild cluster ``j`` for both spins in one stacked call.
 

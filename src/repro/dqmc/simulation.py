@@ -312,19 +312,22 @@ class Simulation:
             gk = None
             gloc = None
             for sigma in (1, -1):
-                # The recycled cluster products: the sweep that follows
-                # finds them cached instead of rebuilding the same ones.
+                # The recycled cluster products, fetched before the
+                # engine's suffix build takes them; that build is the
+                # one the next sweep's boundary 0 would otherwise do.
+                clusters = [
+                    engine.cache.get(sigma, j)
+                    for j in range(engine.n_clusters)
+                ]
                 taus, greens = displaced_series_fast(
                     self.factory,
                     self.field,
                     sigma,
                     engine.cluster_size,
                     method=engine.method,
-                    clusters=[
-                        engine.cache.get(sigma, j)
-                        for j in range(engine.n_clusters)
-                    ],
+                    clusters=clusters,
                     backend=engine.backend,
+                    suffix_t=engine.suffix_decompositions(sigma),
                 )
                 if gloc is None:
                     gloc = np.zeros(len(greens))

@@ -92,7 +92,7 @@ def _wrap_drift(g: np.ndarray, fresh: np.ndarray) -> float:
     """``max_s ||g_s - fresh_s||_F / ||fresh_s||_F`` over the spin stack
     (``inf`` for a non-finite ``g``, so it can never pass a tolerance)."""
     drift = max(
-        np.linalg.norm(d) / np.linalg.norm(f) for d, f in zip(g - fresh, fresh)
+        np.linalg.norm(gs - fs) / np.linalg.norm(fs) for gs, fs in zip(g, fresh)
     )
     return float(drift) if drift == drift else float("inf")
 
@@ -169,13 +169,12 @@ def sweep(
         boundary = c if forward else (c + 1) % nc
         # Both spin sectors travel as one (2, N, N) stack: the batched
         # wraps and the delayed updater consume and return it whole.
-        fresh = []
-        for s in SPINS:
-            fresh.append(engine.boundary_greens(s, boundary))
+        fresh = np.empty((2, n_sites, n_sites), engine.policy.compute_dtype)
+        for i, s in enumerate(SPINS):
+            fresh[i] = engine.boundary_greens(s, boundary)
             stats.grading_ratio = max(
                 stats.grading_ratio, engine.last_stats.grading_ratio
             )
-        fresh = np.stack(fresh)
         stats.refreshes += 1
         if g is not None:
             # The G that wraps and updates carried to this boundary is

@@ -201,3 +201,35 @@ class TestFastSeries:
         )
         assert sha1(taus) == "1954f3046f071947e46eb8190a538013a6d1fbbb"
         assert sha1(np.stack(greens)) == self.GOLDEN[method]
+
+    @pytest.mark.parametrize("warm", ["cold", "forward", "backward", "partial"])
+    def test_engine_suffix_stack_gives_the_same_series(self, warm):
+        """``suffix_t`` from the engine, whatever it kept before: the
+        series bit for bit, ``S_m`` the decomposition ``boundary_greens``
+        itself uses at boundary ``nc - m``, and a boundary 0 after it
+        that pushes nothing."""
+        from repro.core import displaced_series_fast
+        from repro.dqmc import sweep
+
+        engine, rng = golden_engine(11)
+        nc, backend = engine.n_clusters, engine.backend
+        if warm == "partial":  # S_1 .. S_{nc-1} stacked, S_nc one push away
+            engine.boundary_greens(1, 1)
+        elif warm != "cold":
+            sweep(engine, rng, direction=warm)
+        _, expected = displaced_series_fast(
+            engine.factory, engine.field, 1, 5, backend=backend
+        )
+        clusters = [engine.cache.get(1, j) for j in range(nc)]
+        suffix_t = engine.suffix_decompositions(1)
+        assert len(suffix_t) == nc and engine.n_kept(1) >= nc - 1
+        _, greens = displaced_series_fast(
+            engine.factory, engine.field, 1, 5,
+            clusters=clusters, backend=backend, suffix_t=suffix_t,
+        )
+        assert sha1(np.stack(greens)) == sha1(np.stack(expected))
+        assert engine.suffix_decompositions(1)[0] is suffix_t[0]  # kept
+        # the sweep after it starts on a built suffix (a one-push
+        # completion of the stack is returned, not kept)
+        engine.boundary_greens(1, 0)
+        assert engine.last_stats.n_factors == (1 if warm == "partial" else 0)

@@ -41,6 +41,36 @@ class TestCacheBasics:
             cache.cluster_of_slice(20)
 
 
+class TestTake:
+    def test_returns_what_get_returns_and_forgets_it(self, cache):
+        cached = cache.get(1, 2)
+        assert cache.take(1, 2) is cached
+        assert (1, 2) not in cache._cache
+        rebuilt = cache.get(1, 2)
+        assert rebuilt is not cached and relerr(rebuilt, cached) == 0.0
+
+    def test_partner_spin_of_the_build_stays_cached(self, cache):
+        cache.take(1, 0)  # miss: builds both spins, keeps the partner
+        assert (-1, 0) in cache._cache and (1, 0) not in cache._cache
+        builds = cache.batched_builds
+        cache.get(-1, 0)
+        assert cache.batched_builds == builds
+
+    def test_counts_like_the_get_it_goes_through(self, cache):
+        """Every access is one hit or one miss whichever verb made it
+        (and ``take`` calls ``self.get``, so a caller that wraps ``get``
+        on the instance, as the e2e tracer does, sees takes too)."""
+        seen = []
+        inner = cache.get
+        cache.get = lambda sigma, j: seen.append((sigma, j)) or inner(sigma, j)
+        cache.take(1, 0)
+        cache.take(-1, 0)
+        cache.take(1, 0)
+        assert (cache.misses, cache.hits, cache.batched_builds) == (2, 1, 2)
+        assert seen == [(1, 0), (-1, 0), (1, 0)]
+        assert cache.stats()["cluster_cache.entries"] == 1.0  # (-1, 0)
+
+
 class TestInvalidation:
     def test_invalidate_slice_refreshes_owner_only(self, cache, field4x4):
         before_own = cache.get(1, 1)

@@ -143,9 +143,10 @@ class TestDriverOptions:
 
     def test_measure_dynamic_recycles_through_the_engine(self):
         """The dynamic sample takes its cluster products from the engine's
-        cache and runs its chain on the engine's backend: the work is
-        counted, the products are left for the next sweep, and the series
-        is the one the standalone routine computes from scratch."""
+        cache and its suffix chain from the engine's stack, on the
+        engine's backend: the work is counted, the stack is left for the
+        next sweep's boundary 0, and the series is the one the standalone
+        routine computes from scratch."""
         from repro.core import displaced_series_fast
 
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)
@@ -158,11 +159,12 @@ class TestDriverOptions:
         ops = sum(engine.backend.op_counts.values())
         sim._measure_dynamic_sample()
         assert sum(engine.backend.op_counts.values()) > ops
-        assert len(cache._cache) == 2 * engine.n_clusters
+        assert not cache._cache  # taken: the stack stands in for them
         builds = cache.batched_builds
-        engine.boundary_greens(1, 0)
-        engine.boundary_greens(-1, 0)
-        assert cache.batched_builds == builds  # all hits
+        for sigma in (1, -1):
+            engine.boundary_greens(sigma, 0)
+            assert engine.last_stats.n_factors == 0
+        assert cache.batched_builds == builds
 
         gloc = np.asarray(sim.collector.accumulator.series("g_loc_tau"))[-1]
         expected = 0.0

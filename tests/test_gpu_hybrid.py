@@ -62,7 +62,7 @@ class TestTimingAccounts:
     def test_cache_avoids_gpu_rebuilds(self, hybrid):
         hybrid.boundary_greens(1, 0)
         launches = hybrid.device.kernel_launches
-        hybrid.boundary_greens(1, 0)  # all clusters cached
+        hybrid.boundary_greens(1, 0)  # served from the kept decomposition
         assert hybrid.device.kernel_launches == launches
 
     def test_invalidation_triggers_gpu_rebuild(self, hybrid, field4x4):
