@@ -24,6 +24,7 @@ def _tau_for(alternate: bool, seed: int) -> float:
         model, seed=seed, cluster_size=8,
         alternate_directions=alternate,
     )
+    sim.collector.accumulator.track("af_structure_factor")
     sim.warmup(20)
     sim.measure_sweeps(SWEEPS)
     series = sim.collector.accumulator.series("af_structure_factor")

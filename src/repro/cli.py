@@ -149,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "else ~/.cache/repro/tuning.json)",
     )
     p_run.add_argument(
-        "--streaming", action="store_true",
-        help="constant-memory streaming measurement accumulation "
-        "(log-binned Welford state, O(log n) per observable) instead of "
-        "retaining every sample; equivalent to 'streaming = 1' in the "
-        "input file (see docs/analysis.md)",
-    )
-    p_run.add_argument(
         "--target-error", type=float, default=None, metavar="EPS",
         help="error-targeted stopping: measure until the sign-corrected "
         "relative error of the target observable is <= EPS, with npass "
@@ -374,7 +367,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         precision=args.precision,
         kinetic=args.kinetic,
         autotune=1 if args.autotune else None,
-        streaming=1 if args.streaming else None,
         target_error=args.target_error,
         target_obs=args.target_observable,
     )
@@ -427,7 +419,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "acceptance": result.sweep_stats.acceptance_rate,
             "mean_sign": result.mean_sign,
             "control": result.control,
-            "streaming": bool(cfg.streaming),
         },
     )
     _emit(args.quiet, "")

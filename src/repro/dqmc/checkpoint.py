@@ -7,7 +7,7 @@ captures everything the Markov chain's future depends on:
 * the HS field configuration,
 * the Metropolis RNG state (PCG64 bit-generator state),
 * the running configuration sign,
-* the accumulated measurement samples and sweep counters.
+* the log-binned measurement state and sweep counters.
 
 Resuming from a checkpoint and continuing for n sweeps produces *exactly*
 the same numbers as never having stopped (tested), because everything
@@ -36,15 +36,16 @@ import numpy as np
 from ..hamiltonian import HSField
 from ..stats.stream import (
     STREAM_MEMBER,
-    checkpoint_state_arrays,
+    checkpoint_accumulator,
     pack_state_arrays,
 )
 from .simulation import Simulation
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CheckpointError"]
 
-#: 2: the streaming state is one packed member plus a layout table in
-#: the header (1: one member per state array). Both load.
+#: 2: the log-binned state is one packed member plus a layout table in
+#: the header (1: one member per state array). Both load, and so do
+#: files that retained per-name sample series (``obs<i>`` members).
 _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
@@ -89,26 +90,14 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation) -> None:
     intact (see the module docstring).
     """
     acc = sim.collector.accumulator
-    payload = {}
-    names = list(acc.names())
-    streaming_meta = stream_layout = None
-    if getattr(acc, "streaming", False):
-        # Streaming mode: the log-binned Welford state (plus tracked
-        # control series) is the whole resumable measurement state —
-        # O(log n) floats per observable instead of the sample series.
-        streaming_meta = acc.state_meta()
-        payload[STREAM_MEMBER], stream_layout = pack_state_arrays(
-            acc.state_arrays()
-        )
-    else:
-        for i, name in enumerate(names):
-            if acc.n_samples(name):
-                payload[f"obs{i}"] = acc.series(name)
+    # The log-binned Welford state (plus tracked control series) is the
+    # whole resumable measurement state: O(log n) floats per observable.
+    stream, stream_layout = pack_state_arrays(acc.state_arrays())
     header = {
         "version": _FORMAT_VERSION,
         "rng": _rng_state_to_json(sim.rng),
         "sign": sim._sign,
-        "observable_names": names,
+        "observable_names": list(acc.names()),
         "stats": {
             "proposed": sim.total_stats.proposed,
             "accepted": sim.total_stats.accepted,
@@ -127,10 +116,9 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation) -> None:
         # resuming must continue on the promoted rung to stay bit-exact.
         "precision": sim.precision,
         "measured_sweeps": sim.measured_sweeps,
+        "streaming": acc.state_meta(),
+        "stream_layout": stream_layout,
     }
-    if streaming_meta is not None:
-        header["streaming"] = streaming_meta
-        header["stream_layout"] = stream_layout
     controller = getattr(sim, "controller", None)
     if controller is not None:
         header["controller"] = controller.state_dict()
@@ -144,7 +132,7 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation) -> None:
                 fh,
                 header=np.array(json.dumps(header)),
                 field=sim.field.h,
-                **payload,
+                **{STREAM_MEMBER: stream},
             )
             fh.flush()
             os.fsync(fh.fileno())
@@ -210,32 +198,12 @@ def load_checkpoint(path: Union[str, Path], sim: Simulation) -> Simulation:
         # absent in checkpoints written before the singular-guard counter
         sim.total_stats.singular_rejects = int(st.get("singular_rejects", 0))
 
-        # Restore *every* recorded observable through the public API —
-        # including zero-sample ones (measured names that had no samples
-        # yet), which must survive the round trip rather than vanish.
-        acc = sim.collector.accumulator
-        stream_meta = header.get("streaming")
-        if stream_meta is not None:
-            if not getattr(acc, "streaming", False):
-                raise CheckpointError(
-                    "checkpoint was written by a streaming run; construct "
-                    "the Simulation with streaming=True to resume it"
-                )
-            acc.restore_state(
-                stream_meta, checkpoint_state_arrays(npz, header)
-            )
-        else:
-            if getattr(acc, "streaming", False):
-                raise CheckpointError(
-                    "checkpoint retains full sample series (post-hoc "
-                    "mode); resume it with streaming=False"
-                )
-            acc.clear()
-            for i, name in enumerate(header.get("observable_names", [])):
-                key = f"obs{i}"
-                acc.restore_series(
-                    name, npz[key] if key in npz.files else []
-                )
+        # Replaces whatever the fresh simulation accumulated; a file of
+        # retained series keeps the live tracking (an attached
+        # controller's) through the replay.
+        sim.collector.accumulator = checkpoint_accumulator(
+            npz, header, track=sim.collector.accumulator.tracked_names
+        )
 
         # Older checkpoints predate the sweep counter; fall back to the
         # sample-count heuristic (exact when nothing was discarded).

@@ -70,9 +70,6 @@ class SimulationConfig:
     #: autotune pass instead of trusting north/ndelay (see
     #: docs/performance.md); 0 = run exactly what the file says
     autotune: int = 0
-    #: 1 = constant-memory streaming (log-binned) measurement
-    #: accumulation; 0 = retain every sample (post-hoc analysis)
-    streaming: int = 0
     #: > 0 = error-targeted stopping: measure until the sign-corrected
     #: relative error of target_obs reaches this value (npass becomes
     #: the sweep *budget*); 0 = fixed npass sweeps
@@ -176,7 +173,6 @@ class SimulationConfig:
             backend=self.backend,
             precision=self.precision,
             kinetic=self.kinetic,
-            streaming=bool(self.streaming),
         )
 
     def dumps(self) -> str:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..hamiltonian import HubbardModel
-from ..measure import Accumulator, BinnedEstimate
+from ..measure import BinnedEstimate
 from ..telemetry import Telemetry, ensure_telemetry
 from .simulation import Simulation
 from .sweep import SweepStats
@@ -51,9 +51,8 @@ class EnsembleResult:
     #: sign-corrected < O s > / < s > over the merged streams (None when
     #: the sign problem makes the ratio unquotable)
     corrected: Optional[Dict[str, BinnedEstimate]] = None
-    #: cross-chain convergence per scalar observable: split-R-hat over
-    #: retained series (post-hoc chains) or the moment-based R-hat from
-    #: per-chain estimates (streaming chains); ~1 means the chains agree
+    #: cross-chain convergence per scalar observable: the moment-based
+    #: R-hat from per-chain estimates; ~1 means the chains agree
     rhat: Optional[Dict[str, float]] = None
     #: per-chain RunController digests when error-targeted stopping ran
     controls: Optional[List[dict]] = None
@@ -136,12 +135,10 @@ def run_ensemble(
     one ``chain_done`` event per chain plus a final ``ensemble_done``
     event are archived.
 
-    The merged estimate concatenates the chains' sample streams; since
-    chains are mutually independent, binning across the concatenation is
-    conservative (bin boundaries never straddle two chains because each
-    chain contributes a whole number of bins when ``measurement_sweeps``
-    is a multiple of the bin size — and is still a valid estimate
-    otherwise).
+    The merged estimate folds the chains' log-binned states together
+    level by level (:meth:`repro.stats.StreamingAccumulator.extend`);
+    bins never straddle two chains, so the chains stay independent in
+    the error analysis.
 
     ``target_error`` switches every chain to error-targeted stopping: a
     per-chain :class:`repro.stats.RunController` aims the sign-corrected
@@ -189,15 +186,13 @@ def run_ensemble(
         max_workers=max_workers if max_workers is not None else n_chains,
     )
 
-    streaming = bool(
-        getattr(chains[0]["accumulator"], "streaming", False)
+    from ..stats import (
+        StreamingAccumulator,
+        rhat_from_estimates,
+        sign_corrected_results,
     )
-    if streaming:
-        from ..stats import StreamingAccumulator
 
-        merged = StreamingAccumulator()
-    else:
-        merged = Accumulator()
+    merged = StreamingAccumulator()
     stats = SweepStats()
     per_chain = []
     for c, chain in enumerate(chains):
@@ -220,12 +215,6 @@ def run_ensemble(
         tel.event("ensemble_done", chains=n_chains, executor=executor)
         tel.snapshot()
 
-    from ..stats import (
-        rhat_from_estimates,
-        sign_corrected_results,
-        split_rhat,
-    )
-
     try:
         corrected = sign_corrected_results(
             merged, n_bins=n_bins * min(n_chains, 4)
@@ -242,12 +231,7 @@ def run_ensemble(
     for name in scalar_names:
         if not all(name in r for r in per_chain):
             continue
-        if streaming:
-            rhat[name] = rhat_from_estimates([r[name] for r in per_chain])
-        else:
-            rhat[name] = split_rhat(
-                [chain["accumulator"].series(name) for chain in chains]
-            )
+        rhat[name] = rhat_from_estimates([r[name] for r in per_chain])
 
     controls = [chain.get("control") for chain in chains]
     return EnsembleResult(

@@ -136,12 +136,10 @@ class Simulation:
         observables agree to the compute dtype's accuracy, and
         measurement accumulators always stay float64.
     streaming:
-        Accumulate measurements through the constant-memory streaming
-        pipeline (:class:`repro.stats.StreamingAccumulator`): O(log n)
-        log-binned state per observable instead of every retained
-        sample. Estimates agree with post-hoc binning (identical means,
-        errors matching at power-of-two sample counts); sample series
-        are only available for observables a controller tracks.
+        Accepted for older callers; ``True`` is the only legal value.
+        Measurements always accumulate log-binned
+        (:class:`repro.stats.StreamingAccumulator`): O(log n) state per
+        observable, sample series only for what a controller tracks.
 
     ``backend`` / ``precision`` / ``kinetic`` (the propagator mode) left
     at ``None`` fall to the environment, then the defaults
@@ -166,8 +164,13 @@ class Simulation:
         backend=None,
         precision=None,
         kinetic=None,
-        streaming: bool = False,
+        streaming: bool = True,
     ):
+        if not streaming:
+            raise ValueError(
+                "streaming=False: post-hoc accumulation was removed; "
+                "every run accumulates log-binned"
+            )
         self.model = model
         self.rng = np.random.default_rng(seed)
         self.profiler = PhaseProfiler()
@@ -204,7 +207,6 @@ class Simulation:
             t=model.t,
             t_perp=model.t_perp,
             with_arrays=measure_arrays,
-            streaming=streaming,
         )
         self.controller = None
         if measurements_per_sweep < 1:

@@ -16,7 +16,6 @@ from .equal_time import (
     total_density,
 )
 from .estimators import (
-    Accumulator,
     BinnedEstimate,
     binned_statistics,
     integrated_autocorrelation_time,
@@ -43,7 +42,6 @@ from .spin import (
 )
 
 __all__ = [
-    "Accumulator",
     "BinnedEstimate",
     "DynamicMeasurement",
     "ExtrapolationResult",

@@ -3,7 +3,8 @@
 :class:`MeasurementCollector` bundles the per-sample observable functions
 (density, double occupancy, kinetic energy, <n_k>, C_zz, sign) behind one
 ``measure(g_up, g_dn, sign)`` call that the simulation driver invokes at
-measurement points, and feeds the :class:`~repro.measure.estimators.Accumulator`.
+measurement points, and feeds the log-binned
+:class:`~repro.stats.StreamingAccumulator`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from ..lattice import SquareLattice
 from .charge import charge_density_correlation
 from .equal_time import double_occupancy, kinetic_energy, total_density
-from .estimators import Accumulator, BinnedEstimate
+from .estimators import BinnedEstimate
 from .momentum import momentum_distribution_spin_mean
 from .pairing import swave_pair_structure_factor
 from .spin import af_structure_factor, spin_zz_correlation
@@ -37,12 +38,10 @@ class MeasurementCollector:
     with_arrays:
         Collect the array-valued observables (<n_k>, C_zz) — O(N^2) per
         measurement; switch off for pure-performance benches.
-    streaming:
-        Accumulate through the constant-memory
-        :class:`repro.stats.StreamingAccumulator` (O(log n) log-binned
-        state per observable) instead of retaining every sample. The
-        ``results()`` interface is unchanged; sample series are only
-        available for explicitly tracked scalars.
+
+    Samples accumulate in a :class:`repro.stats.StreamingAccumulator`:
+    O(log n) log-binned state per observable, with sample series only
+    for explicitly tracked scalars.
     """
 
     def __init__(
@@ -51,20 +50,16 @@ class MeasurementCollector:
         t: float = 1.0,
         t_perp: float = 1.0,
         with_arrays: bool = True,
-        streaming: bool = False,
     ):
         self.lattice = lattice
         self.t = t
         self.t_perp = t_perp
         self.is_square = isinstance(lattice, SquareLattice)
         self.with_arrays = with_arrays and self.is_square
-        if streaming:
-            # Deferred import: repro.stats sits above repro.measure.
-            from ..stats import StreamingAccumulator
+        # Deferred import: repro.stats sits above repro.measure.
+        from ..stats import StreamingAccumulator
 
-            self.accumulator = StreamingAccumulator()
-        else:
-            self.accumulator = Accumulator()
+        self.accumulator = StreamingAccumulator()
 
     def measure(self, g_up: np.ndarray, g_dn: np.ndarray, sign: float = 1.0) -> None:
         """Record one sample's worth of every enabled observable.
@@ -109,10 +104,6 @@ class MeasurementCollector:
     def n_measurements(self) -> int:
         return self.accumulator.n_samples("sign")
 
-    @property
-    def streaming(self) -> bool:
-        return bool(getattr(self.accumulator, "streaming", False))
-
     def results(self, n_bins: int = 16) -> Dict[str, BinnedEstimate]:
         """Binned estimates of everything collected so far.
 
@@ -125,9 +116,8 @@ class MeasurementCollector:
     def corrected_results(self, n_bins: int = 16) -> Dict[str, BinnedEstimate]:
         """Sign-corrected estimates < O s > / < s > with error bars.
 
-        Post-hoc accumulation gets the jackknife ratio (exact for the
-        nonlinearity); streaming accumulation gets delta-method
-        propagation. The ``"sign"`` entry stays the raw sign estimate.
+        Errors come from delta-method propagation of the log-binned
+        estimates. The ``"sign"`` entry stays the raw sign estimate.
         See :func:`repro.stats.sign_corrected_results`.
         """
         from ..stats import sign_corrected_results

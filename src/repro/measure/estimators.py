@@ -10,7 +10,7 @@ means. Jackknife over bins handles nonlinear functions of averages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "binned_statistics",
     "integrated_autocorrelation_time",
     "jackknife",
-    "Accumulator",
 ]
 
 
@@ -182,98 +181,3 @@ def jackknife(
         mean=bias_corrected, error=np.sqrt(var), n_bins=n_bins, n_samples=n
     )
 
-
-class Accumulator:
-    """Collects named per-measurement samples and reduces them at the end.
-
-    Observables may be scalars or numpy arrays; all samples of one name
-    must share a shape. ``reduce()`` returns a dict of
-    :class:`BinnedEstimate`.
-
-    The constant-memory twin is
-    :class:`repro.stats.StreamingAccumulator`; code that must work with
-    either mode can branch on the ``streaming`` class attribute.
-    """
-
-    streaming = False
-
-    def __init__(self) -> None:
-        self._samples: Dict[str, List[np.ndarray]] = {}
-
-    def add(self, name: str, value) -> None:
-        self._samples.setdefault(name, []).append(np.asarray(value, dtype=np.float64))
-
-    def extend(self, other: "Accumulator") -> None:
-        for name, vals in other._samples.items():
-            self._samples.setdefault(name, []).extend(vals)
-
-    def names(self) -> Sequence[str]:
-        return tuple(self._samples)
-
-    def n_samples(self, name: str) -> int:
-        return len(self._samples.get(name, ()))
-
-    def series(self, name: str) -> np.ndarray:
-        """The raw sample series (Monte Carlo time on axis 0).
-
-        A registered observable with zero samples yields an empty
-        ``(0,)`` array (its per-sample shape is not yet known).
-        """
-        if name not in self._samples:
-            raise KeyError(name)
-        vals = self._samples[name]
-        if not vals:
-            return np.empty((0,), dtype=np.float64)
-        return np.stack(vals, axis=0)
-
-    def estimate(self, name: str, n_bins: int = 16) -> BinnedEstimate:
-        """Binned estimate of one observable (interface parity with
-        :meth:`repro.stats.StreamingAccumulator.estimate`)."""
-        return binned_statistics(self.series(name), n_bins=n_bins)
-
-    def discard_prefix(self, n: int) -> None:
-        """Drop the first ``n`` samples of every observable.
-
-        The equilibration cut: measurements recorded before the chain
-        forgot its initial condition are removed from every series (a
-        series shorter than ``n`` is emptied). Series are assumed to
-        share a cadence — when they do not (per-sweep dynamic
-        observables alongside per-measurement scalars), the same sample
-        count is cut from each, which is conservative for the
-        lower-cadence series.
-        """
-        if n < 0:
-            raise ValueError("cannot discard a negative prefix")
-        if n == 0:
-            return
-        for vals in self._samples.values():
-            del vals[:n]
-
-    # -- checkpoint restore API ---------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every observable (used before a checkpoint restore)."""
-        self._samples.clear()
-
-    def restore_series(self, name: str, samples) -> None:
-        """Replace ``name``'s series with ``samples`` (axis 0 = Monte
-        Carlo time; an empty sequence registers the observable with zero
-        samples).
-
-        The public surface :func:`repro.dqmc.load_checkpoint` restores
-        through, so checkpoint code never reaches into accumulator
-        internals — and a zero-sample observable survives a save/load
-        round trip instead of vanishing.
-        """
-        arr = np.asarray(samples, dtype=np.float64)
-        self._samples[name] = [arr[j] for j in range(arr.shape[0])]
-
-    def reduce(self, n_bins: int = 16) -> Dict[str, BinnedEstimate]:
-        """Binned estimates of every observable holding >= 1 sample
-        (zero-sample names — e.g. just restored from a checkpoint taken
-        before the first measurement — are skipped, not errors)."""
-        return {
-            name: binned_statistics(self.series(name), n_bins=n_bins)
-            for name, vals in self._samples.items()
-            if vals
-        }

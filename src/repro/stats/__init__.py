@@ -7,17 +7,16 @@ package makes that analysis a first-class, *streaming* pipeline stage
 of a post-hoc, memory-unbounded afterthought:
 
 :mod:`~repro.stats.stream`
-    Constant-memory online log-binning accumulators — Welford
-    mean/variance at every power-of-two bin width, O(log n) state per
-    observable — behind the same interface as the post-hoc
-    :class:`~repro.measure.Accumulator`.
+    The measurement accumulator: constant-memory online log-binning —
+    Welford mean/variance at every power-of-two bin width, O(log n)
+    state per observable — and its checkpoint reader.
 :mod:`~repro.stats.equilibration`
     Automated warmup-end detection (MSER-5 truncation with a Geweke
     z-score cross-check) so pre-equilibration measurement sweeps are
     flagged and discarded rather than silently biasing averages.
 :mod:`~repro.stats.ratio`
-    Sign-corrected ratio estimators <O s>/<s> with jackknife error
-    propagation, plus split-R-hat cross-chain convergence diagnostics.
+    Sign-corrected ratio estimators <O s>/<s> with propagated errors,
+    plus R-hat cross-chain convergence diagnostics.
 :mod:`~repro.stats.controller`
     :class:`RunController` — error-targeted adaptive stopping: measure
     until the chosen observable's relative error reaches the target (or

@@ -8,10 +8,10 @@ sign correction, and cross-replica R-hat — without re-running anything.
 Three artifact kinds are recognized (:func:`analyze_path` dispatches):
 
 * a **checkpoint** ``.npz`` (has a ``header`` entry): the richest case —
-  post-hoc checkpoints carry full sample series, so jackknife
-  sign-corrected ratios, tau_int and a fresh equilibration detection
-  all run here; streaming checkpoints reconstruct the log-binned state
-  and report its estimates plus diagnostics on the tracked series.
+  the log-binned state is reconstructed (a file of retained sample
+  series is replayed into it) and reported with sign-corrected ratios
+  plus tau_int and a fresh equilibration detection on the tracked
+  series.
 * a **results archive** (has ``__meta__``): binned estimates only — the
   report surfaces them with relative errors and whatever provenance the
   producer recorded (controller summary, equilibration cut).
@@ -32,18 +32,12 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..measure.estimators import (
-    Accumulator,
     BinnedEstimate,
-    binned_statistics,
     integrated_autocorrelation_time,
 )
 from .equilibration import detect_equilibration
 from .ratio import rhat_from_estimates, sign_corrected_results
-from .stream import (
-    StreamingAccumulator,
-    StreamingError,
-    checkpoint_state_arrays,
-)
+from .stream import StreamingError, checkpoint_accumulator
 
 __all__ = [
     "analyze_archive",
@@ -93,7 +87,7 @@ def _control_name(names) -> Optional[str]:
 
 def _series_diagnostics(acc, report: Dict[str, object]) -> None:
     """Attach tau_int + equilibration for whichever control series the
-    accumulator can produce (tracked names only, in streaming mode)."""
+    accumulator can produce (tracked names only)."""
     control = _control_name(list(acc.names()))
     if control is None:
         return
@@ -140,20 +134,10 @@ def analyze_checkpoint(path: Union[str, Path]) -> Dict[str, object]:
     path = Path(path)
     with np.load(path, allow_pickle=False) as npz:
         header = json.loads(str(npz["header"]))
-        stream_meta = header.get("streaming")
-        if stream_meta is not None:
-            acc: object = StreamingAccumulator()
-            acc.restore_state(
-                stream_meta, checkpoint_state_arrays(npz, header)
-            )
-            mode = "streaming"
-        else:
-            acc = Accumulator()
-            for i, name in enumerate(header.get("observable_names", [])):
-                key = f"obs{i}"
-                if key in npz.files:
-                    acc.restore_series(name, npz[key])
-            mode = "post-hoc"
+        # a file of retained series keeps them for the diagnostics
+        acc = checkpoint_accumulator(
+            npz, header, track=header.get("observable_names", ())
+        )
     report = _analyze_accumulator(acc)
     ctl = header.get("controller")
     if isinstance(ctl, dict) and "target_met" not in ctl:
@@ -163,7 +147,9 @@ def analyze_checkpoint(path: Union[str, Path]) -> Dict[str, object]:
     report.update(
         kind="checkpoint",
         path=str(path),
-        mode=mode,
+        # how the file held its measurements ("replayed": retained
+        # sample series, folded into the log-binned state here)
+        mode="streaming" if "streaming" in header else "replayed",
         model=header.get("model"),
         precision=header.get("precision"),
         controller=ctl,

@@ -7,9 +7,8 @@ were chosen by hand). A :class:`RunController` replaces the guess with
 a statistical contract:
 
 1. **Equilibrate** — until MSER-5 + Geweke agree the control series is
-   stationary, keep sweeping; on detection, discard the flagged prefix
-   (exact prefix in post-hoc mode, accumulated-so-far in streaming
-   mode) and flag the run equilibrated.
+   stationary, keep sweeping; on detection, discard everything
+   accumulated so far and flag the run equilibrated.
 2. **Converge** — after equilibration, evaluate the sign-corrected
    relative error of the target observable at a fixed sample cadence
    and stop the moment it reaches the target.
@@ -34,12 +33,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..measure.estimators import (
-    binned_statistics,
-    integrated_autocorrelation_time,
-)
+from ..measure.estimators import integrated_autocorrelation_time
 from .equilibration import detect_equilibration
 from .ratio import propagate_ratio_error
+from .stream import StreamingError
 
 __all__ = ["ControlDecision", "RunController"]
 
@@ -136,17 +133,16 @@ class RunController:
     # -- wiring --------------------------------------------------------------
 
     def bind(self, sim) -> None:
-        """Attach to a live simulation (telemetry + streaming tracking).
+        """Attach to a live simulation (telemetry + series tracking).
 
         Called by :meth:`Simulation.attach_controller`; ensures the
-        streaming accumulator retains the scalar control series the
-        equilibration detector needs.
+        accumulator retains the scalar control series the equilibration
+        detector needs.
         """
         self._telemetry = getattr(sim, "telemetry", None)
         acc = sim.collector.accumulator
-        if getattr(acc, "streaming", False):
-            acc.track("sign")
-            acc.track(self.target_observable)
+        acc.track("sign")
+        acc.track(self.target_observable)
 
     def _gauge(self, name: str, value: float) -> None:
         if self._telemetry is not None and self._telemetry.enabled:
@@ -187,14 +183,8 @@ class RunController:
     def relative_error(self, accumulator, n_bins: int = 16) -> float:
         """Current sign-corrected relative error of the target."""
         try:
-            if getattr(accumulator, "streaming", False):
-                num = accumulator.estimate(self.target_observable, n_bins)
-                sgn = accumulator.estimate("sign", n_bins)
-            else:
-                num = binned_statistics(
-                    accumulator.series(self.target_observable), n_bins
-                )
-                sgn = binned_statistics(accumulator.series("sign"), n_bins)
+            num = accumulator.estimate(self.target_observable, n_bins)
+            sgn = accumulator.estimate("sign", n_bins)
             est = propagate_ratio_error(num, sgn)
         except (KeyError, ValueError):
             return float("inf")
@@ -271,11 +261,7 @@ class RunController:
         self.equilibrated = True
         self.cut = eq.n_cut
         if eq.n_cut > 0:
-            if getattr(acc, "streaming", False):
-                self.discarded += acc.reset()
-            else:
-                acc.discard_prefix(eq.n_cut)
-                self.discarded += eq.n_cut
+            self.discarded += acc.reset()
         self._event(
             "stats_equilibrated",
             observable=self.target_observable,
@@ -297,7 +283,7 @@ class RunController:
                     "stats.tau_int",
                     integrated_autocorrelation_time(series),
                 )
-        except (KeyError, ValueError, StreamingErrorBase):
+        except (KeyError, ValueError, StreamingError):
             pass
 
     def summary(self) -> dict:
@@ -315,8 +301,3 @@ class RunController:
                 last.relative_error if last is not None else None
             ),
         }
-
-
-# Local alias so _publish_tau can catch the streaming error without a
-# hard dependency order between the two modules at import time.
-from .stream import StreamingError as StreamingErrorBase  # noqa: E402

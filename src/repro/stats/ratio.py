@@ -7,24 +7,20 @@ numerators; this module owns the division and — crucially — the error
 propagation, which the old ``MeasurementCollector.results`` docstring
 left to the caller ("divide by the sign estimate" with no error bar).
 
-Two propagation paths, matched to the two accumulator modes:
+One propagation path: :func:`propagate_ratio_error` combines two
+:class:`~repro.measure.BinnedEstimate` objects without their sample
+series, dropping the numerator-sign covariance term (conservative;
+exact at half filling where the sign variance is zero). Every run,
+checkpoint report and merged catalog uses it.
+:func:`sign_corrected_ratio` — the leave-one-bin-out jackknife over
+joint (numerator, sign) series, exact for the nonlinear ratio — is the
+analysis of an explicit pair of series and the reference the
+propagated ratio is tested against.
 
-* **jackknife** (:func:`sign_corrected_ratio`): leave-one-bin-out over
-  joint (numerator, sign) bins — exact for the nonlinear ratio, the
-  method of record when the sample series are retained (post-hoc mode,
-  checkpoints, ``repro analyze``). For a constant sign (half filling)
-  it reduces *identically* to the plain binning analysis.
-* **linear propagation** (:func:`propagate_ratio_error`): combines two
-  :class:`~repro.measure.BinnedEstimate` objects without their sample
-  series, dropping the numerator-sign covariance term (conservative;
-  exact at half filling where the sign variance is zero). This is what
-  streaming mode and merged catalogs use.
-
-Cross-chain convergence: :func:`split_rhat` implements the split-R-hat
-potential-scale-reduction diagnostic over independent chains'
-retained series; :func:`rhat_from_estimates` is the moment-based
-variant available when only per-chain binned estimates survive
-(streaming chains, campaign replicas).
+Cross-chain convergence: :func:`rhat_from_estimates` is the
+moment-based R-hat over per-chain binned estimates (ensemble chains,
+campaign replicas); :func:`split_rhat` is the classic split-R-hat over
+explicit series, its reference.
 """
 
 from __future__ import annotations
@@ -126,7 +122,7 @@ def propagate_ratio_error(
     The numerator-sign covariance term is dropped — unavailable without
     the joint series — which makes the error *conservative* for the
     usual positively-correlated case, and exact at half filling where
-    ``sigma_s = 0``. Streaming runs and catalog merges use this path.
+    ``sigma_s = 0``. Runs and catalog merges use this path.
     """
     s = float(np.asarray(sign.mean))
     if abs(s) < SIGN_FLOOR:
@@ -153,44 +149,21 @@ def sign_corrected_results(
 ) -> Dict[str, BinnedEstimate]:
     """Sign-corrected estimates of every observable in an accumulator.
 
-    Works on both accumulator modes: post-hoc accumulators get the
-    jackknife ratio per observable; streaming accumulators get linear
-    propagation from their log-binned estimates. The ``"sign"`` entry
-    itself stays the raw sign estimate. Without a recorded sign the
-    raw estimates are returned unchanged (nothing to correct).
+    Linear propagation from the log-binned estimates; the ``"sign"``
+    entry itself stays the raw sign estimate. Without a recorded sign
+    the raw estimates are returned unchanged (nothing to correct).
     """
     names = list(accumulator.names())
     if "sign" not in names or not accumulator.n_samples("sign"):
         return accumulator.reduce(n_bins=n_bins)
-    out: Dict[str, BinnedEstimate] = {}
-    if getattr(accumulator, "streaming", False):
-        sign_est = accumulator.estimate("sign", n_bins=n_bins)
-        out["sign"] = sign_est
-        for name in names:
-            if name == "sign" or not accumulator.n_samples(name):
-                continue
-            out[name] = propagate_ratio_error(
-                accumulator.estimate(name, n_bins=n_bins), sign_est
-            )
-        return out
-    sign_series = accumulator.series("sign")
-    from ..measure.estimators import binned_statistics
-
-    out["sign"] = binned_statistics(sign_series, n_bins=n_bins)
+    sign_est = accumulator.estimate("sign", n_bins=n_bins)
+    out: Dict[str, BinnedEstimate] = {"sign": sign_est}
     for name in names:
         if name == "sign" or not accumulator.n_samples(name):
             continue
-        series = accumulator.series(name)
-        if series.shape[0] == sign_series.shape[0]:
-            out[name] = sign_corrected_ratio(
-                series, sign_series, n_bins=n_bins
-            )
-        else:
-            # Different cadence (e.g. per-sweep dynamic observables vs
-            # per-measurement scalars): propagate without the joint bins.
-            out[name] = propagate_ratio_error(
-                binned_statistics(series, n_bins=n_bins), out["sign"]
-            )
+        out[name] = propagate_ratio_error(
+            accumulator.estimate(name, n_bins=n_bins), sign_est
+        )
     return out
 
 

@@ -1,16 +1,18 @@
 """Online log-binning: constant-memory Monte Carlo error analysis.
 
-The post-hoc :class:`~repro.measure.Accumulator` keeps every per-sweep
-sample in RAM — O(n) scalars and, for the array observables (<n_k>,
-C_zz), O(n * N^2) doubles, which at the paper's 32x32 beta=32 scale
-(3000 sweeps, N = 1024) is tens of gigabytes. Log-binning makes the
-same binning analysis *streaming*: at every power-of-two bin width
-``2^k`` keep only a Welford (count, mean, M2) triple plus at most one
-pending half-filled bin. Total state per observable is O(log n) copies
-of the observable's shape — independent of the run length.
+Keeping every per-sweep sample in RAM costs O(n) scalars and, for the
+array observables (<n_k>, C_zz), O(n * N^2) doubles, which at the
+paper's 32x32 beta=32 scale (3000 sweeps, N = 1024) is tens of
+gigabytes. Log-binning runs the same binning analysis *streaming*: at
+every power-of-two bin width ``2^k`` keep only a Welford (count, mean,
+M2) triple plus at most one pending half-filled bin. Total state per
+observable is O(log n) copies of the observable's shape — independent
+of the run length. :class:`StreamingAccumulator` is how every run
+measures.
 
-Agreement contract with the post-hoc path (tested in
-``tests/test_stats_stream.py``; see ``docs/analysis.md``):
+Agreement contract with :func:`~repro.measure.binned_statistics` of
+the same series (tested in ``tests/test_stats_stream.py``; see
+``docs/analysis.md``):
 
 * the **mean** uses every sample (level 0), whereas
   :func:`~repro.measure.binned_statistics` drops the trailing partial
@@ -18,7 +20,7 @@ Agreement contract with the post-hoc path (tested in
   tail's statistical weight otherwise;
 * the **error** is read from the deepest level with at least the
   requested number of complete bins. When ``n = n_bins * 2^k`` the bin
-  boundaries coincide exactly with the post-hoc analysis and the error
+  boundaries coincide exactly with the series analysis and the error
   matches to floating-point roundoff (Welford vs. two-pass summation);
   otherwise both are estimates of the same plateau and agree
   statistically.
@@ -28,6 +30,9 @@ through :meth:`LogBinningAccumulator.state_meta` /
 :meth:`~LogBinningAccumulator.state_arrays`, so a resumed run continues
 the Welford recursions from the exact saved floats — bit-exact with an
 uninterrupted run (the property :mod:`repro.dqmc.checkpoint` pins).
+:func:`checkpoint_accumulator` reads that state back from any
+checkpoint format, replaying the sample series of a file that retained
+them instead.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ __all__ = [
     "LogBinningAccumulator",
     "StreamingAccumulator",
     "StreamingError",
+    "checkpoint_accumulator",
     "pack_state_arrays",
-    "checkpoint_state_arrays",
 ]
 
 #: 2^48 samples — beyond any conceivable run; bounds the level list.
@@ -64,8 +69,8 @@ def pack_state_arrays(arrays: Dict[str, np.ndarray]) -> Tuple[np.ndarray, list]:
     return np.concatenate(parts + [np.zeros(0)]), layout
 
 
-def checkpoint_state_arrays(npz, header: dict) -> Dict[str, np.ndarray]:
-    """The streaming state arrays of an open checkpoint, either format:
+def _checkpoint_state_arrays(npz, header: dict) -> Dict[str, np.ndarray]:
+    """The state arrays of an open checkpoint, either stream format:
     split out of the packed member by ``header["stream_layout"]``, or
     gathered from the per-array members of a version-1 file."""
     layout = header.get("stream_layout")
@@ -85,9 +90,34 @@ def checkpoint_state_arrays(npz, header: dict) -> Dict[str, np.ndarray]:
     }
 
 
+def checkpoint_accumulator(
+    npz, header: dict, track: Iterable[str] = ()
+) -> "StreamingAccumulator":
+    """The measurement accumulator an open checkpoint holds.
+
+    Stream checkpoints (version 1 or 2) restore their log-binned state,
+    tracked series included, exactly. A file that retained per-name
+    sample series (``obs<i>`` members) instead has each series replayed
+    through ``add`` in order — the state a log-binned run tracking
+    ``track`` holds after the same samples. A name recorded with no
+    samples stays absent, as it would in a live accumulator.
+    """
+    acc = StreamingAccumulator(track=track)
+    meta = header.get("streaming")
+    if meta is not None:
+        acc.restore_state(meta, _checkpoint_state_arrays(npz, header))
+        return acc
+    for i, name in enumerate(header.get("observable_names", [])):
+        key = f"obs{i}"
+        if key in npz.files:
+            for value in np.asarray(npz[key]):
+                acc.add(name, value)
+    return acc
+
+
 class StreamingError(RuntimeError):
-    """An operation that requires retained sample series was asked of a
-    streaming (constant-memory) accumulator."""
+    """A sample series was asked of an observable whose series the
+    accumulator does not retain (only tracked scalars keep one)."""
 
 
 class _Level:
@@ -170,7 +200,7 @@ class LogBinningAccumulator:
 
         Reads the error from the deepest level still holding at least
         ``max(2, min(n_bins, n // 2))`` complete bins — the same
-        shrink-when-short rule the post-hoc analysis applies.
+        shrink-when-short rule :func:`binned_statistics` applies.
         """
         n = self.n_samples
         if n == 0:
@@ -205,7 +235,7 @@ class LogBinningAccumulator:
         (exact). The other accumulator's pending half-bins stay counted
         in the levels that already saw them but are not paired across
         the chain boundary — bins never straddle two independent chains
-        (the same guarantee the post-hoc concatenation documents).
+        (as if each chain's series were binned on its own).
         """
         if other.shape != self.shape:
             raise ValueError(
@@ -269,13 +299,12 @@ class LogBinningAccumulator:
 
 
 class StreamingAccumulator:
-    """Drop-in constant-memory twin of :class:`~repro.measure.Accumulator`.
+    """The measurement accumulator: named samples in constant memory.
 
     Holds one :class:`LogBinningAccumulator` per observable name.
-    ``reduce()`` returns the same ``{name: BinnedEstimate}`` mapping the
-    post-hoc accumulator produces, so every downstream consumer
-    (results archives, campaign catalogs, CLI summaries) is oblivious
-    to which mode collected the data.
+    ``reduce()`` returns a ``{name: BinnedEstimate}`` mapping, the one
+    shape every downstream consumer (results archives, campaign
+    catalogs, CLI summaries) reads.
 
     ``track(name)`` designates *scalar* observables whose full sample
     series is additionally retained (one float per sample — run-control
@@ -284,8 +313,6 @@ class StreamingAccumulator:
     observables that dominate memory). :meth:`series` works for tracked
     names and raises :class:`StreamingError` for everything else.
     """
-
-    streaming = True
 
     def __init__(self, track: Iterable[str] = ()):
         self._accs: Dict[str, LogBinningAccumulator] = {}
@@ -308,7 +335,7 @@ class StreamingAccumulator:
     def tracked_names(self) -> Tuple[str, ...]:
         return tuple(self._track)
 
-    # -- Accumulator interface ----------------------------------------------
+    # -- accumulation -------------------------------------------------------
 
     def add(self, name: str, value) -> None:
         x = np.asarray(value, dtype=np.float64)
@@ -332,8 +359,7 @@ class StreamingAccumulator:
         if name in self._accs:
             raise StreamingError(
                 f"observable {name!r} is streamed (log-binned), its sample "
-                "series is not retained; track() it before sampling or use "
-                "the post-hoc accumulator (streaming=False)"
+                "series is not retained; track() it before sampling"
             )
         raise KeyError(name)
 
@@ -351,12 +377,8 @@ class StreamingAccumulator:
         }
 
     def extend(self, other: "StreamingAccumulator") -> None:
-        """Merge an independent chain's streaming state (see
+        """Merge an independent chain's accumulator (see
         :meth:`LogBinningAccumulator.merge`)."""
-        if not getattr(other, "streaming", False):
-            raise StreamingError(
-                "cannot extend a streaming accumulator with a post-hoc one"
-            )
         for name, oacc in other._accs.items():
             mine = self._accs.get(name)
             if mine is None:
@@ -371,21 +393,15 @@ class StreamingAccumulator:
 
     # -- run control ---------------------------------------------------------
 
-    def clear(self) -> None:
-        """Drop every observable (checkpoint-restore protocol)."""
-        self._accs.clear()
-        for name in self._track:
-            self._tracked[name] = []
-
     def reset(self) -> int:
         """Discard all accumulated samples but keep the observable
         registry (names, shapes, tracking). Returns how many samples of
         the first registered observable were dropped.
 
-        This is the streaming spelling of an equilibration cut: a
-        log-binned state cannot shed a *prefix*, so the controller drops
-        everything collected before the detection point (coarse but
-        unbiased — see docs/analysis.md).
+        This is the equilibration cut: a log-binned state cannot shed a
+        *prefix*, so the controller drops everything collected before
+        the detection point (coarse but unbiased — see
+        docs/analysis.md).
         """
         dropped = 0
         for name, acc in self._accs.items():
@@ -394,12 +410,6 @@ class StreamingAccumulator:
         for name in self._track:
             self._tracked[name] = []
         return dropped
-
-    def discard_prefix(self, n: int) -> None:
-        raise StreamingError(
-            "a streaming accumulator cannot discard a sample prefix; "
-            "use reset() (drops everything collected so far)"
-        )
 
     # -- checkpoint state ----------------------------------------------------
 

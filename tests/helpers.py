@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.lattice import GeneralLattice
+from repro.stats import StreamingAccumulator
 
 
 def dense_chain(factory, field, sigma):
@@ -52,3 +55,32 @@ def noisy_wraps(engine, monkeypatch, rel=1e-4, seed=5):
         return out * factor.astype(out.dtype)
 
     monkeypatch.setattr(engine, "wrap_pair", wrap_pair)
+
+
+class RecordingAccumulator(StreamingAccumulator):
+    """The measurement accumulator plus a copy of every sample: what a
+    run that retained its sample series would have checkpointed."""
+
+    def __init__(self):
+        super().__init__()
+        self.samples = {}
+
+    def add(self, name, value):
+        self.samples.setdefault(name, []).append(
+            np.asarray(value, dtype=np.float64)
+        )
+        super().add(name, value)
+
+
+def rewrite_as_series(path, samples):
+    """Re-express a checkpoint the way a series-retaining run wrote it:
+    one ``obs<i>`` member per observable (``i`` its position in
+    ``observable_names``), no log-binned state."""
+    with np.load(path, allow_pickle=False) as npz:
+        header = json.loads(str(npz["header"]))
+        payload = {"field": npz["field"]}
+    del header["streaming"], header["stream_layout"]
+    for i, name in enumerate(header["observable_names"]):
+        if samples.get(name):
+            payload[f"obs{i}"] = np.stack(samples[name])
+    np.savez_compressed(path, header=np.array(json.dumps(header)), **payload)

@@ -8,6 +8,8 @@ import pytest
 
 from repro import HubbardModel, Simulation, SquareLattice
 from repro.dqmc import CheckpointError, load_checkpoint, save_checkpoint
+from repro.stats.stream import checkpoint_accumulator
+from tests.helpers import RecordingAccumulator, rewrite_as_series
 
 
 def make_sim(seed=3, u=4.0, **options):
@@ -15,19 +17,18 @@ def make_sim(seed=3, u=4.0, **options):
     return Simulation(model, seed=seed, cluster_size=4, **options)
 
 
-def make_streaming_sim(seed=3):
-    return make_sim(seed, streaming=True, measure_dynamic=True)
+def make_dynamic_sim(seed=3):
+    return make_sim(seed, measure_dynamic=True)
 
 
 def rewrite_as_version_1(path):
-    """Re-express a version-2 streaming checkpoint the way version 1
-    wrote it: one ``stream/<key>`` member per state array, no layout."""
-    from repro.stats.stream import checkpoint_state_arrays
-
+    """Re-express a version-2 checkpoint the way version 1 wrote it:
+    one ``stream/<key>`` member per state array, no layout."""
     with np.load(path, allow_pickle=False) as npz:
         header = json.loads(str(npz["header"]))
         payload = {"field": npz["field"]}
-        for key, arr in checkpoint_state_arrays(npz, header).items():
+        acc = checkpoint_accumulator(npz, header)
+        for key, arr in acc.state_arrays().items():
             payload[f"stream/{key}"] = arr
     assert header.pop("version") == 2
     del header["stream_layout"]
@@ -136,14 +137,17 @@ class TestAtomicSave:
 
 class TestLosslessObservables:
     def test_zero_sample_observable_survives(self, tmp_path):
-        """A registered-but-unsampled observable must round-trip, not
-        silently vanish from the accumulator."""
+        """A registered-but-unsampled observable (here: recorded before
+        an equilibration cut, not since) must round-trip, not silently
+        vanish from the accumulator."""
         path = tmp_path / "ckpt.npz"
         a = make_sim()
         a.warmup(1)
-        a.measure_sweeps(2)
         acc = a.collector.accumulator
-        acc.restore_series("pending_obs", [])
+        acc.track("pending_obs")
+        acc.add("pending_obs", 1.0)
+        acc.reset()
+        a.measure_sweeps(2)
         names_before = list(acc.names())
         assert acc.n_samples("pending_obs") == 0
 
@@ -161,17 +165,29 @@ class TestLosslessObservables:
         assert any(bacc.n_samples(n) > 0 for n in bacc.names())
 
     def test_every_sample_series_restored_exactly(self, tmp_path):
+        """Tracked series come back sample for sample, every estimate
+        bit for bit."""
         path = tmp_path / "ckpt.npz"
         a = make_sim()
+        acc = a.collector.accumulator
+        acc.track("sign")
+        acc.track("density")
         a.warmup(1)
         a.measure_sweeps(3)
         save_checkpoint(path, a)
         b = make_sim()
         load_checkpoint(path, b)
-        acc, bacc = a.collector.accumulator, b.collector.accumulator
+        bacc = b.collector.accumulator
         assert list(bacc.names()) == list(acc.names())
-        for name in acc.names():
+        for name in acc.tracked_names:
             np.testing.assert_array_equal(bacc.series(name), acc.series(name))
+        for name in acc.names():
+            np.testing.assert_array_equal(
+                bacc.estimate(name).mean, acc.estimate(name).mean
+            )
+            np.testing.assert_array_equal(
+                bacc.estimate(name).error, acc.estimate(name).error
+            )
 
     def test_load_replaces_stale_accumulator_state(self, tmp_path):
         """Loading clears anything accumulated before the restore."""
@@ -231,17 +247,17 @@ class TestStreamingFormats:
 
     def test_resume_is_bit_exact(self, tmp_path, version):
         path = tmp_path / "ckpt.npz"
-        ref = make_streaming_sim()
+        ref = make_dynamic_sim()
         ref.warmup(3)
         ref.measure_sweeps(5)
         ref.measure_sweeps(4)
         ref_obs = ref.collector.results()
 
-        a = make_streaming_sim()
+        a = make_dynamic_sim()
         a.warmup(3)
         a.measure_sweeps(5)
         self.save(path, a, version)
-        b = make_streaming_sim()
+        b = make_dynamic_sim()
         load_checkpoint(path, b)
         b.measure_sweeps(4)
         got_obs = b.collector.results()
@@ -254,12 +270,12 @@ class TestStreamingFormats:
 
     def test_every_state_array_restored_exactly(self, tmp_path, version):
         path = tmp_path / "ckpt.npz"
-        a = make_streaming_sim()
+        a = make_dynamic_sim()
         a.collector.accumulator.track("density")
         a.warmup(1)
         a.measure_sweeps(3)
         self.save(path, a, version)
-        b = make_streaming_sim()
+        b = make_dynamic_sim()
         load_checkpoint(path, b)
         acc, bacc = a.collector.accumulator, b.collector.accumulator
         assert bacc.state_meta() == acc.state_meta()
@@ -275,7 +291,7 @@ class TestStreamingFormats:
         import repro.dqmc.checkpoint as ckpt_mod
 
         path = tmp_path / "ckpt.npz"
-        a = make_streaming_sim()
+        a = make_dynamic_sim()
         a.warmup(1)
         a.measure_sweeps(2)
         self.save(path, a, version)
@@ -290,12 +306,12 @@ class TestStreamingFormats:
             save_checkpoint(path, a)
         assert path.read_bytes() == good_bytes
         assert list(tmp_path.iterdir()) == [path]
-        load_checkpoint(path, make_streaming_sim())
+        load_checkpoint(path, make_dynamic_sim())
 
 
 def test_truncated_packed_member_is_rejected(tmp_path):
     path = tmp_path / "ckpt.npz"
-    a = make_streaming_sim()
+    a = make_dynamic_sim()
     a.warmup(1)
     a.measure_sweeps(2)
     save_checkpoint(path, a)
@@ -304,7 +320,7 @@ def test_truncated_packed_member_is_rejected(tmp_path):
     payload["stream"] = payload["stream"][:-1]
     np.savez_compressed(path, **payload)
     with pytest.raises(ValueError):
-        load_checkpoint(path, make_streaming_sim())
+        load_checkpoint(path, make_dynamic_sim())
 
 
 class TestValidation:
@@ -326,3 +342,52 @@ class TestValidation:
         np.savez_compressed(path, **payload)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, make_sim())
+
+
+class TestOneAccumulator:
+    def test_default_checkpoint_holds_the_packed_stream(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        a = make_sim()
+        a.warmup(1)
+        a.measure_sweeps(2)
+        save_checkpoint(path, a)
+        members = zipfile.ZipFile(path).namelist()
+        assert sorted(members) == ["field.npy", "header.npy", "stream.npy"]
+        assert not any(m.startswith("obs") for m in members)
+
+    def test_streaming_false_is_rejected(self):
+        with pytest.raises(ValueError, match="post-hoc accumulation was removed"):
+            make_sim(streaming=False)
+
+    def test_series_checkpoint_resumes_bit_exact(self, tmp_path):
+        """A checkpoint that retained per-name sample series loads by
+        replaying them: 4 more sweeps match an uninterrupted run."""
+        path = tmp_path / "ckpt.npz"
+        ref = make_dynamic_sim()
+        ref.warmup(3)
+        ref.measure_sweeps(5)
+        ref.measure_sweeps(4)
+
+        a = make_dynamic_sim()
+        a.collector.accumulator = RecordingAccumulator()
+        a.warmup(3)
+        a.measure_sweeps(5)
+        save_checkpoint(path, a)
+        rewrite_as_series(path, a.collector.accumulator.samples)
+        members = zipfile.ZipFile(path).namelist()
+        assert "stream.npy" not in members and "obs0.npy" in members
+
+        b = make_dynamic_sim()
+        load_checkpoint(path, b)
+        assert b.measured_sweeps == 5
+        b.measure_sweeps(4)
+
+        np.testing.assert_array_equal(b.field.h, ref.field.h)
+        for got, want in (
+            (b.collector.results(), ref.collector.results()),
+            (b.collector.corrected_results(), ref.collector.corrected_results()),
+        ):
+            assert set(got) == set(want) and "g_k_tau" in want
+            for name, est in want.items():
+                np.testing.assert_array_equal(got[name].mean, est.mean)
+                np.testing.assert_array_equal(got[name].error, est.error)

@@ -46,6 +46,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("nz = 4\n")
 
+    def test_streaming_key_rejected(self):
+        # every run accumulates log-binned; the old mode key is unknown
+        with pytest.raises(ValueError, match="unknown key 'streaming'"):
+            parse_config("streaming = 1\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_config("nx = eight\n")

@@ -166,7 +166,10 @@ class TestDriverOptions:
             assert engine.last_stats.n_factors == 0
         assert cache.batched_builds == builds
 
-        gloc = np.asarray(sim.collector.accumulator.series("g_loc_tau"))[-1]
+        # the only sample so far: its log-binned mean is the sample itself
+        acc = sim.collector.accumulator
+        assert acc.n_samples("g_loc_tau") == 1
+        gloc = np.asarray(acc.estimate("g_loc_tau").mean)
         expected = 0.0
         for sigma in (1, -1):
             _, greens = displaced_series_fast(

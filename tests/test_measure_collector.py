@@ -63,6 +63,8 @@ class TestCollection:
         stored density sample flips sign while 'sign' records -1."""
         lat, g = square_g
         c = MeasurementCollector(lat)
+        c.accumulator.track("density")
+        c.accumulator.track("sign")
         c.measure(g, g, sign=1.0)
         c.measure(g, g, sign=-1.0)
         dens = c.accumulator.series("density")
@@ -97,6 +99,6 @@ class TestCollection:
         c_off = MeasurementCollector(lat, t_perp=0.0)
         c_on.measure(g, g)
         c_off.measure(g, g)
-        ke_on = c_on.accumulator.series("kinetic_energy")[0]
-        ke_off = c_off.accumulator.series("kinetic_energy")[0]
+        ke_on = c_on.accumulator.estimate("kinetic_energy").mean
+        ke_off = c_off.accumulator.estimate("kinetic_energy").mean
         assert ke_on != ke_off

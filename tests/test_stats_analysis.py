@@ -17,6 +17,7 @@ from repro.stats import (
     analyze_path,
     render_analysis,
 )
+from tests.helpers import RecordingAccumulator, rewrite_as_series
 
 INPUT = """\
 nx = 2
@@ -31,9 +32,9 @@ seed = 5
 """
 
 
-def make_sim(streaming=False):
+def make_sim():
     model = HubbardModel(SquareLattice(2, 2), u=4.0, beta=1.0, n_slices=8)
-    return Simulation(model, seed=3, cluster_size=4, streaming=streaming)
+    return Simulation(model, seed=3, cluster_size=4)
 
 
 @pytest.fixture
@@ -72,10 +73,21 @@ def archive(tmp_path):
 
 
 class TestAnalyzeCheckpoint:
-    def test_posthoc_report(self, checkpoint):
-        report = analyze_checkpoint(checkpoint)
+    def test_posthoc_report(self, tmp_path):
+        """A checkpoint of retained sample series is replayed into the
+        log-binned state: the estimates equal the stream checkpoint's of
+        the same run, and the series feed the diagnostics."""
+        sim = make_sim()
+        sim.collector.accumulator = RecordingAccumulator()
+        sim.warmup(2)
+        sim.measure_sweeps(16)
+        stream_path, series_path = tmp_path / "s.npz", tmp_path / "p.npz"
+        save_checkpoint(stream_path, sim)
+        save_checkpoint(series_path, sim)
+        rewrite_as_series(series_path, sim.collector.accumulator.samples)
+        report = analyze_checkpoint(series_path)
         assert report["kind"] == "checkpoint"
-        assert report["mode"] == "post-hoc"
+        assert report["mode"] == "replayed"
         assert report["sign_corrected"] is True
         assert report["model"]["n_sites"] == 4
         density = report["observables"]["density"]
@@ -83,9 +95,15 @@ class TestAnalyzeCheckpoint:
         assert np.isfinite(density["mean"])
         # Full series retained -> fresh equilibration + tau diagnostics.
         assert "equilibration" in report
+        assert "tau_int" in density
+        stream = analyze_checkpoint(stream_path)["observables"]
+        assert set(stream) == set(report["observables"])
+        for name, entry in stream.items():
+            assert report["observables"][name]["mean"] == entry["mean"]
+            assert report["observables"][name]["error"] == entry["error"]
 
     def test_streaming_report(self, tmp_path):
-        sim = make_sim(streaming=True)
+        sim = make_sim()
         sim.attach_controller(
             RunController(
                 target_error=0.05, check_every=8, min_samples=16,
@@ -243,18 +261,17 @@ class TestTargetErrorCli:
         assert report["controller"]["target_met"] is True
         assert "(met" in render_analysis(report)
 
-    def test_streaming_flag(self, input_file, tmp_path):
-        out_path = tmp_path / "out.npz"
-        code = main(
-            [
-                "run", str(input_file),
-                "--streaming",
-                "--target-error", "0.05",
-                "--output", str(out_path),
-                "--quiet",
-            ]
-        )
-        assert code == 0
+    def test_streaming_flag(self, input_file, tmp_path, capsys):
+        """The flag is gone (every run is log-binned): argparse refuses
+        it, and so does the input-file parser the ``streaming`` key."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(input_file), "--streaming", "--quiet"])
+        assert exc.value.code == 2
+        assert "--streaming" in capsys.readouterr().err
+        keyed = tmp_path / "keyed.in"
+        keyed.write_text(INPUT + "streaming = 1\n")
+        assert main(["run", str(keyed), "--quiet"]) == 2
+        assert "unknown key 'streaming'" in capsys.readouterr().err
 
     def test_bad_target_error_rejected(self, input_file, tmp_path):
         assert (

@@ -7,7 +7,6 @@ import pytest
 
 from repro import HubbardModel, Simulation, SquareLattice
 from repro.dqmc import load_checkpoint, save_checkpoint
-from repro.measure import Accumulator
 from repro.stats import RunController, StreamingAccumulator
 
 
@@ -43,7 +42,7 @@ class TestCadence:
         ctl = RunController(
             target_error=0.1, check_every=8, min_samples=16, equilibrate=False
         )
-        acc = Accumulator()
+        acc = StreamingAccumulator()
         fill(acc, 8)
         assert ctl.check(fake_sim(acc)) is None
         assert ctl.checks == 0
@@ -52,7 +51,7 @@ class TestCadence:
         ctl = RunController(
             target_error=1e-12, check_every=8, min_samples=8, equilibrate=False
         )
-        acc = Accumulator()
+        acc = StreamingAccumulator()
         sim = fake_sim(acc)
         fill(acc, 9)
         assert ctl.check(sim) is None  # 9 % 8 != 0
@@ -65,7 +64,7 @@ class TestStopping:
         ctl = RunController(
             target_error=0.1, check_every=8, min_samples=32, equilibrate=False
         )
-        acc = Accumulator()
+        acc = StreamingAccumulator()
         fill(acc, 64, noise=1e-4)
         decision = ctl.check(fake_sim(acc))
         assert decision.stop and decision.reason == "target"
@@ -78,7 +77,7 @@ class TestStopping:
         ctl = RunController(
             target_error=1e-9, check_every=8, min_samples=32, equilibrate=False
         )
-        acc = Accumulator()
+        acc = StreamingAccumulator()
         fill(acc, 64, noise=0.5)
         decision = ctl.check(fake_sim(acc))
         assert not decision.stop and decision.reason == "continue"
@@ -91,7 +90,7 @@ class TestStopping:
             min_samples=8,
             equilibrate=False,
         )
-        acc = Accumulator()
+        acc = StreamingAccumulator()
         fill(acc, 16)
         sim = fake_sim(acc)
         # zero samples of the target -> gated out entirely
@@ -99,20 +98,6 @@ class TestStopping:
 
 
 class TestEquilibration:
-    def test_posthoc_prefix_discarded(self):
-        ctl = RunController(
-            target_error=1e-9, check_every=64, min_samples=64
-        )
-        acc = Accumulator()
-        fill(acc, 512, noise=0.05, drift=3.0)
-        decision = ctl.check(fake_sim(acc))
-        assert ctl.equilibrated
-        assert ctl.discarded > 0
-        assert acc.n_samples("density") == 512 - ctl.discarded
-        # sign series cut identically, keeping the cadence aligned
-        assert acc.n_samples("sign") == acc.n_samples("density")
-        assert decision.reason == "continue"
-
     def test_streaming_reset_discards_everything(self):
         ctl = RunController(
             target_error=1e-9, check_every=64, min_samples=64
@@ -128,12 +113,14 @@ class TestEquilibration:
 
     def test_drifting_chain_stays_unequilibrated(self):
         ctl = RunController(target_error=0.1, check_every=64, min_samples=64)
-        acc = Accumulator()
+        acc = StreamingAccumulator()
+        sim = fake_sim(acc)
+        ctl.bind(sim)
         rng = np.random.default_rng(3)
         for i in range(128):
             acc.add("sign", 1.0)
             acc.add("density", 0.05 * i + 0.01 * rng.standard_normal())
-        decision = ctl.check(fake_sim(acc))
+        decision = ctl.check(sim)
         assert decision.reason == "equilibrating"
         assert not decision.stop and not ctl.equilibrated
 
@@ -149,9 +136,9 @@ class TestStateDict:
         assert clone.stopped and clone.equilibrated
 
 
-def make_sim(seed=3, streaming=False):
+def make_sim(seed=3):
     model = HubbardModel(SquareLattice(2, 2), u=4.0, beta=1.0, n_slices=8)
-    return Simulation(model, seed=seed, cluster_size=4, streaming=streaming)
+    return Simulation(model, seed=seed, cluster_size=4)
 
 
 def make_controller():
@@ -167,9 +154,8 @@ def make_controller():
 
 
 class TestAdaptiveRuns:
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_stops_before_budget(self, streaming):
-        sim = make_sim(streaming=streaming)
+    def test_stops_before_budget(self):
+        sim = make_sim()
         sim.attach_controller(make_controller())
         sim.warmup(2)
         _, done, decision = sim.measure_until(400)
@@ -192,25 +178,24 @@ class TestAdaptiveRuns:
         _, again, decision = sim.measure_until(400)
         assert again == 0 and decision.stop
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_resume_is_bit_exact(self, streaming, tmp_path):
+    def test_resume_is_bit_exact(self, tmp_path):
         """Checkpoint mid-flight; the resumed run must stop at the same
         sweep with identical estimates as the uninterrupted one."""
         path = tmp_path / "ckpt.npz"
 
-        ref = make_sim(streaming=streaming)
+        ref = make_sim()
         ref.attach_controller(make_controller())
         ref.warmup(3)
         _, ref_done, _ = ref.measure_until(200)
         ref_obs = ref.collector.results()
 
-        a = make_sim(streaming=streaming)
+        a = make_sim()
         a.attach_controller(make_controller())
         a.warmup(3)
         a.measure_until(10)  # interrupt before the controller can stop
         save_checkpoint(path, a)
 
-        b = make_sim(streaming=streaming)
+        b = make_sim()
         b.attach_controller(make_controller())  # attach BEFORE load
         load_checkpoint(path, b)
         assert b.measured_sweeps == 10

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.measure import Accumulator, binned_statistics
+from repro.measure import binned_statistics
 from repro.stats import (
     StreamingAccumulator,
     propagate_ratio_error,
@@ -61,6 +61,21 @@ class TestJackknifeRatio:
 
 
 class TestPropagation:
+    def test_bounds_the_jackknife_reference(self):
+        """With a positively correlated (numerator, sign) pair the
+        dropped covariance term makes the propagated error conservative
+        against the exact jackknife ratio of the same series, and the two
+        means agree within that error."""
+        rng = np.random.default_rng(10)
+        sign = rng.choice([1.0, -1.0], size=4096, p=[0.85, 0.15])
+        num = 0.7 * sign + 0.02 * rng.standard_normal(4096)
+        ref = sign_corrected_ratio(num, sign)
+        est = propagate_ratio_error(
+            binned_statistics(num), binned_statistics(sign)
+        )
+        assert float(est.error) >= float(ref.error)
+        assert abs(float(est.mean) - float(ref.mean)) < float(est.error)
+
     def test_exact_at_zero_sign_variance(self):
         num = binned_statistics(2.0 + np.random.default_rng(3).standard_normal(64))
         sgn = binned_statistics(np.ones(64))
@@ -93,18 +108,25 @@ class TestSignCorrectedResults:
             acc.add("density", s * (1.0 + 0.01 * rng.standard_normal()))
 
     def test_posthoc_and_streaming_agree_at_constant_sign(self):
-        post, stream = Accumulator(), StreamingAccumulator()
-        self.fill(post)
+        """The accumulator's propagated ratio against the jackknife ratio
+        of the same series: identical at constant sign (256 = 16 * 2^4
+        samples, so the bins line up)."""
+        stream = StreamingAccumulator(track=["sign", "density"])
         self.fill(stream)
-        p = sign_corrected_results(post)
         s = sign_corrected_results(stream)
-        assert set(p) == set(s) == {"sign", "density"}
+        p = sign_corrected_ratio(
+            stream.series("density"), stream.series("sign")
+        )
+        assert set(s) == {"sign", "density"}
         np.testing.assert_allclose(
-            float(p["density"].mean), float(s["density"].mean), atol=1e-12
+            float(p.mean), float(s["density"].mean), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            float(p.error), float(s["density"].error), rtol=1e-9
         )
 
     def test_without_sign_returns_raw(self):
-        acc = Accumulator()
+        acc = StreamingAccumulator()
         acc.add("density", 1.0)
         acc.add("density", 2.0)
         out = sign_corrected_results(acc)
@@ -134,6 +156,17 @@ class TestRhat:
 
     def test_too_short_is_nan(self):
         assert np.isnan(split_rhat([np.arange(5.0)]))
+
+    def test_estimate_variant_tracks_split_rhat(self):
+        """The moment-based R-hat over per-chain estimates reads the
+        same verdict as split-R-hat over the chains' series."""
+        rng = np.random.default_rng(11)
+        honest = [rng.standard_normal(512) for _ in range(4)]
+        shifted = honest[:2] + [3.0 + rng.standard_normal(512)]
+        for chains, agree in ((honest, True), (shifted, False)):
+            ests = [binned_statistics(c) for c in chains]
+            assert (split_rhat(chains) < 1.05) is agree
+            assert (rhat_from_estimates(ests) < 1.6) is agree
 
     def test_estimate_variant(self):
         rng = np.random.default_rng(9)
