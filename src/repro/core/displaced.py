@@ -6,13 +6,30 @@ dynamic ones need the unequal-time Green's function
 .. math::
 
     G(\\tau_l, 0) = B_l \\cdots B_1 (I + B_L \\cdots B_1)^{-1}
-                  = (A_1^{-1} + A_2)^{-1}
+                  = (A_1^{-1} + A_2)^{-1} = (I + A_1 A_2)^{-1} A_1
 
 with ``A_1 = B_l ... B_1`` (the 0..tau chain) and ``A_2 = B_L ...
 B_{l+1}`` (the tau..beta chain). The naive right-hand side is hopeless at
-large tau — ``A_1`` alone overflows — so this module implements the
-stable sum-inverse of Bai, Lee, Li & Xu (the paper's reference [24]):
-stratify both chains into graded forms ``A_i = U_i D_i T_i``, then
+large tau — ``A_1`` alone overflows — so both chains are stratified into
+graded forms and joined without forming either product.
+
+:func:`displaced_series_fast`, the production path, holds ``A_1`` as a
+prefix ``R = Q_R D_R T_R`` and ``A_2`` as the decomposition of its
+transpose, ``L^T = Q_L D_L T_L`` (the engine's own chains), and joins
+them with the two-sided identity
+
+.. math::
+
+    G(\\tau, 0) = (I + R L)^{-1} R = Q_L D_{Lb} M^{-1} D_{Rs} T_R
+
+where ``M`` is the O(1) bracket of the equal-time two-sided inverse
+(:func:`repro.linalg.stable_displaced_two_sided`): one LU solve and three
+GEMMs per tau. At ``tau = beta`` antiperiodicity gives ``G(beta, 0) = I -
+G(0, 0)``, the equal-time inverse of the whole chain.
+
+The per-tau reference (:func:`displaced_greens`,
+:func:`displaced_greens_reverse`) uses the stable sum-inverse of Bai,
+Lee, Li & Xu (the paper's reference [24]) on two ``U D T`` factorizations:
 
 .. math::
 
@@ -29,7 +46,7 @@ O(1), so
 
     G(\\tau, 0) = T_2^{-1} D_{2b} M^{-1} \\bar D_b T_1
 
-is evaluated with two well-conditioned solves.
+is evaluated with three well-conditioned solves.
 """
 
 from __future__ import annotations
@@ -45,7 +62,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from ..hamiltonian import BMatrixFactory, HSField
-from ..linalg import SOLVE_KWARGS, GradedDecomposition, flops, split_scales
+from ..linalg import (
+    SOLVE_KWARGS,
+    GradedDecomposition,
+    flops,
+    split_scales,
+    stable_displaced_two_sided,
+    stable_inverse_from_graded,
+)
 from .stratification import StratificationMethod, stratified_decomposition
 
 __all__ = [
@@ -67,8 +91,10 @@ def stable_sum_inverse(
     """``(A_1^{-1} + A_2)^{-1}`` from two graded decompositions.
 
     Both inputs are ``U D T`` factorizations; neither product is ever
-    formed. The special case ``A_1 = I`` reproduces the equal-time
-    stable inverse (tested).
+    formed. Three LU solves (against ``T_2^T``, ``M`` and ``T_2``) and one
+    GEMM. The special case ``A_1 = I`` reproduces the equal-time stable
+    inverse (tested). The reference behind :func:`displaced_greens`; the
+    series joins with the one-solve two-sided form instead.
     """
     if a1.n != a2.n:
         raise ValueError("mismatched decomposition sizes")
@@ -86,12 +112,12 @@ def stable_sum_inverse(
         + d1b_bar[:, None] * t1_u2 * d2s[None, :]
     )
 
-    # G = T2^{-1} D2b M^{-1} D1b_bar T1, evaluated as two solves.
+    # G = T2^{-1} D2b M^{-1} D1b_bar T1: two more solves.
     rhs = d1b_bar[:, None] * a1.t
     inner = sla.solve(m, rhs, **SOLVE_KWARGS)
     flops.record(
         "displaced_greens",
-        2 * flops.lu_solve_flops(n, n) + flops.gemm_flops(n, n, n),
+        3 * flops.lu_solve_flops(n, n) + flops.gemm_flops(n, n, n),
     )
     return sla.solve(a2.t, d2b[:, None] * inner, **SOLVE_KWARGS)
 
@@ -177,33 +203,36 @@ def displaced_series_fast(
     sigma: int,
     cluster_size: int,
     method: StratificationMethod = "prepivot",
-    clusters: Optional[List[np.ndarray]] = None,
     backend=None,
+    prefix: Optional[List[GradedDecomposition]] = None,
     suffix_t: Optional[List[GradedDecomposition]] = None,
 ) -> tuple:
     """``G(tau, 0)`` at every cluster boundary in O(L) QR steps total.
 
     The naive per-tau evaluation stratifies both chains from scratch —
-    O(L^2 / k) QR steps for a full tau grid. This routine builds all
-    *prefix* decompositions (``A_1`` chains, grown leftward) and all
-    *suffix* decompositions (``A_2`` chains, grown via their transposes,
-    since a suffix gains factors on the *right*) incrementally — O(L/k)
-    QR steps each — then pairs them per boundary.
+    O(L^2 / k) QR steps for a full tau grid. This routine takes every
+    *prefix* decomposition (``A_1`` chains, grown leftward) and every
+    *suffix* decomposition (``A_2`` chains, grown via their transposes,
+    since a suffix gains factors on the *right*) — O(L/k) QR steps each
+    — and joins them per boundary with
+    :func:`~repro.linalg.stable_displaced_two_sided`.
 
     The transpose trick: ``(B_q ... B_c)^T = B_c^T ... B_q^T`` grows
     leftward in c, so an :class:`IncrementalStratifier` over transposed
-    clusters yields ``A_2^T = Q D T``; hence ``A_2 = T^T D Q^T``, a valid
-    graded triple for :func:`stable_sum_inverse` (which needs bounded,
-    well-conditioned outer factors — not orthogonality).
+    clusters yields ``A_2^T = Q D T``, the ``L^T`` the two-sided join
+    expects.
 
-    ``clusters`` are the dense cluster products in cluster order when the
-    caller already holds them (an engine's recycling cache); they are
-    built here otherwise. ``suffix_t[m - 1]`` is the decomposition of
-    the transposed chain of the last ``m`` clusters when the caller
-    already holds those
-    (:meth:`GreensFunctionEngine.suffix_decompositions`, whose sweeps
-    build the same chain); they are stratified here otherwise.
-    ``backend`` runs the chain steps (default: a serial numpy backend).
+    ``prefix[c - 1] = R_c`` is the decomposition of clusters
+    ``c - 1 ... 0`` (c = 1 .. nc - 1) and ``suffix_t[m - 1] = S_m`` the
+    one of the transposed chain of the last ``m`` clusters (m = 1 .. nc)
+    when the caller already holds them: a
+    :class:`~repro.core.GreensFunctionEngine`'s
+    ``prefix_decompositions(sigma)`` / ``suffix_decompositions(sigma)``,
+    the chains its sweeps build anyway. Whatever is not handed in is
+    stratified here from freshly built cluster products. No prefix of all
+    nc clusters is needed: ``G(beta, 0) = I - G(0, 0)`` comes from the
+    equal-time inverse of ``S_nc``. ``backend`` runs the chain steps and
+    the joins (default: a serial numpy backend).
 
     Returns
     -------
@@ -211,44 +240,42 @@ def displaced_series_fast(
         ``taus[j] = (j + 1) * cluster_size * dtau`` and ``greens[j]`` the
         corresponding displaced function, for j = 0 .. L/k - 1.
     """
+    from ..backends.registry import resolve_backend
     from .clustering import cluster_product, cluster_slices
     from .stratification import IncrementalStratifier
 
+    backend = resolve_backend(backend or "numpy")
     ranges = cluster_slices(field.n_slices, cluster_size)
     nc = len(ranges)
-    n = factory.n
-    if clusters is None:
+    if prefix is None or suffix_t is None:
         clusters = [
             cluster_product(factory, field, sigma, r) for r in ranges
         ]
-
-    # prefix[c] = decomposition of clusters c ... 0 (A_1 at boundary c + 1)
-    prefix: List[GradedDecomposition] = []
-    inc = IncrementalStratifier(method, backend)
-    for c in range(nc):
-        inc.push(clusters[c])
-        prefix.append(inc.decomposition())
-
-    # built from transposes so each step adds a leftmost factor; the
-    # whole chain (all nc clusters) is never paired
+    if prefix is None:
+        prefix = []
+        inc = IncrementalStratifier(method, backend)
+        for c in range(nc - 1):
+            inc.push(clusters[c])
+            prefix.append(inc.decomposition())
     if suffix_t is None:
         suffix_t = []
         inc_t = IncrementalStratifier(method, backend)
-        for c in range(nc - 1, 0, -1):
+        for c in range(nc - 1, -1, -1):
             inc_t.push(clusters[c].T)
             suffix_t.append(inc_t.decomposition())
 
     dtau = factory.model.dtau
     taus = np.array([(c + 1) * cluster_size * dtau for c in range(nc)])
-    greens = []
-    for c in range(nc):
-        a1 = prefix[c]
-        if c + 1 < nc:  # A_2 = clusters nc-1 ... c+1
-            dec_t = suffix_t[nc - c - 2]
-            a2 = GradedDecomposition(q=dec_t.t.T, d=dec_t.d, t=dec_t.q.T)
-        else:
-            a2 = _identity_decomposition(n)
-        greens.append(stable_sum_inverse(a1, a2))
+    # tau at boundary c + 1: prefix R_{c+1}, suffix S_{nc-c-1}
+    greens = [
+        stable_displaced_two_sided(prefix[c], suffix_t[nc - c - 2], backend)
+        for c in range(nc - 1)
+    ]
+    # G(beta, 0) = I - G(0, 0), with G(0, 0) = (I + L)^-1 = ((I + L^T)^-1)^T
+    # evaluated as boundary 0 evaluates it
+    greens.append(
+        np.eye(factory.n) - stable_inverse_from_graded(suffix_t[nc - 1]).T
+    )
     return taus, greens
 
 

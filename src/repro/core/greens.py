@@ -7,7 +7,9 @@ for a fixed model and a live HS field:
 * fresh (stratified) evaluation of the equal-time Green's function at any
   cluster boundary, under any pivoting policy, from a prefix and a suffix
   factorization; a from-scratch build keeps the stack of decompositions
-  it passes through, so a sweep builds each side once,
+  it passes through, so a sweep builds each side once, and both stacks
+  feed the time-displaced sample (:meth:`prefix_decompositions`,
+  :meth:`suffix_decompositions`),
 * wrapping between adjacent slices,
 * drift diagnostics (wrapped vs. freshly stratified G).
 
@@ -166,6 +168,11 @@ class GreensFunctionEngine:
             factory, field, cluster_size, backend=self.backend
         )
         self._register_cache_stats()
+        #: a forward sweep keeps every prefix it builds, not only the
+        #: running one, for the time-displaced sample that reads them
+        #: (:meth:`prefix_decompositions`); the simulation driver sets it
+        #: around the measurement sweeps of a ``measure_dynamic`` run
+        self._keep_prefixes = False
         self._drop_partials()
         self.last_stats = StratificationStats()
 
@@ -229,7 +236,9 @@ class GreensFunctionEngine:
     def n_kept(self, sigma: int) -> int:
         """How many partial decompositions spin ``sigma`` holds: at most
         ``n_clusters - c + 1`` at boundary ``c`` of a forward sweep (the
-        suffix stack, the running prefix), ``2 n_clusters - 1`` ever."""
+        suffix stack, the running prefix) - ``n_clusters`` when the sweep
+        keeps its prefixes for a time-displaced sample (the suffix stack,
+        ``R_1 .. R_c``) - and ``2 n_clusters - 1`` ever."""
         return sum(len(side.kept()) for side in self._partials[sigma])
 
     def invalidate_slice(self, l: int) -> None:
@@ -328,6 +337,10 @@ class GreensFunctionEngine:
         if not 0 <= start_cluster < nc:
             raise IndexError(f"cluster {start_cluster} out of range")
         prefix, suffix = self._partials[sigma]
+        if start_cluster == 0:
+            # no prefix here, and a sweep starting here builds its own:
+            # release what an earlier one kept for a sample
+            prefix.drop_from(1)
         with self.profiler.phase("clustering"):
             n0, right = prefix.nearest(start_cluster)
             todo_right = self._products(sigma, range(n0, start_cluster))
@@ -335,7 +348,9 @@ class GreensFunctionEngine:
             todo_left = self._suffix_factors(sigma, m0, nc - start_cluster)
         with self.profiler.phase("stratification"):
             stats = StratificationStats()
-            right = self._extend(prefix, n0, right, todo_right, stats)
+            right = self._extend(
+                prefix, n0, right, todo_right, stats, keep=self._keep_prefixes
+            )
             left_t = self._extend(suffix, m0, left_t, todo_left, stats)
             if right is None:  # boundary 0: G = (I + L)^-1 = ((I + L^T)^-1)^T
                 stats.grading_ratio = left_t.grading_ratio()
@@ -360,7 +375,8 @@ class GreensFunctionEngine:
         Built and kept exactly as ``boundary_greens(sigma, 0)`` builds
         and keeps them, so the forward sweep that follows pushes nothing
         on its suffix side. The time-displaced series pairs the same
-        decompositions with its prefixes
+        decompositions with :meth:`prefix_decompositions`, and takes
+        ``G(beta, 0) = I - G(0, 0)`` from ``S_nc``
         (:func:`~repro.core.displaced.displaced_series_fast`).
         """
         nc = self.n_clusters
@@ -376,6 +392,32 @@ class GreensFunctionEngine:
             )
         # a one-push completion is returned without joining the stack
         return [stack.get(m, last) for m in range(1, nc + 1)]
+
+    def prefix_decompositions(self, sigma: int) -> list:
+        """``[R_1, ..., R_{nc-1}]``: ``R_c`` is the graded decomposition of
+        ``Btilde_{c-1} ... Btilde_0``, the prefix chain of boundary ``c``.
+
+        Clusters ``0 .. c-1`` are final once a forward sweep reaches
+        boundary ``c``, so one that keeps its prefixes leaves all of them
+        here. Whatever is missing (after a backward sweep, a global move,
+        a refresh or a resume) is built from the longest kept one,
+        borrowing its products from the cache: the suffix build that
+        follows takes them. Reading releases the side - the next sweep
+        rebuilds its prefixes anyway.
+        """
+        nc = self.n_clusters
+        prefix = self._partials[sigma][0]
+        kept = dict(prefix.kept())
+        n0 = next(n for n in range(nc) if n + 1 not in kept)
+        with self.profiler.phase("clustering"):
+            todo = [self.cache.get(sigma, j) for j in range(n0, nc - 1)]
+        with self.profiler.phase("stratification"):
+            self._extend(
+                prefix, n0, kept.get(n0), todo, StratificationStats(), keep=True
+            )
+        kept.update(prefix.stack)
+        prefix.drop_from(1)
+        return [kept[n] for n in range(1, nc)]
 
     def _products(self, sigma: int, clusters: range) -> list:
         """The cluster products a chain build is about to push.
@@ -404,6 +446,7 @@ class GreensFunctionEngine:
         start: Optional[GradedDecomposition],
         factors: list,
         stats: StratificationStats,
+        keep: bool = False,
     ) -> Optional[GradedDecomposition]:
         """Push ``factors`` onto ``start``, the kept decomposition of the
         first ``n0`` factors of ``side`` (None when ``n0`` is 0).
@@ -411,23 +454,23 @@ class GreensFunctionEngine:
         A one-push extension of the running decomposition (or of
         nothing) replaces it, so a chain walked one boundary at a time
         stays one entry - and none once the side is complete, when no
-        boundary is left to extend it to. A longer build puts every
-        decomposition it passes through on the side's stack, its result
-        included. ``factors`` is consumed: each is released as soon as
-        it is folded in.
+        boundary is left to extend it to. A longer build, or any build
+        with ``keep``, puts every decomposition it passes through on the
+        side's stack, its result included. ``factors`` is consumed: each
+        is released as soon as it is folded in.
         """
         if not factors:
             return start
         chain = IncrementalStratifier(self.method, self.backend, start=start)
-        one_push = len(factors) == 1
+        stack_all = keep or len(factors) > 1
         factors.reverse()
         while factors:
             chain.push(factors.pop())
-            if not one_push:
+            if stack_all:
                 side.stack[n0 + chain.n_factors] = chain.decomposition()
         dec = chain.decomposition()
         extends_running = side.running is not None and start is side.running[1]
-        if one_push and (start is None or extends_running):
+        if not stack_all and (start is None or extends_running):
             side.running = (n0 + 1, dec) if n0 + 1 < side.length else None
         stats.n_factors += chain.n_factors
         stats.sync_points += chain.sync_points

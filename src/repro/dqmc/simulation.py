@@ -109,9 +109,11 @@ class Simulation:
     measure_dynamic:
         Also record the time-displaced observables once per measurement
         sweep: spin-averaged ``G(k, tau)`` and ``G_loc(tau)`` on the
-        cluster-boundary tau grid, via the O(L) incremental series.
-        Costs roughly one extra Green's-function evaluation pair per
-        sweep; off by default.
+        cluster-boundary tau grid, via the O(L) incremental series. The
+        series reads the chains the sweeps build anyway (a forward
+        measurement sweep keeps its prefixes; the suffix stack is the
+        next sweep's boundary 0), so a sample adds no chain steps, only
+        one LU solve per tau and spin; off by default.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`: per-sweep counters
         and events, periodic metric snapshots (profiler phases and
@@ -314,21 +316,19 @@ class Simulation:
             gk = None
             gloc = None
             for sigma in (1, -1):
-                # The recycled cluster products, fetched before the
-                # engine's suffix build takes them; that build is the
-                # one the next sweep's boundary 0 would otherwise do.
-                clusters = [
-                    engine.cache.get(sigma, j)
-                    for j in range(engine.n_clusters)
-                ]
+                # The prefixes the sweep kept (built here when it could
+                # not), read before the suffix build takes the products
+                # a rebuild borrows; that build is the one the next
+                # sweep's boundary 0 would otherwise do.
+                prefix = engine.prefix_decompositions(sigma)
                 taus, greens = displaced_series_fast(
                     self.factory,
                     self.field,
                     sigma,
                     engine.cluster_size,
                     method=engine.method,
-                    clusters=clusters,
                     backend=engine.backend,
+                    prefix=prefix,
                     suffix_t=engine.suffix_decompositions(sigma),
                 )
                 if gloc is None:
@@ -405,24 +405,29 @@ class Simulation:
                     collector.measure(g[1], g[-1], sign)
 
         agg = SweepStats()
-        for _ in range(n_sweeps):
-            st = sweep(
-                self.engine,
-                self.rng,
-                max_delay=self.max_delay,
-                profiler=self.profiler,
-                on_boundary=on_boundary,
-                start_sign=self._sign,
-                direction=self._next_direction(),
-                telemetry=self.telemetry,
-            )
-            self._sign = st.sign
-            self._maybe_global_flips()
-            if self.measure_dynamic:
-                self._measure_dynamic_sample()
-            self._after_sweep(st, stage="measure")
-            self.measured_sweeps += 1
-            agg.merge(st)
+        # the dynamic sample reads the prefixes a forward sweep builds
+        self.engine._keep_prefixes = self.measure_dynamic
+        try:
+            for _ in range(n_sweeps):
+                st = sweep(
+                    self.engine,
+                    self.rng,
+                    max_delay=self.max_delay,
+                    profiler=self.profiler,
+                    on_boundary=on_boundary,
+                    start_sign=self._sign,
+                    direction=self._next_direction(),
+                    telemetry=self.telemetry,
+                )
+                self._sign = st.sign
+                self._maybe_global_flips()
+                if self.measure_dynamic:
+                    self._measure_dynamic_sample()
+                self._after_sweep(st, stage="measure")
+                self.measured_sweeps += 1
+                agg.merge(st)
+        finally:
+            self.engine._keep_prefixes = False
         self.total_stats.merge(agg)
         return agg
 

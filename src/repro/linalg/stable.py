@@ -31,6 +31,7 @@ __all__ = [
     "SOLVE_KWARGS",
     "stable_inverse_from_graded",
     "stable_inverse_two_sided",
+    "stable_displaced_two_sided",
     "stable_log_det_from_graded",
     "naive_inverse",
 ]
@@ -56,6 +57,33 @@ def stable_inverse_from_graded(g: GradedDecomposition) -> np.ndarray:
     return sla.solve(lhs, rhs, **SOLVE_KWARGS)
 
 
+def _two_sided_bracket(
+    right: GradedDecomposition, left_t: GradedDecomposition, backend
+) -> tuple:
+    """``(M, D_Rb, D_Rs, D_Lb)`` of the two-sided join of
+    ``R = Q_R D_R T_R`` and ``L^T = Q_L D_L T_L``:
+
+    .. math::
+
+        M = D_{Rb} (Q_R^T Q_L) D_{Lb} + D_{Rs} (T_R T_L^T) D_{Ls}
+
+    so that ``I + R L = Q_R D_{Rb}^{-1} M D_{Lb}^{-1} Q_L^T`` with every
+    entry of ``M`` O(1). The two products go through ``backend.gemm``.
+    """
+    if right.n != left_t.n:
+        raise ValueError("mismatched decomposition sizes")
+    rb, rs = split_scales(right.d)
+    lb, ls = split_scales(left_t.d)
+    m = backend.gemm(right.q.T, left_t.q, category="stratification")
+    m *= rb[:, None]
+    m *= lb[None, :]
+    tt = backend.gemm(right.t, left_t.t.T, category="stratification")
+    tt *= rs[:, None]
+    tt *= ls[None, :]
+    m += tt
+    return m, rb, rs, lb
+
+
 def stable_inverse_two_sided(
     right: GradedDecomposition, left_t: GradedDecomposition, backend
 ) -> np.ndarray:
@@ -72,23 +100,36 @@ def stable_inverse_two_sided(
             + D_{Rs} (T_R T_L^T) D_{Ls} \\big]^{-1} D_{Rb} Q_R^T
 
     and every entry inside the solve is O(1) (Bauer, "Fast and stable
-    determinant quantum Monte Carlo"). The three N x N products go
-    through ``backend.gemm``.
+    determinant quantum Monte Carlo"). One LU solve; the three N x N
+    products go through ``backend.gemm``.
     """
-    if right.n != left_t.n:
-        raise ValueError("mismatched decomposition sizes")
+    m, rb, _, lb = _two_sided_bracket(right, left_t, backend)
     n = right.n
-    rb, rs = split_scales(right.d)
-    lb, ls = split_scales(left_t.d)
-    m = backend.gemm(right.q.T, left_t.q, category="stratification")
-    m *= rb[:, None]
-    m *= lb[None, :]
-    tt = backend.gemm(right.t, left_t.t.T, category="stratification")
-    tt *= rs[:, None]
-    tt *= ls[None, :]
-    m += tt
     flops.record("stable_inverse", flops.lu_solve_flops(n, n) + 7 * n * n)
     x = sla.solve(m, rb[:, None] * right.q.T, **SOLVE_KWARGS)
+    return backend.gemm(left_t.q * lb[None, :], x, category="stratification")
+
+
+def stable_displaced_two_sided(
+    right: GradedDecomposition, left_t: GradedDecomposition, backend
+) -> np.ndarray:
+    """``(I + R L)^{-1} R`` from the same two decompositions.
+
+    With ``R`` the chain from 0 to tau and ``L`` the one from tau to
+    beta this is the time-displaced ``G(tau, 0)``. The ``D_Rb Q_R^T``
+    closing :func:`stable_inverse_two_sided` meets ``R = Q_R D_Rb^{-1}
+    D_Rs T_R`` and cancels, leaving
+
+    .. math::
+
+        G(\\tau, 0) = Q_L D_{Lb} M^{-1} D_{Rs} T_R
+
+    with the same O(1) ``M``: one LU solve and three GEMMs.
+    """
+    m, _, rs, lb = _two_sided_bracket(right, left_t, backend)
+    n = right.n
+    flops.record("stable_inverse", flops.lu_solve_flops(n, n) + 7 * n * n)
+    x = sla.solve(m, rs[:, None] * right.t, **SOLVE_KWARGS)
     return backend.gemm(left_t.q * lb[None, :], x, category="stratification")
 
 

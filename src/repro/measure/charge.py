@@ -19,10 +19,12 @@ averaged by the estimator downstream).
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from ..lattice import SquareLattice, fourier_two_point
-from .equal_time import density_per_spin
+from .equal_time import density_per_spin, same_spin_exchange
 
 __all__ = [
     "charge_density_correlation",
@@ -31,7 +33,10 @@ __all__ = [
 
 
 def charge_density_correlation(
-    lattice: SquareLattice, g_up: np.ndarray, g_dn: np.ndarray
+    lattice: SquareLattice,
+    g_up: np.ndarray,
+    g_dn: np.ndarray,
+    exchange: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Per-sample connected ``C_nn(r)``, indexed by displacement.
 
@@ -39,19 +44,20 @@ def charge_density_correlation(
     densities — the standard per-configuration estimator; the Monte
     Carlo average then converges to the textbook connected correlator up
     to O(1/sweeps) cross-correlation terms that vanish in the average.
+    ``exchange`` is the pair of same-spin exchange vectors (up, down)
+    when the caller already formed them (as for
+    :func:`~repro.measure.spin.spin_zz_correlation`).
     """
-    n = lattice.n_sites
     tt = lattice.translation_table
-    rows = np.arange(n)[None, :]
     dens = density_per_spin(g_up) + density_per_spin(g_dn)
 
     # disconnected piece <n_a><n_b>, subtracted at the end
     out = (dens[tt] * dens[None, :]).mean(axis=1)
     # exchange contractions, same spin only
-    for g in (g_up, g_dn):
-        gab = g[tt, rows]
-        gba = g[rows, tt]
-        out -= (gba * gab).mean(axis=1)
+    if exchange is None:
+        exchange = [same_spin_exchange(lattice, g) for g in (g_up, g_dn)]
+    for x in exchange:
+        out -= x
     out[0] += np.diag(g_up).mean() + np.diag(g_dn).mean()
     # connect: subtract the sample's mean-density square
     out -= dens.mean() ** 2

@@ -15,7 +15,12 @@ import numpy as np
 
 from ..lattice import SquareLattice
 from .charge import charge_density_correlation
-from .equal_time import double_occupancy, kinetic_energy, total_density
+from .equal_time import (
+    double_occupancy,
+    kinetic_energy,
+    same_spin_exchange,
+    total_density,
+)
 from .estimators import BinnedEstimate
 from .momentum import momentum_distribution_spin_mean
 from .pairing import swave_pair_structure_factor
@@ -87,12 +92,16 @@ class MeasurementCollector:
         if self.with_arrays:
             nk = momentum_distribution_spin_mean(self.lattice, g_up, g_dn)
             acc.add("momentum_distribution", sign * nk)
-            czz = spin_zz_correlation(self.lattice, g_up, g_dn)
-            acc.add("spin_zz", sign * czz)
-            acc.add(
-                "charge_nn",
-                sign * charge_density_correlation(self.lattice, g_up, g_dn),
+            # the same-spin contractions both correlations subtract
+            exchange = tuple(
+                same_spin_exchange(self.lattice, g) for g in (g_up, g_dn)
             )
+            czz = spin_zz_correlation(self.lattice, g_up, g_dn, exchange)
+            acc.add("spin_zz", sign * czz)
+            cnn = charge_density_correlation(
+                self.lattice, g_up, g_dn, exchange
+            )
+            acc.add("charge_nn", sign * cnn)
             acc.add(
                 "swave_pairing",
                 sign * swave_pair_structure_factor(self.lattice, g_up, g_dn),

@@ -26,6 +26,7 @@ __all__ = [
     "double_occupancy",
     "kinetic_energy",
     "greens_displacement_average",
+    "same_spin_exchange",
 ]
 
 
@@ -87,3 +88,16 @@ def greens_displacement_average(
     else:
         vals = g[rows, tt]
     return vals.mean(axis=1)
+
+
+def same_spin_exchange(lattice: SquareLattice, g: np.ndarray) -> np.ndarray:
+    """``(1/N) sum_b G(b, a) G(a, b)`` with ``a = b + r``, per displacement.
+
+    The same-spin Wick contraction of ``<n_a n_b>`` that both the spin
+    and the charge correlation subtract, one spin sector at a time.
+    """
+    tt = lattice.translation_table  # tt[r, b] = b + r
+    rows = np.arange(lattice.n_sites)[None, :]
+    gab = g[tt, rows]  # G(a, b)
+    gba = g[rows, tt]  # G(b, a)
+    return (gba * gab).mean(axis=1)

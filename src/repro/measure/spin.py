@@ -22,10 +22,12 @@ same sublattice, ``< 0`` on the opposite one.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from ..lattice import SquareLattice, fourier_two_point
-from .equal_time import density_per_spin
+from .equal_time import density_per_spin, same_spin_exchange
 
 __all__ = [
     "spin_zz_correlation",
@@ -36,15 +38,19 @@ __all__ = [
 
 
 def spin_zz_correlation(
-    lattice: SquareLattice, g_up: np.ndarray, g_dn: np.ndarray
+    lattice: SquareLattice,
+    g_up: np.ndarray,
+    g_dn: np.ndarray,
+    exchange: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Per-sample ``C_zz(r)`` indexed by displacement site index.
 
     ``C_zz(0)`` is the local moment ``<m_z^2>``; the r = (lx/2, ly/2)
     entry is the longest-distance correlation used for bulk-limit
-    extrapolation in the paper's Sec. V-A discussion.
+    extrapolation in the paper's Sec. V-A discussion. ``exchange`` is
+    the pair of :func:`~repro.measure.equal_time.same_spin_exchange`
+    vectors (up, down) when the caller already formed them.
     """
-    n = lattice.n_sites
     tt = lattice.translation_table  # tt[r, b] = b + r
     m = density_per_spin(g_up) - density_per_spin(g_dn)
 
@@ -53,11 +59,10 @@ def spin_zz_correlation(
 
     # Same-spin contractions: (1/N) sum_b (delta_ab - G(b,a)) G(a,b),
     # a = b + r. The delta contributes only at r = 0.
-    rows = np.arange(n)[None, :]
-    for g in (g_up, g_dn):
-        gab = g[tt, rows]  # G(a, b) with a = b + r
-        gba = g[rows, tt]  # G(b, a)
-        out -= (gba * gab).mean(axis=1)
+    if exchange is None:
+        exchange = [same_spin_exchange(lattice, g) for g in (g_up, g_dn)]
+    for x in exchange:
+        out -= x
     out[0] += (
         np.diag(g_up).mean() + np.diag(g_dn).mean()
     )  # delta_ab G(a,a) terms

@@ -5,14 +5,41 @@ import pytest
 
 from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
 from repro.core import (
+    IncrementalStratifier,
+    build_clusters,
     displaced_greens,
     displaced_greens_series,
+    displaced_series_fast,
     stable_sum_inverse,
     stratified_decomposition,
 )
 from repro.linalg import GradedDecomposition
 from tests.helpers import relerr
 from tests.test_dqmc_sweep import golden_engine, sha1
+
+
+def bai_series(factory, field, sigma, k, method="prepivot"):
+    """The series as the Bai sum-inverse joins it: prefixes ``R_1 ..
+    R_nc`` against the transposed suffixes, ``R_nc`` against the
+    identity (three solves per tau; how the series was evaluated before
+    the two-sided joins)."""
+    clusters = build_clusters(factory, field, sigma, k)
+    nc, n = len(clusters), factory.n
+    prefix, suffix = IncrementalStratifier(method), IncrementalStratifier(method)
+    rs, ls = [], []
+    for c in range(nc):
+        prefix.push(clusters[c])
+        rs.append(prefix.decomposition())
+        suffix.push(clusters[nc - 1 - c].T)
+        ls.append(suffix.decomposition())
+    out = []
+    for c in range(nc - 1):
+        s = ls[nc - c - 2]
+        a2 = GradedDecomposition(q=s.t.T, d=s.d, t=s.q.T)
+        out.append(stable_sum_inverse(rs[c], a2))
+    ident = GradedDecomposition(q=np.eye(n), d=np.ones(n), t=np.eye(n))
+    out.append(stable_sum_inverse(rs[nc - 1], ident))
+    return out
 
 
 def brute_displaced(factory, field, sigma, l):
@@ -151,8 +178,6 @@ class TestReverseDisplaced:
 
 class TestFastSeries:
     def test_matches_per_tau_evaluation(self, factory4x4, field4x4):
-        from repro.core import displaced_series_fast
-
         taus, greens = displaced_series_fast(
             factory4x4, field4x4, 1, cluster_size=5
         )
@@ -163,14 +188,10 @@ class TestFastSeries:
             assert relerr(g, ref) < 1e-10, j
 
     def test_tau_grid(self, factory4x4, field4x4):
-        from repro.core import displaced_series_fast
-
         taus, _ = displaced_series_fast(factory4x4, field4x4, 1, 10)
         np.testing.assert_allclose(taus, [1.0, 2.0])
 
     def test_stable_at_strong_coupling(self, rng):
-        from repro.core import displaced_series_fast
-
         model = HubbardModel(SquareLattice(2, 2), u=8.0, beta=12.0, n_slices=96)
         fac = BMatrixFactory(model)
         field = HSField.random(96, 4, rng)
@@ -183,24 +204,34 @@ class TestFastSeries:
         assert relerr(greens[mid], ref) < 1e-8
 
     #: SHA-1 of the stacked spin-up series on the seed-11 4x4 beta=2 U=4
-    #: field, recorded from the commit before ``decomposition()`` stopped
-    #: copying its snapshots (``GeneralLattice`` twin: the dense GEMM path
-    #: the hashes were recorded on)
+    #: field (``GeneralLattice`` twin: the dense GEMM path the hashes were
+    #: first recorded on)
     GOLDEN = {
-        "prepivot": "c2314d2c7e2a1425c45b695a9a719798e3fbab32",
-        "qrp": "b2c43d6cf6ba6334cf09c8003199fad26bd74a90",
+        "prepivot": "a515fa2911a67ebef1f9759004adf26ece34554f",
+        "qrp": "14f625bec931db0fc9d3bed024caf21d0b6be921",
     }
 
     @pytest.mark.parametrize("method", ["prepivot", "qrp"])
     def test_series_is_bit_identical_to_parent(self, method):
-        from repro.core import displaced_series_fast
-
+        """Re-recorded when the joins moved from the Bai sum-inverse
+        (three solves) to the two-sided ``Q_L D_Lb M^-1 D_Rs T_R`` (one
+        solve) and ``G(beta, 0)`` to ``I - G(0, 0)``: the same chains,
+        rounded differently. The old hashes (prepivot ``c2314d2c``, qrp
+        ``b2c43d6c``) are what :func:`bai_series` still gives; the new
+        series is within 3e-15 relative of it at every tau."""
         engine, _ = golden_engine(11, dense=True)
         taus, greens = displaced_series_fast(
             engine.factory, engine.field, 1, 5, method=method
         )
         assert sha1(taus) == "1954f3046f071947e46eb8190a538013a6d1fbbb"
         assert sha1(np.stack(greens)) == self.GOLDEN[method]
+        bai = bai_series(engine.factory, engine.field, 1, 5, method)
+        assert sha1(np.stack(bai)) == {
+            "prepivot": "c2314d2c7e2a1425c45b695a9a719798e3fbab32",
+            "qrp": "b2c43d6cf6ba6334cf09c8003199fad26bd74a90",
+        }[method]
+        for g, b in zip(greens, bai):
+            assert relerr(g, b) < 1e-14
 
     @pytest.mark.parametrize("warm", ["cold", "forward", "backward", "partial"])
     def test_engine_suffix_stack_gives_the_same_series(self, warm):
@@ -208,7 +239,6 @@ class TestFastSeries:
         series bit for bit, ``S_m`` the decomposition ``boundary_greens``
         itself uses at boundary ``nc - m``, and a boundary 0 after it
         that pushes nothing."""
-        from repro.core import displaced_series_fast
         from repro.dqmc import sweep
 
         engine, rng = golden_engine(11)
@@ -220,12 +250,11 @@ class TestFastSeries:
         _, expected = displaced_series_fast(
             engine.factory, engine.field, 1, 5, backend=backend
         )
-        clusters = [engine.cache.get(1, j) for j in range(nc)]
         suffix_t = engine.suffix_decompositions(1)
         assert len(suffix_t) == nc and engine.n_kept(1) >= nc - 1
         _, greens = displaced_series_fast(
             engine.factory, engine.field, 1, 5,
-            clusters=clusters, backend=backend, suffix_t=suffix_t,
+            backend=backend, suffix_t=suffix_t,
         )
         assert sha1(np.stack(greens)) == sha1(np.stack(expected))
         assert engine.suffix_decompositions(1)[0] is suffix_t[0]  # kept
@@ -233,3 +262,83 @@ class TestFastSeries:
         # completion of the stack is returned, not kept)
         engine.boundary_greens(1, 0)
         assert engine.last_stats.n_factors == (1 if warm == "partial" else 0)
+
+
+def recording_sample(monkeypatch):
+    """Every series the simulation's dynamic sample computes, as
+    ``(sigma, field copy, taus, greens)`` (the sample looks the routine up
+    on ``repro.core`` at call time)."""
+    import repro.core
+
+    seen = []
+
+    def recorded(factory, field, sigma, k, **kwargs):
+        taus, greens = displaced_series_fast(factory, field, sigma, k, **kwargs)
+        seen.append((sigma, field.h.copy(), taus, greens))
+        return taus, greens
+
+    monkeypatch.setattr(repro.core, "displaced_series_fast", recorded)
+    return seen
+
+
+class TestEngineFedSeries:
+    """The dynamic sample's series from the sweep's own chains (kept
+    prefixes, the suffix stack, ``G(beta, 0)`` from ``S_nc``) against
+    independent references, and against the standalone routine."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"alternate_directions": True}, {"global_flips_per_sweep": 1}],
+        ids=["forward", "alternating", "global-flips"],
+    )
+    def test_free_fermions_at_every_tau(self, options, monkeypatch):
+        """U = 0: ``e^{-tau K} (I + e^{-beta K})^-1`` at every tau,
+        ``tau = beta`` included. Kept prefixes (forward), prefixes
+        rebuilt after a backward sweep (alternating) or after a global
+        move dropped everything (global flips) - each bit for bit what
+        the standalone routine computes from scratch."""
+        from repro import Simulation
+
+        model = HubbardModel(SquareLattice(4, 4), u=0.0, beta=4.0, n_slices=32)
+        sim = Simulation(
+            model, seed=3, cluster_size=8, measure_dynamic=True, **options
+        )
+        w, v = np.linalg.eigh(model.kinetic_matrix())
+        seen = recording_sample(monkeypatch)
+        sim.measure_sweeps(3)
+        assert len(seen) == 6
+        engine = sim.engine
+        for sigma, h, taus, greens in seen:
+            assert len(greens) == engine.n_clusters and taus[-1] == model.beta
+            for tau, g in zip(taus, greens):
+                exact = (v * (np.exp(-tau * w) / (1.0 + np.exp(-model.beta * w)))) @ v.T
+                assert np.max(np.abs(g - exact)) < 1e-12, tau
+            _, standalone = displaced_series_fast(
+                sim.factory, HSField(h), sigma, engine.cluster_size,
+                method=engine.method, backend=engine.backend,
+            )
+            assert sha1(np.stack(greens)) == sha1(np.stack(standalone))
+
+    def test_strong_coupling_against_slice_by_slice(self, monkeypatch):
+        """6x6, U = 8, beta = 16, k = 10 after a measurement sweep: every
+        tau against ``displaced_greens(method="qrp")`` (one QR step per
+        slice, no clusters), held to 10 x the worst the Bai sum-inverse
+        reaches on the same chains, or 1e-11."""
+        from repro import Simulation
+
+        model = HubbardModel(SquareLattice(6, 6), u=8.0, beta=16.0, n_slices=160)
+        sim = Simulation(model, seed=19, cluster_size=10, measure_dynamic=True)
+        seen = recording_sample(monkeypatch)
+        sim.measure_sweeps(1)
+        sigma, h, _, greens = seen[0]
+        field = HSField(h)
+        bai = bai_series(sim.factory, field, sigma, 10)
+        ours, theirs = [], []
+        for j, (g, b) in enumerate(zip(greens, bai)):
+            ref = displaced_greens(
+                sim.factory, field, sigma, (j + 1) * 10 - 1, method="qrp"
+            )
+            ours.append(relerr(g, ref))
+            theirs.append(relerr(b, ref))
+        assert len(ours) == 16
+        assert max(ours) <= max(10 * max(theirs), 1e-11), (max(ours), max(theirs))

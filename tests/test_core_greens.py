@@ -263,6 +263,41 @@ class TestChainStepsAndKeptState:
         # the last prefix is complete: no boundary extends it, none is kept
         assert eng.n_kept(1) == eng.n_kept(-1) == 0
 
+    def test_kept_prefixes_of_a_measurement_sweep(self):
+        """With ``_keep_prefixes`` (a ``measure_dynamic`` run's measurement
+        sweeps) each boundary's prefix joins a stack instead of replacing
+        the running one: ``R_1 .. R_c`` at boundary c next to the suffix
+        stack still to be used, no extra push, and after the sweep
+        exactly the ``R_1 .. R_{nc-1}`` the sample reads. Reading them,
+        or a boundary 0, releases them."""
+        eng, rng = make_engine(beta=8.0, k=10)
+        nc = eng.n_clusters
+        eng._keep_prefixes = True
+        pushes = counting_pushes(eng)
+
+        def on_boundary(c, gs, sign):
+            for sigma in (1, -1):
+                assert eng.n_kept(sigma) == nc
+                prefix, suffix = eng._partials[sigma]
+                assert sorted(prefix.stack) == list(range(1, c + 1))
+                assert prefix.running is None
+
+        sweep(eng, rng)
+        sweep(eng, rng, on_boundary=on_boundary)
+        assert pushes[1] == pushes[-1] == 2 * (2 * nc - 1)
+        stack = dict(eng._partials[1][0].stack)
+        assert sorted(stack) == list(range(1, nc))
+        prefixes = eng.prefix_decompositions(1)
+        assert all(p is stack[c + 1] for c, p in enumerate(prefixes))
+        assert eng.n_kept(1) == 0 and eng.n_kept(-1) == nc - 1
+        eng.boundary_greens(-1, 0)
+        assert eng.n_kept(-1) == nc  # the suffix stack only
+        # and a prefix read after a drop is rebuilt, bit for bit
+        eng.invalidate_all()
+        rebuilt = eng.prefix_decompositions(1)
+        for old, new in zip(prefixes, rebuilt):
+            assert np.array_equal(old.q, new.q) and np.array_equal(old.t, new.t)
+
     def test_alternating_sweeps(self):
         eng, rng = make_engine(beta=8.0, k=10)
         pushes = counting_pushes(eng)

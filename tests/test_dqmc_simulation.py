@@ -142,11 +142,12 @@ class TestDriverOptions:
 
 
     def test_measure_dynamic_recycles_through_the_engine(self):
-        """The dynamic sample takes its cluster products from the engine's
-        cache and its suffix chain from the engine's stack, on the
-        engine's backend: the work is counted, the stack is left for the
-        next sweep's boundary 0, and the series is the one the standalone
-        routine computes from scratch."""
+        """The dynamic sample reads the prefixes its measurement sweep kept
+        and the engine's suffix stack, on the engine's backend: the work
+        is counted, the prefixes are released, the suffix stack is left
+        for the next sweep's boundary 0 (which then pushes and builds
+        nothing), and the series is the one the standalone routine
+        computes from scratch."""
         from repro.core import displaced_series_fast
 
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)
@@ -156,9 +157,15 @@ class TestDriverOptions:
         )
         sim.warmup(1)
         engine, cache = sim.engine, sim.engine.cache
+        nc = engine.n_clusters
         ops = sum(engine.backend.op_counts.values())
-        sim._measure_dynamic_sample()
+        sim.measure_sweeps(1)
         assert sum(engine.backend.op_counts.values()) > ops
+        for sigma in (1, -1):
+            prefix, suffix = engine._partials[sigma]
+            assert not prefix.kept()
+            assert sorted(suffix.stack) == list(range(1, nc + 1))
+        assert not engine._keep_prefixes  # only inside measurement sweeps
         assert not cache._cache  # taken: the stack stands in for them
         builds = cache.batched_builds
         for sigma in (1, -1):
@@ -179,6 +186,47 @@ class TestDriverOptions:
                 [np.trace(g) / model.n_sites for g in greens]
             )
         np.testing.assert_allclose(gloc, sim._sign * expected, atol=1e-12)
+
+    def test_measure_dynamic_adds_no_chain_steps(self, monkeypatch):
+        """A measurement sweep with its sample costs the ``2 nc - 1`` chain
+        steps per spin of a plain forward sweep (the sample's suffix
+        build is the next boundary 0's; its prefixes are the sweep's),
+        and the sample does one LU solve per tau and spin."""
+        import scipy.linalg
+
+        from repro.core import IncrementalStratifier
+
+        model = tiny_model(u=4.0, beta=2.0, n_slices=16)
+        sim = Simulation(model, seed=1, cluster_size=4, measure_dynamic=True)
+        nc = sim.engine.n_clusters
+        assert nc == 4
+        sim.measure_sweeps(1)  # a cold boundary 0 builds the first stack
+        counts = {"push": 0, "solve": 0, "sampling": False}
+        push, solve = IncrementalStratifier.push, scipy.linalg.solve
+        sample = sim._measure_dynamic_sample
+
+        def counted_push(self, factor):
+            counts["push"] += 1
+            return push(self, factor)
+
+        def counted_solve(*args, **kwargs):
+            counts["solve"] += counts["sampling"]
+            return solve(*args, **kwargs)
+
+        def counted_sample():
+            counts["sampling"] = True
+            try:
+                sample()
+            finally:
+                counts["sampling"] = False
+
+        monkeypatch.setattr(IncrementalStratifier, "push", counted_push)
+        monkeypatch.setattr(scipy.linalg, "solve", counted_solve)
+        monkeypatch.setattr(sim, "_measure_dynamic_sample", counted_sample)
+        for n in (1, 2):
+            sim.measure_sweeps(1)
+            assert counts["push"] == n * 2 * (2 * nc - 1)
+            assert counts["solve"] == n * 2 * nc
 
 
 class TestPhysicsSanity:

@@ -115,3 +115,24 @@ class TestHelpers:
             [(-1.0) ** sum(lat.coords(r)) for r in range(16)]
         )
         assert af_structure_factor(lat, czz) == pytest.approx(16.0)
+
+
+class TestSharedExchange:
+    def test_exchange_formed_once_is_bit_identical(self):
+        """``C_zz`` and ``C_nn`` from same-spin exchange vectors formed
+        once (the collector's path) equal the ones each function forms
+        itself, bit for bit."""
+        from repro.measure import charge_density_correlation
+        from repro.measure.equal_time import same_spin_exchange
+
+        lat = SquareLattice(4, 4)
+        g_up, g_dn = np.random.default_rng(3).normal(size=(2, 16, 16))
+        exchange = tuple(same_spin_exchange(lat, g) for g in (g_up, g_dn))
+        assert np.array_equal(
+            spin_zz_correlation(lat, g_up, g_dn, exchange),
+            spin_zz_correlation(lat, g_up, g_dn),
+        )
+        assert np.array_equal(
+            charge_density_correlation(lat, g_up, g_dn, exchange),
+            charge_density_correlation(lat, g_up, g_dn),
+        )
