@@ -6,10 +6,11 @@ for a fixed model and a live HS field:
 * a :class:`~repro.core.recycling.ClusterCache` of dense k-slice products,
 * fresh (stratified) evaluation of the equal-time Green's function at any
   cluster boundary, under any pivoting policy, from a prefix and a suffix
-  factorization; a from-scratch build keeps the stack of decompositions
-  it passes through, so a sweep builds each side once, and both stacks
-  feed the time-displaced sample (:meth:`prefix_decompositions`,
-  :meth:`suffix_decompositions`),
+  factorization; every decomposition a build passes through is kept
+  until the field under it changes, so each sweep pushes one per
+  boundary on the side it sweeps and reads the other side from the
+  sweep before, and both stacks feed the time-displaced sample
+  (:meth:`prefix_decompositions`, :meth:`suffix_decompositions`),
 * wrapping between adjacent slices,
 * drift diagnostics (wrapped vs. freshly stratified G).
 
@@ -17,9 +18,10 @@ Orientation convention: ``boundary_greens(sigma, c)`` returns
 
     G = (I + Btilde_{c-1} ... Btilde_0 Btilde_{Lk-1} ... Btilde_c)^{-1}
 
-i.e. the Green's function *before* slice ``c*k`` is wrapped through. The
-sweep then wraps through each slice of cluster c in turn, updating sites
-after each wrap (see :mod:`repro.dqmc.sweep`).
+i.e. the Green's function *before* slice ``c*k`` is wrapped through, for
+``c`` in ``0 .. nc`` (indices 0 and ``nc`` are the same boundary). A
+forward sweep then wraps through each slice of cluster c in turn,
+updating sites after each wrap (see :mod:`repro.dqmc.sweep`).
 """
 
 from __future__ import annotations
@@ -53,50 +55,25 @@ from .wrapping import wrap_backward, wrap_forward
 __all__ = ["GreensFunctionEngine"]
 
 
-class _ChainSide:
+class _ChainSide(list):
     """Kept partial decompositions of one side of one spin's cluster chain.
 
     A side is a push sequence: the prefix pushes clusters ``0, 1, ...``,
     the suffix pushes ``Btilde_{nc-1}^T, Btilde_{nc-2}^T, ...`` (a suffix
     grows on its right, so it is held as the chain of its transpose).
-    Everything kept is an exact intermediate state of that sequence,
-    identified by its factor count, so continuing from one gives bit for
-    bit what a build from scratch gives.
+    Entry ``i`` is the exact state after ``i + 1`` pushes, so continuing
+    from one gives bit for bit what a build from scratch gives. Every
+    push lands here; :meth:`drop_from` is the only way anything leaves.
     """
 
-    __slots__ = ("length", "running", "stack")
-
-    def __init__(self, length: int) -> None:
-        #: factors of the longest chain a boundary asks of this side
-        self.length = length
-        #: ``(n_factors, decomposition)`` of the latest one-push extension
-        #: (the running prefix of a forward sweep, the running suffix of
-        #: a backward one), while there is a boundary left to extend it to
-        self.running: Optional[tuple] = None
-        #: ``n_factors -> decomposition`` for every state a build of more
-        #: than one push passed through, its result included
-        self.stack: dict = {}
-
-    def kept(self) -> list:
-        pairs = list(self.stack.items())
-        if self.running is not None:
-            pairs.append(self.running)
-        return pairs
-
-    def nearest(self, n: int) -> tuple:
-        """The kept pair with the most factors not exceeding ``n``."""
-        return max(
-            (k for k in self.kept() if k[0] <= n),
-            key=lambda k: k[0],
-            default=(0, None),
-        )
+    def __init__(self, transposed: bool) -> None:
+        super().__init__()
+        #: the suffix: factor ``i`` is cluster ``nc - 1 - i``, transposed
+        self.transposed = transposed
 
     def drop_from(self, n: int) -> None:
-        """Forget every kept decomposition of ``n`` or more factors."""
-        if self.running is not None and self.running[0] >= n:
-            self.running = None
-        for m in [m for m in self.stack if m >= n]:
-            del self.stack[m]
+        """Forget every kept decomposition of ``n >= 1`` or more factors."""
+        del self[n - 1:]
 
 
 class GreensFunctionEngine:
@@ -168,11 +145,6 @@ class GreensFunctionEngine:
             factory, field, cluster_size, backend=self.backend
         )
         self._register_cache_stats()
-        #: a forward sweep keeps every prefix it builds, not only the
-        #: running one, for the time-displaced sample that reads them
-        #: (:meth:`prefix_decompositions`); the simulation driver sets it
-        #: around the measurement sweeps of a ``measure_dynamic`` run
-        self._keep_prefixes = False
         self._drop_partials()
         self.last_stats = StratificationStats()
 
@@ -228,18 +200,16 @@ class GreensFunctionEngine:
     def _drop_partials(self) -> None:
         """Forget every kept partial decomposition, both spins."""
         #: sigma -> (prefix side, suffix side)
-        nc = self.n_clusters
         self._partials = {
-            s: (_ChainSide(nc - 1), _ChainSide(nc)) for s in (1, -1)
+            s: (_ChainSide(transposed=False), _ChainSide(transposed=True))
+            for s in (1, -1)
         }
 
     def n_kept(self, sigma: int) -> int:
-        """How many partial decompositions spin ``sigma`` holds: at most
-        ``n_clusters - c + 1`` at boundary ``c`` of a forward sweep (the
-        suffix stack, the running prefix) - ``n_clusters`` when the sweep
-        keeps its prefixes for a time-displaced sample (the suffix stack,
-        ``R_1 .. R_c``) - and ``2 n_clusters - 1`` ever."""
-        return sum(len(side.kept()) for side in self._partials[sigma])
+        """How many partial decompositions spin ``sigma`` holds: ``c`` on
+        the prefix side and ``n_clusters - c`` on the suffix side at
+        boundary ``c`` of an alternating sweep, ``2 n_clusters`` ever."""
+        return sum(map(len, self._partials[sigma]))
 
     def invalidate_slice(self, l: int) -> None:
         """Must be called after the HS field changes at slice l."""
@@ -322,39 +292,44 @@ class GreensFunctionEngine:
     # -- fresh evaluation ----------------------------------------------------
 
     def boundary_greens(self, sigma: int, start_cluster: int = 0) -> np.ndarray:
-        """Freshly stratified G at the boundary before cluster ``start_cluster``.
+        """Freshly stratified G at boundary index ``c = start_cluster``.
 
-        Joins the prefix chain ``Btilde_{c-1} ... Btilde_0`` and the
-        suffix chain ``Btilde_{nc-1} ... Btilde_c`` with the two-sided
-        stable inversion. Each side continues from its nearest kept
-        decomposition (see :class:`_ChainSide`); what is kept never
-        changes the result, only the number of pushes, which
-        ``last_stats.n_factors`` reports. Cluster products come from the
-        recycling cache (phase "clustering"); the pushes and the
-        inversion are phase "stratification".
+        Index ``c`` in ``0 .. nc`` joins the prefix chain
+        ``R_c = Btilde_{c-1} ... Btilde_0`` and the suffix chain
+        ``Btilde_{nc-1} ... Btilde_c``, held as ``S_{nc-c}``, the
+        decomposition of its transpose, with the two-sided stable
+        inversion. Index 0 is ``S_nc`` alone and index ``nc`` is ``R_nc``
+        alone: the same G, each rounded as its own side rounds it. A
+        forward sweep starts at 0, a backward one at ``nc``, where the
+        forward sweep before it left its prefixes.
+
+        Each side continues from the longest decomposition it keeps (see
+        :class:`_ChainSide`); what is kept never changes the result, only
+        the number of pushes, which ``last_stats.n_factors`` reports.
+        Every push takes its cluster product out of the cache: the kept
+        decomposition makes it redundant until its cluster is swept.
+        Cluster products come from the recycling cache (phase
+        "clustering"); the pushes and the inversion are phase
+        "stratification".
         """
         nc = self.n_clusters
-        if not 0 <= start_cluster < nc:
-            raise IndexError(f"cluster {start_cluster} out of range")
+        if not 0 <= start_cluster <= nc:
+            raise IndexError(f"boundary {start_cluster} out of range")
         prefix, suffix = self._partials[sigma]
-        if start_cluster == 0:
-            # no prefix here, and a sweep starting here builds its own:
-            # release what an earlier one kept for a sample
-            prefix.drop_from(1)
+        take = self.cache.take
         with self.profiler.phase("clustering"):
-            n0, right = prefix.nearest(start_cluster)
-            todo_right = self._products(sigma, range(n0, start_cluster))
-            m0, left_t = suffix.nearest(nc - start_cluster)
-            todo_left = self._suffix_factors(sigma, m0, nc - start_cluster)
+            todo_right = self._missing(sigma, prefix, start_cluster, take)
+            todo_left = self._missing(sigma, suffix, nc - start_cluster, take)
         with self.profiler.phase("stratification"):
             stats = StratificationStats()
-            right = self._extend(
-                prefix, n0, right, todo_right, stats, keep=self._keep_prefixes
-            )
-            left_t = self._extend(suffix, m0, left_t, todo_left, stats)
-            if right is None:  # boundary 0: G = (I + L)^-1 = ((I + L^T)^-1)^T
+            right = self._extend(prefix, start_cluster, todo_right, stats)
+            left_t = self._extend(suffix, nc - start_cluster, todo_left, stats)
+            if right is None:  # index 0: G = (I + L)^-1 = ((I + L^T)^-1)^T
                 stats.grading_ratio = left_t.grading_ratio()
                 g = stable_inverse_from_graded(left_t).T
+            elif left_t is None:  # index nc: G = (I + R)^-1
+                stats.grading_ratio = right.grading_ratio()
+                g = stable_inverse_from_graded(right)
             else:
                 stats.grading_ratio = max(
                     right.grading_ratio(), left_t.grading_ratio()
@@ -367,117 +342,82 @@ class GreensFunctionEngine:
         # compute dtype (no-op passthrough under full64).
         return self.backend.policy.compute(g)
 
-    def suffix_decompositions(self, sigma: int) -> list:
-        """``[S_1, ..., S_nc]``: ``S_m`` is the graded decomposition of
-        ``(Btilde_{nc-1} ... Btilde_{nc-m})^T``, the suffix chain of
-        boundary ``nc - m`` held as the chain of its transpose.
-
-        Built and kept exactly as ``boundary_greens(sigma, 0)`` builds
-        and keeps them, so the forward sweep that follows pushes nothing
-        on its suffix side. The time-displaced series pairs the same
-        decompositions with :meth:`prefix_decompositions`, and takes
-        ``G(beta, 0) = I - G(0, 0)`` from ``S_nc``
-        (:func:`~repro.core.displaced.displaced_series_fast`).
-        """
-        nc = self.n_clusters
-        suffix = self._partials[sigma][1]
-        stack = suffix.stack
-        # S_1 .. S_m0 are on the stack already
-        m0 = next(m for m in range(nc + 1) if m + 1 not in stack)
-        with self.profiler.phase("clustering"):
-            todo = self._suffix_factors(sigma, m0, nc)
-        with self.profiler.phase("stratification"):
-            last = self._extend(
-                suffix, m0, stack.get(m0), todo, StratificationStats()
-            )
-        # a one-push completion is returned without joining the stack
-        return [stack.get(m, last) for m in range(1, nc + 1)]
-
     def prefix_decompositions(self, sigma: int) -> list:
         """``[R_1, ..., R_{nc-1}]``: ``R_c`` is the graded decomposition of
         ``Btilde_{c-1} ... Btilde_0``, the prefix chain of boundary ``c``.
 
         Clusters ``0 .. c-1`` are final once a forward sweep reaches
-        boundary ``c``, so one that keeps its prefixes leaves all of them
-        here. Whatever is missing (after a backward sweep, a global move,
-        a refresh or a resume) is built from the longest kept one,
-        borrowing its products from the cache: the suffix build that
-        follows takes them. Reading releases the side - the next sweep
-        rebuilds its prefixes anyway.
+        boundary ``c``, so after one all of them are kept. Whatever is
+        missing (after a backward sweep, a global move, a refresh or a
+        resume) is built from the longest kept one and kept, see
+        :meth:`_side_decompositions`.
         """
-        nc = self.n_clusters
         prefix = self._partials[sigma][0]
-        kept = dict(prefix.kept())
-        n0 = next(n for n in range(nc) if n + 1 not in kept)
-        with self.profiler.phase("clustering"):
-            todo = [self.cache.get(sigma, j) for j in range(n0, nc - 1)]
-        with self.profiler.phase("stratification"):
-            self._extend(
-                prefix, n0, kept.get(n0), todo, StratificationStats(), keep=True
-            )
-        kept.update(prefix.stack)
-        prefix.drop_from(1)
-        return [kept[n] for n in range(1, nc)]
+        return self._side_decompositions(sigma, prefix, self.n_clusters - 1)
 
-    def _products(self, sigma: int, clusters: range) -> list:
-        """The cluster products a chain build is about to push.
+    def suffix_decompositions(self, sigma: int) -> list:
+        """``[S_1, ..., S_nc]``: ``S_m`` is the graded decomposition of
+        ``(Btilde_{nc-1} ... Btilde_{nc-m})^T``, the suffix chain of
+        boundary ``nc - m`` held as the chain of its transpose.
 
-        A build of more than one push keeps every state it passes
-        through (:meth:`_extend`), which makes the products it folds in
-        redundant until their clusters are swept and rebuilt: it takes
-        them out of the cache and :meth:`_extend` lets each go as it is
-        pushed. A one-push build borrows its product.
+        A backward sweep leaves ``S_1 .. S_{nc-1}``; ``S_nc`` is then one
+        push away and stays kept for the next sweep's boundary 0. The
+        time-displaced series pairs these with
+        :meth:`prefix_decompositions` and takes ``G(beta, 0) = I - G(0,
+        0)`` from ``S_nc``
+        (:func:`~repro.core.displaced.displaced_series_fast`).
         """
-        fetch = self.cache.take if len(clusters) > 1 else self.cache.get
-        return [fetch(sigma, j) for j in clusters]
+        suffix = self._partials[sigma][1]
+        return self._side_decompositions(sigma, suffix, self.n_clusters)
 
-    def _suffix_factors(self, sigma: int, m0: int, m: int) -> list:
-        """Factors ``m0 .. m-1`` of the suffix side's push sequence
-        (factor ``i`` is cluster ``nc - 1 - i``, transposed)."""
+    def _side_decompositions(self, sigma: int, side: _ChainSide, n: int) -> list:
+        """The first ``n`` decompositions of ``side``, built where missing
+        exactly as :meth:`boundary_greens` builds them, except that the
+        products are borrowed: a reader of a whole side, unlike a sweep,
+        may be followed by one that pushes the same clusters unchanged."""
+        with self.profiler.phase("clustering"):
+            todo = self._missing(sigma, side, n, self.cache.get)
+        with self.profiler.phase("stratification"):
+            self._extend(side, n, todo, StratificationStats())
+        return side[:n]
+
+    def _missing(self, sigma: int, side: _ChainSide, n: int, fetch) -> list:
+        """The factors that take ``side`` from what it keeps to ``n``
+        factors (none when it keeps that many), each product fetched by
+        ``fetch`` (``cache.take`` or ``cache.get``). Factor ``i`` is
+        cluster ``i`` of a prefix, cluster ``nc - 1 - i`` of a suffix,
+        transposed."""
+        if not side.transposed:
+            return [fetch(sigma, j) for j in range(len(side), n)]
         last = self.n_clusters - 1
-        return [
-            p.T for p in self._products(sigma, range(last - m0, last - m, -1))
-        ]
+        return [fetch(sigma, last - i).T for i in range(len(side), n)]
 
     def _extend(
         self,
         side: _ChainSide,
-        n0: int,
-        start: Optional[GradedDecomposition],
+        n: int,
         factors: list,
         stats: StratificationStats,
-        keep: bool = False,
     ) -> Optional[GradedDecomposition]:
-        """Push ``factors`` onto ``start``, the kept decomposition of the
-        first ``n0`` factors of ``side`` (None when ``n0`` is 0).
-
-        A one-push extension of the running decomposition (or of
-        nothing) replaces it, so a chain walked one boundary at a time
-        stays one entry - and none once the side is complete, when no
-        boundary is left to extend it to. A longer build, or any build
-        with ``keep``, puts every decomposition it passes through on the
-        side's stack, its result included. ``factors`` is consumed: each
-        is released as soon as it is folded in.
+        """``side``'s decomposition of ``n`` factors (None for 0), after
+        pushing ``factors`` onto the last one it keeps. Every push lands
+        on the side. ``factors`` is consumed: each is released as soon
+        as it is folded in.
         """
-        if not factors:
-            return start
-        chain = IncrementalStratifier(self.method, self.backend, start=start)
-        stack_all = keep or len(factors) > 1
-        factors.reverse()
-        while factors:
-            chain.push(factors.pop())
-            if stack_all:
-                side.stack[n0 + chain.n_factors] = chain.decomposition()
-        dec = chain.decomposition()
-        extends_running = side.running is not None and start is side.running[1]
-        if not stack_all and (start is None or extends_running):
-            side.running = (n0 + 1, dec) if n0 + 1 < side.length else None
-        stats.n_factors += chain.n_factors
-        stats.sync_points += chain.sync_points
-        stats.max_pivot_displacement = max(
-            stats.max_pivot_displacement, chain.max_pivot_displacement
-        )
-        return dec
+        if factors:
+            chain = IncrementalStratifier(
+                self.method, self.backend, start=side[-1] if side else None
+            )
+            factors.reverse()
+            while factors:
+                chain.push(factors.pop())
+                side.append(chain.decomposition())
+            stats.n_factors += chain.n_factors
+            stats.sync_points += chain.sync_points
+            stats.max_pivot_displacement = max(
+                stats.max_pivot_displacement, chain.max_pivot_displacement
+            )
+        return side[n - 1] if n else None
 
     def greens_at_slice(self, sigma: int, l: int) -> np.ndarray:
         """G_l (leftmost factor B_l) built fresh: boundary G + wraps.

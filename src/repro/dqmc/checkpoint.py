@@ -6,7 +6,7 @@ captures everything the Markov chain's future depends on:
 
 * the HS field configuration,
 * the Metropolis RNG state (PCG64 bit-generator state),
-* the running configuration sign,
+* the running configuration sign and the next sweep's direction,
 * the log-binned measurement state and sweep counters.
 
 Resuming from a checkpoint and continuing for n sweeps produces *exactly*
@@ -116,6 +116,9 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation) -> None:
         # resuming must continue on the promoted rung to stay bit-exact.
         "precision": sim.precision,
         "measured_sweeps": sim.measured_sweeps,
+        # the next sweep's direction and the watchdog's cadence
+        "sweep_parity": sim._sweep_parity,
+        "sweep_index": sim._sweep_index,
         "streaming": acc.state_meta(),
         "stream_layout": stream_layout,
     }
@@ -190,6 +193,9 @@ def load_checkpoint(path: Union[str, Path], sim: Simulation) -> Simulation:
 
         sim.rng.bit_generator.state = _rng_state_from_json(header["rng"])
         sim._sign = float(header["sign"])
+        # absent in checkpoints written before they were saved
+        sim._sweep_parity = int(header.get("sweep_parity", 0))
+        sim._sweep_index = int(header.get("sweep_index", 0))
         st = header["stats"]
         sim.total_stats.proposed = int(st["proposed"])
         sim.total_stats.accepted = int(st["accepted"])

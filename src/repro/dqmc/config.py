@@ -18,7 +18,6 @@ through an input file" (paper Sec. I). This module reads the same kind of
     method  = prepivot # or qrp / nopivot
     north   = 10       # cluster size k (QUEST's name for it)
     ndelay  = 32
-    altdir  = 1        # alternate forward/backward sweeps
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class SimulationConfig:
     north: int = 10
     ndelay: int = 32
     nmeas: int = 1
-    altdir: int = 0
     #: execution backend name; "auto" (here and in the two keys below)
     #: leaves the choice to the environment, then the default
     backend: str = "auto"
@@ -167,7 +165,6 @@ class SimulationConfig:
             cluster_size=self.north,
             max_delay=self.ndelay,
             measurements_per_sweep=self.nmeas,
-            alternate_directions=bool(self.altdir),
             telemetry=telemetry,
             watchdog=watchdog,
             backend=self.backend,

@@ -89,10 +89,6 @@ class Simulation:
     measurements_per_sweep:
         How many cluster boundaries per sweep record measurements,
         spread evenly; capped at the number of clusters.
-    alternate_directions:
-        Alternate forward/backward sweeps (QUEST's pattern; reduces
-        autocorrelation along imaginary time). Off by default so runs
-        reproduce earlier single-direction results.
     global_flips_per_sweep:
         Whole-worldline flip proposals appended after every sweep —
         ergodicity insurance at strong coupling (each proposal costs a
@@ -110,10 +106,9 @@ class Simulation:
         Also record the time-displaced observables once per measurement
         sweep: spin-averaged ``G(k, tau)`` and ``G_loc(tau)`` on the
         cluster-boundary tau grid, via the O(L) incremental series. The
-        series reads the chains the sweeps build anyway (a forward
-        measurement sweep keeps its prefixes; the suffix stack is the
-        next sweep's boundary 0), so a sample adds no chain steps, only
-        one LU solve per tau and spin; off by default.
+        series reads the chain side the sweep just built and rebuilds
+        the other one (``n_clusters`` pushes per spin), plus one LU solve
+        per tau and spin; off by default.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`: per-sweep counters
         and events, periodic metric snapshots (profiler phases and
@@ -158,7 +153,6 @@ class Simulation:
         max_delay: int = 32,
         measure_arrays: bool = True,
         measurements_per_sweep: int = 1,
-        alternate_directions: bool = False,
         global_flips_per_sweep: int = 0,
         measure_dynamic: bool = False,
         telemetry: Optional[Telemetry] = None,
@@ -220,9 +214,10 @@ class Simulation:
         self.measurements_per_sweep = min(
             measurements_per_sweep, self.engine.n_clusters
         )
-        self.alternate_directions = alternate_directions
         self.measure_dynamic = measure_dynamic
+        #: 1 after a forward sweep, 0 after a backward one (or none)
         self._sweep_parity = 0
+        #: sweeps done, the watchdog's cadence (both checkpointed)
         self._sweep_index = 0
         #: measurement sweeps completed (survives checkpoint resume;
         #: unlike sample counts it is immune to equilibration discards)
@@ -316,10 +311,9 @@ class Simulation:
             gk = None
             gloc = None
             for sigma in (1, -1):
-                # The prefixes the sweep kept (built here when it could
-                # not), read before the suffix build takes the products
-                # a rebuild borrows; that build is the one the next
-                # sweep's boundary 0 would otherwise do.
+                # The side the sweep just built is kept; the other one is
+                # rebuilt here and stays kept (after a backward sweep its
+                # S_nc is the next sweep's boundary 0).
                 prefix = engine.prefix_decompositions(sigma)
                 taus, greens = displaced_series_fast(
                     self.factory,
@@ -347,8 +341,8 @@ class Simulation:
                 acc.add("g_k_tau", self._sign * gk)
 
     def _next_direction(self) -> str:
-        if not self.alternate_directions:
-            return "forward"
+        """Forward, backward, forward, ...: QUEST's order, in which each
+        sweep starts on the chain side the one before it built."""
         self._sweep_parity ^= 1
         return "forward" if self._sweep_parity else "backward"
 
@@ -405,29 +399,24 @@ class Simulation:
                     collector.measure(g[1], g[-1], sign)
 
         agg = SweepStats()
-        # the dynamic sample reads the prefixes a forward sweep builds
-        self.engine._keep_prefixes = self.measure_dynamic
-        try:
-            for _ in range(n_sweeps):
-                st = sweep(
-                    self.engine,
-                    self.rng,
-                    max_delay=self.max_delay,
-                    profiler=self.profiler,
-                    on_boundary=on_boundary,
-                    start_sign=self._sign,
-                    direction=self._next_direction(),
-                    telemetry=self.telemetry,
-                )
-                self._sign = st.sign
-                self._maybe_global_flips()
-                if self.measure_dynamic:
-                    self._measure_dynamic_sample()
-                self._after_sweep(st, stage="measure")
-                self.measured_sweeps += 1
-                agg.merge(st)
-        finally:
-            self.engine._keep_prefixes = False
+        for _ in range(n_sweeps):
+            st = sweep(
+                self.engine,
+                self.rng,
+                max_delay=self.max_delay,
+                profiler=self.profiler,
+                on_boundary=on_boundary,
+                start_sign=self._sign,
+                direction=self._next_direction(),
+                telemetry=self.telemetry,
+            )
+            self._sign = st.sign
+            self._maybe_global_flips()
+            if self.measure_dynamic:
+                self._measure_dynamic_sample()
+            self._after_sweep(st, stage="measure")
+            self.measured_sweeps += 1
+            agg.merge(st)
         self.total_stats.merge(agg)
         return agg
 

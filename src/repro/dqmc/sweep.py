@@ -130,9 +130,9 @@ def sweep(
     direction:
         "forward" walks the time slices 0..L-1 (wrapping each slice to
         the leftmost position before updating it); "backward" walks
-        L-1..0, *un*-wrapping after each slice. QUEST alternates the two
-        to reduce autocorrelation along imaginary time; either alone
-        satisfies detailed balance.
+        L-1..0, *un*-wrapping after each slice. Either alone satisfies
+        detailed balance; the simulation driver alternates them (QUEST's
+        order), so each sweep reads the chain side the one before built.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`. The sweep itself
         only emits a ``singular_reject`` event when the denominator
@@ -166,7 +166,8 @@ def sweep(
         # cluster c), wrapped through each slice before updating it.
         # Backward: the boundary-(c+1) G already has the cluster's *last*
         # slice leftmost — update first, then unwrap toward slice c*k.
-        boundary = c if forward else (c + 1) % nc
+        # It starts at index nc, the prefix a forward sweep leaves behind.
+        boundary = c if forward else c + 1
         # Both spin sectors travel as one (2, N, N) stack: the batched
         # wraps and the delayed updater consume and return it whole.
         fresh = np.empty((2, n_sites, n_sites), engine.policy.compute_dtype)
@@ -184,7 +185,7 @@ def sweep(
             stats.boundaries += 1
         g = fresh
         if on_boundary is not None:
-            on_boundary(boundary, dict(zip(SPINS, g)), sign)
+            on_boundary(boundary % nc, dict(zip(SPINS, g)), sign)
         if upd is None:
             upd = DelayedUpdater(g, max_delay=max_delay, backend=engine.backend)
 

@@ -237,13 +237,18 @@ class TestTuner:
         judging it costs no Green's function beyond the sweeps' own."""
         sim = small_sim()
         engine = sim.engine
-        clean = engine.wrap_pair
 
-        def wrap_pair(gs, l):  # drifts under the k=4 tiling only
-            out = clean(gs, l)
-            return out * (1.0 + 1e-4) if engine.cluster_size == 4 else out
+        def drifting(clean):  # drifts under the k=4 tiling only
+            def wrap(gs, l):
+                out = clean(gs, l)
+                return out * (1.0 + 1e-4) if engine.cluster_size == 4 else out
 
-        monkeypatch.setattr(engine, "wrap_pair", wrap_pair)
+            return wrap
+
+        # the trials alternate sweep directions: forward sweeps wrap,
+        # backward ones unwrap
+        for name in ("wrap_pair", "unwrap_pair"):
+            monkeypatch.setattr(engine, name, drifting(getattr(engine, name)))
         fresh = []
         boundary_greens = engine.boundary_greens
         monkeypatch.setattr(

@@ -49,9 +49,19 @@ class TestBoundaryGreens:
 
 
     def test_out_of_range_cluster_raises(self, engine4x4):
-        for c in (-1, engine4x4.n_clusters):
+        for c in (-1, engine4x4.n_clusters + 1):
             with pytest.raises(IndexError):
                 engine4x4.boundary_greens(1, c)
+
+    def test_index_nc_is_boundary_zero(self, engine4x4):
+        """Index ``nc`` is the prefix ``R_nc`` alone, index 0 the suffix
+        ``S_nc`` alone: one G, each rounded as its own side rounds it."""
+        nc = engine4x4.n_clusters
+        for sigma in (1, -1):
+            g0 = engine4x4.boundary_greens(sigma, 0)
+            gnc = engine4x4.boundary_greens(sigma, nc)
+            assert engine4x4.last_stats.n_factors == nc  # the other side
+            assert relerr(gnc, g0) < 1e-12
 
 
 def make_engine(lx=4, u=4.0, beta=2.0, k=5, seed=5, kinetic="exact", **options):
@@ -80,9 +90,10 @@ def counting_pushes(engine):
 
 
 class TestHistoryIndependence:
-    """``boundary_greens`` is a pure function of (field, options, c): the
-    kept partial decompositions change how many pushes a call performs,
-    never a bit of what it returns."""
+    """``boundary_greens`` is a pure function of (field, options, c) for
+    every index ``c`` in ``0 .. nc``: the kept partial decompositions
+    change how many pushes a call performs, never a bit of what it
+    returns."""
 
     OPTIONS = dict(precision="full64", kinetic="exact")
 
@@ -94,7 +105,7 @@ class TestHistoryIndependence:
             cluster_size=eng.cluster_size,
             **opts,
         )
-        for c in range(eng.n_clusters):
+        for c in range(eng.n_clusters + 1):
             for sigma in (1, -1):
                 # every c served cold on the reference engine
                 fresh.invalidate_all()
@@ -108,7 +119,8 @@ class TestHistoryIndependence:
         for _ in range(6):
             for _ in range(int(rng.integers(1, 6))):
                 eng.boundary_greens(
-                    int(rng.choice((1, -1))), int(rng.integers(eng.n_clusters))
+                    int(rng.choice((1, -1))),
+                    int(rng.integers(eng.n_clusters + 1)),
                 )
             for _ in range(int(rng.integers(1, 4))):
                 l = int(rng.integers(eng.field.n_slices))
@@ -121,7 +133,7 @@ class TestHistoryIndependence:
         eng, rng = make_engine(backend=backend, **self.OPTIONS)
 
         def warm():
-            for c in rng.permutation(eng.n_clusters):
+            for c in rng.permutation(eng.n_clusters + 1):
                 eng.boundary_greens(1, int(c))
                 eng.boundary_greens(-1, int(c))
             assert eng.n_kept(1) and eng.n_kept(-1)
@@ -153,10 +165,17 @@ class TestHistoryIndependence:
         self.assert_like_fresh(eng, precision="mixed", kinetic="checkerboard")
 
     def test_sweeps_in_both_directions(self):
-        eng, rng = make_engine(**self.OPTIONS)
-        for direction in ("forward", "backward", "backward", "forward"):
-            sweep(eng, rng, direction=direction)
-            self.assert_like_fresh(eng)
+        """After every sweep of an alternating run, and of the orders a
+        direct caller may pick, on every backend; a sweep's flips are
+        the slice invalidations."""
+        for backend in ("numpy", "threaded", "gpu-sim"):
+            eng, rng = make_engine(backend=backend, **self.OPTIONS)
+            for direction in (
+                "forward", "backward", "forward", "backward", "backward",
+                "forward", "forward",
+            ):
+                sweep(eng, rng, direction=direction)
+                self.assert_like_fresh(eng)
 
 
 class TestAgainstSliceBySliceReference:
@@ -214,14 +233,21 @@ class TestChainStepsAndKeptState:
         eng, _ = make_engine()
         eng.boundary_greens(1, c)
         assert eng.last_stats.n_factors == eng.n_clusters == 4
-        # a side of several pushes kept all it passed through, its result
-        # included; a one-push side is the running one
+        # every push is kept, on the side it extended
         assert eng.n_kept(1) == 4
+        assert [len(side) for side in eng._partials[1]] == [c, 4 - c]
         eng.boundary_greens(1, c)
         assert eng.last_stats.n_factors == 0 < again_before
 
+    #: second column: pushes per spin of a forward-only sweep before the
+    #: suffix stack was kept - to be beaten, not matched
     @pytest.mark.parametrize("beta, pushes_before", [(8.0, 27), (4.0, 9)])
     def test_forward_sweeps(self, beta, pushes_before):
+        """Forward after forward (not the driver's order): the suffix
+        stack from scratch at boundary 0, then one prefix push per
+        boundary. The prefixes the sweep before left are of no use to it,
+        and every push takes its product, so each cluster is built once
+        per side per sweep."""
         eng, rng = make_engine(beta=beta, k=10)
         nc = eng.n_clusters
         assert 2 * nc - 1 < pushes_before
@@ -230,76 +256,84 @@ class TestChainStepsAndKeptState:
         for n in (1, 2, 3):
             before = eng.cache.batched_builds
             sweep(eng, rng)
-            # the suffix stack once, then one prefix push per boundary
             assert pushes[1] == pushes[-1] == n * (2 * nc - 1)
             builds.append(eng.cache.batched_builds - before)
-        # taking the products costs no rebuild: each cluster is rebuilt
-        # once per sweep, after it was swept, as before
-        assert builds == [2 * nc - 1, nc, nc]
+        assert builds == [2 * nc - 1] * 3
 
     def test_live_set_of_a_forward_sweep(self):
-        """What is alive at boundary c: the suffix decompositions still to
-        be used, one running prefix, and only the products no kept
-        decomposition makes redundant (clusters 0 .. c-1, rebuilt after
-        their sweep for the next one)."""
+        """What is alive at boundary index c of a forward sweep and of the
+        backward sweep after it: ``R_1 .. R_c`` and ``S_1 .. S_{nc-c}``,
+        nc decompositions in all (one side shrinks as the other grows),
+        and no cluster product - every push took its own, and a swept
+        cluster's is rebuilt only when a push needs it."""
         eng, rng = make_engine(beta=8.0, k=10)
         nc = eng.n_clusters
         seen = []
+        sweep_boundary = iter(
+            list(range(nc)) + [nc] + list(range(nc - 1, 0, -1))
+        )
 
         def on_boundary(c, gs, sign):
+            index = next(sweep_boundary)
+            assert c == index % nc  # what the measurements see
             for sigma in (1, -1):
-                assert eng.n_kept(sigma) == nc - c + (0 < c < nc - 1)
                 prefix, suffix = eng._partials[sigma]
-                assert sorted(suffix.stack) == list(range(1, nc - c + 1))
-                assert not prefix.stack
-            assert set(eng.cache._cache) == {
-                (sigma, j) for sigma in (1, -1) for j in range(c)
-            }
-            seen.append(c)
+                assert (len(prefix), len(suffix)) == (index, nc - index)
+            assert not eng.cache._cache
+            seen.append(index)
 
-        for _ in range(2):
-            sweep(eng, rng, on_boundary=on_boundary)
-        assert seen == 2 * list(range(nc))
-        # the last prefix is complete: no boundary extends it, none is kept
-        assert eng.n_kept(1) == eng.n_kept(-1) == 0
+        for direction in ("forward", "backward"):
+            sweep(eng, rng, direction=direction, on_boundary=on_boundary)
+        assert len(seen) == 2 * nc
+        # the backward sweep leaves S_1 .. S_{nc-1} for the next boundary 0
+        assert eng.n_kept(1) == eng.n_kept(-1) == nc - 1
 
     def test_kept_prefixes_of_a_measurement_sweep(self):
-        """With ``_keep_prefixes`` (a ``measure_dynamic`` run's measurement
-        sweeps) each boundary's prefix joins a stack instead of replacing
-        the running one: ``R_1 .. R_c`` at boundary c next to the suffix
-        stack still to be used, no extra push, and after the sweep
-        exactly the ``R_1 .. R_{nc-1}`` the sample reads. Reading them,
-        or a boundary 0, releases them."""
+        """A forward sweep leaves ``R_1 .. R_{nc-1}``: the sample reads
+        them as they are and rebuilds the suffix side (nc pushes). A
+        backward sweep leaves ``S_1 .. S_{nc-1}``: the sample rebuilds
+        the prefixes (nc - 1) and pushes ``S_nc``, which the next
+        boundary 0 then reads. ``4 nc - 1`` pushes per spin per two
+        sweeps and samples, where the prefix stack a forward sweep kept
+        only for its sample made it ``4 nc - 2``."""
         eng, rng = make_engine(beta=8.0, k=10)
         nc = eng.n_clusters
-        eng._keep_prefixes = True
         pushes = counting_pushes(eng)
 
-        def on_boundary(c, gs, sign):
-            for sigma in (1, -1):
-                assert eng.n_kept(sigma) == nc
-                prefix, suffix = eng._partials[sigma]
-                assert sorted(prefix.stack) == list(range(1, c + 1))
-                assert prefix.running is None
+        def sample():
+            """Spin up's sample reads; every push it makes is kept."""
+            before = eng.n_kept(1)
+            prefixes = eng.prefix_decompositions(1)
+            assert len(eng.suffix_decompositions(1)) == nc
+            assert len(prefixes) == nc - 1
+            return prefixes, eng.n_kept(1) - before
 
-        sweep(eng, rng)
-        sweep(eng, rng, on_boundary=on_boundary)
-        assert pushes[1] == pushes[-1] == 2 * (2 * nc - 1)
-        stack = dict(eng._partials[1][0].stack)
-        assert sorted(stack) == list(range(1, nc))
-        prefixes = eng.prefix_decompositions(1)
-        assert all(p is stack[c + 1] for c, p in enumerate(prefixes))
-        assert eng.n_kept(1) == 0 and eng.n_kept(-1) == nc - 1
-        eng.boundary_greens(-1, 0)
-        assert eng.n_kept(-1) == nc  # the suffix stack only
+        sweep(eng, rng)  # cold
+        kept = list(eng._partials[1][0])
+        prefixes, n = sample()
+        assert n == nc and all(p is q for p, q in zip(prefixes, kept))
+        assert eng.n_kept(1) == 2 * nc - 1
+        per_two = []
+        for _ in range(2):
+            start = pushes[1]
+            sweep(eng, rng, direction="backward")
+            _, n_back = sample()
+            sweep(eng, rng, direction="forward")
+            _, n_fwd = sample()
+            assert (n_back, n_fwd) == (nc, nc)
+            per_two.append(pushes[1] - start + n_back + n_fwd)
+        assert per_two == [4 * nc - 1] * 2
         # and a prefix read after a drop is rebuilt, bit for bit
+        prefixes = eng.prefix_decompositions(1)
         eng.invalidate_all()
         rebuilt = eng.prefix_decompositions(1)
         for old, new in zip(prefixes, rebuilt):
+            assert old is not new
             assert np.array_equal(old.q, new.q) and np.array_equal(old.t, new.t)
 
     def test_alternating_sweeps(self):
         eng, rng = make_engine(beta=8.0, k=10)
+        nc = eng.n_clusters
         pushes = counting_pushes(eng)
         totals, builds = [], []
         for direction in ("forward", "backward", "forward", "backward"):
@@ -308,22 +342,23 @@ class TestChainStepsAndKeptState:
             totals.append([pushes[s] - before[s] for s in (1, -1)])
             builds.append(eng.cache.batched_builds - built)
         # 64 per spin per sweep for a full chain at every boundary;
-        # [27, 28, 24, 28] with one mid-chain checkpoint per side
-        assert totals == [[15, 15], [22, 22], [15, 15], [22, 22]]
-        # a backward sweep's boundary 0 takes the products its prefix
-        # build at boundary nc - 1 then has to rebuild: 7 on top of the 8
-        assert builds == [15, 15, 8, 15]
+        # [27, 28, 24, 28] with one mid-chain checkpoint per side, and
+        # [15, 22, 15, 22] when a complete prefix was not kept
+        assert totals == [[2 * nc - 1] * 2] + [[nc] * 2] * 3
+        # one build per cluster per sweep, after it was swept (and all
+        # of them on the cold one); [15, 15, 8, 15] before
+        assert builds == [2 * nc - 1, nc, nc, nc]
 
     def test_peak_memory_of_forward_sweeps(self):
-        """Traced allocations (numpy's included) over two forward sweeps
-        at N = 64, nc = 8, in units of one N x N float64 matrix. The peak
-        is boundary 1 with both spins built: 2 x (nc - 1) suffix
-        decompositions and 2 running prefixes of two matrices each
-        (4 nc), the old and the fresh G stack (4), cluster 0's rebuilt
-        products (2), and the transients of one push and one join plus
-        the updater's blocks (~10 measured, 12 allowed); the products
-        the stacks replaced are gone. A second stack would add 4 nc,
-        products held until a build returns 6, never released 2 nc."""
+        """Traced allocations (numpy's included) over two alternating
+        sweeps at N = 64, nc = 8, in units of one N x N float64 matrix.
+        The peak is the cold sweep's boundary 1 with both spins built:
+        2 x nc decompositions of two matrices each (4 nc), the old and
+        the fresh G stack (4), cluster 0's rebuilt products (2), and the
+        transients of one push and one join plus the updater's blocks
+        (~10 measured, 12 allowed); the products the stacks replaced are
+        gone. A second stack would add 4 nc, products held until a build
+        returns 6, never released 2 nc."""
         import tracemalloc
 
         nc, unit = 8, 64 * 64 * 8
@@ -332,8 +367,8 @@ class TestChainStepsAndKeptState:
             eng, rng = make_engine(lx=8, beta=8.0, k=10)
             assert eng.n_clusters == nc
             built, _ = tracemalloc.get_traced_memory()
-            for _ in range(2):
-                sweep(eng, rng)
+            for direction in ("forward", "backward", "forward"):
+                sweep(eng, rng, direction=direction)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

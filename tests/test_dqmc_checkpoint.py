@@ -64,6 +64,62 @@ class TestRoundTrip:
                 np.asarray(got_obs[name].mean), np.asarray(ref_obs[name].mean)
             )
 
+    def test_resume_after_an_odd_sweep_count_is_bit_exact(self, tmp_path):
+        """Sweeps alternate direction, so a run stopped after 2k + 1 of
+        them resumes with a backward sweep: the field, the RNG state, the
+        observables and the continuation's SweepStats equal an
+        uninterrupted run's, and so does the watchdog's sweep count."""
+        from dataclasses import asdict
+
+        path = tmp_path / "ckpt.npz"
+        ref = make_sim()
+        ref.warmup(2)
+        ref.measure_sweeps(3)
+        ref_stats = ref.measure_sweeps(4)
+
+        a = make_sim()
+        a.warmup(2)
+        a.measure_sweeps(3)
+        save_checkpoint(path, a)
+        b = make_sim()
+        load_checkpoint(path, b)
+        assert (b._sweep_parity, b._sweep_index) == (1, 5)
+        stats = b.measure_sweeps(4)
+
+        assert asdict(stats) == asdict(ref_stats)
+        np.testing.assert_array_equal(b.field.h, ref.field.h)
+        assert b.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert b._sweep_index == ref._sweep_index == 9
+        for field in ("proposed", "accepted", "negative_ratios", "refreshes"):
+            assert getattr(b.total_stats, field) == getattr(ref.total_stats, field)
+        ref_obs, got_obs = ref.collector.results(), b.collector.results()
+        assert set(got_obs) == set(ref_obs)
+        for name in ref_obs:
+            np.testing.assert_array_equal(
+                np.asarray(got_obs[name].mean), np.asarray(ref_obs[name].mean)
+            )
+            np.testing.assert_array_equal(
+                np.asarray(got_obs[name].error), np.asarray(ref_obs[name].error)
+            )
+
+    def test_checkpoint_without_sweep_counters_starts_forward(self, tmp_path):
+        """Files written before the sweep parity was saved load with the
+        counters at 0: the next sweep is a forward one."""
+        path = tmp_path / "ckpt.npz"
+        a = make_sim()
+        a.warmup(1)
+        save_checkpoint(path, a)
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(str(npz["header"]))
+            payload = {k: npz[k] for k in npz.files if k != "header"}
+        del header["sweep_parity"], header["sweep_index"]
+        np.savez_compressed(path, header=np.array(json.dumps(header)), **payload)
+        b = make_sim()
+        b.warmup(2)
+        load_checkpoint(path, b)
+        assert (b._sweep_parity, b._sweep_index) == (0, 0)
+        assert b._next_direction() == "forward"
+
     def test_stats_restored(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         a = make_sim()

@@ -51,6 +51,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown key 'streaming'"):
             parse_config("streaming = 1\n")
 
+    def test_altdir_key_rejected(self):
+        # every run alternates sweep directions; the old switch is unknown
+        with pytest.raises(ValueError, match="unknown key 'altdir'"):
+            parse_config("altdir = 1\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_config("nx = eight\n")

@@ -142,12 +142,12 @@ class TestDriverOptions:
 
 
     def test_measure_dynamic_recycles_through_the_engine(self):
-        """The dynamic sample reads the prefixes its measurement sweep kept
-        and the engine's suffix stack, on the engine's backend: the work
-        is counted, the prefixes are released, the suffix stack is left
-        for the next sweep's boundary 0 (which then pushes and builds
-        nothing), and the series is the one the standalone routine
-        computes from scratch."""
+        """The dynamic sample reads the side its measurement sweep built
+        and rebuilds the other on the engine's backend: the work is
+        counted, both sides stay kept, the products the rebuild borrowed
+        stay cached, the next sweep's boundary 0 pushes and builds
+        nothing after a backward sweep, and the series is the one the
+        standalone routine computes from scratch."""
         from repro.core import displaced_series_fast
 
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)
@@ -155,18 +155,18 @@ class TestDriverOptions:
             model, seed=1, cluster_size=4, measure_dynamic=True,
             backend="gpu-sim",
         )
-        sim.warmup(1)
+        sim.warmup(1)  # forward
         engine, cache = sim.engine, sim.engine.cache
         nc = engine.n_clusters
         ops = sum(engine.backend.op_counts.values())
-        sim.measure_sweeps(1)
+        sim.measure_sweeps(1)  # backward, then the sample
         assert sum(engine.backend.op_counts.values()) > ops
         for sigma in (1, -1):
             prefix, suffix = engine._partials[sigma]
-            assert not prefix.kept()
-            assert sorted(suffix.stack) == list(range(1, nc + 1))
-        assert not engine._keep_prefixes  # only inside measurement sweeps
-        assert not cache._cache  # taken: the stack stands in for them
+            assert (len(prefix), len(suffix)) == (nc - 1, nc)
+        assert set(cache._cache) == {
+            (sigma, j) for sigma in (1, -1) for j in range(nc - 1)
+        }
         builds = cache.batched_builds
         for sigma in (1, -1):
             engine.boundary_greens(sigma, 0)
@@ -187,31 +187,32 @@ class TestDriverOptions:
             )
         np.testing.assert_allclose(gloc, sim._sign * expected, atol=1e-12)
 
-    def test_measure_dynamic_adds_no_chain_steps(self, monkeypatch):
-        """A measurement sweep with its sample costs the ``2 nc - 1`` chain
-        steps per spin of a plain forward sweep (the sample's suffix
-        build is the next boundary 0's; its prefixes are the sweep's),
-        and the sample does one LU solve per tau and spin."""
-        import scipy.linalg
-
+    def test_measure_dynamic_rebuilds_one_side(self, monkeypatch):
+        """Each sample rebuilds the side its sweep did not build: nc
+        pushes per spin after either direction, ``4 nc - 1`` per two
+        measurement sweeps with their samples (``S_nc`` pushed after a
+        backward sweep is the next boundary 0's), against ``2 nc`` for
+        two plain sweeps. The sample does one LU solve per tau and
+        spin."""
+        import repro.linalg.stable as stable
         from repro.core import IncrementalStratifier
 
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)
         sim = Simulation(model, seed=1, cluster_size=4, measure_dynamic=True)
         nc = sim.engine.n_clusters
         assert nc == 4
-        sim.measure_sweeps(1)  # a cold boundary 0 builds the first stack
+        sim.measure_sweeps(1)  # a cold forward sweep and its sample
         counts = {"push": 0, "solve": 0, "sampling": False}
-        push, solve = IncrementalStratifier.push, scipy.linalg.solve
+        push, solve = IncrementalStratifier.push, stable._solve
         sample = sim._measure_dynamic_sample
 
         def counted_push(self, factor):
             counts["push"] += 1
             return push(self, factor)
 
-        def counted_solve(*args, **kwargs):
+        def counted_solve(*args):
             counts["solve"] += counts["sampling"]
-            return solve(*args, **kwargs)
+            return solve(*args)
 
         def counted_sample():
             counts["sampling"] = True
@@ -221,12 +222,12 @@ class TestDriverOptions:
                 counts["sampling"] = False
 
         monkeypatch.setattr(IncrementalStratifier, "push", counted_push)
-        monkeypatch.setattr(scipy.linalg, "solve", counted_solve)
+        monkeypatch.setattr(stable, "_solve", counted_solve)
         monkeypatch.setattr(sim, "_measure_dynamic_sample", counted_sample)
         for n in (1, 2):
-            sim.measure_sweeps(1)
-            assert counts["push"] == n * 2 * (2 * nc - 1)
-            assert counts["solve"] == n * 2 * nc
+            sim.measure_sweeps(2)  # backward, forward
+            assert counts["push"] == n * 2 * (4 * nc - 1)
+            assert counts["solve"] == n * 2 * 2 * nc
 
 
 class TestPhysicsSanity:

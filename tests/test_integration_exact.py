@@ -65,11 +65,11 @@ class TestSamplerVsEnumeration:
         assert pull < 5.0
 
     def test_alternating_directions_sample_same_distribution(self, reference):
-        """Forward/backward alternation (QUEST's sweep pattern) must
-        converge to the same exact answers."""
+        """Forward/backward alternation (QUEST's sweep pattern, the
+        driver's only order) converges to the same exact answers on a
+        second seed with plain rank-1 updates."""
         sim = Simulation(
-            dimer_model(n_slices=4), seed=21, cluster_size=4,
-            max_delay=2, alternate_directions=True,
+            dimer_model(n_slices=4), seed=21, cluster_size=4, max_delay=1,
         )
         res = sim.run(warmup_sweeps=200, measurement_sweeps=3000)
         assert res.observables["density"].scalar == pytest.approx(

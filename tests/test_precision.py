@@ -135,9 +135,13 @@ class TestEnginePolicy:
 
         eng, rng = make_engine(precision="mixed")
         sweep(eng, rng)
+        # a sweep's pushes take the products they fold in: warm them again
+        eng.cache.chain(1, 0)
         assert eng.cache._cache  # warm
+        assert eng.n_kept(1)
         eng.set_precision("full64")
         assert not eng.cache._cache  # compute-dtype state was dropped
+        assert not eng.n_kept(1)
 
     def test_greens_matches_full64_construction_after_switch(self):
         """A switched engine must be indistinguishable from one
