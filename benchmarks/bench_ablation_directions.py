@@ -12,7 +12,12 @@ Per arm and seed it records the integrated autocorrelation time of the
 tracked double occupancy and AF structure factor and their mean
 estimates. The two arms sample the same distribution, so the estimates
 must agree within their errors; alternation must not lengthen the
-autocorrelation beyond the seed-to-seed spread.
+autocorrelation beyond the seed-to-seed spread. At full length
+(``results/ablation_directions.txt``, 4 seeds x 1000 sweeps) it does:
+the AF structure factor's tau_int reads 4.80 +- 1.7 alternating against
+2.27 +- 0.71 forward-only, every alternating seed (3.67-7.24) above
+every forward one (1.63-3.17), and double occupancy's 0.667 against
+0.551, while the means agree within their errors.
 
 It compares chains, not costs: the forward-only arm runs on an engine
 whose kept state is laid out for alternation (a forward sweep after a

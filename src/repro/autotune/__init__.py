@@ -1,11 +1,12 @@
 """Warmup-time autotuning of the Green's-function pipeline knobs.
 
 The three engineering parameters the paper hand-tunes per machine —
-cluster size k, wrap interval l and the delayed-update block size — are
-measured here instead: candidate settings run for a few warmup sweeps
-each on the live engine, timed through the phase profiler and gated on
-the numerical-health watchdog's wrap-drift/dynamic-range signals, and
-the fastest healthy candidate is locked for the measurement sweeps.
+cluster size k, wrap interval l (= k here) and the delayed-update block
+size — are measured here instead: candidate settings run for a few
+warmup sweeps each on the live engine, timed through the phase profiler
+and gated on the numerical-health watchdog's wrap-drift/dynamic-range
+signals, and the fastest healthy candidate is locked for the
+measurement sweeps.
 Winners persist in an atomic per-workload profile cache so campaign
 grids tune once and reuse the profile across every job.
 """

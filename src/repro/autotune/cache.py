@@ -27,7 +27,10 @@ from .params import TuningParameters
 
 __all__ = ["TuningCache", "default_cache_path", "profile_key"]
 
-_FORMAT_VERSION = 1
+#: 2: a profile is exactly ``TuningParameters.to_dict()``; a version-1
+#: file (wrap interval, optional precision / kinetic, trial metadata)
+#: loads as empty and its workloads re-tune.
+_FORMAT_VERSION = 2
 
 
 def default_cache_path() -> Path:
@@ -136,15 +139,10 @@ class TuningCache:
             pass  # read-only cache location: serve the lookup anyway
         return TuningParameters.from_dict(entry) if entry else None
 
-    def store(
-        self, key: str, params: TuningParameters, extra: Optional[dict] = None
-    ) -> None:
-        """Persist the winning parameters (plus decision metadata)."""
+    def store(self, key: str, params: TuningParameters) -> None:
+        """Persist the winning parameters."""
         doc = self._load()
-        entry = params.to_dict()
-        if extra:
-            entry.update(extra)
-        doc["profiles"][key] = entry
+        doc["profiles"][key] = params.to_dict()
         self._write(doc)
 
     def entries(self) -> Dict[str, dict]:

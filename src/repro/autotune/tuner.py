@@ -21,8 +21,9 @@ Protocol, per candidate:
    *relative to the baseline's own measurement* (an order of magnitude
    past it, floored at ``range_tol``): the absolute range is a property
    of the workload — it grows like exp(beta * bandwidth) regardless of
-   clustering — so only a candidate that makes it materially *worse*
-   than the configuration the user already chose is rejected.
+   clustering — so the baseline's range is the reference, never judged,
+   and only a candidate that makes it materially *worse* than the
+   configuration the user already chose is rejected.
 
 The fastest healthy candidate is locked for the measurement sweeps. The
 run's configured parameters are always candidate #0, so the tuner can
@@ -146,6 +147,8 @@ class WarmupAutotuner:
         ``range_tol`` floors the *relative* dynamic-range gate — a
         candidate is rejected only when its graded dynamic range
         exceeds ``max(range_tol, 10 x the baseline trial's range)``.
+        The baseline (the first measured trial) sets that reference and
+        is judged by the drift and unmeasured-chain rules only.
     telemetry:
         Sink for the ``autotune_*`` decision trace; defaults to the
         simulation's own facade.
@@ -154,19 +157,10 @@ class WarmupAutotuner:
         costs the delta across its sweeps. Defaults to the simulation
         profiler's accounted phase time (Table-I phase data). Tests
         inject a scripted source to pin determinism.
-    precisions:
-        Optional precision-policy axis for the default grid (e.g.
-        ``["mixed"]`` to also try the narrowed pipeline). Omitted, the
-        search keeps the run's configured policy — tuning never narrows
-        precision unless explicitly asked to.
-    kinetics:
-        Optional kinetic-propagator axis for the default grid (e.g.
-        ``["checkerboard"]`` to also try the Trotter-split blocks).
-        Omitted, the search keeps the run's configured mode — like
-        precision, a kinetic swap changes the floating-point trajectory
-        (one extra Trotter term), so it is opt-in. Candidates on a mode
-        the lattice cannot support (multilayer, general graphs) are
-        rejected as inapplicable by the health gate, not crashed on.
+
+    The run's precision policy and kinetic mode are not tuned: both
+    change the floating-point trajectory, and both are fixed when the
+    simulation is constructed.
     """
 
     def __init__(
@@ -179,21 +173,13 @@ class WarmupAutotuner:
         telemetry: Optional[Telemetry] = None,
         timing_source: Optional[Callable[[], float]] = None,
         key: str = "",
-        precisions: Optional[Sequence[str]] = None,
-        kinetics: Optional[Sequence[str]] = None,
     ):
         if sweeps_per_candidate < 1:
             raise ValueError("sweeps_per_candidate must be >= 1")
         self.sim = sim
-        self.baseline = TuningParameters.make(
+        self.baseline = TuningParameters(
             sim.engine.cluster_size, sim.max_delay
         )
-        # Candidates with precision=None / kinetic=None mean "the run's
-        # configured value", pinned here so a trial that narrowed the
-        # engine or swapped its propagator can never leak that state
-        # into later None-valued trials.
-        self._initial_precision = getattr(sim, "precision", None)
-        self._initial_kinetic = getattr(sim, "kinetic", None)
         if candidates is None:
             from ..linalg.condition import max_safe_cluster_size
 
@@ -207,13 +193,6 @@ class WarmupAutotuner:
                 self.baseline,
                 target_cluster=min(10, max(1, cap)),
                 cluster_cap=cap,
-                precisions=precisions,
-                kinetics=kinetics,
-            )
-        elif precisions is not None or kinetics is not None:
-            raise ValueError(
-                "pass either an explicit candidate list or "
-                "precisions/kinetics axes, not both"
             )
         self.candidates = list(candidates)
         self.sweeps_per_candidate = sweeps_per_candidate
@@ -236,10 +215,6 @@ class WarmupAutotuner:
     ) -> TuningTrial:
         sim = self.sim
         try:
-            if params.precision is None and self._initial_precision is not None:
-                sim.set_precision(self._initial_precision)
-            if params.kinetic is None and self._initial_kinetic is not None:
-                sim.set_kinetic(self._initial_kinetic)
             sim.apply_tuning(params)
         except ValueError as exc:
             return TuningTrial(
@@ -264,7 +239,8 @@ class WarmupAutotuner:
         }
         # The trial's own sweeps measured both signals at every cluster
         # boundary they crossed; the gate only rejects, it never promotes
-        # or refreshes the engine mid-search.
+        # or refreshes the engine mid-search. Without a reference the
+        # trial is the baseline, whose range is the workload's own.
         reasons = []
         if not stats.boundaries:
             reasons.append("wrap drift unmeasured: one-cluster chain")
@@ -273,14 +249,14 @@ class WarmupAutotuner:
                 f"wrap drift {stats.wrap_drift:.3e} exceeds "
                 f"tolerance {self.drift_tol:.3e}"
             )
-        range_cap = self.range_tol
         if range_ref is not None:
-            range_cap = max(range_cap, 10.0 * range_ref)
-        if stats.grading_ratio > range_cap:
-            reasons.append(
-                f"graded dynamic range {stats.grading_ratio:.3e} exceeds "
-                f"{range_cap:.3e} (10x the baseline's)"
-            )
+            range_cap = max(self.range_tol, 10.0 * range_ref)
+            if stats.grading_ratio > range_cap:
+                reasons.append(
+                    f"graded dynamic range {stats.grading_ratio:.3e} "
+                    f"exceeds {range_cap:.3e} (the larger of range_tol "
+                    "and 10x the baseline's)"
+                )
         return TuningTrial(
             params=params,
             sweeps=self.sweeps_per_candidate,
@@ -329,10 +305,6 @@ class WarmupAutotuner:
             chosen, fallback = winner.params, False
         else:
             chosen, fallback = self.baseline, True
-        if chosen.precision is None and self._initial_precision is not None:
-            self.sim.set_precision(self._initial_precision)
-        if chosen.kinetic is None and self._initial_kinetic is not None:
-            self.sim.set_kinetic(self._initial_kinetic)
         self.sim.apply_tuning(chosen)
         result = AutotuneResult(
             chosen=chosen,
@@ -381,10 +353,10 @@ def tune_simulation(
     if cache is not None and not force:
         hit = cache.lookup(key)
         if hit is not None:
-            sim.apply_tuning(hit)
-            baseline = TuningParameters.make(
+            baseline = TuningParameters(
                 sim.engine.cluster_size, sim.max_delay
             )
+            sim.apply_tuning(hit)
             ensure_telemetry(sim.telemetry).event(
                 "autotune_locked", key=key, chosen=hit.to_dict(),
                 cache_hit=True,
@@ -394,17 +366,5 @@ def tune_simulation(
             )
     result = WarmupAutotuner(sim, key=key, **tuner_kwargs).run()
     if cache is not None and not result.fallback:
-        best = min(
-            (t for t in result.trials if t.accepted),
-            key=lambda t: t.sweep_seconds,
-            default=None,
-        )
-        cache.store(
-            key,
-            result.chosen,
-            extra={
-                "sweep_seconds": best.sweep_seconds if best else None,
-                "wrap_drift": best.wrap_drift if best else None,
-            },
-        )
+        cache.store(key, result.chosen)
     return result

@@ -10,10 +10,10 @@ archive out — with checkpoint/resume for long runs:
     numerical-health watchdog (``--watchdog-every``).
 
 ``tune``
-    Search (cluster size, wrap interval, delay block) for an input
-    file's workload on this machine and persist the winner in the
-    tuning-profile cache; later ``run --autotune`` / campaign jobs
-    reuse it (see ``docs/performance.md``).
+    Search (cluster size, delay block) for an input file's workload
+    on this machine and persist the winner in the tuning-profile cache;
+    later ``run --autotune`` / campaign jobs reuse it (see
+    ``docs/performance.md``).
 
 ``info``
     Parse an input file and report the derived quantities a user wants
@@ -54,7 +54,7 @@ from . import __version__
 from .dqmc import load_checkpoint, load_config, save_checkpoint
 from .io import save_observables
 from .linalg import chain_conditioning_report, flops
-from .options import OptionError, resolve_option
+from .options import OptionError
 from .telemetry import (
     Telemetry,
     TelemetryWriter,
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument(
         "--range-tol", type=float, default=1e14, metavar="TOL",
-        help="reject candidates past this dynamic range (default 1e14)",
+        help="reject candidates whose graded dynamic range exceeds the "
+        "larger of TOL and 10x the baseline's (default 1e14)",
     )
     p_tune.add_argument(
         "--force", action="store_true",
@@ -191,17 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--backend", type=str, default=None, metavar="NAME",
         help="execution backend to tune for (profiles are per-backend)",
-    )
-    p_tune.add_argument(
-        "--precisions", type=str, default=None, metavar="P1,P2",
-        help="comma-separated precision policies to add to the search "
-        "grid (e.g. 'mixed'); default: only the run's configured policy",
-    )
-    p_tune.add_argument(
-        "--kinetics", type=str, default=None, metavar="K1,K2",
-        help="comma-separated kinetic propagator modes to add to the "
-        "search grid (e.g. 'checkerboard'); default: only the run's "
-        "configured mode",
     )
     p_tune.add_argument("--quiet", action="store_true")
 
@@ -534,19 +524,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         f"tuning {sim.model.lattice} (U = {cfg.u}, beta = {cfg.beta:g}, "
         f"L = {cfg.l}) on backend {sim.engine.backend.name}",
     )
-
-    def axis(option: str, flag: Optional[str]) -> Optional[List[str]]:
-        names = [x.strip() for x in (flag or "").split(",") if x.strip()]
-        for name in names:
-            resolve_option(option, name)
-        return names or None
-
-    try:
-        precisions = axis("precision", args.precisions)
-        kinetics = axis("kinetic", args.kinetics)
-    except OptionError as exc:
-        print(f"tune: --{exc.option}s {exc.value}: {exc.detail}", file=sys.stderr)
-        return 2
     result = tune_simulation(
         sim,
         cache=cache,
@@ -554,8 +531,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         sweeps_per_candidate=args.trial_sweeps,
         drift_tol=args.drift_tol,
         range_tol=args.range_tol,
-        precisions=precisions,
-        kinetics=kinetics,
     )
     if not args.quiet:
         for t in result.trials:

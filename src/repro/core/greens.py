@@ -262,33 +262,6 @@ class GreensFunctionEngine:
         self.telemetry.counter("engine.precision_switches")
         return True
 
-    def set_kinetic(self, kinetic) -> bool:
-        """Adopt a new kinetic-propagator mode on the live engine.
-
-        Rebuilds the B-matrix factory in the requested mode
-        (``"exact"`` or ``"checkerboard"``), re-binds the backend (which
-        picks up the new mode's structured operator) and invalidates every
-        cached cluster product — the caller owns refreshing any Green's
-        function it holds, exactly as for :meth:`set_precision`. Safe
-        between sweeps only. Returns True when the mode actually changed.
-
-        Raises
-        ------
-        ValueError
-            Unknown mode name, or a checkerboard request on a lattice
-            the bond partitioner rejects (the autotuner treats that as
-            "candidate inapplicable").
-        """
-        mode = resolve_option("kinetic", kinetic)
-        if mode == self.factory.kinetic_mode:
-            return False
-        self.factory = BMatrixFactory(self.factory.model, kinetic=mode)
-        self.backend.bind(self.factory)
-        self.cache.factory = self.factory
-        self.invalidate_all()
-        self.telemetry.counter("engine.kinetic_switches")
-        return True
-
     # -- fresh evaluation ----------------------------------------------------
 
     def boundary_greens(self, sigma: int, start_cluster: int = 0) -> np.ndarray:

@@ -229,71 +229,37 @@ class Simulation:
         """Adopt tuned engine parameters on the live simulation.
 
         ``params`` is a :class:`~repro.autotune.TuningParameters` (or
-        anything exposing ``cluster_size``, ``wrap_interval`` and
-        ``max_delay``). The engine is re-partitioned in place, the
-        delayed-update block size replaces the constructor's value for
-        every subsequent sweep, and the measurement cadence is re-capped
-        against the new cluster count. Physics-invariant by
-        construction — these are execution knobs, not model parameters —
-        but the Markov chain's floating-point trajectory does change
-        with the tiling, exactly as constructing the simulation with the
-        new values would. Call between sweeps only.
+        anything exposing ``cluster_size`` and ``max_delay``). The
+        engine is re-partitioned in place, the delayed-update block size
+        replaces the constructor's value for every subsequent sweep, and
+        the measurement cadence is re-capped against the new cluster
+        count. Physics-invariant by construction — these are execution
+        knobs, not model parameters — but the Markov chain's
+        floating-point trajectory does change with the tiling, exactly
+        as constructing the simulation with the new values would. Call
+        between sweeps only.
         """
-        cluster_size = int(params.cluster_size)
-        wrap_interval = int(getattr(params, "wrap_interval", cluster_size))
-        if wrap_interval != cluster_size:
-            raise ValueError(
-                "wrap_interval must equal cluster_size: the engine "
-                "re-stratifies at cluster boundaries"
-            )
         max_delay = int(params.max_delay)
         if max_delay < 1:
             raise ValueError("max_delay must be >= 1")
-        self.engine.repartition(cluster_size)
+        self.engine.repartition(int(params.cluster_size))
         self.max_delay = max_delay
         self.measurements_per_sweep = min(
             self._measurements_requested, self.engine.n_clusters
         )
-        precision = getattr(params, "precision", None)
-        if precision is not None:
-            self.set_precision(precision)
-        kinetic = getattr(params, "kinetic", None)
-        if kinetic is not None:
-            self.set_kinetic(kinetic)
 
     @property
     def precision(self) -> str:
         """Name of the engine's active precision policy."""
         return self.engine.policy.name
 
-    @property
-    def kinetic(self) -> str:
-        """Name of the active kinetic-propagator mode."""
-        return self.factory.kinetic_mode
-
-    def set_kinetic(self, kinetic) -> bool:
-        """Switch the kinetic propagator on the live run (between sweeps).
-
-        Delegates to :meth:`GreensFunctionEngine.set_kinetic` (which
-        rebuilds the factory and re-binds the backend) and adopts the
-        engine's new factory so the measurement paths see the same
-        operator. Like a precision switch this changes the numerics —
-        checkerboard carries one extra O(dtau^2) Trotter term — which is
-        why the autotuner health-gates the axis. Returns True when the
-        mode actually changed.
-        """
-        changed = self.engine.set_kinetic(kinetic)
-        if changed:
-            self.factory = self.engine.factory
-        return changed
-
     def set_precision(self, policy) -> bool:
         """Switch the precision policy on the live run (between sweeps).
 
         Delegates to :meth:`GreensFunctionEngine.set_precision`; used by
-        the autotuner's precision axis and by checkpoint resume (the
-        saved policy — possibly a watchdog-promoted one — is reapplied
-        so the continuation is bit-exact). Returns True when the policy
+        checkpoint resume (the saved policy — possibly a
+        watchdog-promoted one — is reapplied so the continuation is
+        bit-exact). Returns True when the policy
         actually changed.
         """
         return self.engine.set_precision(policy)

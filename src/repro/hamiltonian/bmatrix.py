@@ -57,8 +57,7 @@ class BMatrixFactory:
         checkerboard = self.kinetic_mode == "checkerboard"
         if checkerboard or type(model.lattice) is SquareLattice:
             # A geometry checkerboard cannot partition fails here, at
-            # construction (a typed ValueError the autotuner treats as
-            # "candidate inapplicable"), rather than mid-sweep.
+            # construction (a typed ValueError), rather than mid-sweep.
             kind = CheckerboardPropagator if checkerboard else SeparablePropagator
             self.structured = kind(
                 model.lattice, t=model.t, dtau=model.dtau, mu=model.mu

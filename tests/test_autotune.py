@@ -51,15 +51,16 @@ def scripted_timer(deltas):
 
 
 class TestParameters:
-    def test_wrap_interval_tied_to_cluster(self):
-        with pytest.raises(ValueError, match="wrap_interval"):
-            TuningParameters(cluster_size=4, wrap_interval=8, max_delay=16)
-        p = TuningParameters.make(4, 16)
-        assert p.wrap_interval == p.cluster_size == 4
-
     def test_round_trip(self):
-        p = TuningParameters.make(8, 32)
+        p = TuningParameters(8, 32)
+        assert p.to_dict() == {"cluster_size": 8, "max_delay": 32}
         assert TuningParameters.from_dict(p.to_dict()) == p
+
+    @pytest.mark.parametrize("key", ["wrap_interval", "precision", "kinetic"])
+    def test_from_dict_rejects_an_extra_key(self, key):
+        d = {"cluster_size": 8, "max_delay": 32, key: 8}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            TuningParameters.from_dict(d)
 
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
@@ -83,27 +84,60 @@ class TestParameters:
         assert 1 not in cands
 
     def test_candidate_grid_baseline_first(self):
-        base = TuningParameters.make(8, 32)
+        base = TuningParameters(8, 32)
         grid = candidate_grid(16, 16, base)
         assert grid[0] == base
         assert len(grid) == len(set(grid))  # no duplicates
-        assert all(g.wrap_interval == g.cluster_size for g in grid)
         assert len(grid) <= 12
+
+    @pytest.mark.parametrize(
+        "n_slices, n_sites", [(40, 16), (40, 64), (80, 256), (20, 16), (8, 4)]
+    )
+    def test_candidate_grid_is_clusters_times_delays(self, n_slices, n_sites):
+        from repro.core.delayed_update import delay_ladder
+
+        base = TuningParameters(divisor_near(n_slices, 10), 32)
+        clusters = sorted(
+            set(cluster_size_candidates(n_slices)) | {base.cluster_size}
+        )
+        delays = sorted(set(delay_ladder(n_sites)) | {base.max_delay})
+        full = {TuningParameters(k, m) for k in clusters for m in delays}
+        grid = candidate_grid(n_slices, n_sites, base, max_candidates=1000)
+        assert grid[0] == base
+        assert len(grid) == len(set(grid)) == len(full)
+        assert set(grid) == full
+        capped = candidate_grid(n_slices, n_sites, base, max_candidates=5)
+        assert capped == grid[:5]
 
 
 class TestCache:
     def test_store_lookup_roundtrip(self, tmp_path):
         cache = TuningCache(tmp_path / "tuning.json")
-        params = TuningParameters.make(8, 16)
+        params = TuningParameters(8, 16)
         assert cache.lookup("k1") is None
-        cache.store("k1", params, extra={"sweep_seconds": 0.01})
+        cache.store("k1", params)
         assert cache.lookup("k1") == params
         assert cache.stats() == {"hits": 1, "misses": 1}
-        assert cache.entries()["k1"]["sweep_seconds"] == 0.01
+        assert cache.entries()["k1"] == {"cluster_size": 8, "max_delay": 16}
+        assert json.loads(cache.path.read_text())["version"] == 2
+
+    def test_version_one_file_loads_as_empty(self, tmp_path):
+        path = tmp_path / "tuning.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "stats": {"hits": 3, "misses": 1},
+            "profiles": {"k": {"cluster_size": 8, "wrap_interval": 8,
+                               "max_delay": 16, "sweep_seconds": 0.01}},
+        }))
+        cache = TuningCache(path)
+        assert cache.entries() == {} and cache.peek("k") is None
+        assert cache.lookup("k") is None  # a miss: the workload re-tunes
+        cache.store("k", TuningParameters(4, 8))
+        assert cache.peek("k") == TuningParameters(4, 8)
 
     def test_peek_does_not_bump_stats(self, tmp_path):
         cache = TuningCache(tmp_path / "tuning.json")
-        cache.store("k", TuningParameters.make(4, 8))
+        cache.store("k", TuningParameters(4, 8))
         assert cache.peek("k") is not None
         assert cache.peek("missing") is None
         assert cache.stats() == {"hits": 0, "misses": 0}
@@ -113,12 +147,12 @@ class TestCache:
         path.write_text("{ not json")
         cache = TuningCache(path)
         assert cache.lookup("k") is None
-        cache.store("k", TuningParameters.make(2, 8))
-        assert cache.peek("k") == TuningParameters.make(2, 8)
+        cache.store("k", TuningParameters(2, 8))
+        assert cache.peek("k") == TuningParameters(2, 8)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         cache = TuningCache(tmp_path / "tuning.json")
-        cache.store("k", TuningParameters.make(4, 16))
+        cache.store("k", TuningParameters(4, 16))
         leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name]
         assert leftovers == []
         json.loads((tmp_path / "tuning.json").read_text())  # well-formed
@@ -160,29 +194,18 @@ class TestRepartition:
 
     def test_apply_tuning(self):
         sim = small_sim(cluster=8, delay=32)
-        sim.apply_tuning(TuningParameters.make(4, 8))
+        sim.apply_tuning(TuningParameters(4, 8))
         assert sim.engine.cluster_size == 4
         assert sim.max_delay == 8
         # keeps sweeping correctly after the live re-partition
         sim.warmup(2)
 
-    def test_apply_tuning_rejects_decoupled_wrap(self):
-        sim = small_sim()
-
-        class Decoupled:
-            cluster_size = 4
-            wrap_interval = 8
-            max_delay = 16
-
-        with pytest.raises(ValueError, match="wrap_interval"):
-            sim.apply_tuning(Decoupled())
-
 
 class TestTuner:
     CANDS = [
-        TuningParameters.make(8, 32),
-        TuningParameters.make(4, 16),
-        TuningParameters.make(2, 8),
+        TuningParameters(8, 32),
+        TuningParameters(4, 16),
+        TuningParameters(2, 8),
     ]
 
     def test_picks_fastest_healthy(self):
@@ -270,7 +293,7 @@ class TestTuner:
 
     def test_one_cluster_candidate_rejected_as_unmeasured(self):
         sim = small_sim()
-        cands = [self.CANDS[0], TuningParameters.make(16, 32)]
+        cands = [self.CANDS[0], TuningParameters(16, 32)]
         result = WarmupAutotuner(
             sim, candidates=cands, sweeps_per_candidate=1,
             timing_source=scripted_timer([2.0, 1.0]),
@@ -280,7 +303,7 @@ class TestTuner:
 
     def test_non_divisor_candidate_marked_inapplicable(self):
         sim = small_sim()
-        cands = [self.CANDS[0], TuningParameters.make(5, 16)]
+        cands = [self.CANDS[0], TuningParameters(5, 16)]
         result = WarmupAutotuner(
             sim, candidates=cands, sweeps_per_candidate=1,
             timing_source=scripted_timer([1.0]),
@@ -289,10 +312,50 @@ class TestTuner:
         assert not bad.accepted
         assert "inapplicable" in bad.reason
 
+    def test_baseline_judged_without_the_range_gate(self):
+        """A healthy beta = 4, U = 4 chain grades far past ``range_tol``:
+        the configured k = 10 is the reference, not a rejection."""
+        model = HubbardModel(SquareLattice(8, 8), u=4.0, beta=4.0, n_slices=40)
+        sim = Simulation(
+            model, seed=11, cluster_size=10, max_delay=32, measure_arrays=False
+        )
+        result = WarmupAutotuner(
+            sim, candidates=[TuningParameters(10, 32)], sweeps_per_candidate=1,
+            timing_source=scripted_timer([1.0]),
+        ).run()
+        (trial,) = result.trials
+        assert trial.dynamic_range > 1e14
+        assert trial.accepted, trial.reason
+        assert not result.fallback and result.chosen == TuningParameters(10, 32)
+
+    def test_candidate_past_ten_times_the_baseline_range_rejected(
+        self, monkeypatch
+    ):
+        sim = small_sim()
+        warmup = sim.warmup
+
+        def grading_worse_at_k4(n):  # the k=4 tiling grades 100x worse
+            stats = warmup(n)
+            if sim.engine.cluster_size == 4:
+                stats.grading_ratio *= 100.0
+            return stats
+
+        monkeypatch.setattr(sim, "warmup", grading_worse_at_k4)
+        result = WarmupAutotuner(
+            sim, candidates=self.CANDS, sweeps_per_candidate=1,
+            range_tol=1.0, timing_source=scripted_timer([5.0, 1.0, 3.0]),
+        ).run()
+        base, worse, healthy = result.trials
+        assert base.accepted and healthy.accepted
+        assert not worse.accepted
+        assert "10x the baseline's" in worse.reason
+        assert worse.dynamic_range > 10.0 * base.dynamic_range
+        assert result.chosen == self.CANDS[2]
+
     def test_default_grid_respects_conditioning(self):
         sim = small_sim()
         tuner = WarmupAutotuner(sim)
-        assert tuner.candidates[0] == TuningParameters.make(8, 32)
+        assert tuner.candidates[0] == TuningParameters(8, 32)
         assert all(16 % c.cluster_size == 0 for c in tuner.candidates)
 
 
@@ -339,7 +402,7 @@ class TestTunedPhysics:
         d_res = default.result(n_warmup=warm, n_measurement=meas)
 
         tuned_sim = small_sim(seed=3)
-        tuned_sim.apply_tuning(TuningParameters.make(4, 16))
+        tuned_sim.apply_tuning(TuningParameters(4, 16))
         tuned_sim.warmup(warm)
         tuned_sim.measure_sweeps(meas)
         t_res = tuned_sim.result(n_warmup=warm, n_measurement=meas)

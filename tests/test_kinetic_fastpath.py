@@ -452,44 +452,19 @@ class TestExactSeparablePipeline:
 
 
 # ---------------------------------------------------------------------------
-# engine / driver switching
+# the kinetic mode is chosen at construction (there is no live switch)
 # ---------------------------------------------------------------------------
 
 
 class TestKineticSwitching:
-    def test_set_kinetic_swaps_factory_and_invalidates(self):
-        sim = Simulation(model_4x4(n_slices=8), seed=3, cluster_size=4)
-        assert sim.kinetic == "exact"
-        assert sim.set_kinetic("checkerboard") is True
-        assert sim.kinetic == "checkerboard"
-        assert sim.factory.structured is not None
-        assert sim.engine.backend.structured is sim.factory.structured
-        # idempotent: switching to the current mode is a no-op
-        assert sim.set_kinetic("checkerboard") is False
-
-    def test_switched_simulation_still_runs(self):
-        sim = Simulation(model_4x4(n_slices=8), seed=3, cluster_size=4)
-        sim.warmup(1)
-        sim.set_kinetic("checkerboard")
-        res = sim.run(warmup_sweeps=0, measurement_sweeps=2)
-        assert np.isfinite(res.observables["density"].scalar)
-
-    def test_apply_tuning_kinetic_axis(self):
-        from repro.autotune import TuningParameters
-
-        sim = Simulation(model_4x4(n_slices=8), seed=3, cluster_size=4)
-        sim.apply_tuning(
-            TuningParameters.make(4, 8, kinetic="checkerboard")
-        )
-        assert sim.kinetic == "checkerboard"
-
     def test_constructor_kinetic(self):
         sim = Simulation(
             model_4x4(n_slices=8), seed=3, cluster_size=4,
             kinetic="checkerboard",
         )
-        assert sim.kinetic == "checkerboard"
+        assert sim.options.kinetic == "checkerboard"
         assert sim.factory.kinetic_mode == "checkerboard"
+        assert sim.engine.backend.structured is sim.factory.structured
 
 
 # ---------------------------------------------------------------------------

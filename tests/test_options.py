@@ -274,13 +274,18 @@ class TestCliRejections:
 
 
 class TestCliReports:
-    def test_tune_rejects_an_unknown_grid_axis(self, tmp_path, capsys):
+    def test_tune_has_no_grid_axis_flags(self, tmp_path, capsys):
+        """The tuner varies cluster size and delay only: an option axis
+        is an argparse usage error, before any sweep runs."""
         argv = ["tune", str(write(tmp_path)), "--quiet",
                 "--tune-cache", str(tmp_path / "tuning.json")]
-        err = one_line_error(capsys, argv + ["--precisions", "mixed,float16"])
-        assert err.startswith("tune: --precisions float16: unknown precision")
-        err = one_line_error(capsys, argv + ["--kinetics", "bogus"])
-        assert err.startswith("tune: --kinetics bogus: unknown kinetic mode")
+        for flag in ("--precisions", "--kinetics"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, "mixed"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} mixed" in err
+        assert not (tmp_path / "tuning.json").exists()
 
     def test_info_prints_the_resolved_backend(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import BMatrixFactory, HSField, HubbardModel, Simulation, SquareLattice
-from repro.options import OptionError
 from repro.precision import (
     POLICIES,
     PROMOTION_LADDER,
@@ -391,86 +390,38 @@ class TestPolicyAwareContracts:
 
 
 class TestAutotunePrecisionAxis:
-    def test_params_roundtrip_with_precision(self):
-        from repro.autotune import TuningParameters
-
-        p = TuningParameters.make(8, 16, precision="mixed")
-        assert p.precision == "mixed"
-        assert "precision" in p.to_dict()
-        assert TuningParameters.from_dict(p.to_dict()) == p
-        assert "precision=mixed" in str(p)
+    """The tuner has no precision axis: a profile never carries a policy,
+    and a tuned run keeps the one it was constructed with."""
 
     def test_precision_omitted_when_unset(self):
         from repro.autotune import TuningParameters
 
-        p = TuningParameters.make(8, 16)
-        assert p.precision is None
-        assert "precision" not in p.to_dict()
+        p = TuningParameters(8, 16)
+        assert p.to_dict() == {"cluster_size": 8, "max_delay": 16}
         assert TuningParameters.from_dict(p.to_dict()) == p
 
     def test_invalid_precision_rejected(self):
         from repro.autotune import TuningParameters
 
-        with pytest.raises(OptionError, match="full64, mixed, fast32"):
-            TuningParameters.make(8, 16, precision="float16")
-
-    def test_candidate_grid_gains_precision_axis(self):
-        from repro.autotune import TuningParameters, candidate_grid
-
-        baseline = TuningParameters.make(8, 16)
-        base = candidate_grid(16, 16, baseline, max_candidates=1000)
-        both = candidate_grid(
-            16,
-            16,
-            baseline,
-            precisions=["full64", "mixed"],
-            max_candidates=1000,
-        )
-        # the baseline's own (unset) policy is kept at the front of the
-        # axis, so the incumbent configuration is always trial 0
-        assert len(both) == 3 * len(base)
-        assert {p.precision for p in both} == {None, "full64", "mixed"}
-        assert both[0] == baseline
+        # a profile that names a policy is refused, key by name
+        with pytest.raises(ValueError, match="'precision'"):
+            TuningParameters.from_dict(
+                {"cluster_size": 8, "max_delay": 16, "precision": "mixed"}
+            )
 
     def test_grid_without_precisions_keeps_baseline_policy(self):
-        from repro.autotune import TuningParameters, candidate_grid
-
-        baseline = TuningParameters.make(8, 16)
-        cands = candidate_grid(16, 16, baseline)
-        # no precisions axis requested: every candidate inherits the
-        # baseline's (unset) policy — tuning never narrows by default
-        assert all(p.precision is None for p in cands)
-        assert cands[0].cluster_size == baseline.cluster_size
-
-    def test_tuner_restores_initial_policy_between_trials(self):
-        """A narrowed trial must not leak its policy into later
-        precision=None trials or into the locked winner."""
-        from repro.autotune import TuningParameters, WarmupAutotuner
+        from repro.autotune import WarmupAutotuner
 
         sim = Simulation(
-            make_model(n_slices=8), seed=3, cluster_size=4, precision="full64"
+            make_model(n_slices=8), seed=3, cluster_size=4, precision="mixed"
         )
-        tuner = WarmupAutotuner(
-            sim,
-            candidates=[
-                TuningParameters.make(4, 8, precision="mixed"),
-                TuningParameters.make(4, 16),  # precision=None
-            ],
-            sweeps_per_candidate=1,
+        tuner = WarmupAutotuner(sim, sweeps_per_candidate=1)
+        assert all(
+            set(c.to_dict()) == {"cluster_size", "max_delay"}
+            for c in tuner.candidates
         )
         tuner.run()
-        assert sim.precision == "full64"
-
-    def test_tuner_rejects_candidates_plus_precisions(self):
-        from repro.autotune import TuningParameters, WarmupAutotuner
-
-        sim = Simulation(make_model(n_slices=8), seed=3, cluster_size=4)
-        with pytest.raises(ValueError):
-            WarmupAutotuner(
-                sim,
-                candidates=[TuningParameters.make(4, 8)],
-                precisions=["mixed"],
-            )
+        assert sim.precision == "mixed"
 
 
 class TestPerfModelSinglePrecision:
