@@ -13,19 +13,22 @@ B_{l+1}`` (the tau..beta chain). The naive right-hand side is hopeless at
 large tau — ``A_1`` alone overflows — so both chains are stratified into
 graded forms and joined without forming either product.
 
-:func:`displaced_series_fast`, the production path, holds ``A_1`` as a
-prefix ``R = Q_R D_R T_R`` and ``A_2`` as the decomposition of its
-transpose, ``L^T = Q_L D_L T_L`` (the engine's own chains), and joins
-them with the two-sided identity
+:func:`displaced_series_fast` holds ``A_1`` as a prefix ``R = Q_R D_R
+T_R`` and ``A_2`` as the decomposition of its transpose, ``L^T = Q_L D_L
+T_L`` (the engine's own chains), and joins them with the two-sided
+identity
 
 .. math::
 
     G(\\tau, 0) = (I + R L)^{-1} R = Q_L D_{Lb} M^{-1} D_{Rs} T_R
 
 where ``M`` is the O(1) bracket of the equal-time two-sided inverse
-(:func:`repro.linalg.stable_displaced_two_sided`): one LU solve and three
-GEMMs per tau. At ``tau = beta`` antiperiodicity gives ``G(beta, 0) = I -
-G(0, 0)``, the equal-time inverse of the whole chain.
+(:func:`repro.linalg.stable_inverse_two_sided` with ``displaced=True``).
+At ``tau = beta`` antiperiodicity gives ``G(beta, 0) = I - G(0, 0)``, the
+equal-time inverse of the whole chain. A simulation's dynamic sample
+takes the same joins from the sweep's own boundaries
+(:meth:`repro.core.GreensFunctionEngine.boundary_greens`); this routine
+is the standalone reference.
 
 The per-tau reference (:func:`displaced_greens`,
 :func:`displaced_greens_reverse`) uses the stable sum-inverse of Bai,
@@ -67,8 +70,8 @@ from ..linalg import (
     GradedDecomposition,
     flops,
     split_scales,
-    stable_displaced_two_sided,
     stable_inverse_from_graded,
+    stable_inverse_two_sided,
 )
 from .stratification import StratificationMethod, stratified_decomposition
 
@@ -204,35 +207,24 @@ def displaced_series_fast(
     cluster_size: int,
     method: StratificationMethod = "prepivot",
     backend=None,
-    prefix: Optional[List[GradedDecomposition]] = None,
-    suffix_t: Optional[List[GradedDecomposition]] = None,
 ) -> tuple:
     """``G(tau, 0)`` at every cluster boundary in O(L) QR steps total.
 
     The naive per-tau evaluation stratifies both chains from scratch —
-    O(L^2 / k) QR steps for a full tau grid. This routine takes every
+    O(L^2 / k) QR steps for a full tau grid. This routine builds every
     *prefix* decomposition (``A_1`` chains, grown leftward) and every
     *suffix* decomposition (``A_2`` chains, grown via their transposes,
     since a suffix gains factors on the *right*) — O(L/k) QR steps each
     — and joins them per boundary with
-    :func:`~repro.linalg.stable_displaced_two_sided`.
+    :func:`~repro.linalg.stable_inverse_two_sided`.
 
     The transpose trick: ``(B_q ... B_c)^T = B_c^T ... B_q^T`` grows
     leftward in c, so an :class:`IncrementalStratifier` over transposed
     clusters yields ``A_2^T = Q D T``, the ``L^T`` the two-sided join
-    expects.
-
-    ``prefix[c - 1] = R_c`` is the decomposition of clusters
-    ``c - 1 ... 0`` (c = 1 .. nc - 1) and ``suffix_t[m - 1] = S_m`` the
-    one of the transposed chain of the last ``m`` clusters (m = 1 .. nc)
-    when the caller already holds them: a
-    :class:`~repro.core.GreensFunctionEngine`'s
-    ``prefix_decompositions(sigma)`` / ``suffix_decompositions(sigma)``,
-    the chains its sweeps build anyway. Whatever is not handed in is
-    stratified here from freshly built cluster products. No prefix of all
-    nc clusters is needed: ``G(beta, 0) = I - G(0, 0)`` comes from the
-    equal-time inverse of ``S_nc``. ``backend`` runs the chain steps and
-    the joins (default: a serial numpy backend).
+    expects. No prefix of all nc clusters is needed: ``G(beta, 0) = I -
+    G(0, 0)`` comes from the equal-time inverse of the whole suffix.
+    ``backend`` runs the chain steps and the joins (default: a serial
+    numpy backend).
 
     Returns
     -------
@@ -247,28 +239,24 @@ def displaced_series_fast(
     backend = resolve_backend(backend or "numpy")
     ranges = cluster_slices(field.n_slices, cluster_size)
     nc = len(ranges)
-    if prefix is None or suffix_t is None:
-        clusters = [
-            cluster_product(factory, field, sigma, r) for r in ranges
-        ]
-    if prefix is None:
-        prefix = []
-        inc = IncrementalStratifier(method, backend)
-        for c in range(nc - 1):
-            inc.push(clusters[c])
-            prefix.append(inc.decomposition())
-    if suffix_t is None:
-        suffix_t = []
-        inc_t = IncrementalStratifier(method, backend)
-        for c in range(nc - 1, -1, -1):
-            inc_t.push(clusters[c].T)
-            suffix_t.append(inc_t.decomposition())
+    clusters = [cluster_product(factory, field, sigma, r) for r in ranges]
+    prefix, suffix_t = [], []
+    inc = IncrementalStratifier(method, backend)
+    for c in range(nc - 1):
+        inc.push(clusters[c])
+        prefix.append(inc.decomposition())
+    inc_t = IncrementalStratifier(method, backend)
+    for c in range(nc - 1, -1, -1):
+        inc_t.push(clusters[c].T)
+        suffix_t.append(inc_t.decomposition())
 
     dtau = factory.model.dtau
     taus = np.array([(c + 1) * cluster_size * dtau for c in range(nc)])
     # tau at boundary c + 1: prefix R_{c+1}, suffix S_{nc-c-1}
     greens = [
-        stable_displaced_two_sided(prefix[c], suffix_t[nc - c - 2], backend)
+        stable_inverse_two_sided(
+            prefix[c], suffix_t[nc - c - 2], backend, displaced=True
+        )[1]
         for c in range(nc - 1)
     ]
     # G(beta, 0) = I - G(0, 0), with G(0, 0) = (I + L)^-1 = ((I + L^T)^-1)^T

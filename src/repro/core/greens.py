@@ -9,8 +9,8 @@ for a fixed model and a live HS field:
   factorization; every decomposition a build passes through is kept
   until the field under it changes, so each sweep pushes one per
   boundary on the side it sweeps and reads the other side from the
-  sweep before, and both stacks feed the time-displaced sample
-  (:meth:`prefix_decompositions`, :meth:`suffix_decompositions`),
+  sweep before; the same join also gives the time-displaced
+  ``G(tau, 0)`` of the boundary when asked,
 * wrapping between adjacent slices,
 * drift diagnostics (wrapped vs. freshly stratified G).
 
@@ -264,7 +264,9 @@ class GreensFunctionEngine:
 
     # -- fresh evaluation ----------------------------------------------------
 
-    def boundary_greens(self, sigma: int, start_cluster: int = 0) -> np.ndarray:
+    def boundary_greens(
+        self, sigma: int, start_cluster: int = 0, displaced: bool = False
+    ):
         """Freshly stratified G at boundary index ``c = start_cluster``.
 
         Index ``c`` in ``0 .. nc`` joins the prefix chain
@@ -275,6 +277,13 @@ class GreensFunctionEngine:
         alone: the same G, each rounded as its own side rounds it. A
         forward sweep starts at 0, a backward one at ``nc``, where the
         forward sweep before it left its prefixes.
+
+        With ``displaced`` the call returns ``(G, G(tau_c, 0))``: at an
+        interior index the time-displaced function ``(I + R_c L)^{-1}
+        R_c`` from the same factorization of the join (one more
+        triangular solve and GEMM), at index 0 or ``nc`` ``G(beta, 0) = I
+        - G``. ``G(tau_c, 0)`` is not cast to the compute dtype; ``G``
+        itself is bit for bit what the call without it returns.
 
         Each side continues from the longest decomposition it keeps (see
         :class:`_ChainSide`); what is kept never changes the result, only
@@ -289,14 +298,14 @@ class GreensFunctionEngine:
         if not 0 <= start_cluster <= nc:
             raise IndexError(f"boundary {start_cluster} out of range")
         prefix, suffix = self._partials[sigma]
-        take = self.cache.take
         with self.profiler.phase("clustering"):
-            todo_right = self._missing(sigma, prefix, start_cluster, take)
-            todo_left = self._missing(sigma, suffix, nc - start_cluster, take)
+            todo_right = self._missing(sigma, prefix, start_cluster)
+            todo_left = self._missing(sigma, suffix, nc - start_cluster)
         with self.profiler.phase("stratification"):
             stats = StratificationStats()
             right = self._extend(prefix, start_cluster, todo_right, stats)
             left_t = self._extend(suffix, nc - start_cluster, todo_left, stats)
+            g_tau = None
             if right is None:  # index 0: G = (I + L)^-1 = ((I + L^T)^-1)^T
                 stats.grading_ratio = left_t.grading_ratio()
                 g = stable_inverse_from_graded(left_t).T
@@ -307,63 +316,31 @@ class GreensFunctionEngine:
                 stats.grading_ratio = max(
                     right.grading_ratio(), left_t.grading_ratio()
                 )
-                g = stable_inverse_two_sided(right, left_t, self.backend)
+                g = stable_inverse_two_sided(
+                    right, left_t, self.backend, displaced=displaced
+                )
+                if displaced:
+                    g, g_tau = g
+            if displaced and g_tau is None:  # tau = beta
+                g_tau = np.eye(self.n) - g
             self.last_stats = stats
         self.telemetry.counter("engine.stratifications")
         # The refresh is computed on the float64 spine; the running G
         # that wraps and delayed updates consume lives in the policy's
         # compute dtype (no-op passthrough under full64).
-        return self.backend.policy.compute(g)
+        g = self.backend.policy.compute(g)
+        return (g, g_tau) if displaced else g
 
-    def prefix_decompositions(self, sigma: int) -> list:
-        """``[R_1, ..., R_{nc-1}]``: ``R_c`` is the graded decomposition of
-        ``Btilde_{c-1} ... Btilde_0``, the prefix chain of boundary ``c``.
-
-        Clusters ``0 .. c-1`` are final once a forward sweep reaches
-        boundary ``c``, so after one all of them are kept. Whatever is
-        missing (after a backward sweep, a global move, a refresh or a
-        resume) is built from the longest kept one and kept, see
-        :meth:`_side_decompositions`.
-        """
-        prefix = self._partials[sigma][0]
-        return self._side_decompositions(sigma, prefix, self.n_clusters - 1)
-
-    def suffix_decompositions(self, sigma: int) -> list:
-        """``[S_1, ..., S_nc]``: ``S_m`` is the graded decomposition of
-        ``(Btilde_{nc-1} ... Btilde_{nc-m})^T``, the suffix chain of
-        boundary ``nc - m`` held as the chain of its transpose.
-
-        A backward sweep leaves ``S_1 .. S_{nc-1}``; ``S_nc`` is then one
-        push away and stays kept for the next sweep's boundary 0. The
-        time-displaced series pairs these with
-        :meth:`prefix_decompositions` and takes ``G(beta, 0) = I - G(0,
-        0)`` from ``S_nc``
-        (:func:`~repro.core.displaced.displaced_series_fast`).
-        """
-        suffix = self._partials[sigma][1]
-        return self._side_decompositions(sigma, suffix, self.n_clusters)
-
-    def _side_decompositions(self, sigma: int, side: _ChainSide, n: int) -> list:
-        """The first ``n`` decompositions of ``side``, built where missing
-        exactly as :meth:`boundary_greens` builds them, except that the
-        products are borrowed: a reader of a whole side, unlike a sweep,
-        may be followed by one that pushes the same clusters unchanged."""
-        with self.profiler.phase("clustering"):
-            todo = self._missing(sigma, side, n, self.cache.get)
-        with self.profiler.phase("stratification"):
-            self._extend(side, n, todo, StratificationStats())
-        return side[:n]
-
-    def _missing(self, sigma: int, side: _ChainSide, n: int, fetch) -> list:
+    def _missing(self, sigma: int, side: _ChainSide, n: int) -> list:
         """The factors that take ``side`` from what it keeps to ``n``
-        factors (none when it keeps that many), each product fetched by
-        ``fetch`` (``cache.take`` or ``cache.get``). Factor ``i`` is
-        cluster ``i`` of a prefix, cluster ``nc - 1 - i`` of a suffix,
-        transposed."""
+        factors (none when it keeps that many), each product taken out of
+        the cache. Factor ``i`` is cluster ``i`` of a prefix, cluster
+        ``nc - 1 - i`` of a suffix, transposed."""
+        take = self.cache.take
         if not side.transposed:
-            return [fetch(sigma, j) for j in range(len(side), n)]
+            return [take(sigma, j) for j in range(len(side), n)]
         last = self.n_clusters - 1
-        return [fetch(sigma, last - i).T for i in range(len(side), n)]
+        return [take(sigma, last - i).T for i in range(len(side), n)]
 
     def _extend(
         self,

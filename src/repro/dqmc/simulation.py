@@ -105,10 +105,14 @@ class Simulation:
     measure_dynamic:
         Also record the time-displaced observables once per measurement
         sweep: spin-averaged ``G(k, tau)`` and ``G_loc(tau)`` on the
-        cluster-boundary tau grid, via the O(L) incremental series. The
-        series reads the chain side the sweep just built and rebuilds
-        the other one (``n_clusters`` pushes per spin), plus one LU solve
-        per tau and spin; off by default.
+        cluster-boundary tau grid ``k dtau, 2 k dtau, ..., beta``. Each
+        boundary's join hands over its ``G(tau_c, 0)`` next to the fresh
+        G (one more triangular solve and GEMM per spin, ``G(beta, 0) = I
+        - G(0, 0)`` at boundary 0), so the sample adds no chain step,
+        cluster product or factorization. Each tau point is taken on the
+        configuration, and weighted by the sign, current at the boundary
+        that produced it, as the equal-time measurements are; off by
+        default.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`: per-sweep counters
         and events, periodic metric snapshots (profiler phases and
@@ -264,47 +268,43 @@ class Simulation:
         """
         return self.engine.set_precision(policy)
 
-    def _measure_dynamic_sample(self) -> None:
-        """One sign-weighted sample of G(k, tau) / G_loc(tau) over the
-        cluster-boundary tau grid (spin averaged)."""
-        from ..core import displaced_series_fast
-        from ..lattice import SquareLattice
-        from ..measure.dynamic import local_greens_tau, momentum_greens_tau
+    def _dynamic_sample(self):
+        """The dynamic measurement of one sweep as ``(on_displaced,
+        finish)``. The sweep hands ``on_displaced`` each boundary's two
+        ``G(tau_c, 0)`` (spin up, down), kept as their sum - the sample is
+        spin averaged and both carry the boundary's sign - in the row of
+        tau_c. ``finish``, after the sweep, reduces all rows at once (one
+        gather and one FFT batched over tau) and adds one sign-weighted
+        sample of ``g_loc_tau`` and, on square lattices, ``g_k_tau``."""
+        from ..lattice import SquareLattice, fourier_two_point
+        from ..measure.equal_time import greens_displacement_average
 
-        is_square = isinstance(self.model.lattice, SquareLattice)
-        engine = self.engine
-        with self.profiler.phase("measurements"):
-            gk = None
-            gloc = None
-            for sigma in (1, -1):
-                # The side the sweep just built is kept; the other one is
-                # rebuilt here and stays kept (after a backward sweep its
-                # S_nc is the next sweep's boundary 0).
-                prefix = engine.prefix_decompositions(sigma)
-                taus, greens = displaced_series_fast(
-                    self.factory,
-                    self.field,
-                    sigma,
-                    engine.cluster_size,
-                    method=engine.method,
-                    backend=engine.backend,
-                    prefix=prefix,
-                    suffix_t=engine.suffix_decompositions(sigma),
+        nc, n = self.engine.n_clusters, self.model.n_sites
+        lattice = self.model.lattice
+        signs = np.empty(nc)
+        summed = np.empty((nc, n, n))
+
+        def on_displaced(c: int, g_tau: tuple, sign: float) -> None:
+            j = (c - 1) % nc  # tau_c = c k dtau; index 0 is tau = beta
+            signs[j] = sign
+            np.add(*g_tau, out=summed[j])
+
+        def finish() -> None:
+            with self.profiler.phase("measurements"):
+                acc = self.collector.accumulator
+                if not isinstance(lattice, SquareLattice):
+                    gloc = np.einsum("jii->j", summed) / (2 * n)
+                    acc.add("g_loc_tau", signs * gloc)
+                    return
+                # the displacement-0 entry of the average is G_loc
+                avg = 0.5 * greens_displacement_average(
+                    lattice, summed, transpose=True
                 )
-                if gloc is None:
-                    gloc = np.zeros(len(greens))
-                    if is_square:
-                        gk = np.zeros((len(greens), self.model.n_sites))
-                for j, g in enumerate(greens):
-                    gloc[j] += 0.5 * local_greens_tau(g)
-                    if is_square:
-                        gk[j] += 0.5 * momentum_greens_tau(
-                            self.model.lattice, g
-                        )
-            acc = self.collector.accumulator
-            acc.add("g_loc_tau", self._sign * gloc)
-            if is_square:
-                acc.add("g_k_tau", self._sign * gk)
+                acc.add("g_loc_tau", signs * avg[:, 0])
+                gk = fourier_two_point(lattice, avg)
+                acc.add("g_k_tau", signs[:, None] * gk)
+
+        return on_displaced, finish
 
     def _next_direction(self) -> str:
         """Forward, backward, forward, ...: QUEST's order, in which each
@@ -364,6 +364,10 @@ class Simulation:
                 with self.profiler.phase("measurements"):
                     collector.measure(g[1], g[-1], sign)
 
+        on_displaced = finish_dynamic = None
+        if self.measure_dynamic:
+            on_displaced, finish_dynamic = self._dynamic_sample()
+
         agg = SweepStats()
         for _ in range(n_sweeps):
             st = sweep(
@@ -375,11 +379,12 @@ class Simulation:
                 start_sign=self._sign,
                 direction=self._next_direction(),
                 telemetry=self.telemetry,
+                on_displaced=on_displaced,
             )
+            if finish_dynamic is not None:
+                finish_dynamic()
             self._sign = st.sign
             self._maybe_global_flips()
-            if self.measure_dynamic:
-                self._measure_dynamic_sample()
             self._after_sweep(st, stage="measure")
             self.measured_sweeps += 1
             agg.merge(st)

@@ -106,6 +106,7 @@ def sweep(
     start_sign: float = 1.0,
     direction: str = "forward",
     telemetry: Optional[Telemetry] = None,
+    on_displaced: Optional[Callable[[int, tuple, float], None]] = None,
 ) -> SweepStats:
     """Run one full DQMC sweep, mutating the engine's HS field in place.
 
@@ -133,6 +134,14 @@ def sweep(
         L-1..0, *un*-wrapping after each slice. Either alone satisfies
         detailed balance; the simulation driver alternates them (QUEST's
         order), so each sweep reads the chain side the one before built.
+    on_displaced:
+        Callback invoked right after ``on_boundary`` with ``(cluster_index,
+        g_tau, sign)``: ``g_tau`` is the pair (spin up, down) of
+        ``G(tau_c, 0)`` that the boundary's own joins return
+        (:meth:`~repro.core.GreensFunctionEngine.boundary_greens` with
+        ``displaced=True``), ``tau_c = c k dtau`` and ``tau = beta`` at
+        index 0. The dynamic measurement hook: no chain step, cluster
+        product or factorization of its own.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`. The sweep itself
         only emits a ``singular_reject`` event when the denominator
@@ -171,8 +180,14 @@ def sweep(
         # Both spin sectors travel as one (2, N, N) stack: the batched
         # wraps and the delayed updater consume and return it whole.
         fresh = np.empty((2, n_sites, n_sites), engine.policy.compute_dtype)
+        g_tau = [None, None]
         for i, s in enumerate(SPINS):
-            fresh[i] = engine.boundary_greens(s, boundary)
+            if on_displaced is None:
+                fresh[i] = engine.boundary_greens(s, boundary)
+            else:
+                fresh[i], g_tau[i] = engine.boundary_greens(
+                    s, boundary, displaced=True
+                )
             stats.grading_ratio = max(
                 stats.grading_ratio, engine.last_stats.grading_ratio
             )
@@ -186,6 +201,8 @@ def sweep(
         g = fresh
         if on_boundary is not None:
             on_boundary(boundary % nc, dict(zip(SPINS, g)), sign)
+        if on_displaced is not None:
+            on_displaced(boundary % nc, tuple(g_tau), sign)
         if upd is None:
             upd = DelayedUpdater(g, max_delay=max_delay, backend=engine.backend)
 

@@ -171,11 +171,13 @@ def fourier_two_point(lattice: SquareLattice, c_real: np.ndarray) -> np.ndarray:
     for every allowed momentum, indexed like sites. The result is returned
     as the real part (the input is a correlation of Hermitian observables,
     so the imaginary part is statistical noise) — callers needing the
-    complex transform can use numpy's FFT directly.
+    complex transform can use numpy's FFT directly. Leading axes of
+    ``c_real`` are batch axes, transformed in one call.
     """
-    lx, ly = lattice.lx, lattice.ly
-    grid = np.asarray(c_real).reshape(ly, lx)
+    c_real = np.asarray(c_real)
+    lead = c_real.shape[:-1]
+    grid = c_real.reshape(lead + (lattice.ly, lattice.lx))
     # FFT convention: numpy's fft2 computes sum_r e^{-i 2pi (n.r/L)} f(r),
     # which matches c_k at momentum index (nx, ny).
     ck = np.fft.fft2(grid)
-    return np.real(ck).ravel()
+    return np.real(ck).reshape(c_real.shape)

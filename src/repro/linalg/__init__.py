@@ -49,7 +49,6 @@ from .qr import (
 from .stable import (
     SOLVE_KWARGS,
     naive_inverse,
-    stable_displaced_two_sided,
     stable_inverse_from_graded,
     stable_inverse_two_sided,
     stable_log_det_from_graded,
@@ -85,7 +84,6 @@ __all__ = [
     "qrp_flops",
     "scale_flops",
     "split_scales",
-    "stable_displaced_two_sided",
     "stable_inverse_from_graded",
     "stable_inverse_two_sided",
     "stable_log_det_from_graded",

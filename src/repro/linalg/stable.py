@@ -32,7 +32,6 @@ __all__ = [
     "SOLVE_KWARGS",
     "stable_inverse_from_graded",
     "stable_inverse_two_sided",
-    "stable_displaced_two_sided",
     "stable_log_det_from_graded",
     "naive_inverse",
 ]
@@ -72,18 +71,39 @@ def stable_inverse_from_graded(g: GradedDecomposition) -> np.ndarray:
     return _solve(lhs, rhs)
 
 
-def _two_sided_bracket(
-    right: GradedDecomposition, left_t: GradedDecomposition, backend
-) -> tuple:
-    """``(M, D_Rb, D_Rs, D_Lb)`` of the two-sided join of
-    ``R = Q_R D_R T_R`` and ``L^T = Q_L D_L T_L``:
+def stable_inverse_two_sided(
+    right: GradedDecomposition,
+    left_t: GradedDecomposition,
+    backend,
+    displaced: bool = False,
+):
+    """``(I + R L)^{-1}`` from ``R = Q_R D_R T_R`` and ``L^T = Q_L D_L T_L``;
+    with ``displaced`` also ``(I + R L)^{-1} R`` from the same LU.
+
+    The join of a prefix chain ``R`` and a suffix chain ``L`` held as the
+    decomposition of its *transpose* (a suffix grows on its right, so it
+    is stratified as the leftward-growing ``L^T``; hence
+    ``L = T_L^T D_L Q_L^T``). With both diagonals split big/small,
 
     .. math::
 
-        M = D_{Rb} (Q_R^T Q_L) D_{Lb} + D_{Rs} (T_R T_L^T) D_{Ls}
+        M = D_{Rb} (Q_R^T Q_L) D_{Lb} + D_{Rs} (T_R T_L^T) D_{Ls}, \\
+        G = Q_L D_{Lb} M^{-1} D_{Rb} Q_R^T
 
-    so that ``I + R L = Q_R D_{Rb}^{-1} M D_{Lb}^{-1} Q_L^T`` with every
-    entry of ``M`` O(1). The two products go through ``backend.gemm``.
+    and every entry of ``M`` is O(1) (Bauer, "Fast and stable
+    determinant quantum Monte Carlo"). With ``R`` the chain from 0 to tau
+    and ``L`` the one from tau to beta, ``(I + R L)^{-1} R`` is the
+    time-displaced ``G(tau, 0)``: the closing ``D_Rb Q_R^T`` meets ``R =
+    Q_R D_Rb^{-1} D_Rs T_R`` and cancels, leaving
+
+    .. math::
+
+        G(\\tau, 0) = Q_L D_{Lb} M^{-1} D_{Rs} T_R
+
+    ``M`` is factored once (``getrf``) and solved (``getrs``) for each
+    right-hand side asked for; the N x N products go through
+    ``backend.gemm``. Returns ``G``, or ``(G, G(tau, 0))`` when
+    ``displaced``.
     """
     if right.n != left_t.n:
         raise ValueError("mismatched decomposition sizes")
@@ -96,56 +116,27 @@ def _two_sided_bracket(
     tt *= rs[:, None]
     tt *= ls[None, :]
     m += tt
-    return m, rb, rs, lb
-
-
-def stable_inverse_two_sided(
-    right: GradedDecomposition, left_t: GradedDecomposition, backend
-) -> np.ndarray:
-    """``(I + R L)^{-1}`` from ``R = Q_R D_R T_R`` and ``L^T = Q_L D_L T_L``.
-
-    The join of a prefix chain ``R`` and a suffix chain ``L`` held as the
-    decomposition of its *transpose* (a suffix grows on its right, so it
-    is stratified as the leftward-growing ``L^T``; hence
-    ``L = T_L^T D_L Q_L^T``). With both diagonals split big/small,
-
-    .. math::
-
-        G = Q_L D_{Lb} \\big[ D_{Rb} (Q_R^T Q_L) D_{Lb}
-            + D_{Rs} (T_R T_L^T) D_{Ls} \\big]^{-1} D_{Rb} Q_R^T
-
-    and every entry inside the solve is O(1) (Bauer, "Fast and stable
-    determinant quantum Monte Carlo"). One LU solve; the three N x N
-    products go through ``backend.gemm``.
-    """
-    m, rb, _, lb = _two_sided_bracket(right, left_t, backend)
     n = right.n
     flops.record("stable_inverse", flops.lu_solve_flops(n, n) + 7 * n * n)
-    x = _solve(m, rb[:, None] * right.q.T)
-    return backend.gemm(left_t.q * lb[None, :], x, category="stratification")
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (m,))
+    # G takes the same path whether or not G(tau, 0) is asked for, so the
+    # dynamic sample can never move a Markov chain
+    lu, piv, info = getrf(m, overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"getrf failed (info = {info})")
+    del m, tt  # the factors replace them: peak memory as one gesv
 
+    def solve(rhs):
+        return getrs(lu, piv, rhs, overwrite_b=True)[0]
 
-def stable_displaced_two_sided(
-    right: GradedDecomposition, left_t: GradedDecomposition, backend
-) -> np.ndarray:
-    """``(I + R L)^{-1} R`` from the same two decompositions.
-
-    With ``R`` the chain from 0 to tau and ``L`` the one from tau to
-    beta this is the time-displaced ``G(tau, 0)``. The ``D_Rb Q_R^T``
-    closing :func:`stable_inverse_two_sided` meets ``R = Q_R D_Rb^{-1}
-    D_Rs T_R`` and cancels, leaving
-
-    .. math::
-
-        G(\\tau, 0) = Q_L D_{Lb} M^{-1} D_{Rs} T_R
-
-    with the same O(1) ``M``: one LU solve and three GEMMs.
-    """
-    m, _, rs, lb = _two_sided_bracket(right, left_t, backend)
-    n = right.n
-    flops.record("stable_inverse", flops.lu_solve_flops(n, n) + 7 * n * n)
-    x = _solve(m, rs[:, None] * right.t)
-    return backend.gemm(left_t.q * lb[None, :], x, category="stratification")
+    x = solve(rb[:, None] * right.q.T)
+    q_lb = left_t.q * lb[None, :]
+    g = backend.gemm(q_lb, x, category="stratification")
+    if not displaced:
+        return g
+    flops.record("stable_inverse", 2 * n * n * n + n * n)
+    x = solve(rs[:, None] * right.t)
+    return g, backend.gemm(q_lb, x, category="stratification")
 
 
 def stable_log_det_from_graded(g: GradedDecomposition) -> tuple:

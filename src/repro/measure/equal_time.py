@@ -77,17 +77,16 @@ def greens_displacement_average(
     """Translation-averaged Green's function indexed by displacement.
 
     ``out[r] = (1/N) sum_i G(i, i + r)`` (or ``G(i + r, i)`` when
-    ``transpose``). This is the only O(N^2) reduction measurements need;
-    it is one fancy-indexed gather plus a mean, no Python double loop.
+    ``transpose``), for every leading index of a ``(..., N, N)`` stack.
+    This is the only O(N^2) reduction measurements need; it is one gather
+    at flat positions plus a mean, no Python double loop.
     """
     n = lattice.n_sites
     tt = lattice.translation_table  # tt[r, i] = i + r
     rows = np.arange(n)[None, :]
-    if transpose:
-        vals = g[tt, rows]
-    else:
-        vals = g[rows, tt]
-    return vals.mean(axis=1)
+    flat = tt * n + rows if transpose else rows * n + tt
+    vals = np.take(g.reshape(g.shape[:-2] + (n * n,)), flat, axis=-1)
+    return vals.mean(axis=-1)
 
 
 def same_spin_exchange(lattice: SquareLattice, g: np.ndarray) -> np.ndarray:

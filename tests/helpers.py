@@ -84,3 +84,25 @@ def rewrite_as_series(path, samples):
         if samples.get(name):
             payload[f"obs{i}"] = np.stack(samples[name])
     np.savez_compressed(path, header=np.array(json.dumps(header)), **payload)
+
+
+def recording_displaced(monkeypatch):
+    """Every ``G(tau_c, 0)`` pair a simulation's sweeps hand its dynamic
+    sample, as ``(c, field copy at that boundary, (2, N, N) copy of the
+    pair, sign)``
+    (the driver looks ``sweep`` up on its module at call time)."""
+    import repro.dqmc.simulation as driver
+
+    seen = []
+    inner = driver.sweep
+
+    def recorded(engine, *args, on_displaced=None, **kwargs):
+        def record(c, g_tau, sign):
+            seen.append((c, engine.field.h.copy(), np.stack(g_tau), sign))
+            on_displaced(c, g_tau, sign)
+
+        hook = None if on_displaced is None else record
+        return inner(engine, *args, on_displaced=hook, **kwargs)
+
+    monkeypatch.setattr(driver, "sweep", recorded)
+    return seen

@@ -14,7 +14,7 @@ from repro.core import (
     stratified_decomposition,
 )
 from repro.linalg import GradedDecomposition
-from tests.helpers import relerr
+from tests.helpers import recording_displaced, relerr
 from tests.test_dqmc_sweep import golden_engine, sha1
 
 
@@ -235,56 +235,37 @@ class TestFastSeries:
 
     @pytest.mark.parametrize("warm", ["cold", "forward", "backward", "partial"])
     def test_engine_suffix_stack_gives_the_same_series(self, warm):
-        """``suffix_t`` from the engine, whatever it kept before: the
-        series bit for bit, ``S_m`` the decomposition ``boundary_greens``
-        itself uses at boundary ``nc - m``, and a boundary 0 after it
-        that pushes nothing (a one-push completion is kept too)."""
+        """The series from the engine's own joins, whatever it kept
+        before: ``boundary_greens(1, c, displaced=True)`` is the
+        standalone routine's ``G(tau_c, 0)`` bit for bit at every interior
+        index and at index 0 (``G(beta, 0)`` from ``S_nc``); index ``nc``
+        rounds it through ``R_nc`` instead. The ``G`` next to it is bit
+        for bit that of a call without ``displaced``."""
         from repro.dqmc import sweep
 
         engine, rng = golden_engine(11)
-        nc, backend = engine.n_clusters, engine.backend
+        nc = engine.n_clusters
         if warm == "partial":  # S_1 .. S_{nc-1} stacked, S_nc one push away
             engine.boundary_greens(1, 1)
         elif warm != "cold":
             sweep(engine, rng, direction=warm)
         _, expected = displaced_series_fast(
-            engine.factory, engine.field, 1, 5, backend=backend
+            engine.factory, engine.field, 1, 5, backend=engine.backend
         )
-        suffix_t = engine.suffix_decompositions(1)
-        assert len(suffix_t) == nc and engine.n_kept(1) >= nc - 1
-        _, greens = displaced_series_fast(
-            engine.factory, engine.field, 1, 5,
-            backend=backend, suffix_t=suffix_t,
-        )
-        assert sha1(np.stack(greens)) == sha1(np.stack(expected))
-        again = engine.suffix_decompositions(1)
-        assert all(a is b for a, b in zip(again, suffix_t))  # kept
-        # the sweep after it starts on a built suffix
-        engine.boundary_greens(1, 0)
-        assert engine.last_stats.n_factors == 0
-
-
-def recording_sample(monkeypatch):
-    """Every series the simulation's dynamic sample computes, as
-    ``(sigma, field copy, taus, greens)`` (the sample looks the routine up
-    on ``repro.core`` at call time)."""
-    import repro.core
-
-    seen = []
-
-    def recorded(factory, field, sigma, k, **kwargs):
-        taus, greens = displaced_series_fast(factory, field, sigma, k, **kwargs)
-        seen.append((sigma, field.h.copy(), taus, greens))
-        return taus, greens
-
-    monkeypatch.setattr(repro.core, "displaced_series_fast", recorded)
-    return seen
+        for c in range(nc + 1):
+            g, g_tau = engine.boundary_greens(1, c, displaced=True)
+            assert np.array_equal(g, engine.boundary_greens(1, c))
+            assert engine.last_stats.n_factors == 0
+            if c < nc:
+                assert sha1(g_tau) == sha1(expected[(c - 1) % nc]), c
+            else:
+                assert relerr(g_tau, expected[-1]) < 1e-13
 
 
 class TestEngineFedSeries:
-    """The dynamic sample's series from the sweep's own chains (kept
-    prefixes, the suffix stack, ``G(beta, 0)`` from ``S_nc``) against
-    independent references, and against the standalone routine."""
+    """The dynamic sample's ``G(tau_c, 0)``, handed over by each boundary's
+    join as the sweep passes it, against independent references on the
+    field as it stood at that boundary."""
 
     @pytest.mark.parametrize(
         "options, n_sweeps",
@@ -292,12 +273,12 @@ class TestEngineFedSeries:
         ids=["forward", "alternating", "global-flips"],
     )
     def test_free_fermions_at_every_tau(self, options, n_sweeps, monkeypatch):
-        """U = 0: ``e^{-tau K} (I + e^{-beta K})^-1`` at every tau,
-        ``tau = beta`` included. The prefixes a forward sweep kept and a
-        rebuilt suffix side (forward), the prefixes rebuilt after a
-        backward sweep (alternating), or both sides rebuilt after a
-        global move dropped everything (global flips) - each bit for bit
-        what the standalone routine computes from scratch."""
+        """U = 0: ``e^{-tau K} (I + e^{-beta K})^-1`` at every tau, ``tau =
+        beta`` included, both spins, from a forward sweep, from
+        alternating ones (a backward sweep starts at index ``nc``) and
+        with global moves dropping every kept decomposition in between.
+        Every tau but that of index ``nc`` is also bit for bit the
+        standalone routine's on the boundary's field."""
         from repro import Simulation
 
         model = HubbardModel(SquareLattice(4, 4), u=0.0, beta=4.0, n_slices=32)
@@ -305,41 +286,50 @@ class TestEngineFedSeries:
             model, seed=3, cluster_size=8, measure_dynamic=True, **options
         )
         w, v = np.linalg.eigh(model.kinetic_matrix())
-        seen = recording_sample(monkeypatch)
+        seen = recording_displaced(monkeypatch)
         sim.measure_sweeps(n_sweeps)
-        assert len(seen) == 2 * n_sweeps
         engine = sim.engine
-        for sigma, h, taus, greens in seen:
-            assert len(greens) == engine.n_clusters and taus[-1] == model.beta
-            for tau, g in zip(taus, greens):
-                exact = (v * (np.exp(-tau * w) / (1.0 + np.exp(-model.beta * w)))) @ v.T
-                assert np.max(np.abs(g - exact)) < 1e-12, tau
-            _, standalone = displaced_series_fast(
-                sim.factory, HSField(h), sigma, engine.cluster_size,
-                method=engine.method, backend=engine.backend,
-            )
-            assert sha1(np.stack(greens)) == sha1(np.stack(standalone))
+        nc, k = engine.n_clusters, engine.cluster_size
+        assert len(seen) == nc * n_sweeps
+        for i, (c, h, g_tau, sign) in enumerate(seen):
+            backward = (i // nc) % 2 == 1
+            assert c == ((nc - i % nc) % nc if backward else i % nc)
+            j = (c - 1) % nc
+            tau = (j + 1) * k * model.dtau
+            exact = (v * (np.exp(-tau * w) / (1.0 + np.exp(-model.beta * w)))) @ v.T
+            assert sign == 1.0
+            for sigma, g in zip((1, -1), g_tau):
+                assert np.max(np.abs(g - exact)) < 1e-12, (c, tau)
+                if backward and c == 0:  # index nc, rounded through R_nc
+                    continue
+                _, standalone = displaced_series_fast(
+                    sim.factory, HSField(h), sigma, k,
+                    method=engine.method, backend=engine.backend,
+                )
+                assert sha1(g) == sha1(standalone[j]), (c, sigma)
 
     def test_strong_coupling_against_slice_by_slice(self, monkeypatch):
-        """6x6, U = 8, beta = 16, k = 10 after a measurement sweep: every
-        tau against ``displaced_greens(method="qrp")`` (one QR step per
-        slice, no clusters), held to 10 x the worst the Bai sum-inverse
-        reaches on the same chains, or 1e-11."""
+        """6x6, U = 8, beta = 16, k = 10, one measurement sweep: every tau
+        against ``displaced_greens(method="qrp")`` (one QR step per slice,
+        no clusters) on the field as it stood at the boundary that
+        produced it, held to 10 x the worst the Bai sum-inverse reaches on
+        the same chains, or 1e-11."""
         from repro import Simulation
 
         model = HubbardModel(SquareLattice(6, 6), u=8.0, beta=16.0, n_slices=160)
         sim = Simulation(model, seed=19, cluster_size=10, measure_dynamic=True)
-        seen = recording_sample(monkeypatch)
+        seen = recording_displaced(monkeypatch)
         sim.measure_sweeps(1)
-        sigma, h, _, greens = seen[0]
-        field = HSField(h)
-        bai = bai_series(sim.factory, field, sigma, 10)
+        nc = sim.engine.n_clusters
         ours, theirs = [], []
-        for j, (g, b) in enumerate(zip(greens, bai)):
+        for c, h, g_tau, _ in seen:
+            j = (c - 1) % nc
+            field = HSField(h)
+            bai = bai_series(sim.factory, field, 1, 10)[j]
             ref = displaced_greens(
-                sim.factory, field, sigma, (j + 1) * 10 - 1, method="qrp"
+                sim.factory, field, 1, (j + 1) * 10 - 1, method="qrp"
             )
-            ours.append(relerr(g, ref))
-            theirs.append(relerr(b, ref))
+            ours.append(relerr(g_tau[0], ref))
+            theirs.append(relerr(bai, ref))
         assert len(ours) == 16
         assert max(ours) <= max(10 * max(theirs), 1e-11), (max(ours), max(theirs))

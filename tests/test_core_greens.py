@@ -80,8 +80,8 @@ def counting_pushes(engine):
     pushes = {1: 0, -1: 0}
     inner = engine.boundary_greens
 
-    def counted(sigma, c=0):
-        g = inner(sigma, c)
+    def counted(sigma, c=0, **kwargs):
+        g = inner(sigma, c, **kwargs)
         pushes[sigma] += engine.last_stats.n_factors
         return g
 
@@ -296,47 +296,43 @@ class TestChainStepsAndKeptState:
         assert eng.n_kept(1) == eng.n_kept(-1) == nc - 1
 
     def test_kept_prefixes_of_a_measurement_sweep(self):
-        """A forward sweep leaves ``R_1 .. R_{nc-1}``: the sample reads
-        them as they are and rebuilds the suffix side (nc pushes). A
-        backward sweep leaves ``S_1 .. S_{nc-1}``: the sample rebuilds
-        the prefixes (nc - 1) and pushes ``S_nc``, which the next
-        boundary 0 then reads. ``4 nc - 1`` pushes per spin per two
-        sweeps and samples, where the prefix stack a forward sweep kept
-        only for its sample made it ``4 nc - 2``."""
+        """A sweep that hands its boundaries' ``G(tau_c, 0)`` to a dynamic
+        sample pushes, builds and keeps exactly what a plain sweep does:
+        ``R_1 .. R_{nc-1}`` after a forward sweep, ``S_1 .. S_{nc-1}``
+        after a backward one, ``2 nc - 1`` pushes on the cold sweep and
+        nc on every one after it, where rebuilding the side a sweep did
+        not build took ``4 nc - 1`` per two sweeps and samples. Its G's
+        and field are bit for bit the plain sweep's."""
+        plain, rng_plain = make_engine(beta=8.0, k=10)
         eng, rng = make_engine(beta=8.0, k=10)
         nc = eng.n_clusters
-        pushes = counting_pushes(eng)
+        pushes, plain_pushes = counting_pushes(eng), counting_pushes(plain)
+        handed = []
+        seen, plain_seen = [], []
 
-        def sample():
-            """Spin up's sample reads; every push it makes is kept."""
-            before = eng.n_kept(1)
-            prefixes = eng.prefix_decompositions(1)
-            assert len(eng.suffix_decompositions(1)) == nc
-            assert len(prefixes) == nc - 1
-            return prefixes, eng.n_kept(1) - before
+        def on_displaced(c, g_tau, sign):
+            handed.append(c)
 
-        sweep(eng, rng)  # cold
-        kept = list(eng._partials[1][0])
-        prefixes, n = sample()
-        assert n == nc and all(p is q for p, q in zip(prefixes, kept))
-        assert eng.n_kept(1) == 2 * nc - 1
-        per_two = []
-        for _ in range(2):
-            start = pushes[1]
-            sweep(eng, rng, direction="backward")
-            _, n_back = sample()
-            sweep(eng, rng, direction="forward")
-            _, n_fwd = sample()
-            assert (n_back, n_fwd) == (nc, nc)
-            per_two.append(pushes[1] - start + n_back + n_fwd)
-        assert per_two == [4 * nc - 1] * 2
-        # and a prefix read after a drop is rebuilt, bit for bit
-        prefixes = eng.prefix_decompositions(1)
-        eng.invalidate_all()
-        rebuilt = eng.prefix_decompositions(1)
-        for old, new in zip(prefixes, rebuilt):
-            assert old is not new
-            assert np.array_equal(old.q, new.q) and np.array_equal(old.t, new.t)
+        for direction in ("forward", "backward") * 2:
+            sweep(
+                eng, rng, direction=direction, on_displaced=on_displaced,
+                on_boundary=lambda c, g, s: seen.append(g[1].copy()),
+            )
+            sweep(
+                plain, rng_plain, direction=direction,
+                on_boundary=lambda c, g, s: plain_seen.append(g[1].copy()),
+            )
+            assert pushes == plain_pushes
+            assert eng.cache.batched_builds == plain.cache.batched_builds
+            assert [len(side) for side in eng._partials[1]] == [
+                len(side) for side in plain._partials[1]
+            ]
+            assert eng.n_kept(1) == nc - 1
+        assert pushes[1] == 2 * nc - 1 + 3 * nc
+        one_pair = list(range(nc)) + [0] + list(range(nc - 1, 0, -1))
+        assert handed == one_pair * 2
+        assert all(np.array_equal(a, b) for a, b in zip(seen, plain_seen))
+        assert np.array_equal(eng.field.h, plain.field.h)
 
     def test_alternating_sweeps(self):
         eng, rng = make_engine(beta=8.0, k=10)
@@ -379,6 +375,29 @@ class TestChainStepsAndKeptState:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert (peak - built) / unit < 4 * nc + 18
+
+    def test_peak_memory_of_measure_dynamic_sweeps(self):
+        """The same three sweeps and bound with the dynamic sample on,
+        driven by the simulation: the sample holds no chain side, only the
+        spin sum of each boundary's ``G(tau_c, 0)`` pair until the sweep
+        ends (nc N x N; keeping both spins' matrices measured 52)."""
+        import tracemalloc
+
+        from repro import Simulation
+
+        nc, unit = 8, 64 * 64 * 8
+        model = HubbardModel(SquareLattice(8, 8), u=4.0, beta=8.0, n_slices=80)
+        tracemalloc.start()
+        try:
+            sim = Simulation(model, seed=5, cluster_size=10, measure_dynamic=True)
+            assert sim.engine.n_clusters == nc
+            built, _ = tracemalloc.get_traced_memory()
+            sim.measure_sweeps(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sim.collector.accumulator.n_samples("g_k_tau") == 3
         assert (peak - built) / unit < 4 * nc + 18
 
 

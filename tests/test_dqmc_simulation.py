@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import HubbardModel, Simulation, SquareLattice
+from repro import HSField, HubbardModel, Simulation, SquareLattice
 
 
 def tiny_model(u=4.0, beta=1.0, n_slices=8, lx=2, ly=2):
@@ -132,6 +132,54 @@ class TestDriverOptions:
         gloc = np.asarray(res.observables["g_loc_tau"].mean)
         np.testing.assert_allclose(gloc, gk.mean(axis=1), atol=1e-10)
 
+    def test_measure_dynamic_off_the_square_lattice(self):
+        """Without a square lattice's momenta the sample records
+        ``g_loc_tau`` alone, from the trace; at U = 0 on the torus's bonds
+        as a ``GeneralLattice`` it is the square lattice's ``G_loc``."""
+        from tests.helpers import dense_twin
+
+        square = SquareLattice(4, 4)
+        gloc = []
+        for lattice in (square, dense_twin(square)):
+            model = HubbardModel(lattice, u=0.0, beta=4.0, n_slices=32)
+            sim = Simulation(model, seed=0, cluster_size=8, measure_dynamic=True)
+            obs = sim.run(0, 2).observables
+            assert ("g_k_tau" in obs) == (lattice is square)
+            gloc.append(np.asarray(obs["g_loc_tau"].mean))
+        assert gloc[0].shape == (4,)
+        np.testing.assert_allclose(gloc[1], gloc[0], atol=1e-12)
+
+    def test_measure_dynamic_weights_each_tau_by_its_boundary_sign(
+        self, monkeypatch
+    ):
+        """With a sign problem (frustrated triangle, mu != 0) each tau of
+        a sample carries the sign current at the boundary that produced
+        it, not one sign per sweep."""
+        from repro.lattice import GeneralLattice
+        from tests.helpers import RecordingAccumulator, recording_displaced
+
+        model = HubbardModel(
+            GeneralLattice.triangle(), u=6.0, beta=3.0, n_slices=24, mu=-0.8
+        )
+        sim = Simulation(model, seed=11, cluster_size=8, measure_dynamic=True)
+        sim.warmup(10)
+        sim.collector.accumulator = RecordingAccumulator()
+        seen = recording_displaced(monkeypatch)
+        sim.measure_sweeps(40)
+        nc = sim.engine.n_clusters
+        samples = sim.collector.accumulator.samples["g_loc_tau"]
+        assert len(samples) == 40 and len(seen) == 40 * nc
+        signs = np.array([sign for *_, sign in seen]).reshape(40, nc)
+        assert (signs == -1).any() and (signs == 1).any()
+        mixed = [i for i in range(40) if len(set(signs[i])) > 1]
+        assert mixed  # sweeps whose boundaries disagree on the sign
+        for i, sample in enumerate(samples):
+            expected = np.empty(nc)
+            for c, _, g_tau, sign in seen[i * nc:(i + 1) * nc]:
+                trace = np.trace(g_tau, axis1=1, axis2=2).sum()
+                expected[(c - 1) % nc] = sign * trace / (2 * model.n_sites)
+            np.testing.assert_allclose(sample, expected, rtol=0, atol=1e-14)
+
     def test_measure_dynamic_interacting_finite(self):
         model = tiny_model(u=6.0, beta=2.0, n_slices=16)
         sim = Simulation(model, seed=1, cluster_size=4, measure_dynamic=True)
@@ -141,14 +189,16 @@ class TestDriverOptions:
         assert res.observables["g_k_tau"].n_samples == 4
 
 
-    def test_measure_dynamic_recycles_through_the_engine(self):
-        """The dynamic sample reads the side its measurement sweep built
-        and rebuilds the other on the engine's backend: the work is
-        counted, both sides stay kept, the products the rebuild borrowed
-        stay cached, the next sweep's boundary 0 pushes and builds
-        nothing after a backward sweep, and the series is the one the
-        standalone routine computes from scratch."""
+    def test_measure_dynamic_recycles_through_the_engine(self, monkeypatch):
+        """The sweep hands each boundary's ``G(tau_c, 0)`` to the sample
+        from the joins it solves on the engine's backend: the engine
+        keeps only what the sweep built (``S_1 .. S_{nc-1}`` after a
+        backward sweep, which the next boundary 0 extends by one push),
+        and the sample is the sign-weighted spin-averaged trace of what
+        was handed over, tau by tau, each the standalone routine's on the
+        field of its boundary."""
         from repro.core import displaced_series_fast
+        from tests.helpers import recording_displaced
 
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)
         sim = Simulation(
@@ -156,78 +206,80 @@ class TestDriverOptions:
             backend="gpu-sim",
         )
         sim.warmup(1)  # forward
-        engine, cache = sim.engine, sim.engine.cache
-        nc = engine.n_clusters
+        engine = sim.engine
+        nc, n = engine.n_clusters, model.n_sites
         ops = sum(engine.backend.op_counts.values())
-        sim.measure_sweeps(1)  # backward, then the sample
+        seen = recording_displaced(monkeypatch)
+        sim.measure_sweeps(1)  # backward: boundaries nc, nc - 1, .., 1
         assert sum(engine.backend.op_counts.values()) > ops
+        assert [c for c, *_ in seen] == [0] + list(range(nc - 1, 0, -1))
         for sigma in (1, -1):
             prefix, suffix = engine._partials[sigma]
-            assert (len(prefix), len(suffix)) == (nc - 1, nc)
-        assert set(cache._cache) == {
-            (sigma, j) for sigma in (1, -1) for j in range(nc - 1)
-        }
-        builds = cache.batched_builds
-        for sigma in (1, -1):
+            assert (len(prefix), len(suffix)) == (0, nc - 1)
             engine.boundary_greens(sigma, 0)
-            assert engine.last_stats.n_factors == 0
-        assert cache.batched_builds == builds
+            assert engine.last_stats.n_factors == 1
 
         # the only sample so far: its log-binned mean is the sample itself
         acc = sim.collector.accumulator
         assert acc.n_samples("g_loc_tau") == 1
         gloc = np.asarray(acc.estimate("g_loc_tau").mean)
-        expected = 0.0
-        for sigma in (1, -1):
-            _, greens = displaced_series_fast(
-                sim.factory, sim.field, sigma, engine.cluster_size
-            )
-            expected = expected + 0.5 * np.array(
-                [np.trace(g) / model.n_sites for g in greens]
-            )
-        np.testing.assert_allclose(gloc, sim._sign * expected, atol=1e-12)
+        expected = np.empty(nc)
+        for c, h, g_tau, sign in seen:
+            j = (c - 1) % nc
+            expected[j] = sign * np.trace(g_tau, axis1=1, axis2=2).mean() / n
+            for sigma, g in zip((1, -1), g_tau):
+                _, greens = displaced_series_fast(
+                    sim.factory, HSField(h), sigma, engine.cluster_size
+                )
+                np.testing.assert_allclose(g, greens[j], atol=1e-12)
+        np.testing.assert_allclose(gloc, expected, rtol=1e-15, atol=0)
 
-    def test_measure_dynamic_rebuilds_one_side(self, monkeypatch):
-        """Each sample rebuilds the side its sweep did not build: nc
-        pushes per spin after either direction, ``4 nc - 1`` per two
-        measurement sweeps with their samples (``S_nc`` pushed after a
-        backward sweep is the next boundary 0's), against ``2 nc`` for
-        two plain sweeps. The sample does one LU solve per tau and
-        spin."""
+    def test_measure_dynamic_adds_no_chain_steps(self, monkeypatch):
+        """A ``measure_dynamic`` run pushes and builds exactly what a plain
+        run with the same seed does, over the same chain; its sample adds
+        no LU factorization (``getrf``) and no ``gesv``, only one
+        ``getrs`` per interior boundary per spin: ``nc - 1`` per spin per
+        sweep (``G(beta, 0) = I - G(0, 0)`` costs no solve)."""
         import repro.linalg.stable as stable
         from repro.core import IncrementalStratifier
 
+        counts = {}
+        push, solve, lapack = (
+            IncrementalStratifier.push, stable._solve, stable.get_lapack_funcs
+        )
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        def counted_lapack(names, arrays):
+            return [counted(name, f) for name, f in zip(names, lapack(names, arrays))]
+
+        monkeypatch.setattr(IncrementalStratifier, "push", counted("push", push))
+        monkeypatch.setattr(stable, "_solve", counted("gesv", solve))
+        monkeypatch.setattr(stable, "get_lapack_funcs", counted_lapack)
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)
-        sim = Simulation(model, seed=1, cluster_size=4, measure_dynamic=True)
-        nc = sim.engine.n_clusters
-        assert nc == 4
-        sim.measure_sweeps(1)  # a cold forward sweep and its sample
-        counts = {"push": 0, "solve": 0, "sampling": False}
-        push, solve = IncrementalStratifier.push, stable._solve
-        sample = sim._measure_dynamic_sample
-
-        def counted_push(self, factor):
-            counts["push"] += 1
-            return push(self, factor)
-
-        def counted_solve(*args):
-            counts["solve"] += counts["sampling"]
-            return solve(*args)
-
-        def counted_sample():
-            counts["sampling"] = True
-            try:
-                sample()
-            finally:
-                counts["sampling"] = False
-
-        monkeypatch.setattr(IncrementalStratifier, "push", counted_push)
-        monkeypatch.setattr(stable, "_solve", counted_solve)
-        monkeypatch.setattr(sim, "_measure_dynamic_sample", counted_sample)
-        for n in (1, 2):
-            sim.measure_sweeps(2)  # backward, forward
-            assert counts["push"] == n * 2 * (4 * nc - 1)
-            assert counts["solve"] == n * 2 * 2 * nc
+        runs = {}
+        for dynamic in (False, True):
+            counts.update(push=0, gesv=0, getrf=0, getrs=0)
+            sim = Simulation(
+                model, seed=1, cluster_size=4, measure_dynamic=dynamic
+            )
+            assert sim.engine.n_clusters == 4
+            stats = sim.measure_sweeps(4)
+            runs[dynamic] = (
+                dict(counts), sim.engine.cache.batched_builds,
+                stats.accepted, sim.field.h.copy(),
+            )
+        (plain, plain_builds, plain_acc, plain_h) = runs[False]
+        (dyn, dyn_builds, dyn_acc, dyn_h) = runs[True]
+        nc = 4
+        assert dyn["push"] == plain["push"] and dyn_builds == plain_builds
+        assert (dyn["gesv"], dyn["getrf"]) == (plain["gesv"], plain["getrf"])
+        assert dyn["getrs"] - plain["getrs"] == 4 * 2 * (nc - 1)
+        assert dyn_acc == plain_acc and np.array_equal(dyn_h, plain_h)
 
 
 class TestPhysicsSanity:

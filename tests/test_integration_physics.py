@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import HubbardModel, MultilayerLattice, Simulation, SquareLattice
+from repro.measure.dynamic import momentum_greens_tau
 
 
 class TestMethodEquivalence:
@@ -111,3 +112,89 @@ class TestMultilayer:
         d2 = bilayer.observables["double_occupancy"]
         err = np.hypot(float(d1.error), float(d2.error))
         assert abs(d1.scalar - d2.scalar) < 5 * err
+
+
+class TestDynamicEstimator:
+    """Each tau of the dynamic sample is taken at the boundary that
+    produced it, inside the sweep; the estimator it replaced evaluated the
+    whole series on the field the sweep ended with. Both are unbiased, so
+    over one run their means must agree within errors."""
+
+    N_SWEEPS = 320
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro import HSField
+        from repro.core import displaced_series_fast
+        from tests.helpers import RecordingAccumulator
+
+        model = HubbardModel(SquareLattice(4, 4), u=4.0, beta=4.0, n_slices=40)
+        sim = Simulation(model, seed=23, cluster_size=10, measure_dynamic=True)
+        sim.warmup(30)
+        sim.collector.accumulator = RecordingAccumulator()
+        reference = {"g_loc_tau": [], "g_k_tau": []}
+        for _ in range(self.N_SWEEPS):
+            sim.measure_sweeps(1)
+            gloc, gk = 0.0, 0.0
+            for sigma in (1, -1):
+                _, greens = displaced_series_fast(
+                    sim.factory, HSField(sim.field.h.copy()), sigma, 10
+                )
+                g = np.stack(greens)
+                gloc = gloc + 0.5 * np.trace(g, axis1=1, axis2=2) / model.n_sites
+                gk = gk + 0.5 * momentum_greens_tau(model.lattice, g)
+            reference["g_loc_tau"].append(sim._sign * gloc)
+            reference["g_k_tau"].append(sim._sign * gk)
+        ours = sim.collector.accumulator
+        return ours, {k: np.stack(ours.samples[k]) for k in reference}, {
+            k: np.stack(v) for k, v in reference.items()
+        }
+
+    @staticmethod
+    def estimate(series):
+        from repro.stats import StreamingAccumulator
+
+        acc = StreamingAccumulator()
+        for x in series:
+            acc.add("x", x)
+        est = acc.estimate("x")
+        return np.asarray(est.mean), np.asarray(est.error)
+
+    @staticmethod
+    def stars(gk):
+        """``g_k_tau`` averaged over the C4v stars of the 4x4 momentum grid
+        (the model's symmetry, so the expectation is star-constant): six
+        classes per tau instead of sixteen correlated entries."""
+        n = np.arange(4)
+        fold = np.minimum(n, 4 - n)
+        key = np.sort(np.stack(np.meshgrid(fold, fold), -1).reshape(16, 2), axis=1)
+        classes = sorted({tuple(k) for k in key})
+        proj = np.array([[tuple(k) == c for c in classes] for k in key], float)
+        return gk @ (proj / proj.sum(axis=0))
+
+    def test_agrees_with_the_end_of_sweep_series(self, run):
+        """Per tau, ``g_loc_tau`` and the star averages of ``g_k_tau``
+        within 3 combined standard errors (plus 1e-12 for entries that
+        half filling fixes exactly, ``G_loc(beta) = 1/2``)."""
+        acc, ours, theirs = run
+        assert ours["g_k_tau"].shape == theirs["g_k_tau"].shape == (
+            self.N_SWEEPS, 4, 16,
+        )
+        mean = np.asarray(acc.estimate("g_k_tau").mean)
+        np.testing.assert_allclose(mean, ours["g_k_tau"].mean(axis=0), atol=1e-14)
+        for name, reduce in (("g_loc_tau", None), ("g_k_tau", self.stars)):
+            a, b = ours[name], theirs[name]
+            if reduce is not None:
+                a, b = reduce(a), reduce(b)
+            (ma, ea), (mb, eb) = self.estimate(a), self.estimate(b)
+            gap = np.abs(ma - mb)
+            assert np.all(gap < 3 * np.hypot(ea, eb) + 1e-12), (name, gap)
+        np.testing.assert_allclose(ours["g_loc_tau"][:, -1], 0.5, atol=1e-12)
+
+    def test_g_loc_is_symmetric_about_half_beta(self, run):
+        """Half filling: ``G_loc(tau) = G_loc(beta - tau)``; on the grid
+        1, 2, 3, 4 that pairs tau = 1 with tau = 3."""
+        est = run[0].estimate("g_loc_tau")
+        mean, error = np.asarray(est.mean), np.asarray(est.error)
+        assert abs(mean[0] - mean[2]) < 3 * np.hypot(error[0], error[2])
+        assert np.all(mean > 0) and mean[1] < min(mean[0], mean[2])

@@ -86,6 +86,18 @@ class TestTwoSidedInverse:
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
         assert backend.categories == ["stratification"] * 3
 
+    def test_displaced_join_shares_the_factorization(self, rng):
+        """``displaced=True``: ``(I + R L)^{-1} R`` next to a bit-identical
+        ``G``, one more GEMM and no second bracket."""
+        right, left_t = make_graded(rng, span=4), make_graded(rng, span=3)
+        backend = Gemm()
+        g, g_tau = stable_inverse_two_sided(right, left_t, backend, displaced=True)
+        assert np.array_equal(g, stable_inverse_two_sided(right, left_t, Gemm()))
+        r = right.dense()
+        expected = naive_inverse(r @ left_t.dense().T) @ r
+        np.testing.assert_allclose(g_tau, expected, rtol=1e-9, atol=1e-12)
+        assert backend.categories == ["stratification"] * 4
+
     def test_identity_prefix_is_the_transposed_one_sided_inverse(self, rng):
         n = 10
         one = GradedDecomposition(q=np.eye(n), d=np.ones(n), t=np.eye(n))
