@@ -1,7 +1,9 @@
 """Ablation: pivoting policy vs chain difficulty.
 
-Three policies — full QRP (Algorithm 2), pre-pivoting (Algorithm 3), no
-pivoting at all — on the adversarial chain for grading: the *ordered*
+Full QRP (Algorithm 2) and pre-pivoting (Algorithm 3) against the
+reference stratifiers of :mod:`tests.oracles.stratifier` - no pivoting
+at all, LAPACK SVD and one-sided Jacobi SVD - on the adversarial chain
+for grading: the *ordered*
 (ferromagnetic) HS field, where every slice compounds the same
 direction-dependent scales and the product's dynamic range grows
 exponentially in beta. Shows both halves of the paper's claim:
@@ -14,7 +16,10 @@ exponentially in beta. Shows both halves of the paper's claim:
 Plus the performance half on a paper-scale chain (L = 160, k = 10):
 sequential pivot synchronization points (the communication-cost proxy,
 n per QRP call vs 1 per pre-pivot) and wall-clock per evaluation.
-"""
+
+
+Run from the repository root (``PYTHONPATH=src python -m pytest
+benchmarks/...``) so ``tests`` imports."""
 
 import warnings
 
@@ -24,10 +29,12 @@ import pytest
 from bench_common import format_table, make_field_engine, time_call
 from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
 from repro.core import (
+    METHODS,
     GreensFunctionEngine,
     StratificationStats,
     stratified_inverse,
 )
+from tests.oracles.stratifier import oracle_inverse
 
 BETAS = [5.0, 10.0, 20.0]
 
@@ -43,6 +50,14 @@ def _ordered_chain(u, beta):
     return engine.cache.chain(1, 0)
 
 
+def _inverse(chain, method, stats=None):
+    """Algorithms 2 and 3 from the production switch, the rest from the
+    oracle."""
+    if method in METHODS:
+        return stratified_inverse(chain, method=method, stats=stats)
+    return oracle_inverse(chain, method, stats)
+
+
 def test_ablation_pivoting_accuracy(benchmark, report):
     rows = []
     errs = {m: {} for m in ("prepivot", "nopivot", "svd", "jacobi")}
@@ -55,7 +70,7 @@ def test_ablation_pivoting_accuracy(benchmark, report):
                 # the unpivoted / absolute-accuracy chains are *expected*
                 # to go ill-conditioned here; that failure is the point
                 warnings.simplefilter("ignore")
-                g = stratified_inverse(chain, method=m)
+                g = _inverse(chain, m)
             errs[m][beta] = float(np.linalg.norm(g - ref) / scale)
         rows.append(
             [f"{beta:g}"] + [f"{errs[m][beta]:.2e}" for m in errs]
@@ -95,8 +110,8 @@ def test_ablation_pivoting_cost(benchmark, report):
     times = {}
     for method in ("qrp", "prepivot", "nopivot"):
         stats = StratificationStats()
-        stratified_inverse(chain, method=method, stats=stats)
-        t = time_call(stratified_inverse, chain, method=method)
+        _inverse(chain, method, stats)
+        t = time_call(_inverse, chain, method)
         sync[method] = stats.sync_points
         times[method] = t
         rows.append([method, stats.sync_points, f"{t*1e3:.2f}"])

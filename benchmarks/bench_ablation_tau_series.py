@@ -3,9 +3,11 @@
 The dynamic measurements need ``G(tau, 0)`` on a tau grid. Evaluating
 each point independently stratifies both partial chains from scratch —
 O((L/k)^2) QR steps across the grid — while the incremental
-prefix/suffix scheme (:func:`repro.core.displaced_series_fast`) does
-O(L/k) total. This bench measures both on identical workloads and
-checks they produce the same functions.
+prefix/suffix scheme (:func:`tests.oracles.displaced.displaced_series_fast`,
+the scheme a run's sweep joins follow) does O(L/k) total. This bench
+measures both reference evaluations on identical workloads and checks
+they produce the same functions. Run from the repository root
+(``PYTHONPATH=src python -m pytest benchmarks/...``) so ``tests`` imports.
 
 Expected: speedup grows linearly with the number of grid points (the
 paper-scale L = 160, k = 10 grid has 16 points -> ~8x).
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from bench_common import format_table, make_field_engine, time_call
-from repro.core import displaced_greens, displaced_series_fast
+from tests.oracles.displaced import displaced_greens, displaced_series_fast
 
 CASES = [(20, 5), (40, 10), (80, 10)]  # (L, k)
 

@@ -2,8 +2,9 @@
 """Dynamic observables: imaginary-time Green's functions and the
 Fermi-level spectral weight (the "dynamic" measurements QUEST offers).
 
-Computes the time-displaced Green's function G(k, tau) with the stable
-two-chain inversion, then the standard gaplessness diagnostic
+Runs a simulation with ``measure_dynamic=True``: every measurement sweep
+records G(k, tau) on the cluster-boundary grid, taken from the joins the
+sweep already solves. From it comes the standard gaplessness diagnostic
 ``beta * G(k, beta/2)``: large where the spectrum is gapless (on the
 Fermi surface), exponentially small where it is gapped. At U = 0 the
 result is exact and analytic; switching on U shows the correlated
@@ -18,17 +19,13 @@ import argparse
 import numpy as np
 
 from repro import (
-    BMatrixFactory,
-    HSField,
     HubbardModel,
+    Simulation,
     SquareLattice,
     momentum_grid,
     symmetry_path,
 )
-from repro.core import GreensFunctionEngine, displaced_greens
-from repro.dqmc import sweep
 from repro.hamiltonian import free_dispersion_2d
-from repro.measure import momentum_greens_tau, spectral_weight_proxy
 
 
 def main() -> None:
@@ -40,36 +37,21 @@ def main() -> None:
     args = parser.parse_args()
 
     lattice = SquareLattice(args.size, args.size)
-    n_slices = max(8, int(round(args.beta / 0.125 / 8)) * 8)
+    # an even number of k = 8 clusters puts tau = beta/2 on a boundary
+    n_slices = max(16, int(round(args.beta / 0.125 / 16)) * 16)
     model = HubbardModel(lattice, u=args.u, beta=args.beta, n_slices=n_slices)
-    factory = BMatrixFactory(model)
-    rng = np.random.default_rng(1)
-    field = HSField.random(n_slices, model.n_sites, rng)
-    engine = GreensFunctionEngine(factory, field, cluster_size=8)
+    sim = Simulation(model, seed=1, cluster_size=8, measure_dynamic=True)
 
     print(
         f"{lattice}, U = {args.u}, beta = {args.beta}, L = {n_slices}; "
-        f"{args.samples} decorrelated samples of G(k, beta/2)"
+        f"{args.samples} measurement sweeps of G(k, tau), read at beta/2"
     )
 
-    # thermalize, then sample the displaced function mid-interval
-    for _ in range(10):
-        sweep(engine, rng)
-    l_half = n_slices // 2 - 1
-    proxy = np.zeros(model.n_sites)
-    gk_tau = []
-    for _ in range(args.samples):
-        for _ in range(3):
-            sweep(engine, rng)
-        sample = np.zeros(model.n_sites)
-        for sigma in (1, -1):
-            g_half = displaced_greens(factory, field, sigma, l_half)
-            sample += 0.5 * spectral_weight_proxy(
-                lattice, g_half, model.beta
-            )
-        proxy += sample
-        gk_tau.append(sample / model.beta)
-    proxy /= args.samples
+    result = sim.run(warmup_sweeps=10, measurement_sweeps=args.samples)
+    # row j of g_k_tau is tau = (j + 1) k dtau, so beta/2 is row nc/2 - 1
+    nc = sim.engine.n_clusters
+    gk_tau = np.asarray(result.observables["g_k_tau"].mean)
+    proxy = model.beta * gk_tau[nc // 2 - 1]
 
     # print along the symmetry path, with the U = 0 analytic reference
     idx, arc, kpts = symmetry_path(lattice)
@@ -78,12 +60,12 @@ def main() -> None:
     f = 1.0 / (1.0 + np.exp(args.beta * eps))
     free_proxy = args.beta * np.exp(-args.beta / 2 * eps) * (1.0 - f)
 
-    print(f"\n{'k':>16} {'beta*G(k,b/2)':>14} {'U=0 exact':>12}")
+    print(f"\n{'k':>16} {'beta*G(k,b/2)':>16} {'U=0 exact':>16}")
     for j in range(len(idx)):
         kx, ky = kpts[j]
         print(
             f"({kx:+.2f},{ky:+.2f})".rjust(16)
-            + f" {proxy[idx[j]]:14.4f} {free_proxy[idx[j]]:12.4f}"
+            + f" {proxy[idx[j]]:16.10f} {free_proxy[idx[j]]:16.10f}"
         )
 
     fs = lattice.index(args.size // 2, 0)  # (pi, 0): on the Fermi surface

@@ -1,7 +1,7 @@
 """The paper's core contribution: stable, fast Green's function evaluation.
 
 * :mod:`repro.core.stratification` — Algorithms 2 (QRP) and 3
-  (pre-pivoted QR, the paper's kernel), plus a no-pivot ablation.
+  (pre-pivoted QR, the paper's kernel).
 * :mod:`repro.core.clustering` / :mod:`repro.core.recycling` — k-slice
   matrix clustering and the cross-sweep cluster cache.
 * :mod:`repro.core.wrapping` — slice-to-slice similarity transforms.
@@ -11,13 +11,6 @@
 
 from .clustering import build_clusters, cluster_product, cluster_slices
 from .delayed_update import DelayedUpdater, delay_ladder
-from .displaced import (
-    displaced_greens,
-    displaced_greens_reverse,
-    displaced_greens_series,
-    displaced_series_fast,
-    stable_sum_inverse,
-)
 from .greens import GreensFunctionEngine
 from .recycling import ClusterCache
 from .stratification import (
@@ -42,11 +35,6 @@ __all__ = [
     "cluster_product",
     "cluster_slices",
     "delay_ladder",
-    "displaced_greens",
-    "displaced_greens_reverse",
-    "displaced_greens_series",
-    "displaced_series_fast",
-    "stable_sum_inverse",
     "stratified_decomposition",
     "stratified_inverse",
     "wrap_backward",

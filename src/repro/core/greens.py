@@ -47,6 +47,7 @@ from .stratification import (
     IncrementalStratifier,
     StratificationMethod,
     StratificationStats,
+    check_method,
     stratified_decomposition,
     stratified_inverse,
 )
@@ -129,7 +130,7 @@ class GreensFunctionEngine:
     ):
         self.factory = factory
         self.field = field
-        self.method = method
+        self.method = check_method(method)
         # The engine is the user-facing entry point, so (unlike the
         # library-level chain functions) its defaults are env-aware.
         options = resolve_options(backend, precision, factory.kinetic_mode)
@@ -481,11 +482,10 @@ class GreensFunctionEngine:
 
         The spectrum whose dynamic range the whole stratification
         machinery exists to tame: its spread is exp(O(beta * (U + W))).
-        Under QR-based methods these are diag(R) magnitudes — singular
-        values up to modest factors; run the engine with
-        ``method="jacobi"`` for the exact singular spectrum. Useful for
-        diagnosing why a parameter point needs a smaller cluster size
-        (see :func:`repro.linalg.chain_conditioning_report`).
+        These are diag(R) magnitudes — singular values up to modest
+        factors. Useful for diagnosing why a parameter point needs a
+        smaller cluster size (see
+        :func:`repro.linalg.chain_conditioning_report`).
         """
         dec = self._chain_decomposition(sigma, start_cluster)
         return np.sort(np.abs(dec.d))[::-1]

@@ -8,7 +8,7 @@ into a graded decomposition ``Q diag(D) T`` step by step, keeping the
 enormous dynamic range of the product inside the diagonal ``D`` at every
 intermediate stage so nothing small is ever added to anything large.
 
-Three pivoting policies are offered:
+Two pivoting policies are offered:
 
 ``"qrp"``
     Algorithm 2 (Loh et al.) — full column-pivoted QR at every step. The
@@ -21,25 +21,6 @@ Three pivoting policies are offered:
     fully blocked unpivoted QR. Valid because the chain's ``D_i`` is
     already in descending order, so the matrix ``C_i`` arrives almost
     column-graded and true pivoting would barely move anything.
-
-``"nopivot"``
-    No grading control at all beyond the diagonal split — an ablation
-    that exposes why some pivoting is required at strong coupling.
-
-``"svd"``
-    The historical alternative (Sugiyama & Koonin; Sorella et al. — the
-    paper's refs [28], [29]): a LAPACK singular value decomposition per
-    step. **Caveat measured and tested here:** bidiagonalization SVDs
-    are only *absolutely* accurate, so on adversarially graded chains
-    (ordered HS fields at large beta*U) this method silently loses the
-    small scales where QRP does not — a concrete reason the DQMC
-    community standardized on pivoted-QR stratification.
-
-``"jacobi"``
-    The relative-accuracy repair of "svd": a one-sided Jacobi SVD
-    (Drmac & Veselic — the paper's ref [30]) per step. Matches QRP even
-    on the adversarial chains, at many times the cost; the gold
-    standard for verification, never a production kernel.
 """
 
 from __future__ import annotations
@@ -52,8 +33,6 @@ import numpy as np
 from ..backends.registry import resolve_backend
 from ..linalg import (
     GradedDecomposition,
-    flops,
-    qr_nopivot,
     qr_pivoted,
     qr_prepivoted,
     stable_inverse_from_graded,
@@ -62,6 +41,7 @@ from ..linalg import (
 __all__ = [
     "StratificationMethod",
     "METHODS",
+    "check_method",
     "IncrementalStratifier",
     "stratified_decomposition",
     "stratified_inverse",
@@ -69,12 +49,16 @@ __all__ = [
 ]
 
 
-StratificationMethod = Literal["qrp", "prepivot", "nopivot", "svd", "jacobi"]
+StratificationMethod = Literal["qrp", "prepivot"]
 
-METHODS = ("qrp", "prepivot", "nopivot", "svd", "jacobi")
+METHODS = ("qrp", "prepivot")
 
-#: the LAPACK factorizers that need nothing from the backend
-_FACTORIZERS: dict = {"qrp": qr_pivoted, "nopivot": qr_nopivot}
+
+def check_method(method: str) -> str:
+    """``method`` if it is one of :data:`METHODS`, else ValueError."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return method
 
 
 def _step_factorize(method: str, c: np.ndarray, backend):
@@ -87,25 +71,10 @@ def _step_factorize(method: str, c: np.ndarray, backend):
     Sec. IV-B: "our implementation uses OpenMP to compute several norms
     simultaneously" — same permutation, different execution).
     """
-    if method == "svd":
-        import scipy.linalg as sla
-
-        u, s, vt = sla.svd(c, check_finite=False)  # qmclint: disable=QL007 -- SVD path has no backend kernel; serial by design
-        flops.record("svd", 22 * c.shape[0] ** 3)  # LAPACK gesdd-ish count
-        _check_diag(s)
-        # the implicit QR iteration inside the SVD is at least as
-        # serial as pivoting
-        return u, s, vt, np.arange(c.shape[1]), min(c.shape)
-    if method == "jacobi":
-        from ..linalg.jacobi import jacobi_svd
-
-        u, s, vt = jacobi_svd(c)
-        _check_diag(s)
-        return u, s, vt, np.arange(c.shape[1]), min(c.shape)
     if method == "prepivot":
         res = qr_prepivoted(c, piv=backend.prepivot_permutation(c))
     else:
-        res = _FACTORIZERS[method](c)
+        res = qr_pivoted(c)
     d = np.diag(res.r).copy()
     _check_diag(d)
     # The graded split of R is pinned to this exact division so every
@@ -166,11 +135,7 @@ class IncrementalStratifier:
         backend=None,
         start: GradedDecomposition | None = None,
     ):
-        if method not in METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {METHODS}"
-            )
-        self.method = method
+        self.method = check_method(method)
         self.backend = resolve_backend(backend or "numpy")
         self._q: np.ndarray | None = None
         self._d: np.ndarray | None = None
@@ -193,11 +158,9 @@ class IncrementalStratifier:
         if f.shape != (n, n):
             raise ValueError("factors must be square")
         if self._q is None:
-            # Step 1-2: the first factor is fully pivoted under both QR
-            # policies (paper Algorithm 3 keeps QRP there); the others
-            # use themselves.
-            method = "qrp" if self.method == "prepivot" else self.method
-            q, d, tf, piv, sync = _step_factorize(method, f, b)
+            # Step 1-2: the first factor is fully pivoted under both
+            # policies (paper Algorithm 3 keeps QRP there).
+            q, d, tf, piv, sync = _step_factorize("qrp", f, b)
             t = np.empty((n, n), dtype=tf.dtype)
             t[:, piv] = tf  # T = (graded factor) P^T: scatter columns back
         else:
@@ -241,9 +204,8 @@ def stratified_decomposition(
         vector). Items may be individual B matrices or pre-multiplied
         clusters; each must be square of the same size.
     method:
-        One of :data:`METHODS`. Both "qrp" and "prepivot" pivot the very
-        first factor fully (paper Algorithm 3 step 1); they differ in the
-        L-1 chain steps.
+        One of :data:`METHODS`. Both pivot the very first factor fully
+        (paper Algorithm 3 step 1); they differ in the L-1 chain steps.
     stats:
         Optional mutable diagnostics accumulator.
     backend:

@@ -15,7 +15,7 @@ through an input file" (paper Sec. I). This module reads the same kind of
     nwarm   = 100
     npass   = 400
     seed    = 7
-    method  = prepivot # or qrp / nopivot
+    method  = prepivot # or qrp
     north   = 10       # cluster size k (QUEST's name for it)
     ndelay  = 32
 """
@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
+from ..core.stratification import check_method
 from ..hamiltonian import HubbardModel
 from ..lattice import MultilayerLattice, SquareLattice
 from ..options import OptionError, RunOptions, resolve_options
@@ -108,8 +109,7 @@ class SimulationConfig:
         *resolved* options are checked, so a flag or ``$REPRO_*`` value
         fails like the file key would.
         """
-        if self.method not in ("prepivot", "qrp", "nopivot"):
-            raise ValueError(f"unknown method {self.method!r}")
+        check_method(self.method)
         if self.l % self.north != 0:
             raise ValueError(
                 f"north = {self.north} must divide l = {self.l} "

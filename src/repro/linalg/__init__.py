@@ -2,9 +2,8 @@
 
 Public surface:
 
-* QR factorizations (:mod:`repro.linalg.qr`) — unpivoted, fully pivoted,
-  and the paper's pre-pivoted variant, plus instrumented reference
-  Householder implementations.
+* QR factorizations (:mod:`repro.linalg.qr`) — fully pivoted and the
+  paper's pre-pivoted variant.
 * Column norms and pre-pivot permutations (:mod:`repro.linalg.norms`).
 * Graded (UDT) decompositions (:mod:`repro.linalg.graded`) and the stable
   ``(I + QDT)^{-1}`` evaluation (:mod:`repro.linalg.stable`).
@@ -29,23 +28,13 @@ from .flops import (
     tally,
 )
 from .graded import GradedDecomposition, split_scales
-from .jacobi import jacobi_svd
 from .norms import (
     column_norms,
     column_norms_blocked,
     inverse_permutation,
     prepivot_permutation,
 )
-from .qr import (
-    QRResult,
-    apply_wy,
-    householder_qp3_blocked,
-    householder_qr_blocked,
-    householder_qrp,
-    qr_nopivot,
-    qr_pivoted,
-    qr_prepivoted,
-)
+from .qr import QRResult, qr_pivoted, qr_prepivoted
 from .stable import (
     SOLVE_KWARGS,
     naive_inverse,
@@ -63,22 +52,16 @@ __all__ = [
     "slice_condition_bound",
     "GradedDecomposition",
     "QRResult",
-    "apply_wy",
     "column_norms",
     "column_norms_blocked",
     "current_tally",
     "gemm_flops",
-    "householder_qp3_blocked",
-    "householder_qr_blocked",
-    "householder_qrp",
     "inverse_permutation",
-    "jacobi_svd",
     "lu_solve_flops",
     "naive_inverse",
     "norms_flops",
     "prepivot_permutation",
     "qr_flops",
-    "qr_nopivot",
     "qr_pivoted",
     "qr_prepivoted",
     "qrp_flops",

@@ -42,7 +42,7 @@ def gemm_flops(m: int, n: int, k: int) -> int:
 
 
 def qr_flops(m: int, n: int) -> int:
-    """Flops of an unpivoted Householder QR of an m x n matrix.
+    """Flops of an unpivoted (DGEQRF) QR of an m x n matrix.
 
     Standard count ``2 n^2 (m - n/3)`` for the factorization plus
     ``4 (m n^2 - n^3 / 3)`` to form Q explicitly, matching how the

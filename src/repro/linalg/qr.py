@@ -1,10 +1,6 @@
-"""QR factorizations: LAPACK-backed production paths and reference kernels.
+"""QR factorizations: the LAPACK-backed kernels of the stratified chain.
 
-Three factorization flavours appear in the paper:
-
-``qr_nopivot``
-    Plain blocked QR (LAPACK ``DGEQRF``). Fully level-3; the fast kernel
-    Algorithm 3 is built on.
+Two factorization flavours appear in the paper:
 
 ``qr_pivoted``
     QR with column pivoting (LAPACK ``DGEQP3``). Needed for rigorous
@@ -14,16 +10,8 @@ Three factorization flavours appear in the paper:
 
 ``qr_prepivoted``
     The paper's kernel: sort columns by norm *once* up front (a single
-    pass + sort, no per-step downdates), then run the unpivoted QR.
-
-Production paths call into scipy/LAPACK. For studying the algorithms —
-and for counting the per-step synchronization the paper's argument hinges
-on — :func:`householder_qrp` and :func:`householder_qr_blocked` are
-self-contained NumPy implementations of the level-2 QP3-style algorithm
-(with Drmač–Bujanović-style norm downdating and recomputation guard) and
-the blocked WY QR. They produce the same factors as LAPACK up to the usual
-sign/permutation freedom and report how many pivot synchronization points
-each incurred.
+    pass + sort, no per-step downdates), then run the plain blocked QR
+    (LAPACK ``DGEQRF``), which is fully level-3.
 """
 
 from __future__ import annotations
@@ -36,18 +24,9 @@ import scipy.linalg as sla
 
 from ..contracts import shape_contract
 from . import flops
-from .norms import column_norms, prepivot_permutation
+from .norms import prepivot_permutation
 
-__all__ = [
-    "QRResult",
-    "qr_nopivot",
-    "qr_pivoted",
-    "qr_prepivoted",
-    "householder_qrp",
-    "householder_qp3_blocked",
-    "householder_qr_blocked",
-    "apply_wy",
-]
+__all__ = ["QRResult", "qr_pivoted", "qr_prepivoted"]
 
 
 @dataclass
@@ -59,11 +38,10 @@ class QRResult:
     q, r:
         The orthogonal and upper-triangular factors.
     piv:
-        Column permutation as an index vector; identity for unpivoted QR.
+        Column permutation as an index vector.
     sync_points:
         Number of sequential pivot-selection synchronization points the
-        algorithm required (0 for unpivoted, 1 for pre-pivoted, n for
-        fully pivoted). This is the "communication cost of pivoting" the
+        algorithm required (1 for pre-pivoted, n for fully pivoted). This is the "communication cost of pivoting" the
         paper's Sec. IV quantifies.
     """
 
@@ -101,16 +79,6 @@ def _check_matrix(a: np.ndarray) -> np.ndarray:
 
 
 @shape_contract("(m,n)", finite=True)
-def qr_nopivot(a: np.ndarray) -> QRResult:
-    """Unpivoted QR via LAPACK DGEQRF/DORGQR (``mode='economic'``)."""
-    a = _check_matrix(a)
-    flops.record("qr", flops.qr_flops(*a.shape))
-    q, r = sla.qr(a, mode="economic", check_finite=False)
-    piv = np.arange(a.shape[1])
-    return QRResult(q=q, r=r, piv=piv, sync_points=0)
-
-
-@shape_contract("(m,n)", finite=True)
 def qr_pivoted(a: np.ndarray) -> QRResult:
     """Column-pivoted QR via LAPACK DGEQP3.
 
@@ -145,271 +113,3 @@ def qr_prepivoted(a: np.ndarray, piv: Optional[np.ndarray] = None) -> QRResult:
     flops.record("qr", flops.qr_flops(*a.shape))
     q, r = sla.qr(a[:, piv], mode="economic", check_finite=False)
     return QRResult(q=q, r=r, piv=piv, sync_points=1)
-
-
-# ---------------------------------------------------------------------------
-# Reference Householder implementations (self-contained, instrumented)
-# ---------------------------------------------------------------------------
-
-
-def _householder_vector(x: np.ndarray) -> tuple:
-    """Householder reflector (v, beta) annihilating x[1:].
-
-    Returns v (with v[0] = 1) and beta such that
-    ``(I - beta v v^T) x = (-sign(x0) * ||x||) e_1`` — the LAPACK sign
-    convention, which keeps the computation of v[0] cancellation-free.
-    """
-    x = np.asarray(x)  # width follows the (already-checked) matrix
-    normx = np.linalg.norm(x)
-    v = x.copy()
-    if normx == 0.0:
-        return v, 0.0
-    alpha = -np.copysign(normx, x[0])
-    v0 = x[0] - alpha
-    v = v / v0
-    v[0] = 1.0
-    beta = -v0 / alpha
-    return v, beta
-
-
-def householder_qrp(
-    a: np.ndarray,
-    *,
-    downdate_tol: float = 1e-7,
-) -> QRResult:
-    """Reference level-2 QR with column pivoting (DGEQP3-style).
-
-    At each step k the column of largest *remaining* norm is swapped to
-    position k, one Householder reflector is formed and applied to the
-    trailing matrix, and the remaining column norms are *downdated*
-    (``norm^2 -= r[k, j]^2``) rather than recomputed. When cancellation
-    makes a downdated norm untrustworthy (relative to its original value,
-    Drmač–Bujanović criterion) it is recomputed from scratch.
-
-    Every iteration is a sequential synchronization point: the pivot
-    choice for step k depends on the reflector applied at step k-1. That
-    serial dependency is why QP3 cannot be fully blocked — the fact the
-    paper's pre-pivoting removes.
-    """
-    a = _check_matrix(a).copy()
-    m, n = a.shape
-    kmax = min(m, n)
-    piv = np.arange(n)
-    vs = np.zeros((m, kmax))
-    betas = np.zeros(kmax)
-
-    colnorm = column_norms(a)
-    orignorm = colnorm.copy()
-
-    for k in range(kmax):
-        # Pivot: bring the largest remaining column to the front.
-        j = k + int(np.argmax(colnorm[k:]))
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            piv[[k, j]] = piv[[j, k]]
-            colnorm[[k, j]] = colnorm[[j, k]]
-            orignorm[[k, j]] = orignorm[[j, k]]
-
-        v, beta = _householder_vector(a[k:, k])
-        vs[k:, k] = v
-        betas[k] = beta
-        # Apply the reflector to the trailing matrix (level-2 update).
-        w = beta * (v @ a[k:, k:])
-        a[k:, k:] -= np.outer(v, w)
-        a[k + 1 :, k] = 0.0
-
-        # Downdate the trailing column norms; recompute on cancellation.
-        if k + 1 < n:
-            r_row = a[k, k + 1 :]
-            sq = colnorm[k + 1 :] ** 2 - r_row**2
-            sq = np.maximum(sq, 0.0)
-            nrm = np.sqrt(sq)
-            unsafe = nrm <= downdate_tol * orignorm[k + 1 :]
-            if np.any(unsafe) and k + 1 < m:
-                idx = np.nonzero(unsafe)[0] + k + 1
-                nrm[idx - (k + 1)] = column_norms(a[k + 1 :, idx])
-                orignorm[idx] = nrm[idx - (k + 1)]
-            colnorm[k + 1 :] = nrm
-
-    r = np.triu(a[:kmax, :])
-    q = _form_q(vs, betas, m, kmax)
-    flops.record("qrp", flops.qrp_flops(m, n))
-    return QRResult(q=q, r=r, piv=piv, sync_points=kmax)
-
-
-def _form_q(vs: np.ndarray, betas: np.ndarray, m: int, k: int) -> np.ndarray:  # qmclint: disable=QL004
-    """Accumulate Q = H_1 H_2 ... H_k applied to the first k identity cols.
-
-    Its work is the explicit form-Q term already inside the callers'
-    ``qr_flops``/``qrp_flops`` records — recording here would double count.
-    """
-    q = np.eye(m, k)
-    for i in range(k - 1, -1, -1):
-        v = vs[i:, i]
-        w = betas[i] * (v @ q[i:, :])
-        q[i:, :] -= np.outer(v, w)
-    return q
-
-
-def apply_wy(  # qmclint: disable=QL004
-    c: np.ndarray, w: np.ndarray, y: np.ndarray, transpose: bool = False
-) -> np.ndarray:
-    """Apply a WY-form block reflector ``Q = I - W Y^T`` to C in place.
-
-    ``transpose=True`` applies ``Q^T = I - Y W^T``. Both are two GEMMs —
-    the level-3 shape that makes blocked QR fast. The flops are part of
-    the factorization count its callers record (qr_flops/qrp_flops).
-    """
-    if transpose:
-        c -= y @ (w.T @ c)
-    else:
-        c -= w @ (y.T @ c)
-    return c
-
-
-def householder_qp3_blocked(
-    a: np.ndarray,
-    block: int = 32,
-    downdate_tol: float = 1e-7,
-) -> QRResult:
-    """Reference BLAS-3 QR with column pivoting (Quintana-Orti, Sun &
-    Bischof — the paper's ref [25]; the algorithm inside DGEQP3).
-
-    The best one can do *with* true pivoting: reflectors are accumulated
-    in WY form and the trailing matrix is updated one block at a time
-    with GEMMs — but choosing each pivot still requires the candidate
-    columns' norms to be current, which forces a level-2 update of one
-    *row* of the trailing matrix per step (here: applying the pending
-    block reflectors to the trailing panel row-by-row as pivots are
-    chosen). That per-column serialization is exactly why DGEQP3 tops
-    out far below DGEQRF in Fig 1, and what pre-pivoting deletes.
-
-    Implementation note: we maintain the trailing matrix lazily — at
-    step k within a block starting at k0, only rows k0..k of the
-    trailing columns are up to date (enough to compute the next
-    reflector after a norm-downdate-guided pivot choice); the bulk of
-    each column's update is deferred to the end-of-block GEMM pair.
-    """
-    a = _check_matrix(a).copy()
-    if block <= 0:
-        raise ValueError("block must be positive")
-    m, n = a.shape
-    kmax = min(m, n)
-    piv = np.arange(n)
-    vs = np.zeros((m, kmax))
-    betas = np.zeros(kmax)
-
-    colnorm = column_norms(a)
-    orignorm = colnorm.copy()
-
-    for k0 in range(0, kmax, block):
-        k1 = min(k0 + block, kmax)
-        nb = k1 - k0
-        # WY accumulators for this block's reflectors.
-        y = np.zeros((m - k0, nb))
-        w = np.zeros((m - k0, nb))
-        for j, k in enumerate(range(k0, k1)):
-            # --- pivot: largest downdated norm among remaining columns.
-            p = k + int(np.argmax(colnorm[k:]))
-            if p != k:
-                # all trailing columns (inside and beyond the block) are
-                # stored pre-reflector, so a raw swap is consistent
-                a[:, [k, p]] = a[:, [p, k]]
-                piv[[k, p]] = piv[[p, k]]
-                colnorm[[k, p]] = colnorm[[p, k]]
-                orignorm[[k, p]] = orignorm[[p, k]]
-            # --- bring column k up to date w.r.t. this block's pending
-            # reflectors: x <- (I - W Y^T)^T x = x - Y (W^T x).
-            col = a[k0:, k].copy()
-            if j > 0:
-                col -= y[:, :j] @ (w[:, :j].T @ a[k0:, k])
-            # --- new reflector from the updated column.
-            v, beta = _householder_vector(col[k - k0 :])
-            vs[k:, k] = v
-            betas[k] = beta
-            # record the updated column's R entries.
-            a[k0:k, k] = col[: k - k0]
-            a[k, k] = col[k - k0] - beta * (v @ col[k - k0 :]) * v[0]
-            a[k + 1 :, k] = 0.0
-            # --- extend the WY pair with the new reflector.
-            yj = np.zeros(m - k0)
-            yj[k - k0 :] = v
-            wj = beta * (yj - w[:, :j] @ (y[:, :j].T @ yj))
-            y[:, j] = yj
-            w[:, j] = wj
-            # --- level-2 piece: update row k of the trailing columns so
-            # the norm downdate sees true R entries. Row k of
-            # (I - W Y^T)^T A = A - Y (W^T A): need (W^T A)[:, k+1:]
-            # only through Y's row k.
-            if k + 1 < n:
-                yrow = y[k - k0, : j + 1]
-                wta = w[:, : j + 1].T @ a[k0:, k + 1 :]
-                r_row = a[k, k + 1 :] - yrow @ wta
-                sq = colnorm[k + 1 :] ** 2 - r_row**2
-                sq = np.maximum(sq, 0.0)
-                nrm = np.sqrt(sq)
-                unsafe = nrm <= downdate_tol * orignorm[k + 1 :]
-                if np.any(unsafe) and k + 1 < m:
-                    # recompute from the *updated* trailing block
-                    idx = np.nonzero(unsafe)[0] + k + 1
-                    upd = a[k0:, idx] - y[:, : j + 1] @ (
-                        w[:, : j + 1].T @ a[k0:, idx]
-                    )
-                    nrm[idx - (k + 1)] = column_norms(upd[k + 1 - k0 :, :])
-                    orignorm[idx] = nrm[idx - (k + 1)]
-                colnorm[k + 1 :] = nrm
-        # --- level-3: apply the block's reflectors to the trailing matrix.
-        if k1 < n:
-            apply_wy(a[k0:, k1:], w, y, transpose=True)
-
-    r = np.triu(a[:kmax, :])
-    q = _form_q(vs, betas, m, kmax)
-    flops.record("qrp", flops.qrp_flops(m, n))
-    return QRResult(q=q, r=r, piv=piv, sync_points=kmax)
-
-
-def householder_qr_blocked(a: np.ndarray, block: int = 32) -> QRResult:
-    """Reference blocked (level-3) unpivoted QR in WY form.
-
-    Panels of ``block`` columns are factored with level-2 Householder
-    steps; the trailing matrix is updated with two GEMMs per panel. This
-    mirrors DGEQRF's structure and demonstrates *why* no-pivot QR runs at
-    a large fraction of GEMM speed while QP3 cannot: the panel is the only
-    level-2 work, and nothing inside the trailing update depends on a
-    pivot decision.
-    """
-    a = _check_matrix(a).copy()
-    if block <= 0:
-        raise ValueError("block must be positive")
-    m, n = a.shape
-    kmax = min(m, n)
-    vs = np.zeros((m, kmax))
-    betas = np.zeros(kmax)
-
-    for k0 in range(0, kmax, block):
-        k1 = min(k0 + block, kmax)
-        # Level-2 factorization of the panel a[k0:, k0:k1].
-        for k in range(k0, k1):
-            v, beta = _householder_vector(a[k:, k])
-            vs[k:, k] = v
-            betas[k] = beta
-            wrow = beta * (v @ a[k:, k:k1])
-            a[k:, k:k1] -= np.outer(v, wrow)
-            a[k + 1 :, k] = 0.0
-        # Build the WY representation of the panel's reflectors.
-        nb = k1 - k0
-        y = np.zeros((m - k0, nb))
-        for j in range(nb):
-            y[k0 + j - k0 :, j] = vs[k0 + j :, k0 + j]
-        w = np.zeros_like(y)
-        for j in range(nb):
-            vj = y[:, j]
-            w[:, j] = betas[k0 + j] * (vj - w[:, :j] @ (y[:, :j].T @ vj))
-        # Level-3 trailing update: (I - W Y^T)^T C = C - Y (W^T C).
-        if k1 < n:
-            apply_wy(a[k0:, k1:], w, y, transpose=True)
-
-    r = np.triu(a[:kmax, :])
-    q = _form_q(vs, betas, m, kmax)
-    flops.record("qr", flops.qr_flops(m, n))
-    return QRResult(q=q, r=r, piv=np.arange(n), sync_points=0)

@@ -2,12 +2,6 @@
 
 from .charge import charge_density_correlation, charge_structure_factor
 from .collector import MeasurementCollector
-from .dynamic import (
-    DynamicMeasurement,
-    local_greens_tau,
-    momentum_greens_tau,
-    spectral_weight_proxy,
-)
 from .equal_time import (
     density_per_spin,
     double_occupancy,
@@ -43,7 +37,6 @@ from .spin import (
 
 __all__ = [
     "BinnedEstimate",
-    "DynamicMeasurement",
     "ExtrapolationResult",
     "HalfKineticTransform",
     "MeasurementCollector",
@@ -57,9 +50,6 @@ __all__ = [
     "swave_pair_correlation",
     "swave_pair_structure_factor",
     "weighted_linear_fit",
-    "local_greens_tau",
-    "momentum_greens_tau",
-    "spectral_weight_proxy",
     "af_structure_factor",
     "binned_statistics",
     "correlation_grid",

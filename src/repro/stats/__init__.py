@@ -43,9 +43,7 @@ from .equilibration import (
 from .ratio import (
     propagate_ratio_error,
     rhat_from_estimates,
-    sign_corrected_ratio,
     sign_corrected_results,
-    split_rhat,
 )
 from .controller import ControlDecision, RunController
 from .analysis import (
@@ -72,7 +70,5 @@ __all__ = [
     "mser_cut",
     "propagate_ratio_error",
     "rhat_from_estimates",
-    "sign_corrected_ratio",
     "sign_corrected_results",
-    "split_rhat",
 ]

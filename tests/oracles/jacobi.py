@@ -4,9 +4,10 @@ Bidiagonalization-based SVDs (LAPACK ``gesdd``/``gesvd``) compute small
 singular values only to *absolute* accuracy ``eps * ||A||`` — on the
 strongly column-graded matrices the stratification chain produces, the
 tiny singular values (which carry the physics of the low-energy states)
-come back as noise. That failure is demonstrated by this package's
-``method="svd"`` stratifier on adversarial chains, and it is the deep
-reason the DQMC community settled on pivoted-QR stratification.
+come back as noise. That failure is demonstrated by the ``"svd"``
+oracle stratifier (:mod:`tests.oracles.stratifier`) on adversarial
+chains, and it is the deep reason the DQMC community settled on
+pivoted-QR stratification.
 
 The one-sided Jacobi algorithm (Drmač & Veselić — the very paper cited
 as ref [30] for why QRP resists blocking) is the classical fix: for
@@ -16,7 +17,7 @@ Each step orthogonalizes one pair of columns with a plane rotation; the
 scaling never mixes across columns.
 
 Cost: O(n^3) per sweep with ~log(n)-ish sweeps — far slower than
-``gesdd``, which is why it is a verification tool here (ablations, gold
+``gesdd``, which is why it is a verification tool (ablations, gold
 standards) and not a production kernel.
 """
 
@@ -26,8 +27,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-
-from . import flops
 
 __all__ = ["jacobi_svd"]
 
@@ -55,11 +54,10 @@ def jacobi_svd(
         to converge raises (it indicates NaNs or a pathological input,
         not a tolerance problem — Jacobi converges quadratically).
     """
-    # Dtype-following for float inputs (matches the Householder paths);
-    # non-float inputs promote to the float64 spine default.
+    # Dtype-following for float inputs; others promote to float64.
     a = np.asarray(a)
     if a.dtype not in (np.dtype("float32"), np.dtype("float64")):
-        a = np.asarray(a, dtype=np.float64)  # qmclint: disable=QL008 -- spine default for non-float inputs
+        a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     m, n = a.shape
@@ -107,7 +105,6 @@ def jacobi_svd(
                 vp = v[:, p].copy()
                 v[:, p] = c * vp - s * v[:, q]
                 v[:, q] = s * vp + c * v[:, q]
-        flops.record("jacobi_svd", 6.0 * m * n * (n - 1) / 2.0)
         if converged:
             break
     else:

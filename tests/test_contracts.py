@@ -13,7 +13,7 @@ import pytest
 from repro import contracts
 from repro.contracts import ContractViolation, contracts_enabled, shape_contract
 from repro.core.wrapping import wrap_forward
-from repro.linalg import qr_nopivot
+from repro.linalg import qr_prepivoted
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -129,11 +129,11 @@ class TestDecoratedEntryPoints:
         a = np.eye(8)
         a[0, 0] = np.nan
         with pytest.raises(ContractViolation, match="non-finite"):
-            qr_nopivot(a)
+            qr_prepivoted(a)
 
     def test_decorated_functions_carry_contract_metadata(self):
         assert hasattr(wrap_forward, "__contract__")
-        assert hasattr(qr_nopivot, "__contract__")
+        assert hasattr(qr_prepivoted, "__contract__")
 
 
 class TestDisabledContracts:
@@ -161,9 +161,9 @@ class TestDisabledContracts:
         code = (
             "import os; os.environ.pop('REPRO_CONTRACTS', None)\n"
             "from repro.core.wrapping import wrap_forward\n"
-            "from repro.linalg import qr_nopivot\n"
+            "from repro.linalg import qr_prepivoted\n"
             "assert not hasattr(wrap_forward, '__wrapped__')\n"
-            "assert not hasattr(qr_nopivot, '__wrapped__')\n"
+            "assert not hasattr(qr_prepivoted, '__wrapped__')\n"
             "print('BARE')\n"
         )
         out = subprocess.run(

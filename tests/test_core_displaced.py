@@ -1,4 +1,6 @@
-"""Unit tests for time-displaced Green's functions."""
+"""Time-displaced Green's functions: the engine's hand-over against the
+references in :mod:`tests.oracles.displaced`, and those references
+against brute force and the U = 0 closed form."""
 
 import numpy as np
 import pytest
@@ -7,14 +9,15 @@ from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
 from repro.core import (
     IncrementalStratifier,
     build_clusters,
-    displaced_greens,
-    displaced_greens_series,
-    displaced_series_fast,
-    stable_sum_inverse,
     stratified_decomposition,
 )
 from repro.linalg import GradedDecomposition
 from tests.helpers import recording_displaced, relerr
+from tests.oracles.displaced import (
+    displaced_greens,
+    displaced_series_fast,
+    stable_sum_inverse,
+)
 from tests.test_dqmc_sweep import golden_engine, sha1
 
 
@@ -122,58 +125,6 @@ class TestDisplacedGreens:
         g_beta = displaced_greens(factory4x4, field4x4, 1, field4x4.n_slices - 1)
         g_0 = displaced_greens(factory4x4, field4x4, 1, -1)
         np.testing.assert_allclose(g_beta + g_0, np.eye(16), atol=1e-9)
-
-    def test_series(self, factory4x4, field4x4):
-        out = displaced_greens_series(
-            factory4x4, field4x4, 1, slices=[0, 10]
-        )
-        assert len(out) == 2
-        assert relerr(
-            out[1], displaced_greens(factory4x4, field4x4, 1, 10)
-        ) < 1e-12
-
-
-class TestReverseDisplaced:
-    def test_matches_brute_force(self, rng):
-        from repro.core import displaced_greens_reverse
-
-        model = HubbardModel(SquareLattice(2, 2), u=4.0, beta=1.5, n_slices=12)
-        fac = BMatrixFactory(model)
-        field = HSField.random(12, 4, rng)
-        full = fac.full_product(field, 1)
-        g00 = np.linalg.inv(np.eye(4) + full)
-        for l in (0, 5, 11):
-            left = np.eye(4)
-            for ll in range(l + 1):
-                left = fac.b_matrix(field, ll, 1) @ left
-            brute = -(np.eye(4) - g00) @ np.linalg.inv(left)
-            got = displaced_greens_reverse(fac, field, 1, l)
-            assert relerr(got, brute) < 1e-8, l
-
-    def test_antiperiodicity(self, factory4x4, field4x4):
-        """G(0, beta) = -G(0, 0) (fermionic boundary condition)."""
-        from repro.core import displaced_greens_reverse
-
-        g_rev = displaced_greens_reverse(
-            factory4x4, field4x4, 1, field4x4.n_slices - 1
-        )
-        g00 = displaced_greens(factory4x4, field4x4, 1, -1)
-        np.testing.assert_allclose(g_rev, -g00, atol=1e-9)
-
-    def test_u0_analytic(self, rng):
-        """Free fermions: G(0, tau) = -e^{tau K'} f in the eigenbasis."""
-        from repro.core import displaced_greens_reverse
-
-        model = HubbardModel(SquareLattice(4, 4), u=0.0, beta=4.0, n_slices=40)
-        fac = BMatrixFactory(model)
-        field = HSField.random(40, 16, rng)
-        l = 9
-        got = displaced_greens_reverse(fac, field, 1, l)
-        w, v = np.linalg.eigh(model.kinetic_matrix())
-        tau = (l + 1) * model.dtau
-        f = 1.0 / (1.0 + np.exp(model.beta * w))
-        expected = -(v * (np.exp(tau * w) * f)) @ v.T
-        assert relerr(got, expected) < 1e-10
 
 
 class TestFastSeries:

@@ -14,6 +14,7 @@ from repro.core import GreensFunctionEngine, stratified_inverse
 from repro.dqmc import sweep
 from repro.profiling import PhaseProfiler
 from tests.helpers import brute_greens, relerr
+from tests.oracles.stratifier import oracle_decomposition
 
 
 class TestBoundaryGreens:
@@ -431,6 +432,13 @@ class TestInvalidation:
         field4x4.flip(0, 0)  # restore
 
 
+def jacobi_profile(engine, sigma=1):
+    """``grading_profile`` of the engine's chain under the relative-accuracy
+    Jacobi stratifier: the exact singular spectrum."""
+    dec = oracle_decomposition(engine.cache.chain(sigma, 0), "jacobi")
+    return np.sort(np.abs(dec.d))[::-1]
+
+
 class TestGradingProfile:
     def test_descending_and_wide(self, engine4x4):
         d = engine4x4.grading_profile(1)
@@ -460,8 +468,8 @@ class TestGradingProfile:
         model = HubbardModel(SquareLattice(3, 3), u=0.0, beta=2.0, n_slices=16)
         fac = BMatrixFactory(model)
         field = HSField.random(16, 9, rng)
-        eng = GreensFunctionEngine(fac, field, cluster_size=8, method="jacobi")
-        d = eng.grading_profile(1)
+        eng = GreensFunctionEngine(fac, field, cluster_size=8)
+        d = jacobi_profile(eng)
         w = np.linalg.eigvalsh(model.kinetic_matrix())
         np.testing.assert_allclose(
             d, np.sort(np.exp(-2.0 * w))[::-1], rtol=1e-8
@@ -472,9 +480,9 @@ class TestGradingProfile:
         modest factors — the property that lets the profile diagnose
         grading without an SVD."""
         d_qr = engine4x4.grading_profile(1)
-        d_svd = GreensFunctionEngine(
-            factory4x4, field4x4, cluster_size=10, method="jacobi"
-        ).grading_profile(1)
+        d_svd = jacobi_profile(
+            GreensFunctionEngine(factory4x4, field4x4, cluster_size=10)
+        )
         ratio = d_qr / d_svd
         assert ratio.max() < 50 and ratio.min() > 1 / 50
 

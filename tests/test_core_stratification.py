@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
+from repro import BMatrixFactory, HSField, HubbardModel, Simulation, SquareLattice
 from repro.core import (
     METHODS,
+    GreensFunctionEngine,
     IncrementalStratifier,
     StratificationStats,
     stratified_decomposition,
     stratified_inverse,
 )
+from repro.dqmc import load_config
 from repro.linalg import naive_inverse
 from tests.helpers import brute_greens, brute_product, dense_chain
+from tests.oracles.stratifier import oracle_decomposition, oracle_inverse
 from tests.test_dqmc_sweep import golden_engine, sha1
 
 
@@ -49,6 +52,28 @@ class TestDecomposition:
                 dense_chain(factory4x4, field4x4, 1), method="magic"
             )
 
+    @pytest.mark.parametrize("method", ["nopivot", "svd", "jacobi", "bogus"])
+    @pytest.mark.parametrize(
+        "entry", ["engine", "simulation", "stratified_inverse", "input_file"]
+    )
+    def test_only_algorithms_2_and_3(
+        self, entry, method, factory4x4, field4x4, tmp_path
+    ):
+        """Every way a run can name its stratifier accepts exactly
+        ``METHODS``, and says so before any chain step."""
+        assert METHODS == ("qrp", "prepivot")
+        with pytest.raises(ValueError, match=r"\('qrp', 'prepivot'\)"):
+            if entry == "engine":
+                GreensFunctionEngine(factory4x4, field4x4, method=method)
+            elif entry == "simulation":
+                Simulation(factory4x4.model, seed=1, method=method)
+            elif entry == "stratified_inverse":
+                stratified_inverse([np.eye(4)], method=method)
+            else:
+                path = tmp_path / "run.in"
+                path.write_text(f"nx = 2\nny = 2\nl = 8\nnorth = 4\nmethod = {method}\n")
+                load_config(path)
+
     def test_mismatched_sizes_raise(self):
         with pytest.raises(ValueError):
             stratified_decomposition([np.eye(4), np.eye(5)])
@@ -71,9 +96,13 @@ class TestDecomposition:
     def test_sync_point_accounting_by_method(self, factory4x4, field4x4):
         chain = dense_chain(factory4x4, field4x4, 1)
         counts = {}
-        for method in METHODS:
+        for method in METHODS + ("nopivot",):
             stats = StratificationStats()
-            stratified_decomposition(chain, method=method, stats=stats)
+            decompose = (
+                stratified_decomposition if method in METHODS
+                else oracle_decomposition
+            )
+            decompose(chain, method=method, stats=stats)
             counts[method] = stats.sync_points
         # the paper's communication hierarchy
         assert counts["qrp"] > counts["prepivot"] > counts["nopivot"]
@@ -110,9 +139,7 @@ class TestInverse:
 
     def test_nopivot_still_works_at_weak_coupling(self, factory4x4, field4x4):
         expected = brute_greens(factory4x4, field4x4, 1)
-        g = stratified_inverse(
-            dense_chain(factory4x4, field4x4, 1), method="nopivot"
-        )
+        g = oracle_inverse(dense_chain(factory4x4, field4x4, 1), "nopivot")
         assert np.linalg.norm(g - expected) / np.linalg.norm(expected) < 1e-8
 
     def test_stable_where_naive_overflows(self, rng):
@@ -137,19 +164,19 @@ class TestInverse:
 class TestSvdMethods:
     def test_svd_matches_qrp_on_random_fields(self, factory4x4, field4x4):
         chain = dense_chain(factory4x4, field4x4, 1)
-        g_svd = stratified_inverse(chain, method="svd")
+        g_svd = oracle_inverse(chain, "svd")
         g_qrp = stratified_inverse(chain, method="qrp")
         assert np.linalg.norm(g_svd - g_qrp) / np.linalg.norm(g_qrp) < 1e-9
 
     def test_jacobi_matches_qrp_on_random_fields(self, factory4x4, field4x4):
         chain = dense_chain(factory4x4, field4x4, 1)
-        g_jac = stratified_inverse(chain, method="jacobi")
+        g_jac = oracle_inverse(chain, "jacobi")
         g_qrp = stratified_inverse(chain, method="qrp")
         assert np.linalg.norm(g_jac - g_qrp) / np.linalg.norm(g_qrp) < 1e-9
 
     def test_svd_diagonal_descending_nonnegative(self, factory4x4, field4x4):
         chain = dense_chain(factory4x4, field4x4, 1)
-        dec = stratified_decomposition(chain, method="svd")
+        dec = oracle_decomposition(chain, "svd")
         assert np.all(dec.d >= 0)
         assert dec.is_descending()
 
@@ -157,7 +184,7 @@ class TestSvdMethods:
         """SVD-based stratifiers accumulate T as a product of orthogonal
         matrices — it must stay orthogonal."""
         chain = dense_chain(factory4x4, field4x4, 1)
-        dec = stratified_decomposition(chain, method="jacobi")
+        dec = oracle_decomposition(chain, "jacobi")
         np.testing.assert_allclose(
             dec.t @ dec.t.T, np.eye(16), atol=1e-10
         )
@@ -172,7 +199,7 @@ class TestSvdMethods:
         field = HSField.ordered(80, 4)
         chain = dense_chain(fac, field, 1)
         ref = stratified_inverse(chain, method="qrp")
-        g_svd = stratified_inverse(chain, method="svd")
+        g_svd = oracle_inverse(chain, "svd")
         assert np.linalg.norm(g_svd - ref) / np.linalg.norm(ref) > 1e-3
 
 

@@ -90,7 +90,7 @@ class TestDetailedBalance:
     def test_combined_chain_matches_enumeration(self):
         """Local sweeps + global flips must still sample the exact
         distribution (the decisive test of the acceptance rule)."""
-        from tests.enumeration_reference import enumerate_dqmc
+        from tests.oracles.enumeration import enumerate_dqmc
 
         model = HubbardModel(SquareLattice(2, 1), u=4.0, beta=2.0, n_slices=4)
         reference = enumerate_dqmc(model)

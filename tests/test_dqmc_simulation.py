@@ -197,7 +197,7 @@ class TestDriverOptions:
         and the sample is the sign-weighted spin-averaged trace of what
         was handed over, tau by tau, each the standalone routine's on the
         field of its boundary."""
-        from repro.core import displaced_series_fast
+        from tests.oracles.displaced import displaced_series_fast
         from tests.helpers import recording_displaced
 
         model = tiny_model(u=4.0, beta=2.0, n_slices=16)

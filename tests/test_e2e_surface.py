@@ -1,14 +1,20 @@
-"""Tier-1 guard for the surface ``benchmarks/e2e`` reads.
+"""Tier-1 guard for everything the end-to-end benchmark calls and reads.
 
-The end-to-end harness records its spans from outside the package: it
-wraps public callables by name and reads public attributes. A refactor
-that renames one of them leaves every unit test green and the benchmark
-dead, so this file drives the harness's own ``tracer.py`` and
+``benchmarks/e2e`` builds every workload through
+``workloads.build_simulation`` (the production switches of ``observed``,
+``kinetic="checkerboard"``, ``precision="mixed"``, the gpu-sim and
+threaded backends of its counts leg), wraps engine, cache and backend
+methods by name in ``tracer.install`` and reads public attributes
+afterwards. Tier-1 collects ``tests/`` only, so a refactor that deletes
+or renames any of them leaves every unit test green and the benchmark
+dead. This file drives the harness's own ``tracer.py`` and
 ``workloads.py`` (loaded by path, never modified) over the 4x4 shape of
-each workload and touches what ``child.py`` reads afterwards.
+each workload on every backend the harness uses, and touches what
+``child.py`` reads afterwards.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -19,7 +25,12 @@ from repro.dqmc.checkpoint import save_checkpoint
 from repro.linalg import flops
 from repro.profiling import PHASES
 
-E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+ROOT = Path(__file__).resolve().parents[1]
+E2E = ROOT / "benchmarks" / "e2e"
+#: the workloads ``BENCHMARK.json`` declares (each must exist in workloads.py)
+WORKLOADS = [
+    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+]
 
 
 def load(name):
@@ -32,6 +43,11 @@ def load(name):
 
 tracer = load("tracer")
 workloads = load("workloads")
+
+#: engine attributes ``tracer.install`` shadows on the instance
+ENGINE_WRAPPED = (
+    "boundary_greens", "wrap_pair", "unwrap_pair", "wrap", "unwrap",
+)
 
 #: the span names child.py's per-layer metrics are computed from
 SPANS = (
@@ -49,7 +65,43 @@ SPANS = (
 )
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+@pytest.mark.parametrize("backend", ["numpy", "gpu-sim", "threaded"])
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_harness_builds_traces_and_sweeps(name, backend, tmp_path):
+    """``build_simulation`` as the timed / traced passes call it (numpy,
+    with a workdir: the production switches on) and as the counts leg
+    does (gpu-sim and threaded, no workdir); ``Tracer.install`` wraps
+    every method it names; a warm-up sweep and two measurement sweeps
+    (both directions) run under it; ``uninstall`` leaves nothing behind."""
+    w = workloads.smoke(workloads.WORKLOADS[name])
+    workdir = tmp_path if backend == "numpy" else None
+    sim = workloads.build_simulation(w, 11, backend=backend, workdir=workdir)
+    engine = sim.engine
+    trace = tracer.Tracer()
+    trace.install(sim)
+    try:
+        sim.warmup(1)
+        stats = sim.measure_sweeps(2)
+    finally:
+        trace.uninstall()
+        sim.telemetry.close()
+    assert not set(ENGINE_WRAPPED) & set(vars(engine))
+    assert "get" not in vars(engine.cache)
+    totals = trace.totals()
+    assert totals["dqmc.sweep"]["calls"] == 3
+    assert totals["core.greens.boundary"]["calls"] == 3 * 2 * engine.n_clusters
+    assert stats.proposed == 2 * engine.n * w.n_slices
+    if backend == "gpu-sim":
+        device = engine.device
+        assert device.elapsed > 0 and device.kernel_launches > 0
+        assert device.h2d_bytes > 0
+    if w.observed and workdir is not None:
+        assert sim.measure_dynamic and sim.watchdog is not None
+        assert sim.collector.accumulator.n_samples("g_loc_tau") == 2
+        assert (tmp_path / "run.jsonl").stat().st_size > 0
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
 def test_traced_sweep_yields_every_span_and_counter(name, tmp_path):
     w = workloads.smoke(workloads.WORKLOADS[name])
     sim = workloads.build_simulation(w, 11, workdir=tmp_path)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
@@ -62,6 +63,19 @@ class TestExamples:
         out = run_example(
             "dynamic_response.py", "--size", "4", "--samples", "2"
         )
+        assert "Fermi surface marker" in out
+
+    def test_dynamic_response_u0_is_exact(self):
+        """At U = 0 the run's ``beta G(k, beta/2)`` column is the closed
+        form along the whole symmetry path."""
+        out = run_example(
+            "dynamic_response.py", "--size", "4", "--u", "0", "--samples", "4"
+        )
+        rows = [line.split() for line in out.splitlines()
+                if line.strip().startswith("(")]
+        assert len(rows) == 7
+        got, exact = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-8)
         assert "Fermi surface marker" in out
 
     def test_strong_coupling(self):

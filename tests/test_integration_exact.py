@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro import HubbardModel, Simulation, SquareLattice
-from tests.ed_reference import HubbardED
-from tests.enumeration_reference import enumerate_dqmc
+from tests.oracles.ed import HubbardED
+from tests.oracles.enumeration import enumerate_dqmc
 
 
 def dimer_model(n_slices, beta=2.0, u=4.0):

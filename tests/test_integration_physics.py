@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import HubbardModel, MultilayerLattice, Simulation, SquareLattice
-from repro.measure.dynamic import momentum_greens_tau
+from repro.lattice import fourier_two_point
+from repro.measure import greens_displacement_average
 
 
 class TestMethodEquivalence:
@@ -125,8 +126,8 @@ class TestDynamicEstimator:
     @pytest.fixture(scope="class")
     def run(self):
         from repro import HSField
-        from repro.core import displaced_series_fast
         from tests.helpers import RecordingAccumulator
+        from tests.oracles.displaced import displaced_series_fast
 
         model = HubbardModel(SquareLattice(4, 4), u=4.0, beta=4.0, n_slices=40)
         sim = Simulation(model, seed=23, cluster_size=10, measure_dynamic=True)
@@ -142,7 +143,11 @@ class TestDynamicEstimator:
                 )
                 g = np.stack(greens)
                 gloc = gloc + 0.5 * np.trace(g, axis1=1, axis2=2) / model.n_sites
-                gk = gk + 0.5 * momentum_greens_tau(model.lattice, g)
+                gk = gk + 0.5 * fourier_two_point(
+                    model.lattice, greens_displacement_average(
+                        model.lattice, g, transpose=True
+                    ),
+                )
             reference["g_loc_tau"].append(sim._sign * gloc)
             reference["g_k_tau"].append(sim._sign * gk)
         ours = sim.collector.accumulator

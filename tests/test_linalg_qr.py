@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.linalg import (
-    householder_qp3_blocked,
-    householder_qr_blocked,
-    householder_qrp,
-    qr_nopivot,
-    qr_pivoted,
-    qr_prepivoted,
-)
+from repro.linalg import qr_pivoted, qr_prepivoted
 
 
 def random_matrix(rng, m, n, cond=None):
@@ -37,14 +30,6 @@ def rng():
 
 class TestLapackPaths:
     @pytest.mark.parametrize("shape", [(8, 8), (12, 8), (30, 30)])
-    def test_qr_nopivot_reconstructs(self, rng, shape):
-        a = random_matrix(rng, *shape)
-        res = qr_nopivot(a)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-12)
-        assert res.sync_points == 0
-        assert np.array_equal(res.piv, np.arange(shape[1]))
-
-    @pytest.mark.parametrize("shape", [(8, 8), (12, 8), (30, 30)])
     def test_qr_pivoted_reconstructs(self, rng, shape):
         a = random_matrix(rng, *shape)
         res = qr_pivoted(a)
@@ -59,13 +44,13 @@ class TestLapackPaths:
 
     def test_orthogonality(self, rng):
         a = random_matrix(rng, 25, 25)
-        for fn in (qr_nopivot, qr_pivoted, qr_prepivoted):
+        for fn in (qr_pivoted, qr_prepivoted):
             q = fn(a).q
             np.testing.assert_allclose(q.T @ q, np.eye(25), atol=1e-12)
 
     def test_r_upper_triangular(self, rng):
         a = random_matrix(rng, 16, 16)
-        for fn in (qr_nopivot, qr_pivoted, qr_prepivoted):
+        for fn in (qr_pivoted, qr_prepivoted):
             r = fn(a).r
             np.testing.assert_allclose(np.tril(r, -1), 0.0, atol=1e-13)
 
@@ -99,117 +84,4 @@ class TestLapackPaths:
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
-            qr_nopivot(np.ones(5))
-
-
-class TestReferenceHouseholder:
-    @pytest.mark.parametrize("shape", [(10, 10), (15, 10), (10, 15)])
-    def test_qrp_reconstructs(self, rng, shape):
-        a = random_matrix(rng, *shape)
-        res = householder_qrp(a)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-11)
-
-    def test_qrp_matches_lapack_pivots_on_generic_matrix(self, rng):
-        a = random_matrix(rng, 12, 12, cond=1e6)
-        ours = householder_qrp(a)
-        lapack = qr_pivoted(a)
-        assert np.array_equal(ours.piv, lapack.piv)
-        np.testing.assert_allclose(
-            np.abs(np.diag(ours.r)), np.abs(np.diag(lapack.r)), rtol=1e-9
-        )
-
-    def test_qrp_diagonal_descending(self, rng):
-        a = random_matrix(rng, 20, 20, cond=1e10)
-        d = np.abs(np.diag(householder_qrp(a).r))
-        assert np.all(d[1:] <= d[:-1] * (1 + 1e-12))
-
-    def test_qrp_counts_sync_points(self, rng):
-        a = random_matrix(rng, 9, 9)
-        assert householder_qrp(a).sync_points == 9
-
-    def test_qrp_handles_rank_deficiency(self, rng):
-        a = random_matrix(rng, 10, 4)
-        a = np.hstack([a, a @ rng.normal(size=(4, 6))])  # rank 4, 10 cols
-        res = householder_qrp(a)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-10)
-        d = np.abs(np.diag(res.r))
-        assert np.all(d[4:] < 1e-10 * d[0])
-
-    @pytest.mark.parametrize("block", [1, 4, 32, 100])
-    def test_blocked_qr_reconstructs(self, rng, block):
-        a = random_matrix(rng, 20, 20)
-        res = householder_qr_blocked(a, block=block)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-11)
-        assert res.sync_points == 0
-
-    def test_blocked_qr_rectangular(self, rng):
-        a = random_matrix(rng, 25, 12)
-        res = householder_qr_blocked(a, block=5)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-11)
-
-    def test_blocked_matches_lapack_r_up_to_signs(self, rng):
-        a = random_matrix(rng, 16, 16)
-        r_ours = householder_qr_blocked(a, block=8).r
-        r_lapack = qr_nopivot(a).r
-        np.testing.assert_allclose(np.abs(r_ours), np.abs(r_lapack), atol=1e-10)
-
-    def test_blocked_rejects_bad_block(self, rng):
-        with pytest.raises(ValueError):
-            householder_qr_blocked(random_matrix(rng, 4, 4), block=0)
-
-    def test_zero_column_is_handled(self):
-        a = np.zeros((6, 6))
-        a[0, 0] = 1.0
-        res = householder_qrp(a)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-14)
-
-
-class TestBlockedQP3:
-    """The BLAS-3 pivoted QR (paper ref [25]) — DGEQP3's algorithm."""
-
-    @pytest.mark.parametrize("shape,block", [
-        ((12, 12), 4), ((20, 20), 8), ((16, 16), 16),
-        ((30, 30), 7), ((25, 25), 32), ((24, 15), 6), ((15, 24), 6),
-    ])
-    def test_reconstructs(self, rng, shape, block):
-        a = random_matrix(rng, *shape)
-        res = householder_qp3_blocked(a, block=block)
-        np.testing.assert_allclose(res.reconstruct(), a, atol=1e-11)
-
-    def test_matches_lapack_pivots(self, rng):
-        a = random_matrix(rng, 24, 24, cond=1e8)
-        ours = householder_qp3_blocked(a, block=8)
-        lap = qr_pivoted(a)
-        assert np.array_equal(ours.piv, lap.piv)
-        np.testing.assert_allclose(
-            np.abs(np.diag(ours.r)), np.abs(np.diag(lap.r)), rtol=1e-9
-        )
-
-    def test_matches_level2_reference(self, rng):
-        a = graded_matrix(rng, 18, span=8)
-        blocked = householder_qp3_blocked(a, block=5)
-        level2 = householder_qrp(a)
-        assert np.array_equal(blocked.piv, level2.piv)
-        np.testing.assert_allclose(
-            np.abs(blocked.r), np.abs(level2.r), atol=1e-11
-        )
-
-    def test_diagonal_descending(self, rng):
-        a = random_matrix(rng, 20, 20, cond=1e10)
-        d = np.abs(np.diag(householder_qp3_blocked(a, block=6).r))
-        assert np.all(d[1:] <= d[:-1] * (1 + 1e-12))
-
-    def test_orthogonality(self, rng):
-        a = random_matrix(rng, 22, 22)
-        q = householder_qp3_blocked(a, block=8).q
-        np.testing.assert_allclose(q.T @ q, np.eye(22), atol=1e-12)
-
-    def test_sync_points_still_per_column(self, rng):
-        """Blocking cannot remove the per-column pivot serialization —
-        the whole point of the paper's pre-pivoting."""
-        a = random_matrix(rng, 10, 10)
-        assert householder_qp3_blocked(a, block=4).sync_points == 10
-
-    def test_bad_block_rejected(self, rng):
-        with pytest.raises(ValueError):
-            householder_qp3_blocked(random_matrix(rng, 4, 4), block=0)
+            qr_prepivoted(np.ones(5))

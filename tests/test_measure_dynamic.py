@@ -1,18 +1,15 @@
-"""Unit tests for dynamic (time-displaced) observables."""
+"""``G(k, tau)`` as a run forms it: ``greens_displacement_average(...,
+transpose=True)`` then ``fourier_two_point`` - the pair
+``Simulation._dynamic_sample`` composes - on the reference ``G(tau, 0)``."""
 
 import numpy as np
 import pytest
 
 from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
-from repro.core import displaced_greens
 from repro.hamiltonian import free_dispersion_2d
-from repro.lattice import momentum_grid
-from repro.measure import (
-    DynamicMeasurement,
-    local_greens_tau,
-    momentum_greens_tau,
-    spectral_weight_proxy,
-)
+from repro.lattice import fourier_two_point, momentum_grid
+from repro.measure import greens_displacement_average
+from tests.oracles.displaced import displaced_greens
 
 
 @pytest.fixture
@@ -31,6 +28,12 @@ def free_gk_tau(model, lat, tau):
     return np.exp(-tau * eps) * (1.0 - f)
 
 
+def momentum_greens_tau(lat, g_tau):
+    return fourier_two_point(
+        lat, greens_displacement_average(lat, g_tau, transpose=True)
+    )
+
+
 class TestMomentumGreensTau:
     def test_free_analytic(self, free_setup):
         lat, model, fac, field = free_setup
@@ -41,10 +44,15 @@ class TestMomentumGreensTau:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_local_is_k_average(self, free_setup):
+        """The k-average of ``G(k, tau)`` is ``G_loc = Tr G(tau) / N``, the
+        displacement-0 entry the run records as ``g_loc_tau``."""
         lat, model, fac, field = free_setup
         g_tau = displaced_greens(fac, field, 1, 9)
-        gk = momentum_greens_tau(lat, g_tau)
-        assert local_greens_tau(g_tau) == pytest.approx(gk.mean(), abs=1e-12)
+        avg = greens_displacement_average(lat, g_tau, transpose=True)
+        gk = fourier_two_point(lat, avg)
+        local = np.trace(g_tau) / lat.n_sites
+        assert avg[0] == pytest.approx(local, abs=1e-12)
+        assert local == pytest.approx(gk.mean(), abs=1e-12)
 
     def test_decay_with_tau_away_from_fermi_surface(self, free_setup):
         """G(k, tau) at a gapped momentum decays in tau; at the Fermi
@@ -54,47 +62,7 @@ class TestMomentumGreensTau:
         for l in (9, 19):
             g_tau = displaced_greens(fac, field, 1, l)
             gk[l] = momentum_greens_tau(lat, g_tau)
-        gamma = lat.index(0, 0)  # eps = -4: occupied, G ~ e^{+4 tau} f ...
         pi_pi = lat.index(2, 2)  # eps = +4: empty band edge, decays fast
         fs = lat.index(2, 0)  # eps = 0: Fermi surface
         assert gk[19][pi_pi] < gk[9][pi_pi] * 0.1
         assert gk[19][fs] == pytest.approx(gk[9][fs], rel=0.3)
-        del gamma
-
-
-class TestSpectralWeightProxy:
-    def test_fermi_surface_marker_u0(self, free_setup):
-        """beta G(k, beta/2) is O(1) on the Fermi surface and tiny at the
-        band edges — the standard gaplessness diagnostic."""
-        lat, model, fac, field = free_setup
-        l_half = 19  # tau = 2.0 = beta/2
-        g_half = displaced_greens(fac, field, 1, l_half)
-        proxy = spectral_weight_proxy(lat, g_half, model.beta)
-        assert proxy[lat.index(2, 0)] > 1.0  # (pi, 0): gapless
-        assert proxy[lat.index(2, 2)] < 0.01  # (pi, pi): far above E_F
-        assert proxy[lat.index(0, 0)] < 0.01  # (0, 0): far below E_F
-
-
-class TestDynamicMeasurement:
-    def test_default_grid(self):
-        dm = DynamicMeasurement(SquareLattice(4, 4))
-        assert dm.grid(40) == [0, 19, 39]
-
-    def test_measure_shapes_and_spin_average(self, free_setup):
-        lat, model, fac, field = free_setup
-        dm = DynamicMeasurement(lat, tau_slices=[9])
-        out = dm.measure(fac, field)
-        assert out["g_k_tau"].shape == (1, 16)
-        assert out["tau"][0] == pytest.approx(1.0)
-        # U = 0: both spins identical, so the average equals one spin
-        expected = free_gk_tau(model, lat, 1.0)
-        np.testing.assert_allclose(out["g_k_tau"][0], expected, atol=1e-10)
-
-    def test_interacting_runs_and_is_finite(self, rng):
-        lat = SquareLattice(2, 2)
-        model = HubbardModel(lat, u=6.0, beta=4.0, n_slices=32)
-        fac = BMatrixFactory(model)
-        field = HSField.random(32, 4, rng)
-        out = DynamicMeasurement(lat).measure(fac, field)
-        assert np.all(np.isfinite(out["g_k_tau"]))
-        assert out["g_k_tau"].shape == (3, 4)

@@ -69,8 +69,8 @@ class TestPhysicsExtrapolations:
         """Extrapolating the exact Trotterized dimer results in dtau^2
         must land on the continuum ED answer."""
         from repro import HubbardModel, SquareLattice
-        from tests.ed_reference import HubbardED
-        from tests.enumeration_reference import enumerate_dqmc
+        from tests.oracles.ed import HubbardED
+        from tests.oracles.enumeration import enumerate_dqmc
 
         beta, u = 1.0, 4.0
         model = HubbardModel(SquareLattice(2, 1), u=u, beta=beta, n_slices=2)

@@ -12,7 +12,7 @@ from repro.measure import (
     momentum_distribution,
     symmetrized_greens,
 )
-from tests.ed_reference import HubbardED
+from tests.oracles.ed import HubbardED
 
 
 def enumerate_docc(model, symmetric: bool):

@@ -8,10 +8,9 @@ from repro.stats import (
     StreamingAccumulator,
     propagate_ratio_error,
     rhat_from_estimates,
-    sign_corrected_ratio,
     sign_corrected_results,
-    split_rhat,
 )
+from tests.oracles.ratio import sign_corrected_ratio, split_rhat
 
 
 class TestJackknifeRatio:
