@@ -16,16 +16,7 @@ Quickstart::
     print(result.summary())
 """
 
-from .autotune import (
-    AutotuneResult,
-    TuningCache,
-    TuningParameters,
-    WarmupAutotuner,
-    profile_key,
-    tune_simulation,
-)
 from .backends import (
-    available_backends,
     get_backend,
     known_backends,
     register_backend,
@@ -67,7 +58,6 @@ from .telemetry import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AutotuneResult",
     "BMatrixFactory",
     "BrillouinZone",
     "HSField",
@@ -88,16 +78,10 @@ __all__ = [
     "StreamingAccumulator",
     "Telemetry",
     "TelemetryWriter",
-    "TuningCache",
-    "TuningParameters",
-    "WarmupAutotuner",
     "WatchdogConfig",
     "load_config",
-    "profile_key",
     "resolve_policy",
-    "tune_simulation",
     "__version__",
-    "available_backends",
     "get_backend",
     "known_backends",
     "register_backend",

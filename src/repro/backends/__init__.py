@@ -1,14 +1,12 @@
 """Pluggable execution backends for the Green's-function pipeline.
 
-One protocol (:class:`PropagatorBackend`), four implementations:
+One protocol (:class:`PropagatorBackend`), three implementations:
 
 * ``"numpy"`` — serial reference (:class:`NumpyBackend`);
 * ``"threaded"`` — worker-pool fine-grain kernels, paper Sec. IV-B
   (:class:`ThreadedBackend`);
 * ``"gpu-sim"`` — simulated-GPU offload of clustering and wrapping,
-  paper Sec. VI (:class:`SimulatedGPUBackend`);
-* ``"cupy"`` — real-GPU execution, active only when cupy imports
-  (:class:`CupyBackend`).
+  paper Sec. VI (:class:`SimulatedGPUBackend`).
 
 Select by name anywhere a ``backend=`` knob exists (engine, Simulation,
 input files, ``repro run --backend``) or via ``$REPRO_BACKEND``; see
@@ -17,15 +15,12 @@ input files, ``repro run --backend``) or via ``$REPRO_BACKEND``; see
 
 from .base import (
     BackendError,
-    BackendUnavailableError,
     BaseBackend,
     PropagatorBackend,
 )
-from .cupy_backend import CupyBackend, cupy_available
 from .gpu_sim import SimulatedGPUBackend
 from .numpy_backend import NumpyBackend
 from .registry import (
-    available_backends,
     get_backend,
     known_backends,
     register_backend,
@@ -35,15 +30,11 @@ from .threaded import ThreadedBackend
 
 __all__ = [
     "BackendError",
-    "BackendUnavailableError",
     "BaseBackend",
-    "CupyBackend",
     "NumpyBackend",
     "PropagatorBackend",
     "SimulatedGPUBackend",
     "ThreadedBackend",
-    "available_backends",
-    "cupy_available",
     "get_backend",
     "known_backends",
     "register_backend",

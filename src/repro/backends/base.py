@@ -53,15 +53,11 @@ from ..linalg import flops
 from ..options import resolve_option
 from ..precision import resolve_policy
 
-__all__ = ["BackendError", "BackendUnavailableError", "PropagatorBackend", "BaseBackend"]
+__all__ = ["BackendError", "PropagatorBackend", "BaseBackend"]
 
 
 class BackendError(ValueError):
     """Unknown backend name, invalid option, or invalid combination."""
-
-
-class BackendUnavailableError(BackendError):
-    """The backend's runtime dependency (e.g. cupy) is not importable."""
 
 
 class PropagatorBackend:
@@ -72,7 +68,7 @@ class PropagatorBackend:
     operation contract is importable and testable on its own.
     """
 
-    #: registry name ("numpy", "threaded", "gpu-sim", "cupy")
+    #: registry name ("numpy", "threaded", "gpu-sim")
     name: str = "abstract"
 
     def bind(self, factory) -> "PropagatorBackend":

@@ -5,8 +5,7 @@ One knob selects the execution layer everywhere — `Simulation`,
 ``$REPRO_BACKEND`` — :mod:`repro.options` turns the knob into a name
 and this module turns the name into a backend instance, with every
 failure mode loud: unknown names list the registry,
-unknown options raise from the backend constructor, and unavailable
-backends (cupy without cupy) explain what is missing.
+and unknown options raise from the backend constructor.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .base import BackendError, BaseBackend
 __all__ = [
     "register_backend",
     "get_backend",
-    "available_backends",
     "known_backends",
     "resolve_backend",
 ]
@@ -42,7 +40,6 @@ def _ensure_builtin_registered() -> None:
     with _REGISTRY_LOCK:
         if _REGISTRY:
             return
-        from .cupy_backend import CupyBackend
         from .gpu_sim import SimulatedGPUBackend
         from .numpy_backend import NumpyBackend
         from .threaded import ThreadedBackend
@@ -50,27 +47,12 @@ def _ensure_builtin_registered() -> None:
         _REGISTRY["numpy"] = NumpyBackend
         _REGISTRY["threaded"] = ThreadedBackend
         _REGISTRY["gpu-sim"] = SimulatedGPUBackend
-        _REGISTRY["cupy"] = CupyBackend
 
 
 def known_backends() -> List[str]:
-    """Every registered name, available or not."""
+    """Every registered name."""
     _ensure_builtin_registered()
     return sorted(_REGISTRY)
-
-
-def available_backends() -> List[str]:
-    """Registered names whose runtime dependencies are present."""
-    _ensure_builtin_registered()
-    out = []
-    for name in sorted(_REGISTRY):
-        if name == "cupy":
-            from .cupy_backend import cupy_available
-
-            if not cupy_available():
-                continue
-        out.append(name)
-    return out
 
 
 def get_backend(name: str, **options) -> BaseBackend:

@@ -267,54 +267,8 @@ class CampaignScheduler:
             "checkpoint_every": self.manifest.spec.checkpoint_every,
             "fault": fault.to_dict() if fault else None,
             "isolated": cfg.executor == "process",
-            "tune_cache": self._tune_cache_path(),
             "extend_round": extend_round,
         }
-
-    # -- autotuning ----------------------------------------------------------
-
-    def _tune_cache_path(self) -> Optional[str]:
-        path = getattr(self.manifest.spec, "tune_cache", None)
-        return str(path) if path else None
-
-    def _pretune(self, jobs) -> None:
-        """Tune each distinct workload shape once, before any job runs.
-
-        Workers never tune — they only *read* the cache — so a retried
-        or resumed job deterministically re-applies the same profile
-        instead of re-searching with different wall-clock timings. The
-        pass is serial on purpose: each tune is a short throwaway
-        simulation, and the point is to run it exactly once per shape.
-        """
-        path = self._tune_cache_path()
-        if path is None:
-            return
-        from ..autotune import TuningCache, profile_key, tune_simulation
-
-        cache = TuningCache(path)
-        seen = set()
-        for job in jobs:
-            cfg = job.config()
-            if not cfg.autotune:
-                continue
-            key = profile_key(cfg.model(), cfg.options(), cfg.method)
-            if key in seen:
-                continue
-            seen.add(key)
-            # peek, not lookup: the scan must not inflate the hit/miss
-            # counters the jobs themselves then earn.
-            if cache.peek(key) is not None:
-                self._event("campaign_tuned", key=key, cache_hit=True)
-                continue
-            result = tune_simulation(cfg.simulation(), cache=cache, key=key)
-            self._event(
-                "campaign_tuned",
-                key=result.key,
-                cache_hit=False,
-                chosen=result.chosen.to_dict(),
-                fallback=result.fallback,
-                sweeps_used=result.sweeps_used,
-            )
 
     def _run_attempt(self, job, attempt: int, extend_round: int = 0) -> dict:
         payload = self._attempt_payload(job, attempt, extend_round=extend_round)
@@ -441,7 +395,6 @@ class CampaignScheduler:
             executor=self.config.executor,
         )
         self._publish_gauges()
-        self._pretune(jobs)
         if jobs:
             workers = self.config.max_workers or len(jobs)
             workers = max(1, min(workers, len(jobs)))

@@ -36,7 +36,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..dqmc.config import SimulationConfig
 
@@ -135,10 +135,6 @@ class CampaignSpec:
     #: measurement sweeps between intra-job checkpoints (0 = only
     #: implicit end-of-job state; interrupted jobs then restart clean).
     checkpoint_every: int = 100
-    #: tuning-profile cache path for jobs with ``autotune`` set; the
-    #: scheduler pre-tunes each distinct workload shape once and the
-    #: workers reuse the cached winner (None = package default path).
-    tune_cache: Optional[str] = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -219,7 +215,7 @@ class CampaignSpec:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "name": self.name,
             "base": dict(self.base),
             "grid": {k: list(v) for k, v in self.grid.items()},
@@ -227,21 +223,15 @@ class CampaignSpec:
             "base_seed": self.base_seed,
             "checkpoint_every": self.checkpoint_every,
         }
-        # Only serialized when set, so specs predating the tuning layer
-        # keep their spec_hash (and manifests keep matching).
-        if self.tune_cache is not None:
-            d["tune_cache"] = str(self.tune_cache)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignSpec":
         unknown = set(d) - {
             "name", "base", "grid", "replicas", "base_seed",
-            "checkpoint_every", "tune_cache",
+            "checkpoint_every",
         }
         if unknown:
             raise SpecError(f"unknown spec keys: {', '.join(sorted(unknown))}")
-        tune_cache = d.get("tune_cache")
         return cls(
             name=str(d.get("name", "campaign")),
             base=dict(d.get("base", {})),
@@ -249,7 +239,6 @@ class CampaignSpec:
             replicas=int(d.get("replicas", 1)),
             base_seed=int(d.get("base_seed", 0)),
             checkpoint_every=int(d.get("checkpoint_every", 100)),
-            tune_cache=str(tune_cache) if tune_cache is not None else None,
         )
 
     @classmethod

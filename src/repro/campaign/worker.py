@@ -39,7 +39,6 @@ __all__ = ["FaultPlan", "run_campaign_job", "WorkerCrash"]
 RESULTS_NAME = "results.npz"
 CHECKPOINT_NAME = "checkpoint.npz"
 SUMMARY_NAME = "summary.json"
-TUNING_NAME = "tuning.json"
 
 
 class WorkerCrash(RuntimeError):
@@ -122,34 +121,6 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _apply_cached_tuning(sim, cfg, job_dir: Path, cache_path: str):
-    """Apply this job's tuning profile; returns a summary dict or None.
-
-    Workers only ever *read* the shared cache (the scheduler pre-tunes
-    each workload shape once) — a worker that tuned for itself would
-    make retries depend on wall-clock timings. The applied profile is
-    additionally pinned into the job directory, so a retry or a resume
-    after the shared cache changed still replays the identical engine
-    configuration; bit-exact restarts are the campaign contract.
-    """
-    from ..autotune import TuningCache, TuningParameters, profile_key
-
-    pin = job_dir / TUNING_NAME
-    if pin.exists():
-        entry = json.loads(pin.read_text())
-        params = TuningParameters.from_dict(entry["params"])
-        source = "pinned"
-    else:
-        key = profile_key(sim.model, sim.options, cfg.method)
-        params = TuningCache(cache_path).lookup(key)
-        if params is None:
-            return None
-        _write_json_atomic(pin, {"key": key, "params": params.to_dict()})
-        source = "cache"
-    sim.apply_tuning(params)
-    return {"params": params.to_dict(), "source": source}
-
-
 def run_campaign_job(payload: dict) -> dict:
     """Execute one job attempt; returns the summary dict it also writes.
 
@@ -163,8 +134,6 @@ def run_campaign_job(payload: dict) -> dict:
     * ``fault``: optional :class:`FaultPlan` dict,
     * ``isolated``: whether this runs in its own process (enables the
       ``kill`` fault mode),
-    * ``tune_cache``: optional tuning-profile cache path; applied
-      read-only when the job's config sets ``autotune``.
     * ``extend_round``: 0 for a normal run; round ``r`` multiplies the
       sweep budget to ``npass * (1 + r)`` — the scheduler's follow-up
       attempt for an error-targeted job that exhausted its budget
@@ -199,12 +168,6 @@ def run_campaign_job(payload: dict) -> dict:
         # Before the checkpoint load: a resumed attempt must restore
         # the saved decision state into this controller instance.
         sim.attach_controller(controller)
-
-    # Tuning must be applied before any sweep (and before a checkpoint
-    # load) so every attempt of this job runs the same engine shape.
-    tuning = None
-    if cfg.autotune and payload.get("tune_cache"):
-        tuning = _apply_cached_tuning(sim, cfg, job_dir, payload["tune_cache"])
 
     checkpoint = job_dir / CHECKPOINT_NAME
     measured = 0
@@ -280,7 +243,6 @@ def run_campaign_job(payload: dict) -> dict:
         "mean_sign": result.mean_sign,
         **sim.options.names(),
         "elapsed_s": round(time.monotonic() - t0, 3),
-        "tuning": tuning,
         "control": control,
     }
     _write_json_atomic(job_dir / SUMMARY_NAME, summary)

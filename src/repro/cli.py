@@ -9,17 +9,10 @@ archive out — with checkpoint/resume for long runs:
     optionally archive a JSONL telemetry stream (``--telemetry``) with a
     numerical-health watchdog (``--watchdog-every``).
 
-``tune``
-    Search (cluster size, delay block) for an input file's workload
-    on this machine and persist the winner in the tuning-profile cache;
-    later ``run --autotune`` / campaign jobs reuse it (see
-    ``docs/performance.md``).
-
 ``info``
     Parse an input file and report the derived quantities a user wants
     before committing hours: beta, nu, matrix sizes, memory estimate,
-    the conditioning-based safe cluster size and the tuning-cache
-    status for this workload.
+    and the conditioning-based safe cluster size.
 
 ``telemetry-report``
     Summarize a JSONL telemetry archive from a previous (or still
@@ -94,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--backend", type=str, default=None, metavar="NAME",
-        help="execution backend: numpy, threaded, gpu-sim or cupy "
+        help="execution backend: numpy, threaded or gpu-sim "
         "(default: the input file's 'backend' key, else $REPRO_BACKEND, "
         "else numpy); physics is backend-independent",
     )
@@ -138,17 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="graded dynamic-range alert threshold (default 1e14)",
     )
     p_run.add_argument(
-        "--autotune", action="store_true",
-        help="pick (cluster size, delay block) from the tuning cache, "
-        "tuning during warmup on a cache miss (equivalent to "
-        "'autotune = 1' in the input file)",
-    )
-    p_run.add_argument(
-        "--tune-cache", type=Path, default=None, metavar="PATH",
-        help="tuning-profile cache file (default: $REPRO_TUNE_CACHE, "
-        "else ~/.cache/repro/tuning.json)",
-    )
-    p_run.add_argument(
         "--target-error", type=float, default=None, metavar="EPS",
         help="error-targeted stopping: measure until the sign-corrected "
         "relative error of the target observable is <= EPS, with npass "
@@ -161,48 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         "file's 'target_obs' key, else density)",
     )
 
-    p_tune = sub.add_parser(
-        "tune",
-        help="autotune engine parameters for an input file's workload",
-    )
-    p_tune.set_defaults(func=cmd_tune)
-    p_tune.add_argument("input", type=Path, help="QUEST-style input file")
-    p_tune.add_argument(
-        "--tune-cache", type=Path, default=None, metavar="PATH",
-        help="tuning-profile cache file (default: $REPRO_TUNE_CACHE, "
-        "else ~/.cache/repro/tuning.json)",
-    )
-    p_tune.add_argument(
-        "--trial-sweeps", type=int, default=3, metavar="N",
-        help="warmup sweeps timed per candidate (default 3)",
-    )
-    p_tune.add_argument(
-        "--drift-tol", type=float, default=1e-6, metavar="TOL",
-        help="reject candidates whose wrap drift exceeds this (default 1e-6)",
-    )
-    p_tune.add_argument(
-        "--range-tol", type=float, default=1e14, metavar="TOL",
-        help="reject candidates whose graded dynamic range exceeds the "
-        "larger of TOL and 10x the baseline's (default 1e14)",
-    )
-    p_tune.add_argument(
-        "--force", action="store_true",
-        help="re-tune even if the cache already has a profile",
-    )
-    p_tune.add_argument(
-        "--backend", type=str, default=None, metavar="NAME",
-        help="execution backend to tune for (profiles are per-backend)",
-    )
-    p_tune.add_argument("--quiet", action="store_true")
-
     p_info = sub.add_parser("info", help="analyze an input file without running")
     p_info.set_defaults(func=cmd_info)
     p_info.add_argument("input", type=Path)
-    p_info.add_argument(
-        "--tune-cache", type=Path, default=None, metavar="PATH",
-        help="tuning-profile cache to report on (default: the same "
-        "resolution as 'repro tune')",
-    )
 
     p_report = sub.add_parser(
         "telemetry-report",
@@ -356,7 +299,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         precision=args.precision,
         kinetic=args.kinetic,
-        autotune=1 if args.autotune else None,
         target_error=args.target_error,
         target_obs=args.target_observable,
     )
@@ -422,24 +364,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_stages(args, cfg, sim, telemetry):
     """Warmup (or resume), checkpointed measurement loop, reduction."""
     measured = 0
-    tune = None
-    if cfg.autotune:
-        from .autotune import TuningCache, profile_key, tune_simulation
-
-        tune = (
-            TuningCache(args.tune_cache),
-            profile_key(sim.model, sim.options, cfg.method),
-        )
     if args.checkpoint and args.checkpoint.exists():
-        if tune is not None:
-            # A resume must replay the engine shape the original run
-            # locked, so only a cache hit applies — never a live tune,
-            # whose timings would differ from the first attempt's.
-            cache, key = tune
-            hit = cache.lookup(key)
-            if hit is not None:
-                sim.apply_tuning(hit)
-                _emit(args.quiet, f"autotune: cache hit -> {hit}")
         load_checkpoint(args.checkpoint, sim)
         # The header's sweep counter, not n_measurements // nmeas: an
         # equilibration discard shrinks the sample count but not the
@@ -462,17 +387,7 @@ def _run_stages(args, cfg, sim, telemetry):
             f"warmup: {cfg.nwarm} sweeps on {sim.model.lattice} "
             f"(U = {cfg.u}, beta = {cfg.beta:g}, L = {cfg.l})",
         )
-        if tune is not None:
-            cache, key = tune
-            result = tune_simulation(
-                sim, cache=cache, key=key, telemetry=telemetry
-            )
-            _emit(args.quiet, result.describe())
-            # Tuning trials are real thermalization sweeps: only the
-            # remainder of the warmup budget is still owed.
-            sim.warmup(max(0, cfg.nwarm - result.sweeps_used))
-        else:
-            sim.warmup(cfg.nwarm)
+        sim.warmup(cfg.nwarm)
 
     step = max(1, args.checkpoint_every)
     while measured < cfg.npass:
@@ -509,42 +424,6 @@ def _run_stages(args, cfg, sim, telemetry):
         _emit(args.quiet, f"measured {measured}/{cfg.npass} sweeps")
 
     return sim.result(n_warmup=cfg.nwarm, n_measurement=measured)
-
-
-def cmd_tune(args: argparse.Namespace) -> int:
-    from .autotune import TuningCache, tune_simulation
-
-    cfg = _load_config(args, backend=args.backend)
-    if cfg is None:
-        return 2
-    sim = cfg.simulation()
-    cache = TuningCache(args.tune_cache)
-    _emit(
-        args.quiet,
-        f"tuning {sim.model.lattice} (U = {cfg.u}, beta = {cfg.beta:g}, "
-        f"L = {cfg.l}) on backend {sim.engine.backend.name}",
-    )
-    result = tune_simulation(
-        sim,
-        cache=cache,
-        force=args.force,
-        sweeps_per_candidate=args.trial_sweeps,
-        drift_tol=args.drift_tol,
-        range_tol=args.range_tol,
-    )
-    if not args.quiet:
-        for t in result.trials:
-            mark = "ok " if t.accepted else "REJ"
-            line = (
-                f"  {mark} {t.params}  "
-                f"{t.sweep_seconds:.4f} s/sweep  drift {t.wrap_drift:.2e}"
-            )
-            if t.reason:
-                line += f"  ({t.reason})"
-            print(line)
-    _emit(args.quiet, result.describe())
-    _emit(args.quiet, f"profile     -> {cache.path}")
-    return 0
 
 
 def cmd_telemetry_report(args: argparse.Namespace) -> int:
@@ -707,30 +586,13 @@ def cmd_info(args: argparse.Namespace) -> int:
     }[options.kinetic]
     print(f"kinetic          {options.kinetic} ({kin_desc})")
     print(f"conditioning     {report.describe()}")
-    if cfg.north > report.suggested_cluster_size:
+    if cfg.north > report.max_safe_cluster_size:
         print(
             f"WARNING: configured k = {cfg.north} exceeds the safe bound "
-            f"{report.suggested_cluster_size}; expect accuracy loss"
+            f"{report.max_safe_cluster_size}; expect accuracy loss"
         )
     print(f"cluster cache    ~{mem_mb:.1f} MB ({matrices_cached} matrices)")
     print(f"sweeps           {cfg.nwarm} warmup + {cfg.npass} measurement")
-    from .autotune import TuningCache, profile_key
-
-    cache = TuningCache(args.tune_cache)
-    profiles = cache.entries()
-    stats = cache.stats()
-    print(
-        f"tuning cache     {cache.path} ({len(profiles)} profiles, "
-        f"{stats['hits']} hits / {stats['misses']} misses)"
-    )
-    profile = profiles.get(profile_key(model, options, cfg.method))
-    if profile is not None:
-        print(
-            f"tuned profile    k = {profile['cluster_size']}, "
-            f"delay = {profile['max_delay']}"
-        )
-    else:
-        print("tuned profile    none for this workload (run 'repro tune')")
     lint = _qmclint_summary()
     if lint is not None:
         print(f"qmclint          {lint}")

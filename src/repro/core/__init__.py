@@ -10,7 +10,7 @@
 """
 
 from .clustering import build_clusters, cluster_product, cluster_slices
-from .delayed_update import DelayedUpdater, delay_ladder
+from .delayed_update import DelayedUpdater
 from .greens import GreensFunctionEngine
 from .recycling import ClusterCache
 from .stratification import (
@@ -34,7 +34,6 @@ __all__ = [
     "build_clusters",
     "cluster_product",
     "cluster_slices",
-    "delay_ladder",
     "stratified_decomposition",
     "stratified_inverse",
     "wrap_backward",

@@ -24,21 +24,7 @@ import numpy as np
 from ..backends.registry import resolve_backend
 from ..linalg import flops
 
-__all__ = ["DelayedUpdater", "delay_ladder"]
-
-
-def delay_ladder(n_sites: int, rungs=(8, 16, 32, 64)) -> list:
-    """Candidate delayed-update block sizes for an N-site system.
-
-    The natural block sizes are powers of two up the GEMM-efficiency
-    curve, capped at N: a block wider than the matrix flushes at rank N
-    anyway, so larger values only waste buffer memory. This is the
-    delay axis of the autotuner's candidate grid; the sweet spot the
-    paper (and QUEST) quote sits in the 16-64 range, workload-dependent.
-    """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    return sorted({min(int(r), n_sites) for r in rungs if r >= 1})
+__all__ = ["DelayedUpdater"]
 
 
 class DelayedUpdater:

@@ -226,23 +226,6 @@ class GreensFunctionEngine:
         self.cache.invalidate_all()
         self._drop_partials()
 
-    def repartition(self, cluster_size: int) -> None:
-        """Adopt a new cluster size (= wrap interval) on the live engine.
-
-        Everything downstream of the tiling is derived state: the
-        cluster cache re-tiles itself (dropping its products), the kept
-        partial decompositions go with it and the next
-        ``boundary_greens`` stratifies the new chain from scratch,
-        so a repartitioned engine is indistinguishable from one
-        constructed with the new size over the same field. Safe between
-        sweeps only — a sweep iterates the tiling it started with.
-        """
-        if cluster_size == self.cluster_size:
-            return
-        self.cache.repartition(cluster_size)
-        self._drop_partials()
-        self.telemetry.counter("engine.repartitions")
-
     def set_precision(self, policy) -> bool:
         """Adopt a new precision policy on the live engine, in place.
 
@@ -252,8 +235,7 @@ class GreensFunctionEngine:
         are compute-dtype state, so the next ``boundary_greens`` rebuilds
         and re-stratifies under the new policy, leaving the engine
         indistinguishable from one constructed with it. Safe between
-        sweeps only (same contract as :meth:`repartition`). Returns True
-        when the policy actually changed.
+        sweeps only. Returns True when the policy actually changed.
         """
         policy = resolve_policy(resolve_option("precision", policy))
         if policy is self.backend.policy:

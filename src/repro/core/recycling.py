@@ -72,22 +72,6 @@ class ClusterCache:
     def invalidate_all(self) -> None:
         self._cache.clear()
 
-    def repartition(self, cluster_size: int) -> None:
-        """Re-tile the time axis into clusters of a new size, in place.
-
-        The autotuner's entry point for trying cluster sizes on a live
-        run: the slice ranges are recomputed (``cluster_size`` must
-        divide ``n_slices``, validated by :func:`cluster_slices`) and
-        every cached product is dropped — the products themselves are
-        shaped by the tiling. Hit/miss counters keep accumulating across
-        repartitions so the telemetry story stays continuous.
-        """
-        if cluster_size == self.cluster_size:
-            return
-        self.ranges = cluster_slices(self.field.n_slices, cluster_size)
-        self.cluster_size = cluster_size
-        self._cache.clear()
-
     def get(self, sigma: int, j: int) -> np.ndarray:
         """The dense product of cluster ``j`` for spin ``sigma``.
 

@@ -65,10 +65,6 @@ class SimulationConfig:
     #: the same lx x lx / ly x ly block pipeline Trotter-split blocks,
     #: at the cost of one more O(dtau^2) term
     kinetic: str = "auto"
-    #: 1 = pick (cluster size, delay) from the tuning cache / a warmup
-    #: autotune pass instead of trusting north/ndelay (see
-    #: docs/performance.md); 0 = run exactly what the file says
-    autotune: int = 0
     #: > 0 = error-targeted stopping: measure until the sign-corrected
     #: relative error of target_obs reaches this value (npass becomes
     #: the sweep *budget*); 0 = fixed npass sweeps

@@ -95,7 +95,7 @@ class Simulation:
         full Green's evaluation). 0 disables.
     backend:
         Execution backend for every propagator operation: a registry
-        name (``"numpy"``, ``"threaded"``, ``"gpu-sim"``, ``"cupy"``) or
+        name (``"numpy"``, ``"threaded"``, ``"gpu-sim"``) or
         a live :class:`~repro.backends.PropagatorBackend`. Physics
         is backend-independent by construction (bit-identical for the
         simulated backends); only the execution/timing story differs:
@@ -211,10 +211,6 @@ class Simulation:
         self.controller = None
         if measurements_per_sweep < 1:
             raise ValueError("measurements_per_sweep must be >= 1")
-        # Remember the *requested* cadence: re-partitioning the engine
-        # (autotune) changes the cluster count, and the effective cadence
-        # must be re-capped against the new tiling, not the original one.
-        self._measurements_requested = measurements_per_sweep
         self.measurements_per_sweep = min(
             measurements_per_sweep, self.engine.n_clusters
         )
@@ -228,29 +224,6 @@ class Simulation:
         self.measured_sweeps = 0
         self._sign = self.engine.configuration_sign()
         self.total_stats = SweepStats()
-
-    def apply_tuning(self, params) -> None:
-        """Adopt tuned engine parameters on the live simulation.
-
-        ``params`` is a :class:`~repro.autotune.TuningParameters` (or
-        anything exposing ``cluster_size`` and ``max_delay``). The
-        engine is re-partitioned in place, the delayed-update block size
-        replaces the constructor's value for every subsequent sweep, and
-        the measurement cadence is re-capped against the new cluster
-        count. Physics-invariant by construction — these are execution
-        knobs, not model parameters — but the Markov chain's
-        floating-point trajectory does change with the tiling, exactly
-        as constructing the simulation with the new values would. Call
-        between sweeps only.
-        """
-        max_delay = int(params.max_delay)
-        if max_delay < 1:
-            raise ValueError("max_delay must be >= 1")
-        self.engine.repartition(int(params.cluster_size))
-        self.max_delay = max_delay
-        self.measurements_per_sweep = min(
-            self._measurements_requested, self.engine.n_clusters
-        )
 
     @property
     def precision(self) -> str:

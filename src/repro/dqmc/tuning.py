@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..hamiltonian import HubbardModel, free_greens_function
+from ..linalg import chain_conditioning_report
 from ..measure import total_density
 from .simulation import Simulation
 
@@ -136,25 +137,14 @@ def _density_at(model: HubbardModel, mu: float, sweeps: int, seed: int):
 
 
 def _cluster_for(model: HubbardModel) -> int:
-    """Cluster size for a calibration run: the divisor of ``n_slices``
-    nearest the conditioning-safe target.
+    """Cluster size for a calibration run: the conditioning report's
+    suggested k, the divisor of ``n_slices`` nearest the safe target.
 
-    The old walk-down-from-10 hit k = 1 for prime slice counts —
-    re-stratification every slice, an order of magnitude slower per
-    calibration run. ``divisor_near`` instead picks the closest divisor
-    to the safe target (preferring divisors inside the safe window, and
-    the smaller choice on ties); only a prime L yields an over-budget
-    k = L, which is still far cheaper than k = 1 and fine at
-    calibration accuracy.
+    A prime L yields an over-budget k = L rather than k = 1 (which
+    re-stratifies every slice, an order of magnitude slower per
+    calibration run); that is fine at calibration accuracy.
     """
-    from ..autotune.params import divisor_near
-    from ..linalg.condition import max_safe_cluster_size
-
-    import numpy as np
-
-    w = np.linalg.eigvalsh(model.kinetic_matrix())
-    safe = max_safe_cluster_size(model.nu, model.dtau, float(w[-1] - w[0]))
-    return divisor_near(model.n_slices, target=min(10, safe), cap=safe)
+    return chain_conditioning_report(model).suggested_cluster_size
 
 
 def calibrate_mu(

@@ -30,8 +30,6 @@ from .flops import (
 from .graded import GradedDecomposition, split_scales
 from .norms import (
     column_norms,
-    column_norms_blocked,
-    inverse_permutation,
     prepivot_permutation,
 )
 from .qr import QRResult, qr_pivoted, qr_prepivoted
@@ -53,10 +51,8 @@ __all__ = [
     "GradedDecomposition",
     "QRResult",
     "column_norms",
-    "column_norms_blocked",
     "current_tally",
     "gemm_flops",
-    "inverse_permutation",
     "lu_solve_flops",
     "naive_inverse",
     "norms_flops",

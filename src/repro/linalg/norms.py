@@ -18,9 +18,7 @@ from . import flops
 
 __all__ = [
     "column_norms",
-    "column_norms_blocked",
     "prepivot_permutation",
-    "inverse_permutation",
 ]
 
 
@@ -45,29 +43,6 @@ def column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def column_norms_blocked(a: np.ndarray, block: int = 64) -> np.ndarray:
-    """Column 2-norms computed block-of-columns at a time.
-
-    This is the memory-access pattern of the paper's OpenMP implementation
-    (each worker owns a contiguous group of columns). On Fortran-ordered
-    inputs each block is a contiguous panel; on C-ordered inputs the blocked
-    walk is still cache-friendlier than column-at-a-time dnrm2 calls.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if block <= 0:
-        raise ValueError("block must be positive")
-    m, n = a.shape
-    out = np.empty(n, dtype=np.result_type(a.dtype, np.float64))
-    for j0 in range(0, n, block):
-        j1 = min(j0 + block, n)
-        panel = a[:, j0:j1]
-        out[j0:j1] = np.sqrt(np.einsum("ij,ij->j", panel, panel))
-    flops.record("norms", flops.norms_flops(m, n))
-    return out
-
-
 def prepivot_permutation(a: np.ndarray) -> np.ndarray:
     """Permutation ``piv`` sorting columns of ``a`` by descending 2-norm.
 
@@ -81,10 +56,3 @@ def prepivot_permutation(a: np.ndarray) -> np.ndarray:
     # their original (graded) order.
     return np.argsort(-nrm, kind="stable")
 
-
-def inverse_permutation(piv: np.ndarray) -> np.ndarray:
-    """Inverse of an index permutation: ``inv[piv] = arange(n)``."""
-    piv = np.asarray(piv)
-    inv = np.empty_like(piv)
-    inv[piv] = np.arange(piv.size, dtype=piv.dtype)
-    return inv

@@ -5,8 +5,7 @@ threaded / simulated-GPU execution, with the *same bits* out of each.
 The equivalence class is enforced here on a seeded 4x4 beta=2 run —
 Green's functions, configuration sign, and observables bit-identical
 across backends — plus 0-ULP checks of every batched op against its
-per-matrix loop. ``cupy`` (real GPU BLAS, not bitwise-reproducible) is
-excluded from the identity class and only smoke-tested when installed.
+per-matrix loop.
 """
 
 import dataclasses
@@ -17,13 +16,10 @@ import pytest
 from repro import HubbardModel, Simulation, SquareLattice
 from repro.backends import (
     BackendError,
-    BackendUnavailableError,
     BaseBackend,
     NumpyBackend,
     SimulatedGPUBackend,
     ThreadedBackend,
-    available_backends,
-    cupy_available,
     get_backend,
     known_backends,
     register_backend,
@@ -52,13 +48,7 @@ def bound_backend(name):
 
 class TestRegistry:
     def test_known_backends(self):
-        assert set(known_backends()) >= {"numpy", "threaded", "gpu-sim", "cupy"}
-
-    def test_available_excludes_cupy_when_missing(self):
-        avail = available_backends()
-        assert {"numpy", "threaded", "gpu-sim"} <= set(avail)
-        if not cupy_available():
-            assert "cupy" not in avail
+        assert set(known_backends()) >= {"numpy", "threaded", "gpu-sim"}
 
     def test_unknown_name_raises_with_catalogue(self):
         with pytest.raises(BackendError, match="numpy"):
@@ -88,12 +78,6 @@ class TestRegistry:
 
         register_backend("my-test-backend", MyBackend)
         assert get_backend("my-test-backend").name == "my-test-backend"
-
-    def test_cupy_unavailable_raises(self):
-        if cupy_available():
-            pytest.skip("cupy present")
-        with pytest.raises(BackendUnavailableError):
-            get_backend("cupy")
 
 
 class TestLoudOptionRejection:
@@ -338,16 +322,3 @@ class TestEngineIntegration:
         with pytest.raises(AttributeError, match="no device"):
             sim.engine.device
 
-
-# ---------------------------------------------------------------------------
-# cupy (only meaningful where a real GPU stack is installed)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not cupy_available(), reason="cupy not installed")
-class TestCupySmoke:
-    def test_wrap_close_to_numpy(self):
-        ref, factory = bound_backend("numpy")
-        gpu = get_backend("cupy").bind(factory)
-        g, v = _rng_ops()
-        np.testing.assert_allclose(gpu.wrap(g, v), ref.wrap(g, v), rtol=1e-12)

@@ -59,6 +59,23 @@ class TestInfo:
         main(["info", str(p)])
         assert "WARNING" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("north, warns", [(11, False), (33, True)])
+    def test_warning_reads_the_conditioning_bound(
+        self, tmp_path, capsys, north, warns
+    ):
+        """8x8, U = 4, dtau = 0.1 allows k <= 13; L = 33 has no divisor
+        near 10, which must not shrink the bound the warning checks."""
+        p = tmp_path / "l33.in"
+        p.write_text(
+            f"nx = 8\nny = 8\nu = 4.0\ndtau = 0.1\nl = 33\nnorth = {north}\n"
+        )
+        assert main(["info", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "safe cluster/wrap size k <= 13" in out
+        assert ("WARNING" in out) is warns
+        if warns:
+            assert "configured k = 33 exceeds the safe bound 13" in out
+
 
 class TestRun:
     def test_produces_archive(self, input_file, capsys):

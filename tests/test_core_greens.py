@@ -151,11 +151,6 @@ class TestHistoryIndependence:
         self.assert_like_fresh(eng)
 
         warm()
-        eng.repartition(10)
-        assert eng.n_kept(1) == eng.n_kept(-1) == 0
-        self.assert_like_fresh(eng)
-
-        warm()
         assert eng.set_precision("mixed")
         assert eng.n_kept(1) == eng.n_kept(-1) == 0
         self.assert_like_fresh(eng, precision="mixed")

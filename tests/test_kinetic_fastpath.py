@@ -98,8 +98,8 @@ class TestKineticModes:
             bond_groups(lat)
 
     def test_checkerboard_error_is_value_error(self):
-        # The autotuner's "inapplicable candidate" gate catches
-        # ValueError; the typed error must stay inside that net.
+        # The CLI's one-line error report catches ValueError; the typed
+        # error must stay inside that net.
         assert issubclass(CheckerboardError, ValueError)
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for conditioning diagnostics and k auto-tuning."""
+"""Unit tests for conditioning diagnostics and the cluster-size choice."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.linalg import (
     max_safe_cluster_size,
     slice_condition_bound,
 )
+from repro.linalg.condition import divisor_near, divisors
 
 
 class TestSliceBound:
@@ -53,6 +54,23 @@ class TestMaxSafeClusterSize:
         assert lo >= hi
 
 
+class TestDivisors:
+    def test_divisors(self):
+        assert divisors(12) == [1, 2, 3, 4, 6, 12]
+        assert divisors(13) == [1, 13]
+
+    def test_divisor_near_prefers_window(self):
+        # prime slice count: the only divisors are 1 and n; the window
+        # 2 <= d <= cap is empty, so the whole chain wins over k = 1
+        assert divisor_near(13, 10) == 13
+        assert divisor_near(12, 10, cap=11) == 6
+        assert divisor_near(32, 10) == 8
+
+    def test_divisor_near_ties_prefer_smaller(self):
+        # 3 and 5 do not divide 12; 4 and 6 are equidistant from 5
+        assert divisor_near(12, 5) == 4
+
+
 class TestReport:
     def test_paper_parameters_allow_k10(self):
         """At the paper's production point (U = 2, dtau = 0.2) the bound
@@ -92,3 +110,15 @@ class TestReport:
         model = HubbardModel(SquareLattice(2, 2), u=4.0, beta=2.0, n_slices=20)
         text = chain_conditioning_report(model).describe()
         assert "cond(B)" in text and "k <=" in text
+
+    @pytest.mark.parametrize("n_slices, suggested", [(33, 11), (26, 13), (44, 11)])
+    def test_bound_is_not_rounded_to_a_divisor(self, n_slices, suggested):
+        """The safe bound is the conditioning's, whatever L is; only the
+        suggestion has to divide L."""
+        model = HubbardModel(
+            SquareLattice(8, 8), u=4.0, beta=0.1 * n_slices, n_slices=n_slices
+        )
+        rep = chain_conditioning_report(model)
+        assert rep.max_safe_cluster_size == 13
+        assert rep.suggested_cluster_size == suggested
+        assert "k <= 13" in rep.describe()

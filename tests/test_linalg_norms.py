@@ -5,8 +5,6 @@ import pytest
 
 from repro.linalg import (
     column_norms,
-    column_norms_blocked,
-    inverse_permutation,
     prepivot_permutation,
 )
 
@@ -22,17 +20,6 @@ class TestColumnNorms:
         np.testing.assert_allclose(
             column_norms(a), np.linalg.norm(a, axis=0), rtol=1e-13
         )
-
-    def test_blocked_matches_unblocked(self, rng):
-        a = rng.normal(size=(33, 50))
-        for block in (1, 7, 64, 200):
-            np.testing.assert_allclose(
-                column_norms_blocked(a, block=block), column_norms(a), rtol=1e-13
-            )
-
-    def test_blocked_rejects_bad_block(self, rng):
-        with pytest.raises(ValueError):
-            column_norms_blocked(rng.normal(size=(4, 4)), block=0)
 
     def test_rejects_vector(self):
         with pytest.raises(ValueError):
@@ -71,15 +58,3 @@ class TestPrepivot:
         piv = prepivot_permutation(a)
         assert np.array_equal(np.sort(piv), np.arange(15))
 
-
-class TestInversePermutation:
-    def test_roundtrip(self, rng):
-        piv = rng.permutation(20)
-        inv = inverse_permutation(piv)
-        assert np.array_equal(piv[inv], np.arange(20))
-        assert np.array_equal(inv[piv], np.arange(20))
-
-    def test_identity(self):
-        assert np.array_equal(
-            inverse_permutation(np.arange(5)), np.arange(5)
-        )

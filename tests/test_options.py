@@ -15,6 +15,7 @@ import pytest
 
 from repro import HubbardModel, Simulation, SquareLattice
 from repro.backends import NumpyBackend
+from repro.campaign import CampaignSpec, SpecError
 from repro.cli import main
 from repro.core import GreensFunctionEngine
 from repro.dqmc.config import parse_config
@@ -230,13 +231,10 @@ def one_line_error(capsys, argv):
     return err
 
 
-@pytest.mark.parametrize("command", ["run", "tune", "info"])
+@pytest.mark.parametrize("command", ["run", "info"])
 class TestCliRejections:
     def argv(self, command, tmp_path, text):
-        argv = [command, str(write(tmp_path, text))]
-        if command == "tune":
-            argv += ["--tune-cache", str(tmp_path / "tuning.json")]
-        return argv
+        return [command, str(write(tmp_path, text))]
 
     def test_checkerboard_on_a_multilayer_input(
         self, command, tmp_path, capsys, monkeypatch
@@ -274,19 +272,6 @@ class TestCliRejections:
 
 
 class TestCliReports:
-    def test_tune_has_no_grid_axis_flags(self, tmp_path, capsys):
-        """The tuner varies cluster size and delay only: an option axis
-        is an argparse usage error, before any sweep runs."""
-        argv = ["tune", str(write(tmp_path)), "--quiet",
-                "--tune-cache", str(tmp_path / "tuning.json")]
-        for flag in ("--precisions", "--kinetics"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + [flag, "mixed"])
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"unrecognized arguments: {flag} mixed" in err
-        assert not (tmp_path / "tuning.json").exists()
-
     def test_info_prints_the_resolved_backend(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path)
         assert main(["info", str(path)]) == 0
@@ -366,3 +351,49 @@ def test_only_options_py_knows_the_variables_and_the_unset_spelling():
     assert autos == ["config.py"] * 3 + ["options.py"]
     options = (src / "options.py").read_text()
     assert len(re.findall(r"os\.environ|getenv", options)) == 1
+
+
+def _input_with_autotune(tmp_path):
+    parse_config(INPUT + "autotune = 1\n")
+
+
+def _spec_with_tune_cache(tmp_path):
+    CampaignSpec.from_dict({"base": {"l": 8}, "tune_cache": "tuning.json"})
+
+
+def _run_with_autotune_flag(tmp_path):
+    main(["run", str(write(tmp_path)), "--autotune"])
+
+
+def _tune_subcommand(tmp_path):
+    main(["tune", str(write(tmp_path))])
+
+
+def _cupy_backend(tmp_path):
+    simulation(backend="cupy")
+
+
+@pytest.mark.parametrize(
+    "spell, error, names",
+    [
+        (_input_with_autotune, ValueError, ["unknown key 'autotune'"]),
+        (_spec_with_tune_cache, SpecError, ["unknown spec keys: tune_cache"]),
+        (_run_with_autotune_flag, SystemExit, ["unrecognized arguments: --autotune"]),
+        (_tune_subcommand, SystemExit, ["invalid choice: 'tune'"]),
+        (_cupy_backend, OptionError, ["'cupy'", "gpu-sim", "numpy", "threaded"]),
+    ],
+    ids=["input-key", "spec-key", "run-flag", "subcommand", "backend"],
+)
+def test_removed_spelling_fails_by_name(spell, error, names, tmp_path, capsys):
+    """Removed keys, flags, commands and backends have no aliases: each
+    fails through the validator that already guards its surface, and the
+    message names what was written."""
+    with pytest.raises(error) as exc:
+        spell(tmp_path)
+    if error is SystemExit:  # argparse: usage error on stderr, status 2
+        assert exc.value.code == 2
+        message = capsys.readouterr().err
+    else:
+        message = str(exc.value)
+    for name in names:
+        assert name in message

@@ -4,8 +4,8 @@ Covers the policy objects and resolution rules, the threading of a
 policy through the engine/simulation stack, same-seed observable
 agreement between ``full64`` and ``mixed``, watchdog-driven promotion
 up the safety ladder, checkpoint persistence of a promoted policy,
-policy-aware runtime contracts, the autotuner's precision axis, and
-the dtype-aware pieces of the simulated-GPU performance model.
+policy-aware runtime contracts, and the dtype-aware pieces of the
+simulated-GPU performance model.
 """
 
 import numpy as np
@@ -387,41 +387,6 @@ class TestPolicyAwareContracts:
             f(np.eye(2, dtype=F32))
         monkeypatch.setenv(ENV_VAR, "mixed")
         f(np.eye(2, dtype=F32))  # ambient mixed: float32 is the contract
-
-
-class TestAutotunePrecisionAxis:
-    """The tuner has no precision axis: a profile never carries a policy,
-    and a tuned run keeps the one it was constructed with."""
-
-    def test_precision_omitted_when_unset(self):
-        from repro.autotune import TuningParameters
-
-        p = TuningParameters(8, 16)
-        assert p.to_dict() == {"cluster_size": 8, "max_delay": 16}
-        assert TuningParameters.from_dict(p.to_dict()) == p
-
-    def test_invalid_precision_rejected(self):
-        from repro.autotune import TuningParameters
-
-        # a profile that names a policy is refused, key by name
-        with pytest.raises(ValueError, match="'precision'"):
-            TuningParameters.from_dict(
-                {"cluster_size": 8, "max_delay": 16, "precision": "mixed"}
-            )
-
-    def test_grid_without_precisions_keeps_baseline_policy(self):
-        from repro.autotune import WarmupAutotuner
-
-        sim = Simulation(
-            make_model(n_slices=8), seed=3, cluster_size=4, precision="mixed"
-        )
-        tuner = WarmupAutotuner(sim, sweeps_per_candidate=1)
-        assert all(
-            set(c.to_dict()) == {"cluster_size", "max_delay"}
-            for c in tuner.candidates
-        )
-        tuner.run()
-        assert sim.precision == "mixed"
 
 
 class TestPerfModelSinglePrecision:

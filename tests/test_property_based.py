@@ -11,7 +11,6 @@ from repro.lattice import SquareLattice
 from repro.linalg import (
     GradedDecomposition,
     column_norms,
-    inverse_permutation,
     prepivot_permutation,
     qr_pivoted,
     qr_prepivoted,
@@ -83,12 +82,6 @@ class TestNormProperties:
         np.testing.assert_allclose(
             column_norms(c * a), c * column_norms(a), rtol=1e-10
         )
-
-    @given(piv=st.permutations(list(range(9))))
-    def test_inverse_permutation_roundtrip(self, piv):
-        piv = np.array(piv)
-        inv = inverse_permutation(piv)
-        assert np.array_equal(piv[inv], np.arange(9))
 
 
 class TestSplitScales:
