@@ -74,7 +74,7 @@ class PropagatorBackend:
     def bind(self, factory) -> "PropagatorBackend":
         raise NotImplementedError
 
-    def gemm(self, a, b, category="gemm"):
+    def gemm(self, a, b, category="gemm", c=None):
         raise NotImplementedError
 
     def scale_rows(self, a, v, out=None, category="scaling"):

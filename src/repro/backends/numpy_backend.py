@@ -17,9 +17,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from ..linalg import column_norms, flops, prepivot_permutation
-from .base import BaseBackend
+from .base import BackendError, BaseBackend
 
 __all__ = ["NumpyBackend"]
 
@@ -31,13 +32,37 @@ class NumpyBackend(BaseBackend):
 
     # -- fine-grain ops ----------------------------------------------------
 
-    def gemm(self, a, b, category: str = "gemm"):
-        """Dense ``a @ b`` with the flop charged to ``category``."""
+    def gemm(self, a, b, category: str = "gemm", c=None):
+        """Dense ``a @ b`` with the flop charged to ``category``.
+
+        With ``c`` given, accumulates ``c += a @ b`` in place and returns
+        ``c``: one BLAS ``gemm`` with ``beta = 1`` (``sgemm`` for float32
+        operands) writes into ``c.T`` in Fortran order, so no product is
+        allocated and ``c`` is read once. ``c`` must be C-contiguous and
+        share the operands' dtype, else :class:`BackendError`: f2py would
+        silently update a copy and the accumulation would be lost.
+        """
         self._count("gemm")
         m, k = a.shape[0], a.shape[1]
         n = b.shape[1] if b.ndim == 2 else 1
         self._record_gemm(category, m, n, k)
-        return a @ b
+        if c is None:
+            return a @ b
+        fits = c.shape == (m, n) and c.flags.c_contiguous
+        if not (fits and a.dtype == b.dtype == c.dtype):
+            raise BackendError(
+                f"gemm(c=) accumulates in place: c must be a C-contiguous {(m, n)} "
+                f"array of the operands' dtype {a.dtype}, got a {c.shape} "
+                f"{c.dtype} array (C-contiguous: {c.flags.c_contiguous})"
+            )
+        # Row-major c += a @ b is column-major c.T += b.T @ a.T; an operand
+        # that is not C-ordered goes in untransposed with the BLAS flag set.
+        ta, tb = int(not b.flags.c_contiguous), int(not a.flags.c_contiguous)
+        get_blas_funcs("gemm", dtype=c.dtype)(
+            1.0, b if ta else b.T, a if tb else a.T, beta=1.0, c=c.T,
+            trans_a=ta, trans_b=tb, overwrite_c=True,
+        )
+        return c
 
     def scale_rows(self, a, v, out=None, category: str = "scaling"):
         """``diag(v) @ a``; writes into ``out`` in place when given."""

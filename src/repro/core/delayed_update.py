@@ -8,7 +8,8 @@ delayed-update trick). Between flushes the *effective* Green's function is
 
 with one column of U / row of W per accepted flip. Proposals only need
 single rows/columns of G_eff, which cost O(n m) against the pending
-buffers — far better cache behaviour than n^2 rank-1 touches per flip.
+buffers — far better cache behaviour than n^2 rank-1 touches per flip —
+and the flush accumulates the rank-m product into G in place.
 
 Update algebra (leftmost-B_l convention used throughout the package): an
 accepted flip at site i with factor alpha and denominator
@@ -32,15 +33,23 @@ class DelayedUpdater:
 
     One updater serves a stack of independent sectors: the sweep hands
     it the ``(2, N, N)`` spin stack, and an accepted flip forms both
-    sectors' ``G_eff`` column and row with one batched product each. A
-    2-D ``g`` is the one-sector case of the same code; :meth:`accept`
-    then takes scalars and :meth:`column` / :meth:`row` return vectors.
+    sectors' ``G_eff`` column and row with one batched product. A 2-D
+    ``g`` is the one-sector case of the same code; :meth:`accept` then
+    takes scalars and :meth:`column` / :meth:`row` return vectors.
+
+    The pending updates live in one row-major ``(S, 2, max_delay, N)``
+    buffer: ``U^T`` in ``[:, 0]`` and ``W`` in ``[:, 1]``, so an accept
+    writes two contiguous rows per sector. Column i of ``G_eff`` is
+    ``G[:, i] + W[:m, i] @ U^T`` and row i is ``G[i, :] + U^T[:m, i] @
+    W``: one ``(S, 2, 1, m) @ (S, 2, m, N)`` product gives both lines of
+    every sector. :meth:`flush` accumulates ``U @ W`` into G in place
+    (``backend.gemm(..., c=g)``), so no N x N temporary is allocated.
 
     Parameters
     ----------
     g:
         The dense Green's function, ``(n, n)`` or a stack ``(S, n, n)``,
-        modified in place on :meth:`flush`.
+        C-contiguous per sector, modified in place on :meth:`flush`.
     max_delay:
         Flush automatically once this many updates are pending. 1
         degenerates to plain rank-1 updates (the ablation baseline).
@@ -63,29 +72,30 @@ class DelayedUpdater:
         # Buffers follow G's dtype: under a narrowed precision policy
         # the rank-1 blocks accumulate in the compute dtype and the
         # rank-m flush GEMM runs at single-precision GEMM rates.
-        u = self._u = np.empty((s, n, max_delay), dtype=g.dtype)
-        w = self._w = np.empty((s, max_delay, n), dtype=g.dtype)
+        p = self._pending = np.empty((s, 2, max_delay, n), dtype=g.dtype)
         #: The effective diagonals ``G_eff[s, i, i]``, maintained
         #: incrementally (one vectorized axpy per accepted flip) so each
         #: *proposal* - the overwhelmingly common operation - reads them
         #: in O(1). Updated in place, so a reference stays valid across
         #: flushes and re-anchors. Read-only for callers.
         self.diag = np.empty((s, n), dtype=g.dtype)
-        self._colbuf = np.empty((s, n, 1), dtype=g.dtype)
-        self._rowbuf = np.empty((s, 1, n), dtype=g.dtype)
+        # The G_eff column i in [:, 0] and row i in [:, 1], per sector
+        lines = self._lines = np.empty((s, 2, 1, n), dtype=g.dtype)
+        self._col_line, self._row_line = lines[:, 0, 0], lines[:, 1, 0]
+        self._unit = np.zeros(n, dtype=g.dtype)  # e_i, set around one write
         self._prod = np.empty((s, n), dtype=g.dtype)
         # -alpha / d per sector: written as scalars through the flat
-        # array, broadcast against (S,n,1) columns through the 3-D view
+        # array, broadcast against (S, n) lines through the 2-D view
         self._coef = np.empty(s, dtype=g.dtype)
-        self._coef3 = self._coef[:, None, None]
-        # Every slice of the pending blocks the hot path touches, built
-        # once: heads[m] are the m filled columns/rows, slots[m] the next
-        # free pair as (S,n,1)/(S,1,n) matrices and as (S,n) vectors.
-        self._heads = [(u[:, :, :m], w[:, :m, :]) for m in range(max_delay + 1)]
-        self._slots = [
-            (u[:, :, m : m + 1], w[:, m : m + 1, :], u[:, :, m], w[:, m, :])
-            for m in range(max_delay)
+        self._coef2 = self._coef[:, None]
+        # The line product's operands for m pending updates: indexed
+        # [..., i], heads[m][0] is (S, 2, 1, m) with W[:m, i] in [:, 0]
+        # and U^T[:m, i] in [:, 1]; heads[m][1] is (S, 2, m, N).
+        self._heads = [
+            (p[:, ::-1, None, :m, :], p[:, :, :m, :]) for m in range(max_delay + 1)
         ]
+        # slots[m]: the free U^T row and W row of every sector, (S, n) each
+        self._slots = [(p[:, 0, m], p[:, 1, m]) for m in range(max_delay)]
         self._flops = 0  # booked, not yet handed to the ledger
         self._read_flops = 2 * s * n  # one G_eff line, per pending update
         self.pending = 0
@@ -102,8 +112,14 @@ class DelayedUpdater:
         """
         self.flush()
         stack = g[None] if g.ndim == 2 else g
-        if stack.shape != (*self.diag.shape, self.n) or g.dtype != self._u.dtype:
-            raise ValueError("anchor needs a G of the constructed shape and dtype")
+        if (
+            stack.shape != (*self.diag.shape, self.n)
+            or g.dtype != self.diag.dtype
+            or not g.flags.c_contiguous
+        ):
+            raise ValueError(
+                "anchor needs a C-contiguous G of the constructed shape and dtype"
+            )
         self.g = g
         self._stack = stack
         self._gdiag = stack.diagonal(axis1=1, axis2=2)
@@ -121,36 +137,27 @@ class DelayedUpdater:
         per booking is too dear on the per-accept path)."""
         self._flops += count
 
-    def _column(self, i: int) -> np.ndarray:
-        """``G_eff[:, :, i]`` as (S,n,1): a view of G while nothing is
-        pending, the scratch buffer after."""
-        col = self._stack[:, :, i : i + 1]
+    def _lines_at(self, i: int):
+        """``(G_eff[:, :, i], G_eff[:, i, :])`` as (S, n) arrays: views of G
+        while nothing is pending, the line buffer after."""
+        col, row = self._stack[:, :, i], self._stack[:, i, :]
         m = self.pending
         if m:
-            u, w = self._heads[m]
-            np.matmul(u, w[:, :, i : i + 1], out=self._colbuf)
-            col = np.add(col, self._colbuf, out=self._colbuf)
-        return col
-
-    def _row(self, i: int) -> np.ndarray:
-        """``G_eff[:, i, :]`` as (S,1,n), like :meth:`_column`."""
-        row = self._stack[:, i : i + 1, :]
-        m = self.pending
-        if m:
-            u, w = self._heads[m]
-            np.matmul(u[:, i : i + 1, :], w, out=self._rowbuf)
-            row = np.add(row, self._rowbuf, out=self._rowbuf)
-        return row
+            lhs, rhs = self._heads[m]
+            np.matmul(lhs[..., i], rhs, out=self._lines)
+            col = np.add(col, self._col_line, out=self._col_line)
+            row = np.add(row, self._row_line, out=self._row_line)
+        return col, row
 
     def column(self, i: int) -> np.ndarray:
         """``G_eff[:, i]`` (fresh array; one row per sector for a stack)."""
         self._record_flops(self._read_flops * self.pending)
-        return self._column(i).reshape(self.g.shape[:-1]).copy()
+        return self._lines_at(i)[0].reshape(self.g.shape[:-1]).copy()
 
     def row(self, i: int) -> np.ndarray:
         """``G_eff[i, :]`` (fresh array; one row per sector for a stack)."""
         self._record_flops(self._read_flops * self.pending)
-        return self._row(i).reshape(self.g.shape[:-1]).copy()
+        return self._lines_at(i)[1].reshape(self.g.shape[:-1]).copy()
 
     # -- writes ----------------------------------------------------------------
 
@@ -173,27 +180,28 @@ class DelayedUpdater:
         # Per sector: the G_eff column and row reads (2nm each), then 4n
         # for the scaled writes and the incremental-diagonal axpy.
         self._record_flops(2 * self._read_flops * (m + 1))
-        col = self._column(i)
-        row = self._row(i)
-        u_col, w_row, u_vec, w_vec = self._slots[m]
-        np.multiply(col, self._coef3, out=u_col)
-        np.negative(row, out=w_row)
-        e_i = w_vec[:, i]
-        e_i += 1.0  # e_i - G_eff[i, :]
-        np.add(self.diag, np.multiply(u_vec, w_vec, out=self._prod), out=self.diag)
+        col, row = self._lines_at(i)
+        u_row, w_row = self._slots[m]
+        np.multiply(col, self._coef2, out=u_row)
+        unit = self._unit
+        unit[i] = 1.0
+        np.subtract(unit, row, out=w_row)  # e_i - G_eff[i, :]
+        unit[i] = 0.0
+        np.add(self.diag, np.multiply(u_row, w_row, out=self._prod), out=self.diag)
         self.pending = m + 1
         self.updates += 1
         if self.pending >= self.max_delay:
             self.flush()
 
     def flush(self) -> None:
-        """Fold pending updates into G with one rank-m GEMM per sector,
-        and hand the flops booked since the last flush to the ledger."""
+        """Fold pending updates into G with one in-place rank-m GEMM per
+        sector (``G += U @ W``), and hand the flops booked since the last
+        flush to the ledger."""
         m = self.pending
         if m == 0:
             return
-        for g, u, w in zip(self._stack, *self._heads[m]):
-            g += self.backend.gemm(u, w, category="delayed_update")
+        for g, (ut, w) in zip(self._stack, self._heads[m][1]):
+            self.backend.gemm(ut.T, w, category="delayed_update", c=g)
         flops.record("delayed_update", self._flops)
         self._flops = 0
         # Re-anchor the incremental diagonal on the freshly updated G so

@@ -193,6 +193,40 @@ class TestSingleOpIdentity:
         )
 
 
+class TestGemmAccumulate:
+    """``gemm(a, b, c=c)`` is ``c += a @ b`` in place, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
+    def test_equals_c_plus_product(self, name, dtype):
+        rng = np.random.default_rng(9)
+        n, m = 48, 7
+        ut = rng.standard_normal((m, n)).astype(dtype)  # a = ut.T is a view
+        w = rng.standard_normal((m, n)).astype(dtype)
+        c = rng.standard_normal((n, n)).astype(dtype)
+        expected = c + ut.T @ w
+        b = get_backend(name)
+        assert b.gemm(ut.T, w, category="delayed_update", c=c) is c
+        assert np.array_equal(c, expected)
+        assert b.op_counts["gemm"] == 1
+
+    @pytest.mark.parametrize("name", IDENTITY_BACKENDS)
+    def test_non_contiguous_or_mismatched_c_raises(self, name):
+        b = get_backend(name)
+        a = np.ones((8, 3))
+        bb = np.ones((3, 8))
+        wide = np.zeros((8, 16))
+        with pytest.raises(BackendError, match="C-contiguous"):
+            b.gemm(a, bb, c=wide[:, ::2])
+        with pytest.raises(BackendError, match="C-contiguous"):
+            b.gemm(a, bb, c=np.zeros((8, 8)).T)
+        with pytest.raises(BackendError, match="dtype"):
+            b.gemm(a, bb, c=np.zeros((8, 8), dtype=np.float32))
+        with pytest.raises(BackendError):
+            b.gemm(a, bb, c=np.zeros((8, 4)))
+        assert not wide.any()
+
+
 # ---------------------------------------------------------------------------
 # batched ops: 0 ULP vs the per-matrix loop
 # ---------------------------------------------------------------------------

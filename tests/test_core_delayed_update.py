@@ -1,5 +1,7 @@
 """Unit tests for delayed (block) rank-1 Green's function updates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,26 +128,29 @@ class TestValidation:
 
 def loop_reference(g, seq, max_delay):
     """The per-spin delayed update spelled out with plain slices and a
-    Python loop - the arithmetic the stacked kernel must reproduce."""
+    Python loop - the arithmetic the stacked kernel must reproduce,
+    summing each G_eff line in the kernel's order (``W[:m, i] @ U^T``
+    for the column, ``U^T[:m, i] @ W`` for the row)."""
     n = g.shape[0]
-    u = np.empty((n, max_delay), dtype=g.dtype)
+    ut = np.empty((max_delay, n), dtype=g.dtype)
     w = np.empty((max_delay, n), dtype=g.dtype)
     diag = np.diag(g).copy()
     m = 0
     for i, alpha in seq:
         d = 1.0 + alpha * (1.0 - float(diag[i]))
-        col = g[:, i] + u[:, :m] @ w[:m, i] if m else g[:, i].copy()
-        row = g[i, :] + u[i, :m] @ w[:m, :] if m else g[i, :].copy()
-        u[:, m] = g.dtype.type(-alpha / d) * col
-        w[m, :] = -row
-        w[m, i] += 1.0
-        diag += u[:, m] * w[m, :]
+        col = g[:, i] + w[:m, i] @ ut[:m] if m else g[:, i].copy()
+        row = g[i, :] + ut[:m, i] @ w[:m] if m else g[i, :].copy()
+        ut[m] = g.dtype.type(-alpha / d) * col
+        e_i = np.zeros(n, dtype=g.dtype)
+        e_i[i] = 1.0
+        w[m] = e_i - row
+        diag += ut[m] * w[m]
         m += 1
         if m == max_delay:
-            g += u @ w
+            g += ut.T @ w
             diag = np.diag(g).copy()
             m = 0
-    return diag, u[:, :m].copy(), w[:m, :].copy()
+    return diag, ut[:m].copy(), w[:m].copy()
 
 
 class TestSpinStack:
@@ -175,8 +180,9 @@ class TestSpinStack:
                 np.testing.assert_array_equal(both.column(5)[s], upd.column(5))
                 np.testing.assert_array_equal(both.row(5)[s], upd.row(5))
                 m = both.pending
-                np.testing.assert_array_equal(both._u[s, :, :m], upd._u[0, :, :m])
-                np.testing.assert_array_equal(both._w[s, :m, :], upd._w[0, :m, :])
+                np.testing.assert_array_equal(
+                    both._pending[s, :, :m], upd._pending[0, :, :m]
+                )
         assert both.flushes == 2 and both.updates == len(self.SEQ)
         both.flush()
         for s, upd in enumerate(singles):
@@ -188,7 +194,7 @@ class TestSpinStack:
     def test_matches_loop_reference_bit_for_bit(self, g0, max_delay):
         seq = [(i, a) for i, a, _ in self.SEQ]
         g_ref = g0.copy()
-        diag, u, w = loop_reference(g_ref, seq, max_delay)
+        diag, ut, w = loop_reference(g_ref, seq, max_delay)
         g = g0.copy()
         upd = DelayedUpdater(g, max_delay=max_delay)
         for i, alpha in seq:
@@ -196,8 +202,8 @@ class TestSpinStack:
         m = upd.pending
         np.testing.assert_array_equal(g, g_ref)
         np.testing.assert_array_equal(upd.diag[0], diag)
-        np.testing.assert_array_equal(upd._u[0, :, :m], u)
-        np.testing.assert_array_equal(upd._w[0, :m, :], w)
+        np.testing.assert_array_equal(upd._pending[0, 0, :m], ut)
+        np.testing.assert_array_equal(upd._pending[0, 1, :m], w)
 
     def test_anchor_adopts_a_new_matrix(self, g0):
         upd = DelayedUpdater(g0.copy(), max_delay=4)
@@ -233,3 +239,47 @@ class TestSpinStack:
         reads = sum(2 * 2 * n * m for m in range(3))
         expected = 2 * (reads + 3 * 4 * n + flops.gemm_flops(n, n, 3))
         assert t.flops["delayed_update"] == expected
+
+
+class TestMemory:
+    """No N x N temporary: the pending blocks are O(N max_delay), and the
+    flush accumulates into G in place."""
+
+    N, DELAY = 256, 16
+
+    def _traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _stack(self):
+        rng = np.random.default_rng(3)
+        eye = np.eye(self.N)
+        return np.stack([0.5 * eye + 0.05 * rng.normal(size=eye.shape)] * 2)
+
+    def test_construction_allocates_no_n_by_n_buffer(self):
+        g = self._stack()
+        DelayedUpdater(g, max_delay=self.DELAY)  # imports and backend warm
+        held = []
+        peak = self._traced_peak(
+            lambda: held.append(DelayedUpdater(g, max_delay=self.DELAY))
+        )
+        nn = self.N * self.N * g.itemsize
+        assert held[0]._pending.nbytes == 2 * 2 * self.DELAY * self.N * g.itemsize
+        assert peak - held[0]._pending.nbytes < nn // 4
+
+    def test_full_flush_allocates_less_than_one_n_by_n_matrix(self):
+        upd = DelayedUpdater(self._stack(), max_delay=self.DELAY)
+
+        def accept(i):
+            ds = tuple(1.0 + 0.1 * (1.0 - upd.diag_element(i, s)) for s in (0, 1))
+            upd.accept(i, (0.1, 0.1), ds)
+
+        for i in range(self.DELAY - 1):
+            accept(i)
+        peak = self._traced_peak(lambda: accept(self.DELAY))  # auto-flush
+        assert upd.flushes == 1 and upd.pending == 0
+        assert peak < self.N * self.N * upd.g.itemsize
