@@ -127,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="wrap-drift relative-error alert threshold (default 1e-6)",
     )
     p_run.add_argument(
-        "--watchdog-range-tol", type=float, default=1e14, metavar="TOL",
-        help="graded dynamic-range alert threshold (default 1e14)",
+        "--watchdog-range-tol", type=float, default=1e12, metavar="FACTOR",
+        help="alert when the graded dynamic range exceeds FACTOR times the "
+        "run's first reading of it (default 1e12)",
     )
     p_run.add_argument(
         "--target-error", type=float, default=None, metavar="EPS",

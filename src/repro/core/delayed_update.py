@@ -37,13 +37,20 @@ class DelayedUpdater:
     ``g`` is the one-sector case of the same code; :meth:`accept` then
     takes scalars and :meth:`column` / :meth:`row` return vectors.
 
-    The pending updates live in one row-major ``(S, 2, max_delay, N)``
-    buffer: ``U^T`` in ``[:, 0]`` and ``W`` in ``[:, 1]``, so an accept
-    writes two contiguous rows per sector. Column i of ``G_eff`` is
-    ``G[:, i] + W[:m, i] @ U^T`` and row i is ``G[i, :] + U^T[:m, i] @
-    W``: one ``(S, 2, 1, m) @ (S, 2, m, N)`` product gives both lines of
-    every sector. :meth:`flush` accumulates ``U @ W`` into G in place
-    (``backend.gemm(..., c=g)``), so no N x N temporary is allocated.
+    The pending updates live in one ``(max_delay, 2, S, N)`` buffer:
+    slot m holds every sector's ``U^T`` row in ``[m, 0]`` and ``W`` row
+    in ``[m, 1]``, each a C-contiguous ``(S, N)`` block, so every ufunc
+    of an accept writes a contiguous operand, and the scale, ``e_i -
+    row`` and the diagonal axpy read one. Column i of ``G_eff`` is ``G[:, i] + W[:m,
+    i] @ U^T`` and row i is ``G[i, :] + U^T[:m, i] @ W``: one ``(S, 2, 1,
+    m) @ (S, 2, m, N)`` product over strided views of the buffer gives
+    both lines of every sector, and their sums with G land straight in
+    slot m.
+    :meth:`flush` copies each sector's ``(m, N)`` blocks (strided across
+    slots) into a preallocated ``(2, max_delay, N)`` scratch, which f2py
+    would otherwise copy into a fresh array, and accumulates ``U @ W``
+    into G in place (``backend.gemm(..., c=g)``): a flush allocates
+    nothing, and no N x N temporary exists.
 
     Parameters
     ----------
@@ -72,30 +79,40 @@ class DelayedUpdater:
         # Buffers follow G's dtype: under a narrowed precision policy
         # the rank-1 blocks accumulate in the compute dtype and the
         # rank-m flush GEMM runs at single-precision GEMM rates.
-        p = self._pending = np.empty((s, 2, max_delay, n), dtype=g.dtype)
+        p = self._pending = np.empty((max_delay, 2, s, n), dtype=g.dtype)
         #: The effective diagonals ``G_eff[s, i, i]``, maintained
         #: incrementally (one vectorized axpy per accepted flip) so each
         #: *proposal* - the overwhelmingly common operation - reads them
         #: in O(1). Updated in place, so a reference stays valid across
         #: flushes and re-anchors. Read-only for callers.
         self.diag = np.empty((s, n), dtype=g.dtype)
-        # The G_eff column i in [:, 0] and row i in [:, 1], per sector
-        lines = self._lines = np.empty((s, 2, 1, n), dtype=g.dtype)
-        self._col_line, self._row_line = lines[:, 0, 0], lines[:, 1, 0]
-        self._unit = np.zeros(n, dtype=g.dtype)  # e_i, set around one write
+        # The line product's G_eff-minus-G parts: column i in [0] and row
+        # i in [1], each (S, n) contiguous; written through an (S, 2, 1, n)
+        # view, the shape of the product
+        lines = np.empty((2, s, 1, n), dtype=g.dtype)
+        self._lines = lines.transpose(1, 0, 2, 3)
+        self._col_line, self._row_line = lines[0, :, 0], lines[1, :, 0]
+        # e_i in every sector, (S, n) so that e_i - row reads two operands
+        # of one shape; column i is set and reset around one write through
+        # a view built here
+        unit = self._unit = np.zeros((s, n), dtype=g.dtype)
+        self._unit_cols = [unit[:, i] for i in range(n)]
         self._prod = np.empty((s, n), dtype=g.dtype)
         # -alpha / d per sector: written as scalars through the flat
         # array, broadcast against (S, n) lines through the 2-D view
         self._coef = np.empty(s, dtype=g.dtype)
         self._coef2 = self._coef[:, None]
         # The line product's operands for m pending updates: indexed
-        # [..., i], heads[m][0] is (S, 2, 1, m) with W[:m, i] in [:, 0]
-        # and U^T[:m, i] in [:, 1]; heads[m][1] is (S, 2, m, N).
-        self._heads = [
-            (p[:, ::-1, None, :m, :], p[:, :, :m, :]) for m in range(max_delay + 1)
-        ]
+        # [i], heads[m][0] is (S, 2, 1, m) with W[:m, i] in [:, 0] and
+        # U^T[:m, i] in [:, 1]; heads[m][1] is (S, 2, m, N).
+        self._heads = []
+        for m in range(max_delay + 1):
+            rhs = p[:m].transpose(2, 1, 0, 3)
+            self._heads.append((np.moveaxis(rhs[:, ::-1, None], -1, 0), rhs))
         # slots[m]: the free U^T row and W row of every sector, (S, n) each
-        self._slots = [(p[:, 0, m], p[:, 1, m]) for m in range(max_delay)]
+        self._slots = [(p[m, 0], p[m, 1]) for m in range(max_delay)]
+        # One sector's (m, N) U^T and W blocks, made contiguous per flush
+        self._flush_buf = np.empty((2, max_delay, n), dtype=g.dtype)
         self._flops = 0  # booked, not yet handed to the ledger
         self._read_flops = 2 * s * n  # one G_eff line, per pending update
         self.pending = 0
@@ -122,6 +139,9 @@ class DelayedUpdater:
             )
         self.g = g
         self._stack = stack
+        # G[:, :, i] and G[:, i, :] as [i]: one integer index is the
+        # cheapest view numpy builds
+        self._cols, self._rows = stack.transpose(2, 0, 1), stack.transpose(1, 0, 2)
         self._gdiag = stack.diagonal(axis1=1, axis2=2)
         np.copyto(self.diag, self._gdiag)
 
@@ -137,27 +157,32 @@ class DelayedUpdater:
         per booking is too dear on the per-accept path)."""
         self._flops += count
 
-    def _lines_at(self, i: int):
+    def _lines_at(self, i: int, col: np.ndarray, row: np.ndarray):
         """``(G_eff[:, :, i], G_eff[:, i, :])`` as (S, n) arrays: views of G
-        while nothing is pending, the line buffer after."""
-        col, row = self._stack[:, :, i], self._stack[:, i, :]
+        while nothing is pending, else their sums with the line product,
+        written in place into ``col`` and ``row``."""
+        gcol, grow = self._cols[i], self._rows[i]
         m = self.pending
-        if m:
-            lhs, rhs = self._heads[m]
-            np.matmul(lhs[..., i], rhs, out=self._lines)
-            col = np.add(col, self._col_line, out=self._col_line)
-            row = np.add(row, self._row_line, out=self._row_line)
-        return col, row
+        if not m:
+            return gcol, grow
+        lhs, rhs = self._heads[m]
+        np.matmul(lhs[i], rhs, out=self._lines)
+        return (
+            np.add(gcol, self._col_line, out=col),
+            np.add(grow, self._row_line, out=row),
+        )
 
     def column(self, i: int) -> np.ndarray:
         """``G_eff[:, i]`` (fresh array; one row per sector for a stack)."""
         self._record_flops(self._read_flops * self.pending)
-        return self._lines_at(i)[0].reshape(self.g.shape[:-1]).copy()
+        col = self._lines_at(i, self._col_line, self._row_line)[0]
+        return col.reshape(self.g.shape[:-1]).copy()
 
     def row(self, i: int) -> np.ndarray:
         """``G_eff[i, :]`` (fresh array; one row per sector for a stack)."""
         self._record_flops(self._read_flops * self.pending)
-        return self._lines_at(i)[1].reshape(self.g.shape[:-1]).copy()
+        row = self._lines_at(i, self._col_line, self._row_line)[1]
+        return row.reshape(self.g.shape[:-1]).copy()
 
     # -- writes ----------------------------------------------------------------
 
@@ -180,13 +205,14 @@ class DelayedUpdater:
         # Per sector: the G_eff column and row reads (2nm each), then 4n
         # for the scaled writes and the incremental-diagonal axpy.
         self._record_flops(2 * self._read_flops * (m + 1))
-        col, row = self._lines_at(i)
+        # The G_eff sums land in slot m (in place from here on)
         u_row, w_row = self._slots[m]
+        col, row = self._lines_at(i, u_row, w_row)
         np.multiply(col, self._coef2, out=u_row)
-        unit = self._unit
-        unit[i] = 1.0
-        np.subtract(unit, row, out=w_row)  # e_i - G_eff[i, :]
-        unit[i] = 0.0
+        e_i = self._unit_cols[i]
+        e_i[...] = 1.0
+        np.subtract(self._unit, row, out=w_row)  # e_i - G_eff[i, :]
+        e_i[...] = 0.0
         np.add(self.diag, np.multiply(u_row, w_row, out=self._prod), out=self.diag)
         self.pending = m + 1
         self.updates += 1
@@ -200,7 +226,10 @@ class DelayedUpdater:
         m = self.pending
         if m == 0:
             return
-        for g, (ut, w) in zip(self._stack, self._heads[m][1]):
+        blocks = self._flush_buf[:, :m]
+        ut, w = blocks
+        for g, pending in zip(self._stack, self._heads[m][1]):
+            np.copyto(blocks, pending)
             self.backend.gemm(ut.T, w, category="delayed_update", c=g)
         flops.record("delayed_update", self._flops)
         self._flops = 0

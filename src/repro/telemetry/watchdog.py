@@ -9,8 +9,10 @@ the two the paper's stability machinery exists to control:
   condition number, so a parameter point that was safe at the start of
   a run can turn unsafe as the field decorrelates.
 * **graded dynamic range** — the spread ``max|D| / min|D|`` of the
-  stratified scales. When it approaches 1/eps the cluster products are
-  no longer representable and every downstream number is suspect.
+  stratified scales. Its size is the workload's (the stratification
+  exists to carry it), so it is judged against the run's first reading;
+  a non-finite range - a scale that under- or overflowed - always
+  alerts.
 
 Neither is recomputed here. The sweep already holds both at every
 cluster boundary — the G it is about to discard next to the fresh one
@@ -26,6 +28,7 @@ rebuilds from the field instead of compounding the drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -39,9 +42,16 @@ class WatchdogConfig:
     """Tolerances and cadence for :class:`NumericalHealthWatchdog`.
 
     Defaults are loose enough that a healthy run at the paper's operating
-    points never alerts (wrap drift there sits around 1e-10, graded
-    ranges around 1e4 per cluster chain) while a mis-sized cluster or a
-    pathological parameter point trips within one check interval.
+    points never alerts while a mis-sized cluster or a pathological
+    parameter point trips within one check interval. Wrap drift there
+    sits around 1e-10. The graded range is a property of the workload
+    (about ``exp(beta x bandwidth)``: 1e20 from a random field and
+    1e22-1e25 thermalized on an 8x8 lattice at beta = 4, U = 4), so it
+    is judged against the run's own first reading. Checked every sweep
+    from a random field, healthy chains rose to at most 3e5 times that
+    reading at 8x8, beta = 4, 8e8 at 16x16, beta = 8 and 3e9 at beta =
+    16, so the default factor leaves some three decades of headroom
+    (``docs/observability.md``).
     """
 
     #: sweeps folded into one report (the judging cadence; every sweep
@@ -50,7 +60,8 @@ class WatchdogConfig:
     #: alert when wrap drift (relative Frobenius error) exceeds this
     drift_tol: float = 1e-6
     #: alert when max|D|/min|D| of the graded scales exceeds this
-    range_tol: float = 1e14
+    #: factor times the run's first reading of it
+    range_tol: float = 1e12
 
     def __post_init__(self) -> None:
         if self.check_every < 1:
@@ -110,6 +121,9 @@ class NumericalHealthWatchdog:
         self.alerts = 0
         self.forced_refreshes = 0
         self.promotions = 0
+        #: the graded range of the first report, which later ones are
+        #: judged against
+        self.first_range: Optional[float] = None
         self._reset_window()
 
     def _reset_window(self) -> None:
@@ -141,6 +155,9 @@ class NumericalHealthWatchdog:
         drifts more between refreshes (float32 eps ~1e-7), and the
         scale keeps one configured tolerance meaningful on every rung
         of the ladder. Under ``full64`` the scale is 1.
+
+        The graded range alerts when it is not finite or exceeds
+        ``range_tol`` times the first report's range.
         """
         cfg = self.config
         drift, dyn_range = self._drift, self._range
@@ -157,10 +174,13 @@ class NumericalHealthWatchdog:
             report.alerts.append(
                 f"wrap_drift {drift:.3e} exceeds tolerance {drift_tol:.3e}"
             )
-        if dyn_range > cfg.range_tol:
+        if self.first_range is None:
+            self.first_range = dyn_range
+        range_limit = cfg.range_tol * self.first_range
+        if not math.isfinite(dyn_range) or dyn_range > range_limit:
             report.alerts.append(
-                f"graded dynamic range {dyn_range:.3e} exceeds tolerance "
-                f"{cfg.range_tol:.3e}"
+                f"graded dynamic range {dyn_range:.3e} exceeds {cfg.range_tol:.3e} "
+                f"x the first reading {self.first_range:.3e}"
             )
 
         tel = self.telemetry

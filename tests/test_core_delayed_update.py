@@ -1,5 +1,6 @@
 """Unit tests for delayed (block) rank-1 Green's function updates."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -181,7 +182,7 @@ class TestSpinStack:
                 np.testing.assert_array_equal(both.row(5)[s], upd.row(5))
                 m = both.pending
                 np.testing.assert_array_equal(
-                    both._pending[s, :, :m], upd._pending[0, :, :m]
+                    both._pending[:m, :, s], upd._pending[:m, :, 0]
                 )
         assert both.flushes == 2 and both.updates == len(self.SEQ)
         both.flush()
@@ -202,8 +203,8 @@ class TestSpinStack:
         m = upd.pending
         np.testing.assert_array_equal(g, g_ref)
         np.testing.assert_array_equal(upd.diag[0], diag)
-        np.testing.assert_array_equal(upd._pending[0, 0, :m], ut)
-        np.testing.assert_array_equal(upd._pending[0, 1, :m], w)
+        np.testing.assert_array_equal(upd._pending[:m, 0, 0], ut)
+        np.testing.assert_array_equal(upd._pending[:m, 1, 0], w)
 
     def test_anchor_adopts_a_new_matrix(self, g0):
         upd = DelayedUpdater(g0.copy(), max_delay=4)
@@ -283,3 +284,77 @@ class TestMemory:
         peak = self._traced_peak(lambda: accept(self.DELAY))  # auto-flush
         assert upd.flushes == 1 and upd.pending == 0
         assert peak < self.N * self.N * upd.g.itemsize
+
+
+class TestContiguousSlots:
+    """An accept writes each sector's U^T row and W row into one
+    C-contiguous (S, N) slot, and allocates nothing that grows with N."""
+
+    def _updater(self, n):
+        rng = np.random.default_rng(n)
+        eye = np.eye(n)
+        stack = np.stack([0.5 * eye + 0.05 * rng.normal(size=eye.shape)] * 2)
+        return DelayedUpdater(stack, max_delay=32), rng
+
+    @staticmethod
+    def _accept_random(upd, rng):
+        i = int(rng.integers(upd.n))
+        alphas = tuple(float(a) for a in 0.3 * rng.normal(size=2))
+        ds = tuple(
+            1.0 + a * (1.0 - upd.diag_element(i, s)) for s, a in enumerate(alphas)
+        )
+        upd.accept(i, alphas, ds)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_accept_writes_one_contiguous_slot_per_line(self, n):
+        upd, rng = self._updater(n)
+        for _ in range(40):  # one auto-flush on the way
+            m = upd.pending
+            i = int(rng.integers(n))
+            col, row = upd.column(i), upd.row(i)
+            alphas = tuple(float(a) for a in 0.3 * rng.normal(size=2))
+            ds = tuple(1.0 + a * (1.0 - upd.diag_element(i, s))
+                       for s, a in enumerate(alphas))
+            upd.accept(i, alphas, ds)
+            ut, w = upd._pending[m]
+            for line in (ut, w):
+                assert line.shape == (2, n) and line.flags.c_contiguous
+            e_i = np.zeros(n)
+            e_i[i] = 1.0
+            for s, (a, d) in enumerate(zip(alphas, ds)):
+                np.testing.assert_array_equal(ut[s], (-a / d) * col[s])
+                np.testing.assert_array_equal(w[s], e_i - row[s])
+
+    def _accept_peak(self, n):
+        """Traced peak bytes of 100 accepts (three auto-flushes), after a
+        warm-up that ran the same code; the lower of two measurements, as
+        the first tracing in a process pays one-time costs."""
+        return min(self._traced_accepts(n) for _ in range(2))
+
+    def _traced_accepts(self, n):
+        upd, rng = self._updater(n)
+        for _ in range(40):
+            self._accept_random(upd, rng)
+        # numpy's ufunc iterator buffers (up to np.getbufsize() elements
+        # per operand) are traced too; capped at 16 elements, only
+        # arrays can still grow with N
+        bufsize = np.setbufsize(16)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                self._accept_random(upd, rng)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+            np.setbufsize(bufsize)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_accepts_allocate_no_array_of_n_elements(self, n):
+        """Against the same accepts at N = 16: an array of N or more
+        elements would raise the peak by at least N - 16 elements."""
+        extra = self._accept_peak(n) - self._accept_peak(16)
+        assert extra < (n - 16) * np.dtype(np.float64).itemsize

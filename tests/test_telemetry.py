@@ -8,7 +8,7 @@ import pytest
 
 from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
 from repro.core import GreensFunctionEngine
-from repro.dqmc import Simulation, run_ensemble, sweep
+from repro.dqmc import Simulation, SweepStats, run_ensemble, sweep
 from repro.profiling import PhaseProfiler
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -326,6 +326,43 @@ class TestWatchdog:
             WatchdogConfig(drift_tol=0.0)
         with pytest.raises(ValueError):
             WatchdogConfig(range_tol=1.0)
+
+    @staticmethod
+    def _check_ranges(watchdog, ranges):
+        """Reports for synthetic sweeps that record only a graded range."""
+        return [
+            watchdog.maybe_check(k, SweepStats(grading_ratio=r))
+            for k, r in enumerate(ranges, start=1)
+        ]
+
+    def test_range_is_judged_against_the_first_reading(self):
+        """A healthy graded range is the workload's own (~1e20 at a hot
+        start, 1e22-1e25 thermalized, on an 8x8 lattice at beta = 4):
+        readings within the default factor of the first never alert, a
+        jump past it does."""
+        eng, _ = make_engine()
+        wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1))
+        first, tol = 1e20, wd.config.range_tol
+        steady = [first, 3e24, first / 50, 0.9 * tol * first, 5e23]
+        assert all(r.healthy for r in self._check_ranges(wd, steady))
+        assert wd.first_range == first and wd.alerts == 0
+        report = wd.maybe_check(len(steady) + 1, SweepStats(grading_ratio=2 * tol * first))
+        assert not report.healthy and report.forced_refresh
+        assert "graded dynamic range" in report.alerts[0]
+        assert wd.first_range == first  # the reference stays the first reading
+
+    def test_non_finite_range_alerts(self):
+        eng, _ = make_engine()
+        wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1))
+        reports = self._check_ranges(wd, [1e20, float("inf")])
+        assert reports[0].healthy and not reports[1].healthy
+
+    def test_lifted_factor_never_alerts_on_healthy_ranges(self):
+        """The e2e ``observed_8x8_b4`` workload passes ``range_tol=1e30``."""
+        eng, _ = make_engine()
+        wd = NumericalHealthWatchdog(eng, WatchdogConfig(check_every=1, range_tol=1e30))
+        ranges = np.logspace(20, 26, 40)[::-1]  # the first reading the largest, too
+        assert all(r.healthy for r in self._check_ranges(wd, ranges))
 
 
 class TestSimulationWiring:
