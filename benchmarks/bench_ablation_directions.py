@@ -60,7 +60,9 @@ def _forward_only(sim: Simulation, n_sweeps: int, measure: bool) -> None:
 
     def on_boundary(c, g, sign):
         if measure and c == 0:
-            sim.collector.measure(g[1], g[-1], sign)
+            # as the driver does: at half filling the collector forms
+            # the down sector as the particle-hole image of the up one
+            sim.collector.measure(g[1], g.get(-1), sign)
 
     for _ in range(n_sweeps):
         st = sweep(

@@ -32,8 +32,9 @@ class DelayedUpdater:
     """Accumulates pending rank-1 Green's-function updates.
 
     One updater serves a stack of independent sectors: the sweep hands
-    it the ``(2, N, N)`` spin stack, and an accepted flip forms both
-    sectors' ``G_eff`` column and row with one batched product. A 2-D
+    it the ``(S, N, N)`` spin stack (``S = 1`` when the down sector is
+    the particle-hole image of the up one), and an accepted flip forms
+    every sector's ``G_eff`` column and row with one batched product. A 2-D
     ``g`` is the one-sector case of the same code; :meth:`accept` then
     takes scalars and :meth:`column` / :meth:`row` return vectors.
 

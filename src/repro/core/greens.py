@@ -14,6 +14,14 @@ for a fixed model and a live HS field:
 * wrapping between adjacent slices,
 * drift diagnostics (wrapped vs. freshly stratified G).
 
+Where the model's spin-down sector is the particle-hole image of its
+spin-up one (``factory.particle_hole``, see
+:mod:`repro.hamiltonian.particle_hole`) the engine evaluates the up
+sector alone: :attr:`GreensFunctionEngine.sectors` is ``(1,)``, the
+cache builds one sector per miss, and the down sector's readers get
+``I - Lambda G_+^T Lambda``, its displaced ``G(tau, 0)`` from the same
+join, and its determinant from the up one's.
+
 Orientation convention: ``boundary_greens(sigma, c)`` returns
 
     G = (I + Btilde_{c-1} ... Btilde_0 Btilde_{Lk-1} ... Btilde_c)^{-1}
@@ -78,7 +86,7 @@ class _ChainSide(list):
 
 
 class GreensFunctionEngine:
-    """Computes and advances equal-time Green's functions for both spins.
+    """Computes and advances equal-time Green's functions of the spins.
 
     Parameters
     ----------
@@ -131,6 +139,10 @@ class GreensFunctionEngine:
         self.factory = factory
         self.field = field
         self.method = check_method(method)
+        #: the image map when the down sector is derived from the up one
+        self.particle_hole = factory.particle_hole
+        #: the spin sectors the engine stratifies, wraps and updates
+        self.sectors = (1,) if self.particle_hole is not None else (1, -1)
         # The engine is the user-facing entry point, so (unlike the
         # library-level chain functions) its defaults are env-aware.
         options = resolve_options(backend, precision, factory.kinetic_mode)
@@ -266,7 +278,12 @@ class GreensFunctionEngine:
         R_c`` from the same factorization of the join (one more
         triangular solve and GEMM), at index 0 or ``nc`` ``G(beta, 0) = I
         - G``. ``G(tau_c, 0)`` is not cast to the compute dtype; ``G``
-        itself is bit for bit what the call without it returns.
+        itself is bit for bit what the call without it returns. On an
+        engine with one sector the spin-up call returns the pair
+        ``(G_+(tau_c, 0), G_-(tau_c, 0))`` in place of ``G(tau_c, 0)``:
+        the down one is ``-Lambda G_+(0, tau_c)^T Lambda``, and the join
+        gives ``G_+(0, tau_c)`` for one GEMM more (``Lambda G_+^T
+        Lambda`` at index 0 or ``nc``).
 
         Each side continues from the longest decomposition it keeps (see
         :class:`_ChainSide`); what is kept never changes the result, only
@@ -281,6 +298,8 @@ class GreensFunctionEngine:
         if not 0 <= start_cluster <= nc:
             raise IndexError(f"boundary {start_cluster} out of range")
         prefix, suffix = self._partials[sigma]
+        # the down sector's displaced function comes along with the up one
+        image = self.particle_hole if displaced and sigma == 1 else None
         with self.profiler.phase("clustering"):
             todo_right = self._missing(sigma, prefix, start_cluster)
             todo_left = self._missing(sigma, suffix, nc - start_cluster)
@@ -300,12 +319,18 @@ class GreensFunctionEngine:
                     right.grading_ratio(), left_t.grading_ratio()
                 )
                 g = stable_inverse_two_sided(
-                    right, left_t, self.backend, displaced=displaced
+                    right, left_t, self.backend, displaced=displaced,
+                    backward=image is not None,
                 )
-                if displaced:
+                if image is not None:
+                    g, g_tau, g_back = g
+                    g_tau = (g_tau, image.displaced(g_back))
+                elif displaced:
                     g, g_tau = g
             if displaced and g_tau is None:  # tau = beta
                 g_tau = np.eye(self.n) - g
+                if image is not None:
+                    g_tau = (g_tau, image.at_beta(g))
             self.last_stats = stats
         self.telemetry.counter("engine.stratifications")
         # The refresh is computed on the float64 spine; the running G
@@ -403,27 +428,29 @@ class GreensFunctionEngine:
                 self.factory, self.field, g, l, sigma, backend=self.backend
             )
 
-    def _spin_v_stack(self, l: int) -> np.ndarray:
-        """The ``(2, N)`` diagonals of ``V_l`` for spin up, then down."""
+    def _spin_v_stack(self, l: int, n_sectors: int) -> np.ndarray:
+        """The ``(S, N)`` diagonals of ``V_l`` for spin up, then down."""
         nu = self.factory.nu
-        return np.stack([self.field.v_diagonal(l, s, nu) for s in (1, -1)])
+        return np.stack(
+            [self.field.v_diagonal(l, s, nu) for s in (1, -1)[:n_sectors]]
+        )
 
     def wrap_pair(self, gs: np.ndarray, l: int) -> np.ndarray:
-        """Wrap both spin sectors through slice ``l`` in one batched call.
+        """Wrap the spin sectors through slice ``l`` in one batched call.
 
-        ``gs`` is the ``(2, N, N)`` stack of the spin-up and spin-down
-        Green's functions, taken and returned whole so stacked-GEMM
-        backends run the pair as single batched products and the sweep
-        never copies between a dict and a stack. Per-sector results are
-        bit-identical to :meth:`wrap`.
+        ``gs`` is the ``(S, N, N)`` stack of the spin-up and (``S = 2``)
+        spin-down Green's functions, taken and returned whole so
+        stacked-GEMM backends run the pair as single batched products and
+        the sweep never copies between a dict and a stack. Per-sector
+        results are bit-identical to :meth:`wrap`.
         """
         with self.profiler.phase("wrapping"):
-            return self.backend.wrap_batched(gs, self._spin_v_stack(l))
+            return self.backend.wrap_batched(gs, self._spin_v_stack(l, len(gs)))
 
     def unwrap_pair(self, gs: np.ndarray, l: int) -> np.ndarray:
         """Batched inverse of :meth:`wrap_pair` for the spin stack."""
         with self.profiler.phase("wrapping"):
-            return self.backend.unwrap_batched(gs, self._spin_v_stack(l))
+            return self.backend.unwrap_batched(gs, self._spin_v_stack(l, len(gs)))
 
     def _chain_decomposition(
         self, sigma: int, start_cluster: int = 0
@@ -440,8 +467,14 @@ class GreensFunctionEngine:
         """``(sign, log|det M_+ det M_-|)`` for the current field.
 
         Computed through the graded decomposition (no overflow); the
-        acceptance weight of a global move.
+        acceptance weight of a global move. With one sector, ``det M_- =
+        det M_+ / det A_+`` and ``log det A_+`` is the sum of the
+        ``V_{l,+}`` exponents, ``nu sum_{l,i} h_{l,i}``: one chain, and
+        the sign is +1.
         """
+        if self.particle_hole is not None:
+            _, ld = stable_log_det_from_graded(self._chain_decomposition(1))
+            return 1.0, 2.0 * ld - self.factory.nu * float(self.field.h.sum())
         sign, log_abs = 1.0, 0.0
         for sigma in (1, -1):
             s, ld = stable_log_det_from_graded(self._chain_decomposition(sigma))
@@ -450,11 +483,14 @@ class GreensFunctionEngine:
         return sign, log_abs
 
     def configuration_sign(self) -> float:
-        """Sign of ``det M_+ det M_-`` for the current field.
+        """Sign of ``det M_+ det M_-`` for the current field (+1, without
+        a chain, when the down sector is the particle-hole image).
 
         The simulation seeds its running sign with this once; sweeps then
         track it incrementally through Metropolis ratio signs.
         """
+        if self.particle_hole is not None:
+            return 1.0
         return self.log_weight()[0]
 
     # -- diagnostics -----------------------------------------------------------

@@ -37,16 +37,21 @@ class ClusterCache:
         backend=None,
     ):
         """Rebuilds go through ``backend.cluster_product_batched`` (a
-        fresh serial numpy backend when none is given), and a miss on one
-        spin prefetches *both* spin sectors in one stacked call: both
-        spins are invalidated together, so the partner access is
-        otherwise a guaranteed second miss.
+        fresh serial numpy backend when none is given). When the model
+        evaluates both spin sectors, a miss on one spin prefetches *both*
+        in one stacked call: both spins are invalidated together, so the
+        partner access is otherwise a guaranteed second miss. When its
+        down sector is the particle-hole image of the up one
+        (``factory.particle_hole``) nothing reads the partner, and a miss
+        builds the one sector asked for.
         """
         self.factory = factory
         self.field = field
         self.cluster_size = cluster_size
         self.ranges = cluster_slices(field.n_slices, cluster_size)
         self.backend = resolve_backend(backend or "numpy", factory=factory)
+        #: prefetch the partner spin on a miss (both sectors evaluated)
+        self.pairs = factory.particle_hole is None
         # (sigma, cluster_index) -> dense product, or absent if stale.
         self._cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.hits = 0
@@ -102,7 +107,8 @@ class ClusterCache:
         return prod
 
     def _build_batched(self, sigma: int, j: int) -> np.ndarray:
-        """Rebuild cluster ``j`` for both spins in one stacked call.
+        """Rebuild cluster ``j`` in one stacked call, for both spins when
+        :attr:`pairs`.
 
         Invalidation always drops both spin sectors of a cluster, so the
         other spin's rebuild is coming; stacking the two V-chains into one
@@ -110,7 +116,7 @@ class ClusterCache:
         on stacked-GEMM backends runs both sectors in single GEMMs).
         """
         nu = self.factory.nu
-        spins = (sigma, -sigma)
+        spins = (sigma, -sigma) if self.pairs else (sigma,)
         v_stack = np.stack(
             [
                 [self.field.v_diagonal(l, s, nu) for l in self.ranges[j]]
@@ -121,7 +127,8 @@ class ClusterCache:
         self.batched_builds += 1
         # The partner sector is cached directly (not via get()) so its
         # later access counts as the hit it now is.
-        self._cache[(-sigma, j)] = prods[1]
+        if self.pairs:
+            self._cache[(-sigma, j)] = prods[1]
         return prods[0]
 
     def stats(self) -> Dict[str, float]:

@@ -48,6 +48,14 @@ class SimulationResult:
     #: run-control digest (RunController.summary()) when a controller
     #: drove the measurement stage
     control: Optional[dict] = None
+    #: the precision policy the run ended in (a watchdog alert under a
+    #: narrowed policy promotes the engine in place)
+    precision: str = "full64"
+    #: watchdog precision promotions during the run
+    promotions: int = 0
+    #: spin sectors evaluated: 1 when the down sector is the particle-hole
+    #: image of the up one, else 2
+    spin_sectors: int = 2
 
     def summary(self) -> str:
         """A human-readable digest of the scalar observables."""
@@ -59,6 +67,11 @@ class SimulationResult:
             f"{self.n_measurement} measurement",
             f"acceptance         {self.sweep_stats.acceptance_rate:.3f}",
             f"mean sign          {self.mean_sign:+.4f}",
+            f"precision          {self.precision} "
+            f"({self.promotions} watchdog promotions)",
+            f"spin sectors       {self.spin_sectors}"
+            + (" (down = particle-hole image of up)"
+               if self.spin_sectors == 1 else ""),
         ]
         for name in ("density", "double_occupancy", "kinetic_energy",
                      "af_structure_factor"):
@@ -108,7 +121,8 @@ class Simulation:
         cluster-boundary tau grid ``k dtau, 2 k dtau, ..., beta``. Each
         boundary's join hands over its ``G(tau_c, 0)`` next to the fresh
         G (one more triangular solve and GEMM per spin, ``G(beta, 0) = I
-        - G(0, 0)`` at boundary 0), so the sample adds no chain step,
+        - G(0, 0)`` at boundary 0; with one sector the up join's solve
+        and one GEMM give the down one), so the sample adds no chain step,
         cluster product or factorization. Each tau point is taken on the
         configuration, and weighted by the sign, current at the boundary
         that produced it, as the equal-time measurements are; off by
@@ -207,6 +221,7 @@ class Simulation:
             t=model.t,
             t_perp=model.t_perp,
             with_arrays=measure_arrays,
+            particle_hole=self.factory.particle_hole,
         )
         self.controller = None
         if measurements_per_sweep < 1:
@@ -244,7 +259,8 @@ class Simulation:
     def _dynamic_sample(self):
         """The dynamic measurement of one sweep as ``(on_displaced,
         finish)``. The sweep hands ``on_displaced`` each boundary's two
-        ``G(tau_c, 0)`` (spin up, down), kept as their sum - the sample is
+        ``G(tau_c, 0)`` (spin up, down; one join gives both when the down
+        sector is the particle-hole image), kept as their sum - the sample is
         spin averaged and both carry the boundary's sign - in the row of
         tau_c. ``finish``, after the sweep, reduces all rows at once (one
         gather and one FFT batched over tau) and adds one sign-weighted
@@ -335,7 +351,8 @@ class Simulation:
         def on_boundary(c: int, g: Dict[int, np.ndarray], sign: float) -> None:
             if c % stride == 0 and c // stride < self.measurements_per_sweep:
                 with self.profiler.phase("measurements"):
-                    collector.measure(g[1], g[-1], sign)
+                    # one sector: the collector forms the down image
+                    collector.measure(g[1], g.get(-1), sign)
 
         on_displaced = finish_dynamic = None
         if self.measure_dynamic:
@@ -452,4 +469,9 @@ class Simulation:
                 if self.controller is not None
                 else None
             ),
+            precision=self.precision,
+            promotions=(
+                self.watchdog.promotions if self.watchdog is not None else 0
+            ),
+            spin_sectors=len(self.engine.sectors),
         )

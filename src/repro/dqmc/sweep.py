@@ -3,18 +3,23 @@
 One sweep visits every (slice, site) entry of the HS field once. The
 slice loop is organized around the cluster structure:
 
-1. at each cluster boundary, the Green's functions of both spins are
-   recomputed *fresh* by stratification (replacing the accumulated
-   wrapping error — paper Sec. III-B),
+1. at each cluster boundary, the Green's functions of the evaluated spin
+   sectors (``engine.sectors``) are recomputed *fresh* by stratification
+   (replacing the accumulated wrapping error — paper Sec. III-B),
 2. inside a cluster, the functions are *wrapped* slice to slice,
 3. at each slice, all N sites are visited; accepted flips are folded into
-   both spins' Green's functions through one spin-stacked
+   the Green's functions through one spin-stacked
    :class:`~repro.core.DelayedUpdater` (flushed before every wrap).
 
 The Metropolis ratio at slice l, site i (leftmost-B_l orientation):
 
     d_sigma = 1 + alpha_{i,sigma} * (1 - G_sigma(i, i)),
     r = d_+ * d_-,    accept with probability min(1, |r|).
+
+Where the down sector is the particle-hole image of the up one (``mu =
+0`` on a bipartite lattice, :mod:`repro.hamiltonian.particle_hole`),
+only the up sector is carried: ``1 - G_-(i, i) = G_+(i, i)``, so ``d_- =
+1 + alpha_{i,-} G_+(i, i)``.
 
 The sign of r is tracked: at half filling it is always +1 (particle-hole
 symmetry), away from it the average sign is an observable.
@@ -32,9 +37,6 @@ from ..profiling import PhaseProfiler, ensure_profiler
 from ..telemetry import Telemetry, ensure_telemetry
 
 __all__ = ["SweepStats", "sweep", "SINGULAR_THRESHOLD"]
-
-#: Spin species labels used throughout.
-SPINS = (1, -1)
 
 #: Reject (rather than accept) a proposal whose Metropolis denominator
 #: magnitude falls below this. A near-singular d has acceptance
@@ -123,8 +125,10 @@ def sweep(
     on_boundary:
         Callback invoked at every cluster boundary with
         ``(cluster_index, {sigma: G}, sign)`` — *after* the fresh
-        recompute, *before* any wrap. The measurement hook; the G arrays
-        must not be mutated by the callback.
+        recompute, *before* any wrap — for every evaluated sector
+        ``sigma`` in ``engine.sectors``: with one sector the down one is
+        ``engine.particle_hole.greens(G[1])``. The measurement hook; the
+        G arrays must not be mutated by the callback.
     start_sign:
         The sign of the configuration entering the sweep (the simulation
         driver threads it between sweeps; it is +1 at half filling).
@@ -139,9 +143,10 @@ def sweep(
         g_tau, sign)``: ``g_tau`` is the pair (spin up, down) of
         ``G(tau_c, 0)`` that the boundary's own joins return
         (:meth:`~repro.core.GreensFunctionEngine.boundary_greens` with
-        ``displaced=True``), ``tau_c = c k dtau`` and ``tau = beta`` at
-        index 0. The dynamic measurement hook: no chain step, cluster
-        product or factorization of its own.
+        ``displaced=True``; one join gives both with one sector),
+        ``tau_c = c k dtau`` and ``tau = beta`` at index 0. The dynamic
+        measurement hook: no chain step, cluster product or factorization
+        of its own.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`. The sweep itself
         only emits a ``singular_reject`` event when the denominator
@@ -167,6 +172,9 @@ def sweep(
     forward = direction == "forward"
     nc = engine.n_clusters
     cluster_order = range(nc) if forward else range(nc - 1, -1, -1)
+    sectors = engine.sectors
+    # one sector: the down sector is the particle-hole image of the up one
+    image = len(sectors) == 1
 
     upd = None
     g = None
@@ -177,17 +185,21 @@ def sweep(
         # slice leftmost — update first, then unwrap toward slice c*k.
         # It starts at index nc, the prefix a forward sweep leaves behind.
         boundary = c if forward else c + 1
-        # Both spin sectors travel as one (2, N, N) stack: the batched
+        # The spin sectors travel as one (S, N, N) stack: the batched
         # wraps and the delayed updater consume and return it whole.
-        fresh = np.empty((2, n_sites, n_sites), engine.policy.compute_dtype)
-        g_tau = [None, None]
-        for i, s in enumerate(SPINS):
+        fresh = np.empty(
+            (len(sectors), n_sites, n_sites), engine.policy.compute_dtype
+        )
+        g_tau = []
+        for i, s in enumerate(sectors):
             if on_displaced is None:
                 fresh[i] = engine.boundary_greens(s, boundary)
             else:
-                fresh[i], g_tau[i] = engine.boundary_greens(
+                fresh[i], tau = engine.boundary_greens(
                     s, boundary, displaced=True
                 )
+                # one sector: the up call returns both spins' G(tau_c, 0)
+                g_tau.extend(tau if image else (tau,))
             stats.grading_ratio = max(
                 stats.grading_ratio, engine.last_stats.grading_ratio
             )
@@ -200,22 +212,26 @@ def sweep(
             stats.boundaries += 1
         g = fresh
         if on_boundary is not None:
-            on_boundary(boundary % nc, dict(zip(SPINS, g)), sign)
+            on_boundary(boundary % nc, dict(zip(sectors, g)), sign)
         if on_displaced is not None:
             on_displaced(boundary % nc, tuple(g_tau), sign)
-        if upd is None:
-            upd = DelayedUpdater(g, max_delay=max_delay, backend=engine.backend)
 
         slices = engine.cache.ranges[c]
         slice_order = slices if forward else reversed(slices)
         for l in slice_order:
             if forward:
                 # Move slice l to the leftmost position before updating:
-                # both spin sectors wrapped in one batched backend call.
+                # the spin sectors wrapped in one batched backend call.
                 g = engine.wrap_pair(g, l)
-            upd.anchor(g)
 
             with prof.phase("delayed_update"):
+                # One updater per sweep, re-anchored on each slice's G
+                if upd is None:
+                    upd = DelayedUpdater(
+                        g, max_delay=max_delay, backend=engine.backend
+                    )
+                else:
+                    upd.anchor(g)
                 # Flip factors for the whole slice, vectorized up front.
                 # Safe because each site is visited exactly once per
                 # slice, so a flip at site i never changes alpha[j > i].
@@ -229,7 +245,7 @@ def sweep(
                 alpha_up = (exp_up - 1.0).tolist()
                 alpha_dn = (1.0 / exp_up - 1.0).tolist()
                 uniforms = rng.random(n_sites).tolist()
-                diag_up, diag_dn = upd.diag
+                diag_up, diag_dn = upd.diag[0], upd.diag[-1]
                 accepted = 0
                 negative = 0
                 singular = 0
@@ -237,8 +253,9 @@ def sweep(
                 for i in range(n_sites):
                     a_up = alpha_up[i]
                     a_dn = alpha_dn[i]
-                    d_up = 1.0 + a_up * (1.0 - diag_up.item(i))
-                    d_dn = 1.0 + a_dn * (1.0 - diag_dn.item(i))
+                    g_ii = diag_up.item(i)
+                    d_up = 1.0 + a_up * (1.0 - g_ii)
+                    d_dn = 1.0 + a_dn * (g_ii if image else 1.0 - diag_dn.item(i))
                     r = d_up * d_dn
                     if r < 0.0:
                         negative += 1
@@ -250,7 +267,10 @@ def sweep(
                             singular += 1
                             continue
                         h_row[i] = -h_row[i]
-                        upd.accept(i, (a_up, a_dn), (d_up, d_dn))
+                        if image:
+                            upd.accept(i, (a_up,), (d_up,))
+                        else:
+                            upd.accept(i, (a_up, a_dn), (d_up, d_dn))
                         if r < 0.0:
                             sign = -sign
                         accepted += 1
@@ -269,8 +289,8 @@ def sweep(
 
             if not forward and l != 0:
                 # Retreat: remove the (freshly updated) B_l from the
-                # leftmost position so slice l-1 is exposed next (both
-                # spins in one batched call). Past the cluster's first
+                # leftmost position so slice l-1 is exposed next (the
+                # spin sectors in one batched call). Past the cluster's first
                 # slice this lands on the boundary the next cluster
                 # starts from, where the drift comparison above reads it.
                 g = engine.unwrap_pair(g, l)

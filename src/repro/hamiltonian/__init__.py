@@ -10,6 +10,7 @@ from .checkerboard import (
 from .hs_field import HSField
 from .hubbard import HubbardModel, hs_coupling
 from .kinetic import KineticPropagator, free_dispersion_2d, free_greens_function
+from .particle_hole import ParticleHoleImage, particle_hole_image, sublattice_sign
 
 __all__ = [
     "BMatrixFactory",
@@ -21,7 +22,10 @@ __all__ = [
     "bond_groups",
     "HubbardModel",
     "KineticPropagator",
+    "ParticleHoleImage",
     "free_dispersion_2d",
     "free_greens_function",
     "hs_coupling",
+    "particle_hole_image",
+    "sublattice_sign",
 ]

@@ -22,6 +22,7 @@ from .checkerboard import CheckerboardPropagator, SeparablePropagator
 from .hs_field import HSField
 from .hubbard import HubbardModel
 from .kinetic import KineticPropagator
+from .particle_hole import ParticleHoleImage, particle_hole_image
 
 __all__ = ["KINETIC_MODES", "BMatrixFactory"]
 
@@ -66,6 +67,13 @@ class BMatrixFactory:
         # masters are shared, narrower widths are cast once and reused
         # across rebinds (and across promotions back down the ladder).
         self._exponentials: dict = {}
+        #: the map taking spin-up Green's functions to spin-down ones when
+        #: the model's down sector is the particle-hole image of its up
+        #: sector (``mu = 0``, bipartite hopping), else ``None``: decided
+        #: here, once, on the realized float64 propagators
+        self.particle_hole: Optional[ParticleHoleImage] = particle_hole_image(
+            model.kinetic_matrix(), *self.exponentials()
+        )
 
     @property
     def n(self) -> int:

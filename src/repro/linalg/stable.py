@@ -76,9 +76,11 @@ def stable_inverse_two_sided(
     left_t: GradedDecomposition,
     backend,
     displaced: bool = False,
+    backward: bool = False,
 ):
     """``(I + R L)^{-1}`` from ``R = Q_R D_R T_R`` and ``L^T = Q_L D_L T_L``;
-    with ``displaced`` also ``(I + R L)^{-1} R`` from the same LU.
+    with ``displaced`` also ``(I + R L)^{-1} R`` from the same LU, and
+    with ``backward`` too ``-L (I + R L)^{-1}``.
 
     The join of a prefix chain ``R`` and a suffix chain ``L`` held as the
     decomposition of its *transpose* (a suffix grows on its right, so it
@@ -100,10 +102,19 @@ def stable_inverse_two_sided(
 
         G(\\tau, 0) = Q_L D_{Lb} M^{-1} D_{Rs} T_R
 
+    The other time order, ``G(0, tau) = -(I - G(0, 0)) R^{-1} = -L (I +
+    R L)^{-1}``, meets ``L = T_L^T D_{Lb}^{-1} D_{Ls} Q_L^T`` on the left
+    of ``G`` and needs no solve of its own:
+
+    .. math::
+
+        G(0, \\tau) = -T_L^T D_{Ls} X, \\qquad X = M^{-1} D_{Rb} Q_R^T
+
     ``M`` is factored once (``getrf``) and solved (``getrs``) for each
     right-hand side asked for; the N x N products go through
-    ``backend.gemm``. Returns ``G``, or ``(G, G(tau, 0))`` when
-    ``displaced``.
+    ``backend.gemm``. Returns ``G``, ``(G, G(tau, 0))`` when
+    ``displaced``, and ``(G, G(tau, 0), G(0, tau))`` with ``backward``
+    too.
     """
     if right.n != left_t.n:
         raise ValueError("mismatched decomposition sizes")
@@ -135,8 +146,14 @@ def stable_inverse_two_sided(
     if not displaced:
         return g
     flops.record("stable_inverse", 2 * n * n * n + n * n)
-    x = solve(rs[:, None] * right.t)
-    return g, backend.gemm(q_lb, x, category="stratification")
+    g_tau = backend.gemm(
+        q_lb, solve(rs[:, None] * right.t), category="stratification"
+    )
+    if not backward:
+        return g, g_tau
+    flops.record("stable_inverse", n * n)
+    tl_ls = left_t.t.T * -ls[None, :]
+    return g, g_tau, backend.gemm(tl_ls, x, category="stratification")
 
 
 def stable_log_det_from_graded(g: GradedDecomposition) -> tuple:

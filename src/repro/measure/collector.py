@@ -9,7 +9,7 @@ measurement points, and feeds the log-binned
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class MeasurementCollector:
     with_arrays:
         Collect the array-valued observables (<n_k>, C_zz) — O(N^2) per
         measurement; switch off for pure-performance benches.
+    particle_hole:
+        The model's :class:`~repro.hamiltonian.ParticleHoleImage` when its
+        down sector is the image of the up one: :meth:`measure` then
+        forms ``G_-`` from ``G_+`` when it is not handed one.
 
     Samples accumulate in a :class:`repro.stats.StreamingAccumulator`:
     O(log n) log-binned state per observable, with sample series only
@@ -55,8 +59,10 @@ class MeasurementCollector:
         t: float = 1.0,
         t_perp: float = 1.0,
         with_arrays: bool = True,
+        particle_hole=None,
     ):
         self.lattice = lattice
+        self.particle_hole = particle_hole
         self.t = t
         self.t_perp = t_perp
         self.is_square = isinstance(lattice, SquareLattice)
@@ -66,8 +72,14 @@ class MeasurementCollector:
 
         self.accumulator = StreamingAccumulator()
 
-    def measure(self, g_up: np.ndarray, g_dn: np.ndarray, sign: float = 1.0) -> None:
+    def measure(
+        self, g_up: np.ndarray, g_dn: Optional[np.ndarray], sign: float = 1.0
+    ) -> None:
         """Record one sample's worth of every enabled observable.
+
+        ``g_dn`` ``None`` stands for the particle-hole image ``I - Lambda
+        G_+^T Lambda`` of ``g_up`` (a collector built with
+        ``particle_hole``); it is formed here, as part of the measurement.
 
         ``sign`` is the configuration's fermion sign; observables are
         recorded sign-weighted so the driver can form sign-corrected
@@ -81,6 +93,10 @@ class MeasurementCollector:
         """
         acc = self.accumulator
         g_up = np.asarray(g_up, dtype=np.float64)
+        if g_dn is None:
+            if self.particle_hole is None:
+                raise ValueError("g_dn is required: no particle-hole image")
+            g_dn = self.particle_hole.greens(g_up)
         g_dn = np.asarray(g_dn, dtype=np.float64)
         acc.add("sign", sign)
         acc.add("density", sign * total_density(g_up, g_dn))

@@ -87,6 +87,15 @@ class TestRun:
         assert obs["sign"].n_samples == 6
         assert 0 <= meta["acceptance"] <= 1
 
+    def test_summary_names_precision_and_spin_sectors(self, input_file, capsys):
+        """The printed summary says which precision the run ended in, how
+        often the watchdog promoted it and how many spin sectors were
+        evaluated (one at half filling)."""
+        assert main(["run", str(input_file)]) == 0
+        out = capsys.readouterr().out
+        assert "precision          full64 (0 watchdog promotions)" in out
+        assert "spin sectors       1 (down = particle-hole image of up)" in out
+
     def test_explicit_output_path(self, input_file, tmp_path):
         target = tmp_path / "custom.npz"
         main(["run", str(input_file), "--quiet", "--output", str(target)])

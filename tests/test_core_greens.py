@@ -65,9 +65,14 @@ class TestBoundaryGreens:
             assert relerr(gnc, g0) < 1e-12
 
 
-def make_engine(lx=4, u=4.0, beta=2.0, k=5, seed=5, kinetic="exact", **options):
+def make_engine(lx=4, u=4.0, beta=2.0, k=5, seed=5, kinetic="exact", mu=0.0,
+                **options):
+    """At the default ``mu = 0`` the engine evaluates the spin-up sector
+    alone (the down one is its particle-hole image); a doped copy
+    (``mu != 0``) evaluates both."""
     model = HubbardModel(
-        SquareLattice(lx, lx), u=u, beta=beta, n_slices=int(round(10 * beta))
+        SquareLattice(lx, lx), u=u, beta=beta, n_slices=int(round(10 * beta)),
+        mu=mu,
     )
     rng = np.random.default_rng(seed)
     field = HSField.random(model.n_slices, model.n_sites, rng)
@@ -202,10 +207,21 @@ class TestAgainstSliceBySliceReference:
         def check(c, gs, sign):
             for sigma in (1, -1):
                 direct = eng.greens_at_slice_direct(sigma, (c * k - 1) % n_slices)
-                full = stratified_inverse(
-                    eng.cache.chain(sigma, c), backend=eng.backend
-                )
-                ours.append(relerr(gs[sigma], direct))
+                if sigma in gs:
+                    g = gs[sigma]
+                    full = stratified_inverse(
+                        eng.cache.chain(sigma, c), backend=eng.backend
+                    )
+                else:
+                    # at half filling the down sector is the image of the up
+                    # one the sweep carries, and so is what a full chain
+                    # gives for it: each inherits its up sector's error
+                    image = eng.particle_hole.greens
+                    g = image(gs[1])
+                    full = image(stratified_inverse(
+                        eng.cache.chain(1, c), backend=eng.backend
+                    ))
+                ours.append(relerr(g, direct))
                 full_chain.append(relerr(full, direct))
 
         for direction in ("forward", "forward", "backward", "backward"):
@@ -250,46 +266,55 @@ class TestChainStepsAndKeptState:
         stack from scratch at boundary 0, then one prefix push per
         boundary. The prefixes the sweep before left are of no use to it,
         and every push takes its product, so each cluster is built once
-        per side per sweep."""
-        eng, rng = make_engine(beta=beta, k=10)
-        nc = eng.n_clusters
-        assert 2 * nc - 1 < pushes_before
-        pushes = counting_pushes(eng)
-        builds = []
-        for n in (1, 2, 3):
-            before = eng.cache.batched_builds
-            sweep(eng, rng)
-            assert pushes[1] == pushes[-1] == n * (2 * nc - 1)
-            builds.append(eng.cache.batched_builds - before)
-        assert builds == [2 * nc - 1] * 3
+        per side per sweep: for the spin-up sector alone at half filling,
+        for both sectors (one stacked build) on the doped copy."""
+        for mu in (0.0, -0.5):
+            eng, rng = make_engine(beta=beta, k=10, mu=mu)
+            nc = eng.n_clusters
+            assert 2 * nc - 1 < pushes_before
+            pushes = counting_pushes(eng)
+            builds = []
+            for n in (1, 2, 3):
+                before = eng.cache.batched_builds
+                sweep(eng, rng)
+                assert pushes[1] == n * (2 * nc - 1)
+                assert pushes[-1] == (0 if mu == 0.0 else pushes[1])
+                builds.append(eng.cache.batched_builds - before)
+            assert builds == [2 * nc - 1] * 3
 
     def test_live_set_of_a_forward_sweep(self):
         """What is alive at boundary index c of a forward sweep and of the
         backward sweep after it: ``R_1 .. R_c`` and ``S_1 .. S_{nc-c}``,
         nc decompositions in all (one side shrinks as the other grows),
         and no cluster product - every push took its own, and a swept
-        cluster's is rebuilt only when a push needs it."""
-        eng, rng = make_engine(beta=8.0, k=10)
-        nc = eng.n_clusters
-        seen = []
-        sweep_boundary = iter(
-            list(range(nc)) + [nc] + list(range(nc - 1, 0, -1))
-        )
+        cluster's is rebuilt only when a push needs it. Per evaluated
+        sector: the up one at half filling, both on the doped copy."""
+        for mu in (0.0, -0.5):
+            eng, rng = make_engine(beta=8.0, k=10, mu=mu)
+            nc = eng.n_clusters
+            seen = []
+            sweep_boundary = iter(
+                list(range(nc)) + [nc] + list(range(nc - 1, 0, -1))
+            )
 
-        def on_boundary(c, gs, sign):
-            index = next(sweep_boundary)
-            assert c == index % nc  # what the measurements see
-            for sigma in (1, -1):
-                prefix, suffix = eng._partials[sigma]
-                assert (len(prefix), len(suffix)) == (index, nc - index)
-            assert not eng.cache._cache
-            seen.append(index)
+            def on_boundary(c, gs, sign):
+                index = next(sweep_boundary)
+                assert c == index % nc  # what the measurements see
+                for sigma in (1, -1):
+                    prefix, suffix = eng._partials[sigma]
+                    if sigma in eng.sectors:
+                        assert (len(prefix), len(suffix)) == (index, nc - index)
+                    else:
+                        assert not prefix and not suffix
+                assert not eng.cache._cache
+                seen.append(index)
 
-        for direction in ("forward", "backward"):
-            sweep(eng, rng, direction=direction, on_boundary=on_boundary)
-        assert len(seen) == 2 * nc
-        # the backward sweep leaves S_1 .. S_{nc-1} for the next boundary 0
-        assert eng.n_kept(1) == eng.n_kept(-1) == nc - 1
+            for direction in ("forward", "backward"):
+                sweep(eng, rng, direction=direction, on_boundary=on_boundary)
+            assert len(seen) == 2 * nc
+            # the backward sweep leaves S_1 .. S_{nc-1} for the next boundary 0
+            assert eng.n_kept(1) == nc - 1
+            assert eng.n_kept(-1) == (0 if mu == 0.0 else nc - 1)
 
     def test_kept_prefixes_of_a_measurement_sweep(self):
         """A sweep that hands its boundaries' ``G(tau_c, 0)`` to a dynamic
@@ -331,22 +356,26 @@ class TestChainStepsAndKeptState:
         assert np.array_equal(eng.field.h, plain.field.h)
 
     def test_alternating_sweeps(self):
-        eng, rng = make_engine(beta=8.0, k=10)
-        nc = eng.n_clusters
-        pushes = counting_pushes(eng)
-        totals, builds = [], []
-        for direction in ("forward", "backward", "forward", "backward"):
-            before, built = dict(pushes), eng.cache.batched_builds
-            sweep(eng, rng, direction=direction)
-            totals.append([pushes[s] - before[s] for s in (1, -1)])
-            builds.append(eng.cache.batched_builds - built)
-        # 64 per spin per sweep for a full chain at every boundary;
-        # [27, 28, 24, 28] with one mid-chain checkpoint per side, and
-        # [15, 22, 15, 22] when a complete prefix was not kept
-        assert totals == [[2 * nc - 1] * 2] + [[nc] * 2] * 3
-        # one build per cluster per sweep, after it was swept (and all
-        # of them on the cold one); [15, 15, 8, 15] before
-        assert builds == [2 * nc - 1, nc, nc, nc]
+        """Pushes per evaluated sector and builds per sweep, at half
+        filling (the up sector alone) and on the doped copy (both)."""
+        for mu in (0.0, -0.5):
+            eng, rng = make_engine(beta=8.0, k=10, mu=mu)
+            nc = eng.n_clusters
+            pushes = counting_pushes(eng)
+            totals, builds = [], []
+            for direction in ("forward", "backward", "forward", "backward"):
+                before, built = dict(pushes), eng.cache.batched_builds
+                sweep(eng, rng, direction=direction)
+                totals.append([pushes[s] - before[s] for s in eng.sectors])
+                builds.append(eng.cache.batched_builds - built)
+            # 64 per spin per sweep for a full chain at every boundary;
+            # [27, 28, 24, 28] with one mid-chain checkpoint per side, and
+            # [15, 22, 15, 22] when a complete prefix was not kept
+            s = len(eng.sectors)
+            assert totals == [[2 * nc - 1] * s] + [[nc] * s] * 3
+            # one build per cluster per sweep, after it was swept (and all
+            # of them on the cold one); [15, 15, 8, 15] before
+            assert builds == [2 * nc - 1, nc, nc, nc]
 
     def test_peak_memory_of_forward_sweeps(self):
         """Traced allocations (numpy's included) over two alternating
@@ -357,21 +386,24 @@ class TestChainStepsAndKeptState:
         transients of one push and one join plus the updater's blocks
         (~10 measured, 12 allowed); the products the stacks replaced are
         gone. A second stack would add 4 nc, products held until a build
-        returns 6, never released 2 nc."""
+        returns 6, never released 2 nc. That is the doped copy; at half
+        filling one sector is kept and the peak is about half (27.5
+        measured, 2 nc + 14 allowed)."""
         import tracemalloc
 
         nc, unit = 8, 64 * 64 * 8
-        tracemalloc.start()
-        try:
-            eng, rng = make_engine(lx=8, beta=8.0, k=10)
-            assert eng.n_clusters == nc
-            built, _ = tracemalloc.get_traced_memory()
-            for direction in ("forward", "backward", "forward"):
-                sweep(eng, rng, direction=direction)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak - built) / unit < 4 * nc + 18
+        for mu, bound in ((-0.5, 4 * nc + 18), (0.0, 2 * nc + 14)):
+            tracemalloc.start()
+            try:
+                eng, rng = make_engine(lx=8, beta=8.0, k=10, mu=mu)
+                assert eng.n_clusters == nc
+                built, _ = tracemalloc.get_traced_memory()
+                for direction in ("forward", "backward", "forward"):
+                    sweep(eng, rng, direction=direction)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (peak - built) / unit < bound, mu
 
     def test_peak_memory_of_measure_dynamic_sweeps(self):
         """The same three sweeps and bound with the dynamic sample on,

@@ -2,13 +2,23 @@
 
 import pytest
 
+from repro import BMatrixFactory
 from repro.core import ClusterCache, cluster_product
 from tests.helpers import relerr
 
 
 @pytest.fixture
 def cache(factory4x4, field4x4):
+    """At half filling: one spin sector per build (the down sector is
+    the particle-hole image, so nothing reads a partner)."""
     return ClusterCache(factory4x4, field4x4, cluster_size=5)
+
+
+@pytest.fixture
+def doped_cache(model4x4, field4x4):
+    """The same chain doped: both sectors evaluated, built in pairs."""
+    factory = BMatrixFactory(model4x4.with_(mu=-0.5))
+    return ClusterCache(factory, field4x4, cluster_size=5)
 
 
 class TestCacheBasics:
@@ -17,15 +27,19 @@ class TestCacheBasics:
             direct = cluster_product(factory4x4, field4x4, 1, cache.ranges[j])
             assert relerr(cache.get(1, j), direct) < 1e-14
 
-    def test_hits_and_misses(self, cache):
-        """One miss per cluster: the stacked rebuild prefetches the
-        partner spin, whose first access is then a hit. These are the
-        counts ``core.recycling.hit_ratio`` reports."""
-        cache.get(1, 0)
-        cache.get(1, 0)
-        cache.get(-1, 0)
-        assert cache.misses == 1 and cache.hits == 2
-        assert cache.batched_builds == 1
+    def test_hits_and_misses(self, cache, doped_cache):
+        """Doped, one miss per cluster: the stacked rebuild prefetches the
+        partner spin, whose first access is then a hit. At half filling
+        no partner is built. These are the counts
+        ``core.recycling.hit_ratio`` reports."""
+        for c in (doped_cache, cache):
+            c.get(1, 0)
+            c.get(1, 0)
+            c.get(-1, 0)
+        assert doped_cache.misses == 1 and doped_cache.hits == 2
+        assert doped_cache.batched_builds == 1
+        assert cache.misses == 2 and cache.hits == 1
+        assert cache.batched_builds == 2
 
     def test_cached_object_identity(self, cache):
         a = cache.get(1, 2)
@@ -49,26 +63,34 @@ class TestTake:
         rebuilt = cache.get(1, 2)
         assert rebuilt is not cached and relerr(rebuilt, cached) == 0.0
 
-    def test_partner_spin_of_the_build_stays_cached(self, cache):
-        cache.take(1, 0)  # miss: builds both spins, keeps the partner
-        assert (-1, 0) in cache._cache and (1, 0) not in cache._cache
-        builds = cache.batched_builds
-        cache.get(-1, 0)
-        assert cache.batched_builds == builds
+    def test_partner_spin_of_the_build_stays_cached(self, cache, doped_cache):
+        doped_cache.take(1, 0)  # miss: builds both spins, keeps the partner
+        assert (-1, 0) in doped_cache._cache and (1, 0) not in doped_cache._cache
+        builds = doped_cache.batched_builds
+        doped_cache.get(-1, 0)
+        assert doped_cache.batched_builds == builds
+        cache.take(1, 0)  # half filling: no partner built, nothing left
+        assert not cache._cache
 
-    def test_counts_like_the_get_it_goes_through(self, cache):
+    def test_counts_like_the_get_it_goes_through(self, cache, doped_cache):
         """Every access is one hit or one miss whichever verb made it
         (and ``take`` calls ``self.get``, so a caller that wraps ``get``
         on the instance, as the e2e tracer does, sees takes too)."""
-        seen = []
-        inner = cache.get
-        cache.get = lambda sigma, j: seen.append((sigma, j)) or inner(sigma, j)
-        cache.take(1, 0)
-        cache.take(-1, 0)
-        cache.take(1, 0)
-        assert (cache.misses, cache.hits, cache.batched_builds) == (2, 1, 2)
-        assert seen == [(1, 0), (-1, 0), (1, 0)]
-        assert cache.stats()["cluster_cache.entries"] == 1.0  # (-1, 0)
+        # doped: the partner of each build is a hit; at half filling
+        # every take misses and leaves nothing behind
+        for c, counts, entries in (
+            (doped_cache, (2, 1, 2), 1.0),  # (-1, 0)
+            (cache, (3, 0, 3), 0.0),
+        ):
+            seen = []
+            inner = c.get
+            c.get = lambda sigma, j: seen.append((sigma, j)) or inner(sigma, j)
+            c.take(1, 0)
+            c.take(-1, 0)
+            c.take(1, 0)
+            assert (c.misses, c.hits, c.batched_builds) == counts
+            assert seen == [(1, 0), (-1, 0), (1, 0)]
+            assert c.stats()["cluster_cache.entries"] == entries
 
 
 class TestInvalidation:

@@ -12,8 +12,11 @@ from repro.dqmc.global_moves import GlobalMoveStats, global_site_flips
 from tests.helpers import brute_greens, relerr
 
 
-def make_engine(u=4.0, beta=1.5, n_slices=12, seed=0, lx=2, ly=1, backend=None):
-    model = HubbardModel(SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices)
+def make_engine(u=4.0, beta=1.5, n_slices=12, seed=0, lx=2, ly=1, backend=None,
+                mu=0.0):
+    model = HubbardModel(
+        SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices, mu=mu
+    )
     rng = np.random.default_rng(seed)
     field = HSField.random(n_slices, model.n_sites, rng)
     fac = BMatrixFactory(model)
@@ -59,13 +62,17 @@ class TestMechanics:
         """The acceptance weight is ``engine.log_weight()``: its chain
         GEMMs and pre-pivot passes dispatch through the engine's backend
         (they used to run on a private serial numpy one)."""
-        eng, rng = make_engine(lx=2, ly=2, backend="gpu-sim")
-        counts = eng.backend.op_counts
-        assert not counts.get("gemm") and not counts.get("prepivot_permutation")
-        global_site_flips(eng, rng, n_proposals=2)
-        # three log-weights at least, two spins, two chain steps each
-        assert counts["gemm"] >= 3 * 2 * 2 * 2
-        assert counts["prepivot_permutation"] >= 3 * 2 * 2
+        # the up spin's chain alone at half filling, both on a doped copy
+        for mu, sectors in ((0.0, 1), (-0.5, 2)):
+            eng, rng = make_engine(lx=2, ly=2, backend="gpu-sim", mu=mu)
+            assert len(eng.sectors) == sectors
+            counts = eng.backend.op_counts
+            assert not counts.get("gemm")
+            assert not counts.get("prepivot_permutation")
+            global_site_flips(eng, rng, n_proposals=2)
+            # three log-weights at least, per spin two chain steps each
+            assert counts["gemm"] >= 3 * sectors * 2 * 2
+            assert counts["prepivot_permutation"] >= 3 * sectors * 2
 
     def test_log_weight_matches_brute_force(self):
         eng, _ = make_engine(lx=2, ly=2, seed=5)

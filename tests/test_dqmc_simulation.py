@@ -6,8 +6,10 @@ import pytest
 from repro import HSField, HubbardModel, Simulation, SquareLattice
 
 
-def tiny_model(u=4.0, beta=1.0, n_slices=8, lx=2, ly=2):
-    return HubbardModel(SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices)
+def tiny_model(u=4.0, beta=1.0, n_slices=8, lx=2, ly=2, mu=0.0):
+    return HubbardModel(
+        SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices, mu=mu
+    )
 
 
 class TestDriver:
@@ -45,6 +47,34 @@ class TestDriver:
         res = Simulation(tiny_model(), seed=0, cluster_size=4).run(1, 3)
         text = res.summary()
         assert "acceptance" in text and "density" in text
+
+    @pytest.mark.parametrize("mu, sectors", [(0.0, 1), (-0.5, 2)])
+    def test_result_records_the_evaluated_spin_sectors(self, mu, sectors):
+        """Half filling evaluates the up sector alone (the down one is its
+        particle-hole image); a doped model evaluates both. The result
+        and its summary say which, and the precision the run ended in."""
+        res = Simulation(tiny_model(mu=mu), seed=0, cluster_size=4).run(1, 3)
+        assert res.spin_sectors == sectors
+        assert (res.precision, res.promotions) == ("full64", 0)
+        text = res.summary()
+        assert f"spin sectors       {sectors}" in text
+        assert ("particle-hole image" in text) is (sectors == 1)
+        assert "precision          full64 (0 watchdog promotions)" in text
+
+    def test_result_records_a_watchdog_promotion(self):
+        """An alert under ``mixed`` promotes the engine to ``full64`` in
+        place; the result and its summary report the policy the run
+        ended in and the promotion."""
+        from repro.telemetry import WatchdogConfig
+
+        sim = Simulation(
+            tiny_model(), seed=0, cluster_size=4, precision="mixed",
+            watchdog=WatchdogConfig(check_every=1, drift_tol=1e-300),
+        )
+        res = sim.run(1, 2)
+        assert sim.watchdog.alerts >= 1
+        assert (res.precision, res.promotions) == ("full64", 1)
+        assert "precision          full64 (1 watchdog promotions)" in res.summary()
 
     def test_measure_arrays_toggle(self):
         sim = Simulation(
@@ -213,11 +243,12 @@ class TestDriverOptions:
         sim.measure_sweeps(1)  # backward: boundaries nc, nc - 1, .., 1
         assert sum(engine.backend.op_counts.values()) > ops
         assert [c for c, *_ in seen] == [0] + list(range(nc - 1, 0, -1))
-        for sigma in (1, -1):
-            prefix, suffix = engine._partials[sigma]
-            assert (len(prefix), len(suffix)) == (0, nc - 1)
-            engine.boundary_greens(sigma, 0)
-            assert engine.last_stats.n_factors == 1
+        # half filling: the up sector alone is evaluated and kept
+        assert engine.sectors == (1,) and engine.n_kept(-1) == 0
+        prefix, suffix = engine._partials[1]
+        assert (len(prefix), len(suffix)) == (0, nc - 1)
+        engine.boundary_greens(1, 0)
+        assert engine.last_stats.n_factors == 1
 
         # the only sample so far: its log-binned mean is the sample itself
         acc = sim.collector.accumulator
@@ -238,8 +269,10 @@ class TestDriverOptions:
         """A ``measure_dynamic`` run pushes and builds exactly what a plain
         run with the same seed does, over the same chain; its sample adds
         no LU factorization (``getrf``) and no ``gesv``, only one
-        ``getrs`` per interior boundary per spin: ``nc - 1`` per spin per
-        sweep (``G(beta, 0) = I - G(0, 0)`` costs no solve)."""
+        ``getrs`` per interior boundary per evaluated spin: ``nc - 1`` per
+        spin per sweep (``G(beta, 0) = I - G(0, 0)`` costs no solve), for
+        the up spin alone at half filling (the down one comes from the
+        same solve) and for both on a doped copy."""
         import repro.linalg.stable as stable
         from repro.core import IncrementalStratifier
 
@@ -260,26 +293,28 @@ class TestDriverOptions:
         monkeypatch.setattr(IncrementalStratifier, "push", counted("push", push))
         monkeypatch.setattr(stable, "_solve", counted("gesv", solve))
         monkeypatch.setattr(stable, "get_lapack_funcs", counted_lapack)
-        model = tiny_model(u=4.0, beta=2.0, n_slices=16)
-        runs = {}
-        for dynamic in (False, True):
-            counts.update(push=0, gesv=0, getrf=0, getrs=0)
-            sim = Simulation(
-                model, seed=1, cluster_size=4, measure_dynamic=dynamic
-            )
-            assert sim.engine.n_clusters == 4
-            stats = sim.measure_sweeps(4)
-            runs[dynamic] = (
-                dict(counts), sim.engine.cache.batched_builds,
-                stats.accepted, sim.field.h.copy(),
-            )
-        (plain, plain_builds, plain_acc, plain_h) = runs[False]
-        (dyn, dyn_builds, dyn_acc, dyn_h) = runs[True]
-        nc = 4
-        assert dyn["push"] == plain["push"] and dyn_builds == plain_builds
-        assert (dyn["gesv"], dyn["getrf"]) == (plain["gesv"], plain["getrf"])
-        assert dyn["getrs"] - plain["getrs"] == 4 * 2 * (nc - 1)
-        assert dyn_acc == plain_acc and np.array_equal(dyn_h, plain_h)
+        for mu, sectors in ((0.0, 1), (-0.5, 2)):
+            model = tiny_model(u=4.0, beta=2.0, n_slices=16, mu=mu)
+            runs = {}
+            for dynamic in (False, True):
+                counts.update(push=0, gesv=0, getrf=0, getrs=0)
+                sim = Simulation(
+                    model, seed=1, cluster_size=4, measure_dynamic=dynamic
+                )
+                assert sim.engine.n_clusters == 4
+                assert len(sim.engine.sectors) == sectors
+                stats = sim.measure_sweeps(4)
+                runs[dynamic] = (
+                    dict(counts), sim.engine.cache.batched_builds,
+                    stats.accepted, sim.field.h.copy(),
+                )
+            (plain, plain_builds, plain_acc, plain_h) = runs[False]
+            (dyn, dyn_builds, dyn_acc, dyn_h) = runs[True]
+            nc = 4
+            assert dyn["push"] == plain["push"] and dyn_builds == plain_builds
+            assert (dyn["gesv"], dyn["getrf"]) == (plain["gesv"], plain["getrf"])
+            assert dyn["getrs"] - plain["getrs"] == 4 * sectors * (nc - 1)
+            assert dyn_acc == plain_acc and np.array_equal(dyn_h, plain_h)
 
 
 class TestPhysicsSanity:

@@ -15,8 +15,11 @@ from repro.telemetry import TelemetryWriter, read_events
 from tests.helpers import brute_greens, dense_twin, noisy_wraps, relerr
 
 
-def small_engine(u=4.0, beta=1.5, n_slices=12, cluster=4, seed=0, lx=2, ly=2):
-    model = HubbardModel(SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices)
+def small_engine(u=4.0, beta=1.5, n_slices=12, cluster=4, seed=0, lx=2, ly=2,
+                 mu=0.0):
+    model = HubbardModel(
+        SquareLattice(lx, ly), u=u, beta=beta, n_slices=n_slices, mu=mu
+    )
     rng = np.random.default_rng(seed)
     field = HSField.random(n_slices, model.n_sites, rng)
     fac = BMatrixFactory(model)
@@ -75,17 +78,21 @@ class TestSweepMechanics:
         assert st.sign == 1.0
 
     def test_on_boundary_callback(self):
-        eng, rng = small_engine()
-        calls = []
+        """The hook sees every evaluated sector: the spin-up one alone at
+        half filling (the down one is its particle-hole image), both on
+        a doped copy."""
+        for mu, sectors in ((0.0, {1}), (-0.5, {1, -1})):
+            eng, rng = small_engine(mu=mu)
+            calls = []
 
-        def cb(c, g, sign):
-            calls.append(c)
-            assert set(g) == {1, -1}
-            assert g[1].shape == (4, 4)
-            assert sign in (-1.0, 1.0)
+            def cb(c, g, sign):
+                calls.append(c)
+                assert set(g) == set(eng.sectors) == sectors
+                assert g[1].shape == (4, 4)
+                assert sign in (-1.0, 1.0)
 
-        sweep(eng, rng, on_boundary=cb)
-        assert calls == list(range(eng.n_clusters))
+            sweep(eng, rng, on_boundary=cb)
+            assert calls == list(range(eng.n_clusters))
 
     def test_start_sign_threaded_through(self):
         eng, rng = small_engine(u=0.0)
@@ -197,7 +204,12 @@ class ZeroRng:
 
 class TestSingularGuard:
     def make_forced_singular(self, monkeypatch, telemetry=None):
-        model = HubbardModel(SquareLattice(2, 2), u=4.0, beta=1.5, n_slices=12)
+        # doped, so both sectors are evaluated: the rig sets d_+ alone.
+        # With one sector d_- = 1 + alpha_- G_+(i, i) vanishes with d_+,
+        # r = 0 and no proposal reaches the guard.
+        model = HubbardModel(
+            SquareLattice(2, 2), u=4.0, beta=1.5, n_slices=12, mu=-0.5
+        )
         field = HSField.ordered(model.n_slices, model.n_sites)
         eng = GreensFunctionEngine(
             BMatrixFactory(model), field, cluster_size=4, telemetry=telemetry
@@ -303,20 +315,21 @@ def replayed_forward_drift(eng, h_before, monkeypatch=None):
     if monkeypatch is not None:
         noisy_wraps(ref, monkeypatch)
     nu = ref.factory.nu
+    spins = eng.sectors  # what the sweep carried and compared
     drifts, g = [], None
     for c in range(ref.n_clusters):
         ref.invalidate_all()
-        fresh = [ref.boundary_greens(s, c) for s in (1, -1)]
+        fresh = [ref.boundary_greens(s, c) for s in spins]
         if g is not None:
             drifts.append(max(relerr(a, b) for a, b in zip(g, fresh)))
         g = fresh
         for l in ref.cache.ranges[c]:
             if monkeypatch is None:
-                g = [ref.wrap(gs, l, s) for gs, s in zip(g, (1, -1))]
+                g = [ref.wrap(gs, l, s) for gs, s in zip(g, spins)]
             else:
                 g = list(ref.wrap_pair(np.stack(g), l))
             for i in np.flatnonzero(h_before[l] != h_after[l]):
-                for gs, s in zip(g, (1, -1)):
+                for gs, s in zip(g, spins):
                     alpha = np.exp(-2.0 * s * nu * field.h[l, i]) - 1.0
                     d = 1.0 + alpha * (1.0 - gs[i, i])
                     row = -gs[i, :].copy()
@@ -397,15 +410,17 @@ class TestHealthSignals:
         assert sweep(eng, rng).wrap_drift == np.inf
 
 
-def golden_engine(seed, backend="numpy", dense=False):
+def golden_engine(seed, backend="numpy", dense=False, mu=0.0):
     """4x4, beta=2, U=4 with every option pinned, so the $REPRO_* CI legs
     run the same chain. ``dense=True`` carries the same torus bonds on a
     ``GeneralLattice``: the same K bit for bit, but no separable structure,
-    so the kernels under test see the dense ``exp(-dtau K)`` GEMM path."""
+    so the kernels under test see the dense ``exp(-dtau K)`` GEMM path.
+    At the default ``mu = 0`` the engine evaluates the spin-up sector
+    alone; a nonzero ``mu`` (the doped copy) keeps both."""
     lattice = SquareLattice(4, 4)
     if dense:
         lattice = dense_twin(lattice)
-    model = HubbardModel(lattice, u=4.0, beta=2.0, n_slices=20)
+    model = HubbardModel(lattice, u=4.0, beta=2.0, n_slices=20, mu=mu)
     rng = np.random.default_rng(seed)
     field = HSField.random(model.n_slices, model.n_sites, rng)
     engine = GreensFunctionEngine(
@@ -450,8 +465,13 @@ class TestGoldenChain:
         12: "b4497b937a708b8462ba9ea8bad1e27f48e3678e",
     }
     #: delayed_update flops of the first forward sweep of seed 11 (230
-    #: accepts), keyed by max_delay
-    GOLDEN_FLOPS = {1: 264960.0, 8: 352512.0, 32: 426240.0}
+    #: accepts), keyed by max_delay: one sector (the down one is the
+    #: particle-hole image), half of the 264960 / 352512 / 426240 both
+    #: sectors cost on this chain
+    GOLDEN_FLOPS = {1: 132480.0, 8: 176256.0, 32: 213120.0}
+    #: the same on the doped copy (mu = -0.5, 234 accepts), which keeps
+    #: both sectors
+    GOLDEN_DOPED_FLOPS = {1: 269568.0, 8: 360832.0, 32: 436608.0}
 
     @staticmethod
     def run_chain(eng, rng, max_delay):
@@ -488,15 +508,22 @@ class TestGoldenChain:
     def test_delayed_update_ledger_is_exact(self, max_delay):
         """Handing the flops to the ledger once per flush must not move
         the total: per accept and sector 2 * 2*n*pending for the G_eff
-        reads plus 4n, plus the flush GEMMs."""
-        eng, rng = golden_engine(11)
-        with flops.tally() as tally:
-            st = sweep(eng, rng, max_delay=max_delay)
-        assert st.accepted == 230
-        assert tally.flops["delayed_update"] == self.GOLDEN_FLOPS[max_delay]
-        if max_delay == 1:  # nothing ever pending: 4n + one rank-1 GEMM
-            n = eng.n
-            assert tally.flops["delayed_update"] == 2 * 230 * (4 * n + 2 * n * n)
+        reads plus 4n, plus the flush GEMMs; one sector at half filling,
+        two on the doped copy."""
+        for mu, accepts, golden in (
+            (0.0, 230, self.GOLDEN_FLOPS),
+            (-0.5, 234, self.GOLDEN_DOPED_FLOPS),
+        ):
+            eng, rng = golden_engine(11, mu=mu)
+            with flops.tally() as tally:
+                st = sweep(eng, rng, max_delay=max_delay)
+            assert st.accepted == accepts
+            assert tally.flops["delayed_update"] == golden[max_delay]
+            if max_delay == 1:  # nothing ever pending: 4n + one rank-1 GEMM
+                n, sectors = eng.n, len(eng.sectors)
+                assert tally.flops["delayed_update"] == (
+                    sectors * accepts * (4 * n + 2 * n * n)
+                )
 
 
 class TestHalfFillingInvariants:

@@ -250,6 +250,8 @@ class TestWatchdog:
         eng, rng = make_engine(telemetry=tel)
         st = sweep(eng, rng)
         eng.boundary_greens(1, 0)
+        # every push takes its product: warm the cache by hand
+        eng.cache.get(1, 1)
         assert eng.cache._cache  # warm cache before the forced refresh
         assert eng.n_kept(1)
         wd = NumericalHealthWatchdog(
