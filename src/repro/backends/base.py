@@ -10,17 +10,23 @@ on the host. This module captures that seam as an explicit protocol:
 :class:`PropagatorBackend`
     The fine-grain operation set a backend must provide — GEMM,
     row/column/two-sided diagonal scaling, column norms + the pre-pivot
-    permutation, dense cluster products, and the wrap/unwrap similarity
-    transforms — plus *batched* variants that take both spin sectors
-    stacked along a leading axis so a backend can turn the per-spin loop
-    into one stacked-GEMM call.
+    permutation, dense cluster products, the structured kinetic
+    application, and the wrap/unwrap similarity transforms. Each
+    propagator op has one kernel, written over a leading sector axis:
+    it takes one ``(N, N)`` matrix or an ``(S, N, N)`` stack of spin
+    sectors (S = 1 at half filling, 2 when doped) and returns the same
+    shape.
 
 :class:`BaseBackend`
     Shared machinery: per-op dispatch counters (exported to telemetry as
     ``backend.dispatch.*`` gauges), loud rejection of unknown
-    constructor options, and default batched implementations that loop
-    the single-matrix ops (correct for every backend; overridden where a
-    genuinely stacked execution exists).
+    constructor options, and the structured kinetic application.
+
+The kernels are ``cluster_product_batched``, ``wrap_batched``,
+``unwrap_batched`` and ``apply_structured``. ``wrap`` and ``unwrap`` are
+class-level aliases of the wrap kernels, not second bodies: the
+benchmark tracer wraps both spellings by name (ROADMAP 1(f)), and a
+dispatch is counted under the kernel's name whichever spelling called it.
 
 Canonical kernel orders
 -----------------------
@@ -31,12 +37,18 @@ GEMMs are then bit-identical across numpy / threaded / simulated-GPU
 execution, which is what lets the equivalence suite assert bit-identical
 Markov chains rather than tolerance bands:
 
-* ``wrap``:    ``t = expK @ g``; ``t = t @ invexpK``; ``t *= v[:, None]``;
-  ``t *= (1/v)[None, :]``  (Algorithm 6/7 — scale *after* both GEMMs).
-* ``unwrap``:  exact inverse composition — ``t = g * (1/v)[:, None]``;
-  ``t *= v[None, :]``; ``t = invexpK @ t``; ``t = t @ expK``.
-* ``cluster_product``: ``out = expK * v_0[:, None]``; then per slice
-  ``out = expK @ out``; ``out *= v_j[:, None]``  (Algorithm 4/5).
+* ``wrap_batched``: ``t = expK @ g``; ``t = t @ invexpK``;
+  ``t *= v[:, None]``; ``t *= (1/v)[None, :]``  (Algorithm 6/7 — scale
+  *after* both GEMMs).
+* ``unwrap_batched``: exact inverse composition —
+  ``t = g * (1/v)[:, None]``; ``t *= v[None, :]``; ``t = invexpK @ t``;
+  ``t = t @ expK``.
+* ``cluster_product_batched``: ``out = expK * v_0[:, None]``; then per
+  slice ``out = expK @ out``; ``out *= v_j[:, None]``  (Algorithm 4/5).
+
+The orders are per sector: a stacked GEMM is one BLAS call per sector
+with the rounding of the single-matrix call, so each sector of a stack
+equals the same kernel run on that sector alone, bit for bit.
 
 Reciprocals are always formed once on the host (``1/v``) and *multiplied*
 in — never re-divided — so an unwrap undoes a wrap with the exact same
@@ -45,7 +57,8 @@ rounding on every backend.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import math
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -56,6 +69,12 @@ from ..precision import resolve_policy
 __all__ = ["BackendError", "PropagatorBackend", "BaseBackend"]
 
 
+def sectors(a) -> int:
+    """How many ``(N, N)`` matrices (or ``(k, N)`` cluster diagonals) the
+    leading axes of ``a`` hold: 1 for one matrix, S for a sector stack."""
+    return math.prod(a.shape[:-2])
+
+
 class BackendError(ValueError):
     """Unknown backend name, invalid option, or invalid combination."""
 
@@ -64,8 +83,11 @@ class PropagatorBackend:
     """Protocol stub documenting the backend operation set.
 
     Concrete backends subclass :class:`BaseBackend` (which provides the
-    dispatch counters and batched defaults); this class exists so the
-    operation contract is importable and testable on its own.
+    dispatch counters); this class exists so the operation contract is
+    importable and testable on its own. The four propagator kernels take
+    a leading sector axis; a class that defines ``wrap_batched`` /
+    ``unwrap_batched`` also binds ``wrap = wrap_batched`` and
+    ``unwrap = unwrap_batched``.
     """
 
     #: registry name ("numpy", "threaded", "gpu-sim")
@@ -92,35 +114,21 @@ class PropagatorBackend:
     def prepivot_permutation(self, a):
         raise NotImplementedError
 
-    def cluster_product(self, v_diagonals):
-        raise NotImplementedError
-
-    def cluster_product_batched(self, v_stack):
+    def cluster_product_batched(self, vs):
         raise NotImplementedError
 
     def apply_structured(self, a, side="left", inverse=False, category="structured"):
         raise NotImplementedError
 
-    def apply_structured_batched(
-        self, stack, side="left", inverse=False, category="structured"
-    ):
+    def wrap_batched(self, g, v):
         raise NotImplementedError
 
-    def wrap(self, g, v):
-        raise NotImplementedError
-
-    def unwrap(self, g, v):
-        raise NotImplementedError
-
-    def wrap_batched(self, gs, vs):
-        raise NotImplementedError
-
-    def unwrap_batched(self, gs, vs):
+    def unwrap_batched(self, g, v):
         raise NotImplementedError
 
 
 class BaseBackend(PropagatorBackend):
-    """Dispatch counting, option validation, and batched-op defaults."""
+    """Dispatch counting, option validation, structured application."""
 
     def __init__(self, **options):
         # Precision is a protocol-level option: every backend carries a
@@ -226,53 +234,10 @@ class BaseBackend(PropagatorBackend):
             raise BackendError(f"apply_structured side must be left/right, got {side!r}")
         a = self.policy.compute(a)
         width = a.shape[-1] if side == "left" else a.shape[-2]
-        batch = 1
-        for extent in a.shape[: a.ndim - 2]:
-            batch *= extent
-        flops.record(category, batch * self.structured.apply_flops(width))
+        flops.record(category, sectors(a) * self.structured.apply_flops(width))
         if side == "left":
             return self.structured.apply_expk_left(a, inverse=inverse)
         return self.structured.apply_expk_right(a, inverse=inverse)
-
-    def apply_structured_batched(
-        self, stack, side="left", inverse=False, category="structured"
-    ):
-        """Stacked :meth:`apply_structured` over a leading sector axis.
-
-        The blocked kernels broadcast over leading axes, so the default
-        is genuinely stacked (one pair of batched GEMMs for all sectors),
-        not a loop.
-        """
-        self._count("apply_structured_batched")
-        return self.apply_structured(
-            stack, side=side, inverse=inverse, category=category
-        )
-
-    # -- batched defaults (loop the single-matrix ops) ---------------------
-
-    def wrap_batched(self, gs, vs):
-        """Wrap a stack: ``gs[i] -> wrap(gs[i], vs[i])`` for each sector.
-
-        The default loops :meth:`wrap`; backends with a genuinely stacked
-        execution (numpy's stacked GEMM, a batched cuBLAS) override it.
-        Looped and stacked paths are bit-identical by the canonical-order
-        contract, which the equivalence suite asserts at 0 ULP.
-        """
-        self._count("wrap_batched")
-        return np.stack([self.wrap(g, v) for g, v in zip(gs, vs)])
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        return np.stack([self.unwrap(g, v) for g, v in zip(gs, vs)])
-
-    def cluster_product_batched(self, v_stack):
-        """Dense cluster products for a stack of spin sectors.
-
-        ``v_stack`` has shape ``(s, k, n)``: ``s`` sectors, ``k`` slices
-        per cluster, ``n`` sites. Returns shape ``(s, n, n)``.
-        """
-        self._count("cluster_product_batched")
-        return np.stack([self.cluster_product(list(vs)) for vs in v_stack])
 
     # -- flop-ledger helpers ----------------------------------------------
 

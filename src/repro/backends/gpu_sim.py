@@ -16,7 +16,9 @@ importing the backends package never pulls in the simulator stack.
 
 from __future__ import annotations
 
-from .base import BackendError, BaseBackend
+import numpy as np
+
+from .base import BackendError
 from .numpy_backend import NumpyBackend
 
 __all__ = ["SimulatedGPUBackend"]
@@ -82,54 +84,31 @@ class SimulatedGPUBackend(NumpyBackend):
 
     # -- offloaded pieces --------------------------------------------------
 
-    def cluster_product(self, v_diagonals):
-        self._count("cluster_product")
-        return self._require_ops().cluster_product(list(v_diagonals))
+    @staticmethod
+    def _per_sector(op, *operands):
+        """``op`` on one sector, or once per sector of an ``(S, ...)`` stack.
 
-    def wrap(self, g, v):
-        self._count("wrap")
-        return self._require_ops().wrap(g, v)
+        The device holds one scratch set, so a stack runs as S device
+        calls in a row; a multi-stream port would overlap them.
+        """
+        if operands[0].ndim == 2:
+            return op(*operands)
+        return np.stack([op(*sector) for sector in zip(*operands)])
 
-    def unwrap(self, g, v):
-        self._count("unwrap")
-        return self._require_ops().unwrap(g, v)
+    def cluster_product_batched(self, vs):
+        self._count("cluster_product_batched")
+        return self._per_sector(self._require_ops().cluster_product, vs)
 
-    def apply_structured(self, a, side="left", inverse=False, category="structured"):
-        """Device-side separable application (upload, apply, download)."""
-        self._count("apply_structured")
-        ops = self._require_ops()
-        if self.structured is None:
-            raise BackendError(
-                "backend 'gpu-sim': no structured kinetic operator is "
-                "bound — the model's lattice has no separable structure"
-            )
-        from ..linalg import flops
+    def wrap_batched(self, g, v):
+        self._count("wrap_batched")
+        return self._per_sector(self._require_ops().wrap, g, v)
 
-        a = self.policy.compute(a)
-        width = a.shape[-1] if side == "left" else a.shape[-2]
-        flops.record(category, self.structured.apply_flops(width))
-        return ops.apply_structured(a, side=side, inverse=inverse)
+    def unwrap_batched(self, g, v):
+        self._count("unwrap_batched")
+        return self._per_sector(self._require_ops().unwrap, g, v)
 
-    def apply_structured_batched(
-        self, stack, side="left", inverse=False, category="structured"
-    ):
-        """Per-sector device applications (one scratch set per device)."""
-        self._count("apply_structured_batched")
-        import numpy as np
-
-        return np.stack(
-            [
-                self.apply_structured(a, side=side, inverse=inverse, category=category)
-                for a in stack
-            ]
-        )
-
-    # The batched entry points loop per sector on the device (one scratch
-    # set per device; a real multi-stream port would override these):
-    # the protocol's looped defaults, not numpy's stacked GEMMs.
-    wrap_batched = BaseBackend.wrap_batched
-    unwrap_batched = BaseBackend.unwrap_batched
-    cluster_product_batched = BaseBackend.cluster_product_batched
+    wrap = wrap_batched  # traced name, no body of its own (ROADMAP 1(f))
+    unwrap = unwrap_batched  # traced name, no body of its own (ROADMAP 1(f))
 
     def stats(self):
         out = super().stats()

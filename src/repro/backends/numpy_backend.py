@@ -6,21 +6,19 @@ are measured against this one bit-for-bit (elementwise scalings and
 per-slice GEMMs) or to documented tolerances (threaded norm reductions
 above the grain size).
 
-The batched variants genuinely stack: ``np.matmul`` over a ``(s, n, n)``
-stack dispatches one BLAS GEMM per slice with the same rounding as the
-per-matrix call, so the stacked path is bit-identical to the loop while
-making one library call for both spin sectors.
+The propagator kernels take a leading sector axis: ``np.matmul`` over an
+``(S, n, n)`` stack dispatches one BLAS GEMM per sector with the same
+rounding as on one ``(n, n)`` matrix, so a stack costs one library call
+and each of its sectors is bit-identical to the kernel run on it alone.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
 
 from ..linalg import column_norms, flops, prepivot_permutation
-from .base import BackendError, BaseBackend
+from .base import BackendError, BaseBackend, sectors
 
 __all__ = ["NumpyBackend"]
 
@@ -101,115 +99,71 @@ class NumpyBackend(BaseBackend):
 
     # -- cluster products (Algorithm 4/5 order) ----------------------------
 
-    def cluster_product(self, v_diagonals: Sequence[np.ndarray]):
+    def cluster_product_batched(self, vs):
         """Dense ``B_k ... B_1`` with ``B_j = diag(v_j) @ expK``.
 
-        ``v_diagonals`` ordered rightmost (applied first) to leftmost.
+        ``vs`` holds the diagonals as ``(k, n)``, rightmost factor
+        (applied first) first, or as an ``(S, k, n)`` stack of sectors;
+        the product is ``(n, n)`` or ``(S, n, n)``.
         """
-        self._count("cluster_product")
+        self._count("cluster_product_batched")
         self._require_bound()
-        if len(v_diagonals) == 0:
-            raise ValueError("empty cluster")
-        n = self.n
-        compute = self.policy.compute
-        self._record_scale("clustering", n, n)
-        out = self.expk * compute(v_diagonals[0])[:, None]
-        for v in v_diagonals[1:]:
+        vs = self.policy.compute(vs)
+        k, n = vs.shape[-2:]
+        s = sectors(vs)
+        self._record_scale("clustering", n, n, passes=s)
+        out = self.expk * vs[..., 0, :, None]
+        for j in range(1, k):
             if self.structured is not None:
                 out = self.apply_structured(out, side="left", category="clustering")
             else:
-                self._record_gemm("clustering", n, n, n)
-                out = self.expk @ out
-            self._record_scale("clustering", n, n)
-            out *= compute(v)[:, None]
-        return out
-
-    def cluster_product_batched(self, v_stack):
-        """Stacked Algorithm 4/5 over the sector axis (one call per GEMM)."""
-        self._count("cluster_product_batched")
-        self._require_bound()
-        vs = self.policy.compute(v_stack)
-        s, k, n = vs.shape
-        self._record_scale("clustering", n, n, passes=s)
-        out = self.expk[None] * vs[:, 0, :, None]
-        for j in range(1, k):
-            if self.structured is not None:
-                out = self.apply_structured_batched(
-                    out, side="left", category="clustering"
-                )
-            else:
                 flops.record("clustering", s * flops.gemm_flops(n, n, n))
-                out = np.matmul(self.expk[None], out)
-            flops.record("clustering", s * flops.scale_flops(n, n))
-            out *= vs[:, j, :, None]
+                out = np.matmul(self.expk, out)
+            self._record_scale("clustering", n, n, passes=s)
+            out *= vs[..., j, :, None]
         return out
 
     # -- wrapping (Algorithm 6/7 order) ------------------------------------
 
-    def wrap(self, g, v):
-        """``diag(v) (expK @ g @ invexpK) diag(v)^{-1}``."""
-        self._count("wrap")
+    def wrap_batched(self, g, v):
+        """``diag(v) (expK @ g @ invexpK) diag(v)^{-1}``.
+
+        ``g`` is ``(n, n)`` with ``v`` of shape ``(n,)``, or an
+        ``(S, n, n)`` stack with ``(S, n)`` diagonals.
+        """
+        self._count("wrap_batched")
         self._require_bound()
         g = self.policy.compute(g)
         v = self.policy.compute(v)
+        n, s = v.shape[-1], sectors(g)
+        self._record_scale("wrapping", n, n, passes=2 * s)
         if self.structured is not None:
             t = self.apply_structured(g, side="left", category="wrapping")
             t = self.apply_structured(t, side="right", inverse=True, category="wrapping")
         else:
-            t = self.gemm(self.expk, g, category="wrapping")
-            t = self.gemm(t, self.inv_expk, category="wrapping")
-        return self.scale_two_sided(t, v, out=t, category="wrapping")
+            flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
+            t = np.matmul(self.expk, g)
+            t = np.matmul(t, self.inv_expk)
+        t *= v[..., :, None]
+        t *= (1.0 / v)[..., None, :]
+        return t
 
-    def unwrap(self, g, v):
-        """Exact inverse composition of :meth:`wrap`."""
-        self._count("unwrap")
+    def unwrap_batched(self, g, v):
+        """Exact inverse composition of :meth:`wrap_batched`."""
+        self._count("unwrap_batched")
         self._require_bound()
         g = self.policy.compute(g)
         v = self.policy.compute(v)
-        vinv = 1.0 / v
-        t = self.scale_two_sided(g, vinv, col_v=v, category="wrapping")
+        n, s = v.shape[-1], sectors(g)
+        self._record_scale("wrapping", n, n, passes=2 * s)
+        t = g * (1.0 / v)[..., :, None]
+        t *= v[..., None, :]
         if self.structured is not None:
             t = self.apply_structured(t, side="left", inverse=True, category="wrapping")
             return self.apply_structured(t, side="right", category="wrapping")
-        t = self.gemm(self.inv_expk, t, category="wrapping")
-        return self.gemm(t, self.expk, category="wrapping")
-
-    def wrap_batched(self, gs, vs):
-        """Both spin sectors through one stacked-GEMM wrap."""
-        self._count("wrap_batched")
-        self._require_bound()
-        gs = self.policy.compute(gs)
-        vs = self.policy.compute(vs)
-        s, n = vs.shape
-        flops.record("wrapping", 2 * s * flops.scale_flops(n, n))
-        if self.structured is not None:
-            t = self.apply_structured_batched(gs, side="left", category="wrapping")
-            t = self.apply_structured_batched(
-                t, side="right", inverse=True, category="wrapping"
-            )
-        else:
-            flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
-            t = np.matmul(self.expk[None], gs)
-            t = np.matmul(t, self.inv_expk[None])
-        t *= vs[:, :, None]
-        t *= (1.0 / vs)[:, None, :]
-        return t
-
-    def unwrap_batched(self, gs, vs):
-        self._count("unwrap_batched")
-        self._require_bound()
-        gs = self.policy.compute(gs)
-        vs = self.policy.compute(vs)
-        s, n = vs.shape
-        flops.record("wrapping", 2 * s * flops.scale_flops(n, n))
-        vinv = 1.0 / vs
-        t = gs * vinv[:, :, None]
-        t *= vs[:, None, :]
-        if self.structured is not None:
-            t = self.apply_structured_batched(
-                t, side="left", inverse=True, category="wrapping"
-            )
-            return self.apply_structured_batched(t, side="right", category="wrapping")
         flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
-        t = np.matmul(self.inv_expk[None], t)
-        return np.matmul(t, self.expk[None])
+        t = np.matmul(self.inv_expk, t)
+        return np.matmul(t, self.expk)
+
+    wrap = wrap_batched  # traced name, no body of its own (ROADMAP 1(f))
+    unwrap = unwrap_batched  # traced name, no body of its own (ROADMAP 1(f))

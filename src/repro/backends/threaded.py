@@ -5,6 +5,11 @@ is exactly what QUEST added with OpenMP — thread-parallel execution of
 the fine-grain operations BLAS does not thread at DQMC sizes: diagonal
 scalings and the pre-pivot column-norm pass.
 
+The cluster-product, wrap and structured kernels are numpy's, inherited
+unchanged: their diagonal scalings are in-place numpy passes over the
+whole sector stack. The pooled ``scale_*`` and norm methods below serve
+the stratification chain's column scalings and pre-pivot passes.
+
 Bit-identity contract: the chunked scalings are elementwise (no
 reductions), so they match the numpy backend exactly at every size. The
 column-norm pass reduces per-chunk partial sums; below the pool's grain
@@ -22,7 +27,6 @@ from ..parallel import (
     scale_rows,
     scale_two_sided,
 )
-from .base import BaseBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = ["ThreadedBackend"]
@@ -53,31 +57,3 @@ class ThreadedBackend(NumpyBackend):
         """Descending-norm order from the thread-parallel norm pass."""
         self._count("prepivot_permutation")
         return parallel_prepivot_permutation(a)
-
-    def cluster_product(self, v_diagonals):
-        """Algorithm 4/5 order with pooled row scalings."""
-        self._count("cluster_product")
-        self._require_bound()
-        if len(v_diagonals) == 0:
-            raise ValueError("empty cluster")
-        compute = self.policy.compute
-        out = self.scale_rows(
-            self.expk, compute(v_diagonals[0]), category="clustering"
-        )
-        for v in v_diagonals[1:]:
-            if self.structured is not None:
-                t = self.apply_structured(out, side="left", category="clustering")
-            else:
-                t = self.gemm(self.expk, out, category="clustering")
-            out = self.scale_rows(t, compute(v), out=t, category="clustering")
-        return out
-
-    # wrap/unwrap inherit the numpy composition, which routes the
-    # scalings back through the overrides above — pooled automatically.
-    # The *batched* variants fall back to the protocol's per-sector
-    # loops here: the stacked elementwise pass would serialize the pool's
-    # row chunking.
-
-    wrap_batched = BaseBackend.wrap_batched
-    unwrap_batched = BaseBackend.unwrap_batched
-    cluster_product_batched = BaseBackend.cluster_product_batched

@@ -93,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--precision", type=str, default=None, metavar="POLICY",
-        help="precision policy: full64, mixed or fast32 (default: the "
-        "input file's 'precision' key, else $REPRO_PRECISION, else "
-        "full64); narrowed policies trade float32 compute speed for "
-        "watchdog-guarded accuracy (see docs/performance.md)",
+        help="precision policy: full64 or mixed (default: the input "
+        "file's 'precision' key, else $REPRO_PRECISION, else full64); "
+        "mixed trades float32 compute speed for watchdog-guarded "
+        "accuracy (see docs/performance.md)",
     )
     p_run.add_argument(
         "--kinetic", type=str, default=None, metavar="MODE",

@@ -1,11 +1,22 @@
-"""Cluster recycling: cache the dense cluster products across sweeps.
+"""Cluster products: the slice tiling, its invalidation, and a small cache.
 
-Paper Sec. III-B2: within a sweep, each fresh stratification consumes the
-same ``L/k`` cluster matrices in a rotated order, and between consecutive
-stratifications only *one* cluster (the one just swept) has changed. The
-dense products are therefore cached and rebuilt only on invalidation —
-storage is ``L/k`` matrices per spin (< 100 matrices of <= 8 MB in the
-paper's largest runs, trivially affordable).
+Paper Sec. III-B2 recycles the dense cluster products across the
+stratifications of a sweep, since between two of them only the cluster
+just swept has changed. This engine recycles the *factorizations*
+instead (``GreensFunctionEngine``'s kept chain sides), and each boundary
+push takes its product (:meth:`ClusterCache.take`), so a product is not
+read twice by the sweep. What the cache still does:
+
+* tiles the ``L`` slices into ``L/k`` clusters (:func:`cluster_slices`)
+  and drops the products of a cluster whose field changed
+  (:meth:`ClusterCache.invalidate_slice`);
+* on a two-sector (doped) model, builds both spins of a cluster in one
+  stacked call and keeps the partner's product until its own push reads
+  it — the only hits a sweep scores (a half-filling run, one sector,
+  has none);
+* serves whole-chain reads (:meth:`ClusterCache.chain`) for
+  ``log_weight`` and ``grading_profile``, which miss on every product a
+  push took and rebuild it.
 """
 
 from __future__ import annotations
@@ -22,11 +33,14 @@ __all__ = ["ClusterCache"]
 
 
 class ClusterCache:
-    """Per-spin cache of dense cluster matrices with slice-level invalidation.
+    """Per-spin dense cluster products with slice-level invalidation.
 
     The sweep notifies the cache whenever it mutates the HS field at a
-    slice (``invalidate_slice``); the owning cluster's cached product is
-    dropped for both spins and lazily rebuilt on next access.
+    slice (``invalidate_slice``); the owning cluster's product is
+    dropped for both spins and rebuilt on next access. The boundary
+    pushes ``take`` their products, so what stays cached between reads
+    is the partner spin of a two-sector build; ``chain`` reads (global
+    moves' ``log_weight``) rebuild what the pushes took.
     """
 
     def __init__(

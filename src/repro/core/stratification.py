@@ -151,8 +151,7 @@ class IncrementalStratifier:
         b = self.backend
         # The stabilization spine runs in the policy's spine dtype —
         # float64 under full64 *and* mixed (compute-dtype cluster factors
-        # are promoted here, before anything graded is formed), float32
-        # only under fast32.
+        # are promoted here, before anything graded is formed).
         f = b.policy.spine(factor)
         n = f.shape[0]
         if f.shape != (n, n):

@@ -59,7 +59,7 @@ class SimulationConfig:
     #: execution backend name; "auto" (here and in the two keys below)
     #: leaves the choice to the environment, then the default
     backend: str = "auto"
-    #: precision policy name (full64 / mixed / fast32)
+    #: precision policy name (full64 / mixed)
     precision: str = "auto"
     #: kinetic propagator (exact / checkerboard) — checkerboard feeds
     #: the same lx x lx / ly x ly block pipeline Trotter-split blocks,

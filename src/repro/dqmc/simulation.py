@@ -142,10 +142,10 @@ class Simulation:
         tolerance — emits a ``health_alert`` then invalidates every
         cached cluster product and kept factorization. Under a narrowed
         precision policy an alert additionally *promotes* the engine to
-        the next-safer policy in place (``fast32`` -> ``mixed`` ->
-        ``full64``) before the refresh.
+        the next-safer policy in place (``mixed`` -> ``full64``) before
+        the refresh.
     precision:
-        Precision policy name (``"full64"``, ``"mixed"``, ``"fast32"``)
+        Precision policy name (``"full64"``, ``"mixed"``)
         or a :class:`~repro.precision.PrecisionPolicy`. Narrowed
         policies change the Markov chain's floating-point trajectory;
         observables agree to the compute dtype's accuracy, and

@@ -108,10 +108,11 @@ class GPUPropagatorOps:
     def cluster_product(self, v_diagonals: Sequence[np.ndarray]) -> np.ndarray:
         """Dense ``B_k ... B_1`` with ``B_j = diag(v_j) @ expK`` on device.
 
-        ``v_diagonals`` is ordered rightmost (applied first) to leftmost.
-        Returns the product on the host (one D2H transfer).
+        ``v_diagonals`` (a sequence of ``(n,)`` diagonals or one ``(k, n)``
+        array) is ordered rightmost (applied first) to leftmost. Returns
+        the product on the host (one D2H transfer).
         """
-        if not v_diagonals:
+        if len(v_diagonals) == 0:
             raise ValueError("empty cluster")
         dev, blas = self.device, self.blas
         dv = self._send_v(np.asarray(v_diagonals[0], dtype=self.dtype))
@@ -146,21 +147,6 @@ class GPUPropagatorOps:
             self.device, self.structured, g, side=side, inverse=inverse,
             pass_seconds=self._kinetic_seconds,
         )
-
-    def apply_structured(
-        self, a: np.ndarray, side: str = "left", inverse: bool = False
-    ) -> np.ndarray:
-        """Apply the separable propagator to ``a`` on device (upload, apply, download)."""
-        if self.structured is None:
-            raise ValueError("no structured propagator bound to these ops")
-        dev = self.device
-        da = dev.set_matrix(np.asarray(a, dtype=self.dtype))
-        structured_apply_kernel(
-            dev, self.structured, da, side=side, inverse=inverse
-        )
-        out = dev.get_matrix(da)
-        dev.free(da)
-        return out
 
     # -- wrapping (Algorithm 6) -----------------------------------------------------
 

@@ -80,8 +80,8 @@ def split_scales(d: np.ndarray) -> tuple:
     stay bounded by 1 in magnitude so the final solve mixes only
     comparable numbers.
     """
-    # Width follows the caller's scales: the spine dtype under a policy
-    # (float64 except fast32); non-float inputs take the spine default.
+    # Width follows the caller's scales (float64, the spine dtype, under
+    # every policy); non-float inputs take the spine default.
     d = np.asarray(d)
     if d.dtype not in (np.dtype("float32"), np.dtype("float64")):
         d = np.asarray(d, dtype=np.float64)  # qmclint: disable=QL008 -- spine default for non-float inputs

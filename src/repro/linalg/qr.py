@@ -67,9 +67,9 @@ class QRResult:
 
 
 def _check_matrix(a: np.ndarray) -> np.ndarray:
-    # Dtype-following for the two policy widths (a fast32 spine runs its
-    # QR in float32); any other input — ints, object arrays — promotes
-    # to the float64 spine default.
+    # Dtype-following for the two float widths (the policy spine is
+    # float64; a float32 operand keeps its width); any other input — ints,
+    # object arrays — promotes to the float64 spine default.
     a = np.asarray(a)
     if a.dtype not in (np.dtype("float32"), np.dtype("float64")):
         a = np.asarray(a, dtype=np.float64)  # qmclint: disable=QL008 -- spine default for non-float inputs

@@ -23,23 +23,21 @@ double*. A :class:`PrecisionPolicy` makes that split explicit:
     ~1e-7 against float64's ~2e-16); the scale keeps the default
     tolerance meaningful per policy instead of tripping on healthy runs.
 
-Three policies ship:
+Two policies ship:
 
 ========  =============  ===========  ===========
 name      compute        spine        drift scale
 ========  =============  ===========  ===========
 full64    float64        float64      1
 mixed     float32        float64      100
-fast32    float32        float32      10000
 ========  =============  ===========  ===========
 
 ``full64`` is the default and is bit-identical to the historical
 pipeline (its coercions are no-ops). ``mixed`` is the paper-motivated
-fast path. ``fast32`` narrows the spine too — it exists as the far end
-of the ladder for perf experiments and is expected to need watchdog
-*promotion* on cold workloads: a ``health_alert`` under ``fast32`` or
-``mixed`` promotes the running engine to :attr:`PrecisionPolicy.safer`
-in place rather than failing the run.
+fast path; the spine stays double under both, as the paper requires. A
+``health_alert`` under ``mixed`` promotes the running engine to
+:attr:`PrecisionPolicy.safer` (``full64``) in place rather than failing
+the run.
 
 Everything below deliberately lives *outside* ``core/``, ``linalg/``,
 ``hamiltonian/`` and ``backends/`` — qmclint rule QL008 flags literal
@@ -100,8 +98,7 @@ class PrecisionPolicy:
     def safer(self) -> Optional["PrecisionPolicy"]:
         """The next-safer policy, or None if already at ``full64``.
 
-        This is the watchdog's promotion target: ``fast32`` -> ``mixed``
-        -> ``full64``.
+        This is the watchdog's promotion target: ``mixed`` -> ``full64``.
         """
         i = PROMOTION_LADDER.index(self.name)
         if i + 1 >= len(PROMOTION_LADDER):
@@ -118,7 +115,7 @@ class PrecisionPolicy:
 
 
 #: least-safe first; promotion walks right.
-PROMOTION_LADDER = ("fast32", "mixed", "full64")
+PROMOTION_LADDER = ("mixed", "full64")
 
 POLICIES: Dict[str, PrecisionPolicy] = {
     "full64": PrecisionPolicy(
@@ -136,16 +133,6 @@ POLICIES: Dict[str, PrecisionPolicy] = {
         description=(
             "float32 cluster products / wrapping / delayed updates, "
             "float64 graded-QR stabilization spine and accumulators"
-        ),
-    ),
-    "fast32": PrecisionPolicy(
-        name="fast32",
-        compute_dtype=_F32,
-        spine_dtype=_F32,
-        drift_scale=10000.0,
-        description=(
-            "float32 everywhere including the spine - perf-experiment "
-            "endpoint; expect watchdog promotion on hard workloads"
         ),
     ),
 }

@@ -212,10 +212,10 @@ class NumericalHealthWatchdog:
     def _maybe_promote(self, sweep_index: int, report: "HealthReport") -> None:
         """Promote a narrowed engine to the next-safer precision policy.
 
-        An alert under ``mixed``/``fast32`` means the narrowed pipeline
-        is not holding this workload; instead of failing (or silently
-        measuring drifted physics) the engine is switched in place —
-        ``fast32`` -> ``mixed`` -> ``full64`` — and a
+        An alert under ``mixed`` means the narrowed pipeline is not
+        holding this workload; instead of failing (or silently
+        measuring drifted physics) the engine is switched in place to
+        ``full64`` and a
         ``precision_promoted`` event records the transition. At
         ``full64`` there is no safer rung and the historical
         alert-and-refresh behaviour stands alone.

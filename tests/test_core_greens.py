@@ -192,15 +192,21 @@ class TestAgainstSliceBySliceReference:
     evaluation at U = 8, beta = 16) at every boundary of real sweeps,
     judged against what one full cluster chain achieves there."""
 
-    @pytest.mark.parametrize("beta", [4.0, 8.0, 16.0])
-    @pytest.mark.parametrize("u", [4.0, 8.0])
-    def test_no_worse_than_the_full_chain(self, u, beta):
+    @pytest.mark.parametrize("u, beta, mu", [
+        pytest.param(u, beta, mu, id=f"{u}-{beta}" + (f"-mu{mu}" if mu else ""))
+        for mu in (0.0, -0.5) for u in (4.0, 8.0) for beta in (4.0, 8.0, 16.0)
+    ])
+    def test_no_worse_than_the_full_chain(self, u, beta, mu):
         """Both evaluations sit on the same floor, eps x the conditioning
         of a k = 10 cluster product, and scatter around it by a factor
         of ~100 from one boundary to the next, independently of each
         other. So each boundary is held to 10 x the worst full-chain
-        error of the run, and the typical boundary to the typical one."""
-        eng, rng = make_engine(lx=6, u=u, beta=beta, k=10, seed=19)
+        error of the run, and the typical boundary to the typical one.
+        At half filling the down sector is judged as the image of the up
+        one; on the doped copy (``mu = -0.5``) both sectors are evaluated
+        independently, and each is held to the same bounds."""
+        eng, rng = make_engine(lx=6, u=u, beta=beta, k=10, seed=19, mu=mu)
+        assert len(eng.sectors) == (1 if mu == 0.0 else 2)
         k, n_slices = eng.cluster_size, eng.field.n_slices
         ours, full_chain = [], []
 

@@ -154,7 +154,7 @@ class TestChain:
 
 class TestInstances:
     def test_live_backend_passes_through_with_its_policy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRECISION", "fast32")
+        monkeypatch.setenv("REPRO_PRECISION", "full64")
         backend = NumpyBackend(precision="mixed")
         resolved = resolve_options(backend=backend)
         assert resolved.backend is backend
@@ -373,6 +373,10 @@ def _cupy_backend(tmp_path):
     simulation(backend="cupy")
 
 
+def _fast32_precision(tmp_path):
+    simulation(precision="fast32")
+
+
 @pytest.mark.parametrize(
     "spell, error, names",
     [
@@ -381,8 +385,9 @@ def _cupy_backend(tmp_path):
         (_run_with_autotune_flag, SystemExit, ["unrecognized arguments: --autotune"]),
         (_tune_subcommand, SystemExit, ["invalid choice: 'tune'"]),
         (_cupy_backend, OptionError, ["'cupy'", "gpu-sim", "numpy", "threaded"]),
+        (_fast32_precision, OptionError, ["'fast32'", "full64", "mixed"]),
     ],
-    ids=["input-key", "spec-key", "run-flag", "subcommand", "backend"],
+    ids=["input-key", "spec-key", "run-flag", "subcommand", "backend", "precision"],
 )
 def test_removed_spelling_fails_by_name(spell, error, names, tmp_path, capsys):
     """Removed keys, flags, commands and backends have no aliases: each

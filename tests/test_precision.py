@@ -56,7 +56,7 @@ class TestResolvePolicy:
         assert resolve_policy(p) is p
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(PrecisionError, match="full64.*mixed.*fast32"):
+        with pytest.raises(PrecisionError, match="full64.*mixed"):
             resolve_policy("float16")
 
     def test_bad_env_value_raises_rather_than_running_full64(self, monkeypatch):
@@ -73,7 +73,6 @@ class TestResolvePolicy:
 
 class TestPolicyObjects:
     def test_ladder_walks_to_full64(self):
-        assert POLICIES["fast32"].safer is POLICIES["mixed"]
         assert POLICIES["mixed"].safer is POLICIES["full64"]
         assert POLICIES["full64"].safer is None
 
@@ -82,20 +81,13 @@ class TestPolicyObjects:
         assert POLICIES["full64"].spine_dtype == F64
         assert POLICIES["mixed"].compute_dtype == F32
         assert POLICIES["mixed"].spine_dtype == F64
-        assert POLICIES["fast32"].compute_dtype == F32
-        assert POLICIES["fast32"].spine_dtype == F32
 
     def test_is_narrowed(self):
         assert not POLICIES["full64"].is_narrowed
         assert POLICIES["mixed"].is_narrowed
-        assert POLICIES["fast32"].is_narrowed
 
     def test_drift_scales_widen_down_the_ladder(self):
-        assert (
-            POLICIES["full64"].drift_scale
-            < POLICIES["mixed"].drift_scale
-            < POLICIES["fast32"].drift_scale
-        )
+        assert POLICIES["full64"].drift_scale < POLICIES["mixed"].drift_scale
 
     def test_full64_coercions_preserve_identity(self):
         """full64's compute() must be a no-op for float64 arrays — this
@@ -222,18 +214,6 @@ class TestPromotion:
             < kinds.index("precision_promoted")
             < kinds.index("forced_refresh")
         )
-
-    def test_fast32_promotes_one_rung_at_a_time(self, monkeypatch):
-        from repro.dqmc import sweep
-
-        eng, rng = make_engine(precision="fast32")
-        noisy_wraps(eng, monkeypatch, rel=1e-2)
-        wd = self._watchdog(eng)
-        assert wd.maybe_check(1, sweep(eng, rng)).promoted_to == "mixed"
-        assert eng.policy.name == "mixed"
-        assert wd.maybe_check(2, sweep(eng, rng)).promoted_to == "full64"
-        assert eng.policy.name == "full64"
-        assert wd.promotions == 2
 
     def test_full64_alert_does_not_promote(self, monkeypatch):
         from repro.dqmc import sweep
