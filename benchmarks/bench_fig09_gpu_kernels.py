@@ -20,22 +20,23 @@ import pytest
 
 from bench_common import format_table, make_field_engine, time_call
 from repro.gpu import GPUPropagatorOps, SimulatedDevice, TESLA_C2050
+from repro.hamiltonian import KineticPropagator
 from repro.linalg import gemm_flops
 
 SIZES = [128, 256, 512, 1024]
 K = 10
 
 
-def _fake_propagators(n, rng):
-    """Random orthogonal-ish stand-ins for exp(-+dtau K) at size n."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return q, q.T
+def _fake_propagator(n, rng):
+    """A dense kinetic operator over a random symmetric K at size n: the
+    model columns depend only on the shapes it is applied at."""
+    a = rng.normal(size=(n, n))
+    return KineticPropagator((a + a.T) / n, dtau=0.1)
 
 
 def _cluster_rate(n, rng) -> float:
-    expk, inv_expk = _fake_propagators(n, rng)
     dev = SimulatedDevice(TESLA_C2050)
-    ops = GPUPropagatorOps(dev, expk, inv_expk, fused=True)
+    ops = GPUPropagatorOps(dev, _fake_propagator(n, rng), fused=True)
     vs = [np.exp(rng.normal(size=n) * 0.3) for _ in range(K)]
     dev.reset_clock()
     ops.cluster_product(vs)
@@ -44,9 +45,8 @@ def _cluster_rate(n, rng) -> float:
 
 
 def _wrap_rate(n, rng) -> float:
-    expk, inv_expk = _fake_propagators(n, rng)
     dev = SimulatedDevice(TESLA_C2050)
-    ops = GPUPropagatorOps(dev, expk, inv_expk, fused=True)
+    ops = GPUPropagatorOps(dev, _fake_propagator(n, rng), fused=True)
     g = rng.normal(size=(n, n))
     v = np.exp(rng.normal(size=n) * 0.3)
     dev.reset_clock()

@@ -69,7 +69,7 @@ def main() -> None:
     print(f"{'variant':>10} {'kernel launches':>16} {'model time (ms)':>16}")
     for fused, label in ((False, "cublas"), (True, "fused")):
         dev = SimulatedDevice()
-        ops = GPUPropagatorOps(dev, factory.expk, factory.inv_expk, fused=fused)
+        ops = GPUPropagatorOps(dev, factory.kinetic, fused=fused)
         before = dev.kernel_launches
         dev.reset_clock()
         ops.cluster_product(vs)
@@ -84,7 +84,7 @@ def main() -> None:
 
     # 3. the transfer ledger ----------------------------------------------------
     dev = SimulatedDevice()
-    ops = GPUPropagatorOps(dev, factory.expk, factory.inv_expk)
+    ops = GPUPropagatorOps(dev, factory.kinetic)
     h0, d0 = dev.h2d_bytes, dev.d2h_bytes
     ops.cluster_product(vs)
     print("transfer ledger per operation (bytes):")

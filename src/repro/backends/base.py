@@ -10,8 +10,8 @@ on the host. This module captures that seam as an explicit protocol:
 :class:`PropagatorBackend`
     The fine-grain operation set a backend must provide — GEMM,
     row/column/two-sided diagonal scaling, column norms + the pre-pivot
-    permutation, dense cluster products, the structured kinetic
-    application, and the wrap/unwrap similarity transforms. Each
+    permutation, cluster products, the kinetic-operator application,
+    and the wrap/unwrap similarity transforms. Each
     propagator op has one kernel, written over a leading sector axis:
     it takes one ``(N, N)`` matrix or an ``(S, N, N)`` stack of spin
     sectors (S = 1 at half filling, 2 when doped) and returns the same
@@ -20,7 +20,7 @@ on the host. This module captures that seam as an explicit protocol:
 :class:`BaseBackend`
     Shared machinery: per-op dispatch counters (exported to telemetry as
     ``backend.dispatch.*`` gauges), loud rejection of unknown
-    constructor options, and the structured kinetic application.
+    constructor options, and the kinetic-operator application.
 
 The kernels are ``cluster_product_batched``, ``wrap_batched``,
 ``unwrap_batched`` and ``apply_structured``. ``wrap`` and ``unwrap`` are
@@ -128,11 +128,11 @@ class PropagatorBackend:
 
 
 class BaseBackend(PropagatorBackend):
-    """Dispatch counting, option validation, structured application."""
+    """Dispatch counting, option validation, kinetic application."""
 
     def __init__(self, **options):
         # Precision is a protocol-level option: every backend carries a
-        # PrecisionPolicy, and bind() realizes the exponentials in its
+        # PrecisionPolicy, and bind() realizes the exponential in its
         # compute dtype. Popped here so subclasses never have to.
         precision = options.pop("precision", None)
         if options:
@@ -144,35 +144,26 @@ class BaseBackend(PropagatorBackend):
         self.policy = resolve_policy(resolve_option("precision", precision))
         self.op_counts: Dict[str, int] = {}
         self.expk: Optional[np.ndarray] = None
-        self.inv_expk: Optional[np.ndarray] = None
         self.bound_factory = None
-        #: the factory's structured kinetic operator (a
-        #: SeparablePropagator) or None off the rectangle; set at
-        #: bind() time and consulted by the wrap / cluster kernels to
-        #: pick the structured fast path over the dense GEMM.
-        self.structured = None
+        #: the factory's kinetic operator (dense exponential, Kronecker
+        #: blocks or checkerboard split), set at bind() time; the wrap and
+        #: cluster kernels apply it through :meth:`apply_structured`.
+        self.kinetic = None
         self.n: int = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def bind(self, factory) -> "BaseBackend":
-        """Attach the model's kinetic exponentials (resident state).
+        """Attach the model's kinetic operator (resident state).
 
-        On the simulated GPU this is the one-time H2D upload of
-        ``exp(-+dtau K)`` (paper Sec. VI-A); on host backends it pins
-        references realized in the policy's compute dtype (a no-op
-        passthrough under ``full64`` — the float64 masters are shared,
-        not copied). Idempotent for the same factory; returns self.
+        Pins the factory's kinetic operator and ``exp(-dtau K)`` realized
+        in the policy's compute dtype (the first factor of every cluster
+        product; the float64 master itself under ``full64``). On the
+        simulated GPU this is the one-time H2D upload (paper Sec. VI-A).
+        Idempotent for the same factory; returns self.
         """
-        exponentials = getattr(factory, "exponentials", None)
-        if exponentials is not None:
-            # Factory-side cache: repeated binds (and promotions back to
-            # a previously used policy) reuse one realized pair.
-            self.expk, self.inv_expk = exponentials(self.policy.compute_dtype)
-        else:
-            self.expk = self.policy.compute(factory.expk)
-            self.inv_expk = self.policy.compute(factory.inv_expk)
-        self.structured = getattr(factory, "structured", None)
+        self.kinetic = factory.kinetic
+        self.expk = self.kinetic.as_matrix(self.policy.compute_dtype)
         self.bound_factory = factory
         self.n = self.expk.shape[0]
         return self
@@ -180,7 +171,7 @@ class BaseBackend(PropagatorBackend):
     def set_policy(self, policy) -> "BaseBackend":
         """Switch the precision policy in place (watchdog promotion path).
 
-        Re-binds the exponentials in the new compute dtype when already
+        Re-binds the exponential in the new compute dtype when already
         bound; the caller owns invalidating any state it derived under
         the old policy (cluster caches, the live Green's function).
         """
@@ -210,34 +201,28 @@ class BaseBackend(PropagatorBackend):
         out[f"backend.active.{self.name}"] = 1.0
         return out
 
-    # -- structured kinetic application ------------------------------------
+    # -- kinetic-operator application ---------------------------------------
 
     def apply_structured(self, a, side="left", inverse=False, category="structured"):
-        """Apply the bound structured kinetic operator to ``a``.
+        """Apply the bound kinetic operator to ``a``.
 
         ``side="left"`` is ``B @ a``; ``side="right"`` is ``a @ B``;
-        ``inverse=True`` applies the exact block-wise inverse. The
-        operand is realized in the policy compute dtype and the flops are
-        charged to ``category`` — O(N (lx + ly)) per column instead of the
-        dense GEMM's O(N^2), which is the whole point of the fast path.
-        Raises :class:`BackendError` when the bound factory has no
-        structured operator (multilayer / general lattices).
+        ``inverse=True`` applies ``B^{-1}``. The operand is realized in
+        the policy compute dtype and the operator's flops are charged to
+        ``category``: O(N (lx + ly)) per column through the Kronecker or
+        checkerboard blocks on a rectangle, the dense GEMM's O(N^2)
+        elsewhere.
         """
         self._count("apply_structured")
         self._require_bound()
-        if self.structured is None:
-            raise BackendError(
-                f"backend {self.name!r}: no structured kinetic operator is "
-                "bound — the model's lattice has no separable structure"
-            )
         if side not in ("left", "right"):
             raise BackendError(f"apply_structured side must be left/right, got {side!r}")
         a = self.policy.compute(a)
         width = a.shape[-1] if side == "left" else a.shape[-2]
-        flops.record(category, sectors(a) * self.structured.apply_flops(width))
+        flops.record(category, sectors(a) * self.kinetic.apply_flops(width))
         if side == "left":
-            return self.structured.apply_expk_left(a, inverse=inverse)
-        return self.structured.apply_expk_right(a, inverse=inverse)
+            return self.kinetic.apply_expk_left(a, inverse=inverse)
+        return self.kinetic.apply_expk_right(a, inverse=inverse)
 
     # -- flop-ledger helpers ----------------------------------------------
 

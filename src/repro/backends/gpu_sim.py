@@ -52,26 +52,20 @@ class SimulatedGPUBackend(NumpyBackend):
         self.ops = None
 
     def bind(self, factory) -> "SimulatedGPUBackend":
-        """Host refs + the one-time H2D upload of the exponentials."""
+        """Host refs + the one-time H2D upload of the exponential."""
         from ..gpu.ops import GPUPropagatorOps
 
         super().bind(factory)
-        # self.expk is the policy-realized exponential (compute dtype);
-        # re-upload when the model shape, the dtype, or the structured
-        # kinetic operator changed — a precision promotion or a kinetic
-        # switch must not keep stale device state.
+        # Re-upload when the kinetic operator or the policy's compute
+        # dtype changed: a precision promotion or a new model must not
+        # keep stale device state.
         if (
             self.ops is None
-            or self.ops.d_expk.shape != self.expk.shape
-            or self.ops.d_expk.dtype != self.expk.dtype
-            or self.ops.structured is not self.structured
+            or self.ops.kinetic is not self.kinetic
+            or self.ops.dtype != self.expk.dtype
         ):
             self.ops = GPUPropagatorOps(
-                self.device,
-                self.expk,
-                self.inv_expk,
-                fused=self.fused,
-                structured=self.structured,
+                self.device, self.kinetic, self.expk.dtype, fused=self.fused
             )
         return self
 

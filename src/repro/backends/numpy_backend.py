@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_blas_funcs
 
-from ..linalg import column_norms, flops, prepivot_permutation
+from ..linalg import column_norms, prepivot_permutation
 from .base import BackendError, BaseBackend, sectors
 
 __all__ = ["NumpyBackend"]
@@ -114,11 +114,7 @@ class NumpyBackend(BaseBackend):
         self._record_scale("clustering", n, n, passes=s)
         out = self.expk * vs[..., 0, :, None]
         for j in range(1, k):
-            if self.structured is not None:
-                out = self.apply_structured(out, side="left", category="clustering")
-            else:
-                flops.record("clustering", s * flops.gemm_flops(n, n, n))
-                out = np.matmul(self.expk, out)
+            out = self.apply_structured(out, side="left", category="clustering")
             self._record_scale("clustering", n, n, passes=s)
             out *= vs[..., j, :, None]
         return out
@@ -137,13 +133,8 @@ class NumpyBackend(BaseBackend):
         v = self.policy.compute(v)
         n, s = v.shape[-1], sectors(g)
         self._record_scale("wrapping", n, n, passes=2 * s)
-        if self.structured is not None:
-            t = self.apply_structured(g, side="left", category="wrapping")
-            t = self.apply_structured(t, side="right", inverse=True, category="wrapping")
-        else:
-            flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
-            t = np.matmul(self.expk, g)
-            t = np.matmul(t, self.inv_expk)
+        t = self.apply_structured(g, side="left", category="wrapping")
+        t = self.apply_structured(t, side="right", inverse=True, category="wrapping")
         t *= v[..., :, None]
         t *= (1.0 / v)[..., None, :]
         return t
@@ -158,12 +149,8 @@ class NumpyBackend(BaseBackend):
         self._record_scale("wrapping", n, n, passes=2 * s)
         t = g * (1.0 / v)[..., :, None]
         t *= v[..., None, :]
-        if self.structured is not None:
-            t = self.apply_structured(t, side="left", inverse=True, category="wrapping")
-            return self.apply_structured(t, side="right", category="wrapping")
-        flops.record("wrapping", 2 * s * flops.gemm_flops(n, n, n))
-        t = np.matmul(self.inv_expk, t)
-        return np.matmul(t, self.expk)
+        t = self.apply_structured(t, side="left", inverse=True, category="wrapping")
+        return self.apply_structured(t, side="right", category="wrapping")
 
     wrap = wrap_batched  # traced name, no body of its own (ROADMAP 1(f))
     unwrap = unwrap_batched  # traced name, no body of its own (ROADMAP 1(f))

@@ -37,6 +37,7 @@ from ..linalg import (
     qr_prepivoted,
     stable_inverse_from_graded,
 )
+from ..precision import SPINE_DTYPE
 
 __all__ = [
     "StratificationMethod",
@@ -149,10 +150,10 @@ class IncrementalStratifier:
     def push(self, factor: np.ndarray) -> None:
         """Fold one more (leftmost) factor into the chain."""
         b = self.backend
-        # The stabilization spine runs in the policy's spine dtype —
-        # float64 under full64 *and* mixed (compute-dtype cluster factors
-        # are promoted here, before anything graded is formed).
-        f = b.policy.spine(factor)
+        # The stabilization spine runs in SPINE_DTYPE — float64 under
+        # full64 *and* mixed (compute-dtype cluster factors are promoted
+        # here, before anything graded is formed).
+        f = np.asarray(factor, dtype=SPINE_DTYPE)
         n = f.shape[0]
         if f.shape != (n, n):
             raise ValueError("factors must be square")

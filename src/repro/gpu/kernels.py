@@ -86,19 +86,22 @@ def structured_apply_kernel(
     side: str = "left",
     inverse: bool = False,
     pass_seconds=None,
+    out: DeviceArray | None = None,
 ) -> None:
-    """Apply the separable kinetic propagator to ``g`` in place.
+    """Apply the kinetic operator to ``g``, in place or into ``out``.
 
-    The simulated execution runs the propagator's blocked spelling on the
-    payload so device results stay bit-identical to the host backends'
-    structured path; the *cost* is one launch per entry of
-    ``pass_seconds`` — by default what the operator itself reports
-    (``propagator.device_pass_seconds``): two batched small GEMMs for
-    exact Kronecker blocks, or one bandwidth-bound rotation pass per
+    The simulated execution runs the operator's own application on the
+    payload so device results stay bit-identical to the host backends;
+    the *cost* is one launch per entry of ``pass_seconds`` — by default
+    what the operator itself reports (``propagator.device_pass_seconds``):
+    one GEMM for the dense exponential, two batched small GEMMs for exact
+    Kronecker blocks, or one bandwidth-bound rotation pass per
     checkerboard bond group, and a diagonal pass more when mu folds in.
     """
-    if g.device is not device:
-        raise DeviceError("array bound to a different device")
+    target = g if out is None else out
+    for arr in (g, target):
+        if arr.device is not device:
+            raise DeviceError("array bound to a different device")
     payload = g._payload()
     if side == "left":
         result = propagator.apply_expk_left(payload, inverse=inverse)
@@ -108,7 +111,7 @@ def structured_apply_kernel(
         width = payload.shape[0]
     else:
         raise DeviceError(f"structured side must be left/right, got {side!r}")
-    payload[...] = result
+    target._payload()[...] = result
 
     if pass_seconds is None:
         pass_seconds = propagator.device_pass_seconds(

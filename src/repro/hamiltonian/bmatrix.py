@@ -47,26 +47,20 @@ class BMatrixFactory:
     def __init__(self, model: HubbardModel, kinetic: Optional[str] = None):
         self.model = model
         self.kinetic_mode = resolve_option("kinetic", kinetic)
-        self.kinetic = KineticPropagator(model.kinetic_matrix(), model.dtau)
         self.nu = model.nu
-        #: the separable kinetic operator — exact Kronecker blocks or the
-        #: checkerboard split, by mode — or ``None`` where no such
-        #: structure exists (multilayer / general lattices under the exact
-        #: mode keep the dense GEMM). Backends pick this up at bind()
-        #: time to decide whether the structured fast path exists.
-        self.structured: Optional[SeparablePropagator] = None
+        #: the one kinetic operator every B matrix applies: the exact
+        #: Kronecker blocks or the checkerboard split on a plain rectangle,
+        #: the dense exponential on multilayer / general lattices. Each
+        #: answers the same interface, so backends bind it and apply it
+        #: without asking which it is.
         checkerboard = self.kinetic_mode == "checkerboard"
         if checkerboard or type(model.lattice) is SquareLattice:
             # A geometry checkerboard cannot partition fails here, at
             # construction (a typed ValueError), rather than mid-sweep.
             kind = CheckerboardPropagator if checkerboard else SeparablePropagator
-            self.structured = kind(
-                model.lattice, t=model.t, dtau=model.dtau, mu=model.mu
-            )
-        # dtype -> (expk, inv_expk) realized for that width; float64
-        # masters are shared, narrower widths are cast once and reused
-        # across rebinds (and across promotions back down the ladder).
-        self._exponentials: dict = {}
+            self.kinetic = kind(model.lattice, t=model.t, dtau=model.dtau, mu=model.mu)
+        else:
+            self.kinetic = KineticPropagator(model.kinetic_matrix(), model.dtau)
         #: the map taking spin-up Green's functions to spin-down ones when
         #: the model's down sector is the particle-hole image of its up
         #: sector (``mu = 0``, bipartite hopping), else ``None``: decided
@@ -81,74 +75,42 @@ class BMatrixFactory:
 
     @property
     def expk(self) -> np.ndarray:
-        if self.structured is not None:
-            return self.structured.as_matrix()
-        return self.kinetic.expk
+        return self.kinetic.as_matrix()
 
     @property
     def inv_expk(self) -> np.ndarray:
-        if self.structured is not None:
-            return self.structured.inverse_matrix()
-        return self.kinetic.inv_expk
+        return self.kinetic.inverse_matrix()
 
     def exponentials(self, dtype=None):
         """``(exp(-dtau K), exp(+dtau K))`` realized in ``dtype``.
 
-        The precision-policy seam of the hamiltonian layer: backends
-        bind their compute-dtype exponentials through this cache. The
-        eigendecomposition behind the masters is never redone — only
-        the final cast is, once per width. With a structured operator
-        the pair is *its* product and inverse (the propagator keeps its
-        own per-dtype cache), so dense fallbacks stay consistent with
-        the structured applications.
+        The kinetic operator keeps its own per-dtype cache: the float64
+        masters are built once, narrower widths are cast once and reused
+        across rebinds (and across promotions back down the ladder).
         """
-        if self.structured is not None:
-            return (
-                self.structured.as_matrix(dtype),
-                self.structured.inverse_matrix(dtype),
-            )
-        if dtype is None:
-            return self.expk, self.inv_expk
-        dt = np.dtype(dtype)
-        if dt == self.expk.dtype:
-            return self.expk, self.inv_expk
-        cached = self._exponentials.get(dt)
-        if cached is None:
-            cached = (
-                np.asarray(self.expk, dtype=dt),
-                np.asarray(self.inv_expk, dtype=dt),
-            )
-            self._exponentials[dt] = cached
-        return cached
+        return self.kinetic.as_matrix(dtype), self.kinetic.inverse_matrix(dtype)
 
-    # -- kinetic-factor application (structured seam) ---------------------------
+    # -- kinetic-factor application ---------------------------------------------
 
     def apply_expk_left(
         self, a: np.ndarray, inverse: bool = False, category: str = "kinetic"
     ) -> np.ndarray:
         """``exp(-dtau K) @ a`` (``exp(+dtau K) @ a`` when ``inverse``).
 
-        A structured operator routes through its direction blocks in
-        O(N (lx+ly)) flops per column; without one this is the dense
-        O(N^2)-per-column GEMM.
+        O(N (lx+ly)) flops per column through the direction blocks on a
+        rectangle, the dense O(N^2)-per-column GEMM elsewhere.
         """
         ncols = a.shape[1] if a.ndim == 2 else 1
-        if self.structured is not None:
-            flops.record(category, self.structured.apply_flops(ncols))
-            return self.structured.apply_expk_left(a, inverse=inverse)
-        flops.record(category, flops.gemm_flops(self.n, ncols, self.n))
-        return (self.inv_expk if inverse else self.expk) @ a
+        flops.record(category, self.kinetic.apply_flops(ncols))
+        return self.kinetic.apply_expk_left(a, inverse=inverse)
 
     def apply_expk_right(
         self, a: np.ndarray, inverse: bool = False, category: str = "kinetic"
     ) -> np.ndarray:
         """``a @ exp(-dtau K)`` (``a @ exp(+dtau K)`` when ``inverse``)."""
         nrows = a.shape[0] if a.ndim == 2 else 1
-        if self.structured is not None:
-            flops.record(category, self.structured.apply_flops(nrows))
-            return self.structured.apply_expk_right(a, inverse=inverse)
-        flops.record(category, flops.gemm_flops(nrows, self.n, self.n))
-        return a @ (self.inv_expk if inverse else self.expk)
+        flops.record(category, self.kinetic.apply_flops(nrows))
+        return self.kinetic.apply_expk_right(a, inverse=inverse)
 
     # -- single-slice products -------------------------------------------------
 

@@ -11,7 +11,9 @@ hopping ``K = I (x) Kx + Ky (x) I`` and the two terms commute, so
 :class:`SeparablePropagator` holds the ``lx x lx`` / ``ly x ly`` ring
 exponentials and applies ``B = By_big Bx_big`` as two *tiny* batched
 GEMMs (``2 N (lx + ly)`` flops per column versus ``2 N^2`` for the dense
-exponential) — the structured path every backend takes on a rectangle.
+exponential) — the kinetic operator every factory on a rectangle holds,
+behind the same interface as the dense
+:class:`~repro.hamiltonian.kinetic.KineticPropagator`.
 
 :class:`CheckerboardPropagator` feeds the same blocked pipeline with
 QUEST's *checkerboard* blocks instead: the bonds are partitioned into
@@ -54,7 +56,7 @@ class CheckerboardError(ValueError):
 
     Raised loudly instead of silently producing overlapping bond groups
     or wrong Kronecker factors. Multilayer stacks and general bond-list
-    lattices keep the dense ``KineticPropagator``.
+    lattices apply the dense ``KineticPropagator`` instead.
     """
 
 
@@ -64,8 +66,9 @@ def _require_rectangle(lattice) -> None:
         raise CheckerboardError(
             "the separable x/y direction blocks need a plain periodic "
             f"SquareLattice; got {type(lattice).__name__} — multilayer "
-            "stacks and general bond-list lattices go through the dense "
-            "KineticPropagator (BMatrixFactory picks it under kinetic='exact')"
+            "stacks and general bond-list lattices carry the dense "
+            "KineticPropagator, the kinetic operator BMatrixFactory builds for "
+            "them under kinetic='exact'"
         )
 
 
@@ -406,10 +409,6 @@ class CheckerboardPropagator(SeparablePropagator):
         if self.mu != 0.0:
             a *= np.exp(self.dtau * self.mu)
         return a
-
-    def dense(self) -> np.ndarray:
-        """Materialize the checkerboard propagator as a dense matrix."""
-        return self.as_matrix()
 
     def splitting_error(self) -> float:
         """``||B_cb - exp(-dtau K)|| / ||exp(-dtau K)||`` — the O(dtau^2)

@@ -3,7 +3,13 @@
 K is real symmetric, so the matrix exponential is computed exactly through
 one eigendecomposition — done once per simulation (K never changes during
 sampling, paper Sec. III-A) and reused for the inverse propagator
-``exp(+dtau K)`` needed by wrapping.
+``exp(+dtau K)`` needed by wrapping. :class:`KineticPropagator` answers
+the same operator interface as the separable propagators of
+:mod:`repro.hamiltonian.checkerboard` — ``apply_expk_left/right``,
+``as_matrix`` / ``inverse_matrix``, ``apply_flops`` and
+``device_pass_seconds`` — so the backends apply whichever one the factory
+holds without asking which it is; here each application is one GEMM
+against the realized exponential.
 
 The same eigendecomposition gives the exact non-interacting (U = 0)
 equal-time Green's function, the gold-standard reference the test suite
@@ -14,16 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Dict, List
 
 import numpy as np
 import scipy.linalg as sla
+
+from ..linalg import flops
 
 __all__ = ["KineticPropagator", "free_greens_function", "free_dispersion_2d"]
 
 
 @dataclass(frozen=True)
 class KineticPropagator:
-    """Holds ``exp(-dtau K)``, its inverse, and the spectrum of K."""
+    """Holds ``exp(-dtau K)``, its inverse, and the spectrum of K, and
+    applies them as dense GEMMs."""
 
     k_matrix: np.ndarray
     dtau: float
@@ -39,7 +49,7 @@ class KineticPropagator:
 
     @cached_property
     def _eig(self) -> tuple:
-        w, v = sla.eigh(np.asarray(self.k_matrix, dtype=np.float64))  # qmclint: disable=QL008 -- float64 masters; policy widths are realized via BMatrixFactory.exponentials
+        w, v = sla.eigh(np.asarray(self.k_matrix, dtype=np.float64))  # qmclint: disable=QL008 -- float64 masters; policy widths are realized via as_matrix / inverse_matrix
         return w, v
 
     @property
@@ -62,6 +72,52 @@ class KineticPropagator:
     @property
     def n(self) -> int:
         return self.k_matrix.shape[0]
+
+    # -- the kinetic-operator interface ----------------------------------------
+
+    @cached_property
+    def _dtype_cache(self) -> Dict:
+        """Narrow-dtype copies of the exponentials, by ``(inverse, dtype)``."""
+        return {}
+
+    def _realized(self, inverse: bool, dtype=None) -> np.ndarray:
+        """``exp(-+dtau K)`` in ``dtype``: the float64 master, or a copy
+        cast once per width and reused across rebinds."""
+        master = self.inv_expk if inverse else self.expk
+        if dtype is None or np.dtype(dtype) == master.dtype:
+            return master
+        key = (inverse, np.dtype(dtype))
+        cached = self._dtype_cache.get(key)
+        if cached is None:
+            cached = self._dtype_cache[key] = np.asarray(master, dtype=key[1])
+        return cached
+
+    def as_matrix(self, dtype=None) -> np.ndarray:
+        """``exp(-dtau K)`` in ``dtype``."""
+        return self._realized(False, dtype)
+
+    def inverse_matrix(self, dtype=None) -> np.ndarray:
+        """``exp(+dtau K)`` in ``dtype``."""
+        return self._realized(True, dtype)
+
+    def apply_expk_left(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """``exp(-dtau K) @ a`` (``exp(+dtau K) @ a`` when ``inverse``) in
+        ``a``'s dtype; ``a`` is ``(n,)``, ``(n, c)`` or any stack
+        ``(..., n, c)``."""
+        return np.matmul(self._realized(inverse, a.dtype), a)
+
+    def apply_expk_right(self, a: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """``a @ exp(-dtau K)`` (``a @ exp(+dtau K)`` when ``inverse``)."""
+        return np.matmul(a, self._realized(inverse, a.dtype))
+
+    def apply_flops(self, ncols: int) -> int:
+        """Flop count of one application to an ``(n, ncols)`` operand."""
+        return flops.gemm_flops(self.n, ncols, self.n)
+
+    def device_pass_seconds(self, model, ncols: int, dtype) -> List[float]:
+        """Modelled seconds of the one GEMM a device port launches per
+        application to ``ncols`` columns."""
+        return [model.time_gemm(self.n, ncols, self.n, dtype=dtype)]
 
 
 def free_greens_function(k_matrix: np.ndarray, beta: float) -> np.ndarray:

@@ -11,11 +11,12 @@ double*. A :class:`PrecisionPolicy` makes that split explicit:
     wrap/unwrap, the equal-time Green's function between
     re-stratifications, and the delayed-update rank-1 buffers.
 
-``spine_dtype``
-    The dtype of the stabilization spine: graded QR factorizations,
-    the diagonal scales ``D``, and the stratified inverse that refreshes
-    ``G``. Under ``mixed`` this never narrows — the spine is what keeps
-    ``exp(beta * bandwidth)`` dynamic range representable at all.
+``SPINE_DTYPE``
+    Not a policy field but one module constant, float64: the dtype of
+    the stabilization spine (graded QR factorizations, the diagonal
+    scales ``D``, and the stratified inverse that refreshes ``G``). No
+    policy narrows it — the spine is what keeps ``exp(beta * bandwidth)``
+    dynamic range representable at all.
 
 ``drift_scale``
     Multiplier applied to the watchdog's wrap-drift tolerance. Reduced
@@ -25,12 +26,12 @@ double*. A :class:`PrecisionPolicy` makes that split explicit:
 
 Two policies ship:
 
-========  =============  ===========  ===========
-name      compute        spine        drift scale
-========  =============  ===========  ===========
-full64    float64        float64      1
-mixed     float32        float64      100
-========  =============  ===========  ===========
+========  =============  ===========
+name      compute        drift scale
+========  =============  ===========
+full64    float64        1
+mixed     float32        100
+========  =============  ===========
 
 ``full64`` is the default and is bit-identical to the historical
 pipeline (its coercions are no-ops). ``mixed`` is the paper-motivated
@@ -58,6 +59,7 @@ __all__ = [
     "POLICIES",
     "PROMOTION_LADDER",
     "resolve_policy",
+    "SPINE_DTYPE",
 ]
 
 # The two dtypes the pipeline is allowed to narrow between. Spelled via
@@ -66,6 +68,9 @@ __all__ = [
 _F32 = np.dtype("float32")
 _F64 = np.dtype("float64")
 
+#: the stabilization spine's dtype under every policy
+SPINE_DTYPE = _F64
+
 
 class PrecisionError(ValueError):
     """Unknown policy name or malformed precision spec."""
@@ -73,11 +78,10 @@ class PrecisionError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """An immutable (compute dtype, spine dtype, tolerance scale) triple."""
+    """An immutable (compute dtype, tolerance scale) pair."""
 
     name: str
     compute_dtype: np.dtype
-    spine_dtype: np.dtype
     drift_scale: float
     description: str = field(default="", compare=False)
 
@@ -87,10 +91,6 @@ class PrecisionPolicy:
         """``a`` as an ndarray in the compute dtype (no-op if it already
         is — under ``full64`` this preserves object identity)."""
         return np.asarray(a, dtype=self.compute_dtype)
-
-    def spine(self, a) -> np.ndarray:
-        """``a`` as an ndarray in the stabilization-spine dtype."""
-        return np.asarray(a, dtype=self.spine_dtype)
 
     # -- the promotion ladder ------------------------------------------------
 
@@ -105,11 +105,6 @@ class PrecisionPolicy:
             return None
         return POLICIES[PROMOTION_LADDER[i + 1]]
 
-    @property
-    def is_narrowed(self) -> bool:
-        """True if any part of the pipeline runs below float64."""
-        return self.compute_dtype != _F64 or self.spine_dtype != _F64
-
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.name
 
@@ -121,14 +116,12 @@ POLICIES: Dict[str, PrecisionPolicy] = {
     "full64": PrecisionPolicy(
         name="full64",
         compute_dtype=_F64,
-        spine_dtype=_F64,
         drift_scale=1.0,
         description="float64 everywhere (historical pipeline, bit-exact)",
     ),
     "mixed": PrecisionPolicy(
         name="mixed",
         compute_dtype=_F32,
-        spine_dtype=_F64,
         drift_scale=100.0,
         description=(
             "float32 cluster products / wrapping / delayed updates, "

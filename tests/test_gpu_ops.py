@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import BMatrixFactory, HSField, HubbardModel, SquareLattice
+from repro.backends.gpu_sim import SimulatedGPUBackend
 from repro.core import cluster_product, wrap_forward
 from repro.gpu import GPUPropagatorOps, SimulatedDevice
-from tests.helpers import relerr
+from tests.helpers import dense_twin, relerr
 
 
 @pytest.fixture
@@ -15,9 +17,7 @@ def dev():
 
 @pytest.fixture(params=[True, False], ids=["fused", "cublas"])
 def ops(request, dev, factory4x4):
-    return GPUPropagatorOps(
-        dev, factory4x4.expk, factory4x4.inv_expk, fused=request.param
-    )
+    return GPUPropagatorOps(dev, factory4x4.kinetic, fused=request.param)
 
 
 class TestClusterProduct:
@@ -43,7 +43,7 @@ class TestClusterProduct:
     def test_transfer_volume(self, dev, factory4x4, field4x4):
         """Paper Sec. VI-A: one cluster rebuild moves N*L floats up and
         N^2 down (the resident exponentials move only at setup)."""
-        ops = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk)
+        ops = GPUPropagatorOps(dev, factory4x4.kinetic)
         h2d0, d2h0 = dev.h2d_bytes, dev.d2h_bytes
         k = 10
         vs = [field4x4.v_diagonal(l, 1, factory4x4.nu) for l in range(k)]
@@ -61,12 +61,12 @@ class TestLaunchCounts:
         k = 5
         vs = [field4x4.v_diagonal(l, 1, factory4x4.nu) for l in range(k)]
 
-        fused = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk, fused=True)
+        fused = GPUPropagatorOps(dev, factory4x4.kinetic, fused=True)
         before = dev.kernel_launches
         fused.cluster_product(vs)
         fused_launches = dev.kernel_launches - before
 
-        plain = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk, fused=False)
+        plain = GPUPropagatorOps(dev, factory4x4.kinetic, fused=False)
         before = dev.kernel_launches
         plain.cluster_product(vs)
         plain_launches = dev.kernel_launches - before
@@ -82,9 +82,7 @@ class TestLaunchCounts:
         times = {}
         for fused in (True, False):
             dev = SimulatedDevice()
-            ops = GPUPropagatorOps(
-                dev, factory4x4.expk, factory4x4.inv_expk, fused=fused
-            )
+            ops = GPUPropagatorOps(dev, factory4x4.kinetic, fused=fused)
             t0 = dev.elapsed
             ops.cluster_product(vs)
             times[fused] = dev.elapsed - t0
@@ -109,8 +107,79 @@ class TestWrap:
         """One wrap moves N^2 + N floats up, N^2 down — the paper's
         reason wrapping cannot reach clustering's GPU efficiency."""
         dev = SimulatedDevice()
-        ops = GPUPropagatorOps(dev, factory4x4.expk, factory4x4.inv_expk)
+        ops = GPUPropagatorOps(dev, factory4x4.kinetic)
         h2d0, d2h0 = dev.h2d_bytes, dev.d2h_bytes
         ops.wrap(rng.normal(size=(16, 16)), np.exp(rng.normal(size=16)))
         assert dev.h2d_bytes - h2d0 == (16 * 16 + 16) * 8
         assert dev.d2h_bytes - d2h0 == 16 * 16 * 8
+
+
+def _rectangle_backend(kinetic="exact", dense=False, fused=True):
+    """A gpu-sim backend bound to the 4x4 torus (or its ``GeneralLattice``
+    twin), with four seeded cluster diagonals and a seeded G."""
+    lattice = SquareLattice(4, 4)
+    if dense:
+        lattice = dense_twin(lattice)
+    model = HubbardModel(lattice, u=4.0, beta=2.0, n_slices=20)
+    factory = BMatrixFactory(model, kinetic=kinetic)
+    backend = SimulatedGPUBackend(fused=fused, precision="full64").bind(factory)
+    rng = np.random.default_rng(3)
+    field = HSField.random(model.n_slices, model.n_sites, rng)
+    vs = np.stack([field.v_diagonal(l, 1, factory.nu) for l in range(4)])
+    return backend, vs, rng.normal(size=(16, 16))
+
+
+def _charges(backend, call):
+    """``(model seconds, launches, H2D bytes)`` one call charges the device."""
+    dev = backend.device
+    dev.reset_clock()
+    launches, h2d = dev.kernel_launches, dev.h2d_bytes
+    call()
+    return dev.elapsed, dev.kernel_launches - launches, dev.h2d_bytes - h2d
+
+
+class TestGoldenAccounting:
+    """Exact device charges of the fused cluster product (k = 4), wrap and
+    unwrap on the 4x4 torus, recorded before the dense exponential became
+    a kinetic operator like the Kronecker blocks. On the C2050 model the
+    exact 16 x 16 blocks are priced as the resident GEMM they replace, so
+    the rectangle and its dense twin charge the same."""
+
+    EXACT = {
+        "cluster": (0.0010647895009523814, 7, 512),
+        "wrap": (0.0006918800609523812, 3, 2176),
+        "unwrap": (0.0007069013942857147, 3, 2304),
+    }
+    GOLDEN = {
+        ("exact", False): EXACT,
+        ("exact", True): EXACT,
+        ("checkerboard", False): {
+            "cluster": (0.00020405569523809523, 16, 512),
+            "wrap": (0.00011805752380952382, 9, 2176),
+            "unwrap": (0.00013307885714285714, 9, 2304),
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "kinetic, dense", list(GOLDEN), ids=["exact", "dense_twin", "checkerboard"]
+    )
+    def test_charges_are_unchanged(self, kinetic, dense):
+        backend, vs, g = _rectangle_backend(kinetic, dense)
+        charged = {
+            "cluster": _charges(backend, lambda: backend.cluster_product_batched(vs)),
+            "wrap": _charges(backend, lambda: backend.wrap_batched(g, vs[0])),
+            "unwrap": _charges(backend, lambda: backend.unwrap_batched(g, vs[0])),
+        }
+        assert charged == self.GOLDEN[(kinetic, dense)]
+
+    def test_rectangle_cublas_listing_matches_dense_twin(self):
+        """Algorithm 4's per-row dscal listing scales every factor of the
+        cluster, whichever kinetic operator the factory holds."""
+        launches = []
+        for dense in (False, True):
+            backend, vs, _ = _rectangle_backend(dense=dense, fused=False)
+            launches.append(
+                _charges(backend, lambda: backend.cluster_product_batched(vs))[1]
+            )
+        n, k = 16, 4
+        assert launches == [k * (n + 2)] * 2

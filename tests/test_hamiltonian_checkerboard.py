@@ -55,7 +55,7 @@ class TestPropagator:
         """Each group factor is symmetric positive definite, so the whole
         product is nonsingular with positive determinant."""
         cb = CheckerboardPropagator(SquareLattice(4, 4), t=1.0, dtau=0.1)
-        b = cb.dense()
+        b = cb.as_matrix()
         sign, _ = np.linalg.slogdet(b)
         assert sign == 1.0
 
@@ -64,14 +64,14 @@ class TestPropagator:
         cb = CheckerboardPropagator(SquareLattice(4, 4), t=1.3, dtau=0.15)
         a = rng.normal(size=(16, 5))
         np.testing.assert_allclose(
-            cb.apply_left(a), cb.dense() @ a, atol=1e-12
+            cb.apply_left(a), cb.as_matrix() @ a, atol=1e-12
         )
 
     def test_mu_factor(self):
         cb0 = CheckerboardPropagator(SquareLattice(2, 2), t=1.0, dtau=0.1)
         cb1 = CheckerboardPropagator(SquareLattice(2, 2), t=1.0, dtau=0.1, mu=0.5)
         np.testing.assert_allclose(
-            cb1.dense(), np.exp(0.05) * cb0.dense(), atol=1e-13
+            cb1.as_matrix(), np.exp(0.05) * cb0.as_matrix(), atol=1e-13
         )
 
     def test_error_small_and_quadratic_in_dtau(self):

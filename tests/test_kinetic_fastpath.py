@@ -21,7 +21,7 @@ from repro import (
     SquareLattice,
     free_greens_function,
 )
-from repro.backends import BackendError, get_backend
+from repro.backends import get_backend
 from repro.core import GreensFunctionEngine
 from repro.gpu.kernels import structured_apply_kernel
 from repro.gpu.perfmodel import TESLA_C2050
@@ -29,6 +29,7 @@ from repro.hamiltonian import (
     CheckerboardError,
     CheckerboardPropagator,
     KINETIC_MODES,
+    KineticPropagator,
     SeparablePropagator,
     bond_groups,
 )
@@ -79,11 +80,11 @@ class TestKineticModes:
         factory = BMatrixFactory(model_4x4())
         assert factory.kinetic_mode == "exact"
         # on a rectangle exact means the exact Kronecker blocks ...
-        assert type(factory.structured) is SeparablePropagator
-        # ... and the dense GEMM only where no such structure exists
+        assert type(factory.kinetic) is SeparablePropagator
+        # ... and the dense exponential only where no such structure exists
         for dense in dense_factories():
             assert dense.kinetic_mode == "exact"
-            assert dense.structured is None
+            assert type(dense.kinetic) is KineticPropagator
 
     def test_multilayer_lattice_raises_typed_error(self):
         lat = MultilayerLattice(4, 4, 2)
@@ -191,9 +192,8 @@ class TestFactoryRouting:
 
     def test_checkerboard_expk_is_structured_product(self):
         exact, cb = factories()
-        assert cb.structured is not None
         np.testing.assert_allclose(
-            cb.expk, cb.structured.as_matrix(), atol=0.0
+            cb.expk, cb.kinetic.as_matrix(), atol=0.0
         )
         # ... and close to (but not equal to) the dense exponential.
         assert not np.array_equal(cb.expk, exact.expk)
@@ -235,7 +235,7 @@ class TestFactoryRouting:
         b = cb.b_matrix(field, 0, +1)
         v = field.v_diagonal(0, +1, cb.nu)
         np.testing.assert_allclose(
-            b, v[:, None] * cb.structured.as_matrix(), atol=1e-13
+            b, v[:, None] * cb.kinetic.as_matrix(), atol=1e-13
         )
 
     def test_mu_enters_structured_propagator(self, rng):
@@ -270,11 +270,18 @@ class TestBackendStructuredOps:
                     ), (factory.kinetic_mode, name, side, inverse)
 
     @pytest.mark.parametrize("name", STRUCTURED_BACKENDS)
-    def test_apply_structured_raises_without_structured(self, name):
+    def test_apply_structured_on_dense_k(self, name, rng):
+        """Without separable structure the bound operator is the dense
+        exponential: the application is one GEMM against it."""
+        a = rng.standard_normal((16, 16))
         for dense in dense_factories():
             backend = get_backend(name).bind(dense)
-            with pytest.raises(BackendError, match="structured"):
-                backend.apply_structured(np.eye(16))
+            for inverse in (False, True):
+                b = dense.inv_expk if inverse else dense.expk
+                assert np.array_equal(backend.apply_structured(a, inverse=inverse), b @ a)
+                assert np.array_equal(
+                    backend.apply_structured(a, side="right", inverse=inverse), a @ b
+                )
 
     def test_apply_structured_counts_dispatch(self, rng):
         _, cb = factories()
@@ -290,7 +297,7 @@ class TestBackendStructuredOps:
         a = rng.standard_normal((16, 16))
         with flops.tally() as t:
             backend.apply_structured(a, category="structured")
-        assert t.flops.get("structured", 0) >= cb.structured.apply_flops(16)
+        assert t.flops.get("structured", 0) >= cb.kinetic.apply_flops(16)
 
     @pytest.mark.parametrize("name", STRUCTURED_BACKENDS)
     def test_wrap_matches_exact_mode_to_splitting_error(self, name, rng):
@@ -321,9 +328,9 @@ class TestBackendStructuredOps:
         _, cb = factories()
         backend = get_backend(name).bind(cb)
         vs = np.array([np.exp(rng.standard_normal(16)) for _ in range(4)])
-        expect = cb.structured.as_matrix() * vs[0][:, None]
+        expect = cb.kinetic.as_matrix() * vs[0][:, None]
         for v in vs[1:]:
-            expect = cb.structured.apply_expk_left(expect) * v[:, None]
+            expect = cb.kinetic.apply_expk_left(expect) * v[:, None]
         np.testing.assert_allclose(
             backend.cluster_product_batched(vs), expect, atol=1e-12
         )
@@ -391,7 +398,7 @@ class TestExactSeparablePipeline:
         eng = GreensFunctionEngine(
             BMatrixFactory(model, kinetic="exact"), field, cluster_size=10
         )
-        assert eng.backend.structured is eng.factory.structured is not None
+        assert eng.backend.kinetic is eng.factory.kinetic
         exact = free_greens_function(model.kinetic_matrix(), model.beta)
         for c in range(eng.n_clusters):
             for sigma in (1, -1):
@@ -411,16 +418,16 @@ class TestExactSeparablePipeline:
         apply_s = [m.time_gemm(lx, ly * n, lx), m.time_gemm(ly, lx * n, ly)]
         if mu:
             apply_s.append(m.time_bandwidth_kernel(2 * 8 * n * n))
-        assert backend.structured.device_pass_seconds(m, n, np.float64) == apply_s
+        assert backend.kinetic.device_pass_seconds(m, n, np.float64) == apply_s
         a = rng.standard_normal((n, n))
         da = dev.set_matrix(a)
         launches, clock = dev.kernel_launches, dev.elapsed
-        structured_apply_kernel(dev, backend.structured, da)
+        structured_apply_kernel(dev, backend.kinetic, da)
         assert dev.kernel_launches - launches == len(apply_s)
         assert dev.elapsed - clock == pytest.approx(sum(apply_s), rel=1e-12)
-        assert np.array_equal(dev.get_matrix(da), backend.structured.apply_expk_left(a))
+        assert np.array_equal(dev.get_matrix(da), backend.kinetic.apply_expk_left(a))
         # the checkerboard operator reports one rotation pass per bond group
-        cb = BMatrixFactory(model, kinetic="checkerboard").structured
+        cb = BMatrixFactory(model, kinetic="checkerboard").kinetic
         assert cb.device_pass_seconds(m, n, np.float64)[: len(cb.groups)] == [
             m.time_checkerboard_pass(len(g), n, 8) for g in cb.groups
         ]
@@ -441,7 +448,7 @@ class TestExactSeparablePipeline:
         factory = BMatrixFactory(model, kinetic=kinetic)
         backend = get_backend("gpu-sim").bind(factory)
         dev, m = backend.device, TESLA_C2050
-        passes = factory.structured.device_pass_seconds(m, n, np.float64)
+        passes = factory.kinetic.device_pass_seconds(m, n, np.float64)
         gemm = m.time_gemm(n, n, n)
         assert (sum(passes) < gemm) is blocked
         plan = passes if blocked else [gemm]
@@ -471,7 +478,7 @@ class TestKineticSwitching:
         )
         assert sim.options.kinetic == "checkerboard"
         assert sim.factory.kinetic_mode == "checkerboard"
-        assert sim.engine.backend.structured is sim.factory.structured
+        assert sim.engine.backend.kinetic is sim.factory.kinetic
 
 
 # ---------------------------------------------------------------------------

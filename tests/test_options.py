@@ -192,7 +192,7 @@ class TestConstructors:
         monkeypatch.setenv("REPRO_BACKEND", "threaded")
         monkeypatch.setenv("REPRO_KINETIC", "checkerboard")
         assert engine(backend="auto").backend.name == "threaded"
-        assert BMatrixFactory(model(), kinetic="auto").structured is not None
+        assert BMatrixFactory(model(), kinetic="auto").kinetic_mode == "checkerboard"
 
     def test_bare_constructors_follow_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "gpu-sim")

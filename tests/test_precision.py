@@ -16,6 +16,7 @@ from repro.precision import (
     POLICIES,
     PROMOTION_LADDER,
     PrecisionError,
+    SPINE_DTYPE,
     PrecisionPolicy,
     resolve_policy,
 )
@@ -78,13 +79,8 @@ class TestPolicyObjects:
 
     def test_dtype_table(self):
         assert POLICIES["full64"].compute_dtype == F64
-        assert POLICIES["full64"].spine_dtype == F64
         assert POLICIES["mixed"].compute_dtype == F32
-        assert POLICIES["mixed"].spine_dtype == F64
-
-    def test_is_narrowed(self):
-        assert not POLICIES["full64"].is_narrowed
-        assert POLICIES["mixed"].is_narrowed
+        assert SPINE_DTYPE == F64
 
     def test_drift_scales_widen_down_the_ladder(self):
         assert POLICIES["full64"].drift_scale < POLICIES["mixed"].drift_scale
@@ -95,12 +91,11 @@ class TestPolicyObjects:
         historical pipeline."""
         a = np.eye(3)
         assert POLICIES["full64"].compute(a) is a
-        assert POLICIES["full64"].spine(a) is a
 
     def test_mixed_narrows_compute_keeps_spine(self):
         a = np.eye(3)
         assert POLICIES["mixed"].compute(a).dtype == F32
-        assert POLICIES["mixed"].spine(a) is a
+        assert np.asarray(a, dtype=SPINE_DTYPE) is a
 
 
 class TestEnginePolicy:

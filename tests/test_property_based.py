@@ -266,7 +266,7 @@ class TestCheckerboardProperties:
         from repro.lattice import SquareLattice
 
         cb = CheckerboardPropagator(SquareLattice(lx, ly), t=t, dtau=dtau)
-        sign, _ = np.linalg.slogdet(cb.dense())
+        sign, _ = np.linalg.slogdet(cb.as_matrix())
         assert sign == 1.0
         # O(dtau^2) with a generous constant over this parameter box
         assert cb.splitting_error() < 5.0 * (t * dtau) ** 2 + 1e-12

@@ -627,7 +627,7 @@ class PrecisionBypassRule(Rule):
     Every width decision in ``repro/{core,linalg,hamiltonian,backends}/``
     is owned by :class:`repro.precision.PrecisionPolicy` — code there
     narrows or widens through ``policy.compute(...)`` /
-    ``policy.spine(...)`` (or follows an input array's dtype), never by
+    ``precision.SPINE_DTYPE`` (or follows an input array's dtype), never by
     spelling a width. A literal ``dtype=np.float64`` pins the hot path
     wide even under ``mixed``; a literal ``astype(np.float32)`` narrows
     behind the policy's back and the watchdog's drift accounting stops
@@ -646,7 +646,7 @@ class PrecisionBypassRule(Rule):
     _SCOPED_DIRS = {"core", "linalg", "hamiltonian", "backends"}
     _FLOAT_LITERALS = {"float64", "float32", "double", "single", "float_"}
     #: call chains that mark a value as policy-derived
-    _POLICY_METHODS = {"compute", "spine"}
+    _POLICY_METHODS = {"compute"}
 
     def _in_scope(self, ctx: FileContext) -> bool:
         parts = ctx.rel.split("/")
@@ -662,7 +662,7 @@ class PrecisionBypassRule(Rule):
         return None
 
     def _is_policy_coercion(self, node: ast.AST) -> bool:
-        """``self.policy.compute(x)`` / ``policy.spine(x)`` and friends."""
+        """``self.policy.compute(x)`` and friends."""
         if not isinstance(node, ast.Call):
             return False
         func = node.func
@@ -671,10 +671,7 @@ class PrecisionBypassRule(Rule):
         if func.attr not in self._POLICY_METHODS:
             return False
         holder = dotted_name(func.value)
-        return holder == "policy" or holder.endswith(".policy") or holder in (
-            "compute",
-            "spine",
-        )
+        return holder in ("policy", "compute") or holder.endswith(".policy")
 
     def _literal_coercion(self, node: ast.AST) -> bool:
         """``np.asarray(x, dtype=np.float64)`` / ``x.astype(np.float32)``."""
@@ -704,7 +701,7 @@ class PrecisionBypassRule(Rule):
                             node,
                             f"astype({lit}) pins a float width behind the "
                             "precision policy's back: use policy.compute / "
-                            "policy.spine (or pragma a genuinely "
+                            "SPINE_DTYPE (or pragma a genuinely "
                             "width-pinned diagnostic)",
                         )
             for kw in node.keywords:
