@@ -1,6 +1,7 @@
 """Unit tests for delayed (block) rank-1 Green's function updates."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -358,3 +359,66 @@ class TestContiguousSlots:
         elements would raise the peak by at least N - 16 elements."""
         extra = self._accept_peak(n) - self._accept_peak(16)
         assert extra < (n - 16) * np.dtype(np.float64).itemsize
+
+
+class TestGoldenAcceptKernel:
+    """SHA-1s of the accept kernel's state, recorded before the kernel
+    was rewritten over flat operands: after every accept of a seeded
+    sequence the incremental diagonals and the written pending slots, and
+    G after the last flush. The sequence starts at m = 0 after every
+    flush and auto-flushes whenever max_delay fills (at every accept for
+    max_delay = 1). Slots at or past ``pending`` are never hashed: they
+    hold whatever the buffer's memory held."""
+
+    N, ACCEPTS = 16, 40
+    GOLDEN = {  # (S, dtype, max_delay) -> (per-accept state, final G)
+        (1, "float64", 1): ("1107c7e48196ce8e5e60529d1c0c886ef8da1207",
+                            "e796f74e1c32c8340800436d2158177732ad4bab"),
+        (1, "float64", 7): ("92ab6d1f977ef89cf93a31cd4380fbe41ee26303",
+                            "3550c7c5712bafef2d7df6a3261fd78d5c2b59c1"),
+        (1, "float64", 32): ("7f9306dfa418754589207da13f49a078cc1867b1",
+                             "0000762a3682db234987c781a0247faed59454a5"),
+        (1, "float32", 1): ("67e6e7e2ee15981f1e966e8c7cd2989bfb97f296",
+                            "c2d4895dad91f67b1766df6cce40f30db3fe6542"),
+        (1, "float32", 7): ("a222d331887541baba8eddc2c4b5368297841253",
+                            "5c2227778e462869f2f06f380a9e1f06de1d29dc"),
+        (1, "float32", 32): ("ddc2b5b9aa2f1013b04a42ae6ca0dc3a44c06497",
+                             "a99daaf03aa62a0966cec339caf2ce2a61048ee7"),
+        (2, "float64", 1): ("cd72050beaa93ab487cab4345e68c051b0852819",
+                            "529b6d674fad2b404bb59bf124bd4c4722bf847d"),
+        (2, "float64", 7): ("85163c6bf8eb40a6e19eb212ca25abd4505bcd4e",
+                            "edb7eedbf988044c8b75e785dbe0de225a5ba5a5"),
+        (2, "float64", 32): ("5541d867aca392c41a70007d90c98e6d93aac00f",
+                             "9faf0807e2333aaf15c0ec43d872f47182631b0c"),
+        (2, "float32", 1): ("569cab9378e1d516b66f4bd7e5ed2e7c2ab24d8f",
+                            "c121c03cce6e0be3d317a5e72b582ab5a0f691a4"),
+        (2, "float32", 7): ("72ddb431580d27427dfad17eb5c9418dbadd98f9",
+                            "97f7a56589e40626893a4719d441eed654beb872"),
+        (2, "float32", 32): ("a4f7946625404b79be2df5c7e02e00a6a16370fc",
+                             "93e537a74ff697779820a20a0d7378d45143ab8c"),
+    }
+
+    @staticmethod
+    def _run(s, dtype, max_delay, n, accepts):
+        rng = np.random.default_rng(1000 * s + max_delay)
+        g = (0.5 * np.eye(n) + 0.1 * rng.normal(size=(s, n, n))).astype(dtype)
+        upd = DelayedUpdater(g, max_delay=max_delay)
+        steps = hashlib.sha1()
+        for _ in range(accepts):
+            i = int(rng.integers(n))
+            alphas = tuple(float(a) for a in 0.4 * rng.normal(size=s))
+            ds = tuple(
+                1.0 + a * (1.0 - upd.diag_element(i, k)) for k, a in enumerate(alphas)
+            )
+            upd.accept(i, alphas, ds)
+            steps.update(upd.diag.tobytes())
+            steps.update(upd._pending[: upd.pending].tobytes())
+        upd.flush()
+        return steps.hexdigest(), hashlib.sha1(g.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("max_delay", [1, 7, 32])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_accept_state_matches_golden(self, s, dtype, max_delay):
+        got = self._run(s, dtype, max_delay, self.N, self.ACCEPTS)
+        assert got == self.GOLDEN[s, np.dtype(dtype).name, max_delay]
