@@ -40,13 +40,24 @@ class DelayedUpdater:
 
     The pending updates live in one ``(max_delay, 2, S, N)`` buffer:
     slot m holds every sector's ``U^T`` row in ``[m, 0]`` and ``W`` row
-    in ``[m, 1]``, each a C-contiguous ``(S, N)`` block, so every ufunc
-    of an accept writes a contiguous operand, and the scale, ``e_i -
-    row`` and the diagonal axpy read one. Column i of ``G_eff`` is ``G[:, i] + W[:m,
-    i] @ U^T`` and row i is ``G[i, :] + U^T[:m, i] @ W``: one ``(S, 2, 1,
-    m) @ (S, 2, m, N)`` product over strided views of the buffer gives
-    both lines of every sector, and their sums with G land straight in
-    slot m.
+    in ``[m, 1]``, each a C-contiguous ``(S, N)`` block. Column i of
+    ``G_eff`` is ``G[:, i] + W[:m, i] @ U^T`` and row i is ``G[i, :] +
+    U^T[:m, i] @ W``: one ``(S, 2, 1, m) @ (S, 2, m, N)`` product over
+    strided views of the buffer gives both lines of every sector, and
+    their sums with G land straight in slot m.
+
+    Past that product, every ufunc of an accept reads and writes 1-D
+    operands of ``S N`` elements, contiguous or of one stride: the slot
+    rows, the diagonals, the line buffers, a ``-alpha_s / d_s``
+    coefficient row and column i of G in every sector. Row i of G is 1-D
+    for one sector and an ``(S, N)`` view for more, and so is ``e_i``:
+    row i of a read-only window onto one ``(S + 1) N`` buffer, so no
+    N x N identity exists.
+    :meth:`anchor` binds these operands into the :meth:`accept` closure,
+    which reads no instance attribute but the pending count; the sweep
+    keeps one updater per engine and :meth:`release` unbinds it between
+    sweeps.
+
     :meth:`flush` copies each sector's ``(m, N)`` blocks (strided across
     slots) into a preallocated ``(2, max_delay, N)`` scratch, which f2py
     would otherwise copy into a fresh array, and accumulates ``U @ W``
@@ -80,29 +91,32 @@ class DelayedUpdater:
         # Buffers follow G's dtype: under a narrowed precision policy
         # the rank-1 blocks accumulate in the compute dtype and the
         # rank-m flush GEMM runs at single-precision GEMM rates.
-        p = self._pending = np.empty((max_delay, 2, s, n), dtype=g.dtype)
+        dtype = g.dtype
+        p = self._pending = np.empty((max_delay, 2, s, n), dtype=dtype)
         #: The effective diagonals ``G_eff[s, i, i]``, maintained
         #: incrementally (one vectorized axpy per accepted flip) so each
         #: *proposal* - the overwhelmingly common operation - reads them
         #: in O(1). Updated in place, so a reference stays valid across
         #: flushes and re-anchors. Read-only for callers.
-        self.diag = np.empty((s, n), dtype=g.dtype)
+        self.diag = np.empty((s, n), dtype=dtype)
+        # Row-i operands are (S, n) for several sectors, 1-D for one
+        rows = (s, n) if s > 1 else (n,)
         # The line product's G_eff-minus-G parts: column i in [0] and row
-        # i in [1], each (S, n) contiguous; written through an (S, 2, 1, n)
-        # view, the shape of the product
-        lines = np.empty((2, s, 1, n), dtype=g.dtype)
+        # i in [1]; written through an (S, 2, 1, n) view, the shape of
+        # the product
+        lines = np.empty((2, s, 1, n), dtype=dtype)
         self._lines = lines.transpose(1, 0, 2, 3)
-        self._col_line, self._row_line = lines[0, :, 0], lines[1, :, 0]
-        # e_i in every sector, (S, n) so that e_i - row reads two operands
-        # of one shape; column i is set and reset around one write through
-        # a view built here
-        unit = self._unit = np.zeros((s, n), dtype=g.dtype)
-        self._unit_cols = [unit[:, i] for i in range(n)]
-        self._prod = np.empty((s, n), dtype=g.dtype)
-        # -alpha / d per sector: written as scalars through the flat
-        # array, broadcast against (S, n) lines through the 2-D view
-        self._coef = np.empty(s, dtype=g.dtype)
-        self._coef2 = self._coef[:, None]
+        self._col_line = lines[0].reshape(s * n)
+        self._row_line = lines[1].reshape(rows)
+        self._prod = np.empty(s * n, dtype=dtype)
+        # -alpha / d of sector s fills [s]; read flat
+        self._coef = np.empty((s, n), dtype=dtype)
+        # e_i in every sector: row i of a negative-stride window whose
+        # ones, at k n + n - 1 of the buffer, fall at k n + i
+        ones = np.zeros((s + 1) * n, dtype=dtype)
+        ones[n - 1 : s * n : n] = 1.0
+        window = np.lib.stride_tricks.sliding_window_view(ones, s * n)
+        self._unit = window[n - 1 :: -1].reshape(n, *rows)
         # The line product's operands for m pending updates: indexed
         # [i], heads[m][0] is (S, 2, 1, m) with W[:m, i] in [:, 0] and
         # U^T[:m, i] in [:, 1]; heads[m][1] is (S, 2, m, N).
@@ -110,16 +124,25 @@ class DelayedUpdater:
         for m in range(max_delay + 1):
             rhs = p[:m].transpose(2, 1, 0, 3)
             self._heads.append((np.moveaxis(rhs[:, ::-1, None], -1, 0), rhs))
-        # slots[m]: the free U^T row and W row of every sector, (S, n) each
-        self._slots = [(p[m, 0], p[m, 1]) for m in range(max_delay)]
+        # slots[m]: the free U^T row and W row of every sector, flat, and
+        # the W row again in the row shape
+        self._slots = [
+            (p[m, 0].reshape(s * n), p[m, 1].reshape(s * n), p[m, 1].reshape(rows))
+            for m in range(max_delay)
+        ]
         # One sector's (m, N) U^T and W blocks, made contiguous per flush
-        self._flush_buf = np.empty((2, max_delay, n), dtype=g.dtype)
-        self._flops = 0  # booked, not yet handed to the ledger
+        self._flush_buf = np.empty((2, max_delay, n), dtype=dtype)
+        self._flops = 0  # booked by the line reads, not yet handed to the ledger
         self._read_flops = 2 * s * n  # one G_eff line, per pending update
+        self._flushed_updates = 0
         self.pending = 0
         self.flushes = 0
-        self.updates = 0
         self.anchor(g)
+
+    @property
+    def updates(self) -> int:
+        """Accepted flips recorded since construction."""
+        return self._flushed_updates + self.pending
 
     def anchor(self, g: np.ndarray) -> None:
         """Adopt ``g`` (same shape and dtype) as the matrix being updated.
@@ -130,8 +153,9 @@ class DelayedUpdater:
         """
         self.flush()
         stack = g[None] if g.ndim == 2 else g
+        s, n = self.diag.shape
         if (
-            stack.shape != (*self.diag.shape, self.n)
+            stack.shape != (s, n, n)
             or g.dtype != self.diag.dtype
             or not g.flags.c_contiguous
         ):
@@ -140,11 +164,21 @@ class DelayedUpdater:
             )
         self.g = g
         self._stack = stack
-        # G[:, :, i] and G[:, i, :] as [i]: one integer index is the
+        # G[:, :, i] as one single-stride line over the sectors, and
+        # G[:, i, :] in the row shape, as [i]: one integer index is the
         # cheapest view numpy builds
-        self._cols, self._rows = stack.transpose(2, 0, 1), stack.transpose(1, 0, 2)
+        self._cols = stack.reshape(s * n, n).T
+        self._rows = stack[0] if s == 1 else stack.transpose(1, 0, 2)
         self._gdiag = stack.diagonal(axis1=1, axis2=2)
         np.copyto(self.diag, self._gdiag)
+        self.accept = self._bind_accept(scalars=g.ndim == 2)
+
+    def release(self) -> None:
+        """Fold pending updates into G, then drop every reference to it
+        (until the next :meth:`anchor`), so a kept updater pins no G."""
+        self.flush()
+        self.g = self._stack = self._cols = self._rows = self._gdiag = None
+        vars(self).pop("accept", None)
 
     # -- reads against G_eff = G + U W --------------------------------------
 
@@ -152,36 +186,27 @@ class DelayedUpdater:
         """``G_eff[s, i, i]`` - the only number a Metropolis proposal needs."""
         return self.diag.item(s, i)
 
-    def _record_flops(self, count: int) -> None:
-        """Book ``delayed_update`` flops; :meth:`flush` hands the exact
-        integer sum to the ledger (a thread-local ``flops.record`` lookup
-        per booking is too dear on the per-accept path)."""
-        self._flops += count
-
     def _lines_at(self, i: int, col: np.ndarray, row: np.ndarray):
-        """``(G_eff[:, :, i], G_eff[:, i, :])`` as (S, n) arrays: views of G
-        while nothing is pending, else their sums with the line product,
-        written in place into ``col`` and ``row``."""
+        """``(G_eff[:, :, i], G_eff[:, i, :])``, flat and in the row shape:
+        views of G while nothing is pending, else their sums with the
+        line product, written in place into ``col`` and ``row``."""
         gcol, grow = self._cols[i], self._rows[i]
         m = self.pending
         if not m:
             return gcol, grow
         lhs, rhs = self._heads[m]
         np.matmul(lhs[i], rhs, out=self._lines)
-        return (
-            np.add(gcol, self._col_line, out=col),
-            np.add(grow, self._row_line, out=row),
-        )
+        return np.add(gcol, self._col_line, out=col), np.add(grow, self._row_line, out=row)
 
     def column(self, i: int) -> np.ndarray:
         """``G_eff[:, i]`` (fresh array; one row per sector for a stack)."""
-        self._record_flops(self._read_flops * self.pending)
+        self._flops += self._read_flops * self.pending
         col = self._lines_at(i, self._col_line, self._row_line)[0]
         return col.reshape(self.g.shape[:-1]).copy()
 
     def row(self, i: int) -> np.ndarray:
         """``G_eff[i, :]`` (fresh array; one row per sector for a stack)."""
-        self._record_flops(self._read_flops * self.pending)
+        self._flops += self._read_flops * self.pending
         row = self._lines_at(i, self._col_line, self._row_line)[1]
         return row.reshape(self.g.shape[:-1]).copy()
 
@@ -194,31 +219,50 @@ class DelayedUpdater:
         denominator ``1 + alpha * (1 - G_eff[i, i])`` per sector (plain
         scalars for a 2-D G) - the denominators are passed in rather
         than recomputed so the update uses exactly the accepted ratio.
+
+        :meth:`anchor` replaces this method on the instance with a
+        closure over the anchored G; it runs only on a released updater.
         """
-        if self.g.ndim == 2:
-            alphas, ds = (alphas,), (ds,)
-        coef = self._coef
-        for s, d in enumerate(ds):
-            if d == 0.0:
-                raise ZeroDivisionError("singular Metropolis denominator")
-            coef[s] = -alphas[s] / d
-        m = self.pending
-        # Per sector: the G_eff column and row reads (2nm each), then 4n
-        # for the scaled writes and the incremental-diagonal axpy.
-        self._record_flops(2 * self._read_flops * (m + 1))
-        # The G_eff sums land in slot m (in place from here on)
-        u_row, w_row = self._slots[m]
-        col, row = self._lines_at(i, u_row, w_row)
-        np.multiply(col, self._coef2, out=u_row)
-        e_i = self._unit_cols[i]
-        e_i[...] = 1.0
-        np.subtract(self._unit, row, out=w_row)  # e_i - G_eff[i, :]
-        e_i[...] = 0.0
-        np.add(self.diag, np.multiply(u_row, w_row, out=self._prod), out=self.diag)
-        self.pending = m + 1
-        self.updates += 1
-        if self.pending >= self.max_delay:
-            self.flush()
+        raise RuntimeError("accept needs an anchored G")
+
+    def _bind_accept(self, scalars: bool):
+        """The :meth:`accept` kernel over the anchored G, its operands
+        bound as locals (a per-call attribute lookup costs as much as a
+        small ufunc); taking one sector's scalars when ``scalars``."""
+        matmul, add, multiply, subtract = np.matmul, np.add, np.multiply, np.subtract
+        cols, rows, unit = self._cols, self._rows, self._unit
+        heads, slots, lines = self._heads, self._slots, self._lines
+        col_line, row_line, prod = self._col_line, self._row_line, self._prod
+        coef = self._coef.reshape(-1)
+        coefs = list(self._coef)
+        diag = self.diag.reshape(-1)
+        max_delay, flush = self.max_delay, self.flush
+
+        def accept(i, alphas, ds):
+            for part, a, d in zip(coefs, alphas, ds):
+                if d == 0.0:
+                    raise ZeroDivisionError("singular Metropolis denominator")
+                part.fill(-a / d)
+            m = self.pending
+            # The G_eff sums land in slot m (in place from here on)
+            u_row, w_row, w_rows = slots[m]
+            if m:
+                lhs, rhs = heads[m]
+                matmul(lhs[i], rhs, out=lines)
+                col = add(cols[i], col_line, out=u_row)
+                row = add(rows[i], row_line, out=w_rows)
+            else:
+                col, row = cols[i], rows[i]
+            multiply(col, coef, out=u_row)
+            subtract(unit[i], row, out=w_rows)  # e_i - G_eff[i, :]
+            add(diag, multiply(u_row, w_row, out=prod), out=diag)
+            self.pending = m + 1
+            if m + 1 == max_delay:
+                flush()
+
+        if scalars:
+            return lambda i, alpha, d: accept(i, (alpha,), (d,))
+        return accept
 
     def flush(self) -> None:
         """Fold pending updates into G with one in-place rank-m GEMM per
@@ -232,11 +276,17 @@ class DelayedUpdater:
         for g, pending in zip(self._stack, self._heads[m][1]):
             np.copyto(blocks, pending)
             self.backend.gemm(ut.T, w, category="delayed_update", c=g)
-        flops.record("delayed_update", self._flops)
+        # The m accepts since the last flush read two G_eff lines at k =
+        # 0..m-1 pending (r k flops each, r = 2 S n) and spent 2 r on the
+        # scaled writes and the diagonal axpy: sum_k 2 r (k + 1) = r m (m + 1)
+        flops.record(
+            "delayed_update", self._flops + self._read_flops * m * (m + 1)
+        )
         self._flops = 0
         # Re-anchor the incremental diagonal on the freshly updated G so
         # roundoff never accumulates across flushes.
         np.copyto(self.diag, self._gdiag)
+        self._flushed_updates += m
         self.pending = 0
         self.flushes += 1
 

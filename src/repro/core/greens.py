@@ -160,6 +160,9 @@ class GreensFunctionEngine:
         self._register_cache_stats()
         self._drop_partials()
         self.last_stats = StratificationStats()
+        #: the sweep's :class:`~repro.core.DelayedUpdater`, kept between
+        #: sweeps with no G anchored (built and reused by the sweep)
+        self.delayed_updater = None
 
     def _register_cache_stats(self) -> None:
         """Expose cluster-cache and backend stats to telemetry snapshots.

@@ -9,7 +9,8 @@ slice loop is organized around the cluster structure:
 2. inside a cluster, the functions are *wrapped* slice to slice,
 3. at each slice, all N sites are visited; accepted flips are folded into
    the Green's functions through one spin-stacked
-   :class:`~repro.core.DelayedUpdater` (flushed before every wrap).
+   :class:`~repro.core.DelayedUpdater` (flushed before every wrap), which
+   the engine keeps from sweep to sweep.
 
 The Metropolis ratio at slice l, site i (leftmost-B_l orientation):
 
@@ -97,6 +98,29 @@ def _wrap_drift(g: np.ndarray, fresh: np.ndarray) -> float:
         np.linalg.norm(gs - fs) / np.linalg.norm(fs) for gs, fs in zip(g, fresh)
     )
     return float(drift) if drift == drift else float("inf")
+
+
+def _updater(
+    engine: GreensFunctionEngine, g: np.ndarray, max_delay: int
+) -> DelayedUpdater:
+    """The engine's delayed updater, anchored on ``g``: the one an
+    earlier sweep built while it still fits (class, delay, backend,
+    sector count and dtype - a precision promotion changes the last),
+    else a new one, kept for the next sweep."""
+    upd = engine.delayed_updater
+    if (
+        type(upd) is DelayedUpdater
+        and upd.max_delay == max_delay
+        and upd.backend is engine.backend
+        and upd.diag.shape == g.shape[:-1]
+        and upd.diag.dtype == g.dtype
+    ):
+        upd.anchor(g)
+    else:
+        upd = engine.delayed_updater = DelayedUpdater(
+            g, max_delay=max_delay, backend=engine.backend
+        )
+    return upd
 
 
 def sweep(
@@ -225,13 +249,12 @@ def sweep(
                 g = engine.wrap_pair(g, l)
 
             with prof.phase("delayed_update"):
-                # One updater per sweep, re-anchored on each slice's G
+                # One updater per engine, re-anchored on each slice's G
                 if upd is None:
-                    upd = DelayedUpdater(
-                        g, max_delay=max_delay, backend=engine.backend
-                    )
+                    upd = _updater(engine, g, max_delay)
                 else:
                     upd.anchor(g)
+                accept = upd.accept
                 # Flip factors for the whole slice, vectorized up front.
                 # Safe because each site is visited exactly once per
                 # slice, so a flip at site i never changes alpha[j > i].
@@ -268,9 +291,9 @@ def sweep(
                             continue
                         h_row[i] = -h_row[i]
                         if image:
-                            upd.accept(i, (a_up,), (d_up,))
+                            accept(i, (a_up,), (d_up,))
                         else:
-                            upd.accept(i, (a_up, a_dn), (d_up, d_dn))
+                            accept(i, (a_up, a_dn), (d_up, d_dn))
                         if r < 0.0:
                             sign = -sign
                         accepted += 1
@@ -295,5 +318,7 @@ def sweep(
                 # starts from, where the drift comparison above reads it.
                 g = engine.unwrap_pair(g, l)
 
+    if upd is not None:
+        upd.release()
     stats.sign = sign
     return stats

@@ -1,9 +1,10 @@
 """CUBLAS-subset API over the simulated device.
 
-The exact routine set the paper's Algorithms 4 and 6 call —
-``cublasDcopy``, ``cublasDscal``, ``cublasDgemm`` plus the transfer
-helpers on the device — with CUBLAS-like semantics (in-place scal on a
-row/vector view, GEMM with optional transposes and alpha/beta). Each call
+The level-1 routines the paper's Algorithms 4 and 6 call —
+``cublasDcopy`` and ``cublasDscal``, plus the transfer helpers on the
+device — with CUBLAS-like semantics (in-place scal on a row/vector
+view). The algorithms' GEMMs run through the structured-apply kernels
+(:mod:`repro.gpu.kernels`), which price them on the same clock. Each call
 advances the virtual clock per the device's performance model and bumps
 the launch counters, so "how many kernel launches did this algorithm
 cost" is a measurable, testable quantity.
@@ -13,9 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from ..linalg import flops
 from .device import DeviceArray, DeviceError, SimulatedDevice
 
 __all__ = ["Cublas"]
@@ -62,36 +60,3 @@ class Cublas:
             nbytes = 2 * data[row, :].nbytes
         self.device.kernel_launches += 1
         self.device.tick(self.device.model.time_bandwidth_kernel(nbytes))
-
-    # -- level 3 --------------------------------------------------------------
-
-    def dgemm(
-        self,
-        a: DeviceArray,
-        b: DeviceArray,
-        c: DeviceArray,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-        transa: bool = False,
-        transb: bool = False,
-    ) -> None:
-        """``C <- alpha op(A) op(B) + beta C``."""
-        self._check(a, b, c)
-        pa = a._payload().T if transa else a._payload()
-        pb = b._payload().T if transb else b._payload()
-        m, k = pa.shape
-        k2, n = pb.shape
-        if k != k2 or c.shape != (m, n):
-            raise DeviceError("dgemm shape mismatch")
-        pc = c._payload()
-        prod = pa @ pb
-        if beta == 0.0:
-            np.multiply(prod, alpha, out=pc)
-        else:
-            pc *= beta
-            pc += alpha * prod
-        self.device.kernel_launches += 1
-        self.device.gemm_count += 1
-        flops.record("gpu_gemm", flops.gemm_flops(m, n, k))
-        # Operand width picks the DGEMM vs SGEMM rate (C2050: 2:1 peak).
-        self.device.tick(self.device.model.time_gemm(m, n, k, dtype=pa.dtype))

@@ -74,7 +74,6 @@ class SimulatedDevice:
         self.h2d_count: int = 0
         self.d2h_count: int = 0
         self.kernel_launches: int = 0
-        self.gemm_count: int = 0
 
     # -- clock -------------------------------------------------------------
 
@@ -151,6 +150,5 @@ class SimulatedDevice:
             "h2d_count": float(self.h2d_count),
             "d2h_count": float(self.d2h_count),
             "kernel_launches": float(self.kernel_launches),
-            "gemm_count": float(self.gemm_count),
             "peak_bytes": float(self.peak_bytes),
         }

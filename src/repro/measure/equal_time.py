@@ -82,11 +82,18 @@ def greens_displacement_average(
     at flat positions plus a mean, no Python double loop.
     """
     n = lattice.n_sites
-    tt = lattice.translation_table  # tt[r, i] = i + r
-    rows = np.arange(n)[None, :]
-    flat = tt * n + rows if transpose else rows * n + tt
+    flat = _displaced_positions(lattice, transpose)
     vals = np.take(g.reshape(g.shape[:-2] + (n * n,)), flat, axis=-1)
     return vals.mean(axis=-1)
+
+
+def _displaced_positions(lattice: SquareLattice, transpose: bool) -> np.ndarray:
+    """Flat positions ``[r, i]`` of ``(i, i + r)`` in an N x N matrix, or
+    of ``(i + r, i)`` when ``transpose``."""
+    n = lattice.n_sites
+    tt = lattice.translation_table  # tt[r, i] = i + r
+    rows = np.arange(n)[None, :]
+    return tt * n + rows if transpose else rows * n + tt
 
 
 def same_spin_exchange(lattice: SquareLattice, g: np.ndarray) -> np.ndarray:
@@ -95,8 +102,7 @@ def same_spin_exchange(lattice: SquareLattice, g: np.ndarray) -> np.ndarray:
     The same-spin Wick contraction of ``<n_a n_b>`` that both the spin
     and the charge correlation subtract, one spin sector at a time.
     """
-    tt = lattice.translation_table  # tt[r, b] = b + r
-    rows = np.arange(lattice.n_sites)[None, :]
-    gab = g[tt, rows]  # G(a, b)
-    gba = g[rows, tt]  # G(b, a)
+    flat = g.reshape(-1)
+    gab = np.take(flat, _displaced_positions(lattice, transpose=True))  # G(a, b)
+    gba = np.take(flat, _displaced_positions(lattice, transpose=False))  # G(b, a)
     return (gba * gab).mean(axis=1)

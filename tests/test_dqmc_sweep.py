@@ -1,7 +1,9 @@
 """Unit tests for the Metropolis sweep."""
 
+import gc
 import hashlib
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -259,6 +261,81 @@ class TestSingularGuard:
     def test_threshold_value(self):
         # pinned: changing it alters which chains survive; see sweep.py
         assert SINGULAR_THRESHOLD == 1e-12
+
+
+class RecordingUpdater(DelayedUpdater):
+    """DelayedUpdater that keeps a weak reference to every G it was
+    anchored on."""
+
+    anchored = []
+
+    def anchor(self, g):
+        super().anchor(g)
+        self.anchored.append(weakref.ref(g))
+
+
+class TestReusedUpdater:
+    """The engine keeps one delayed updater across sweeps, rebuilt only
+    when it no longer fits, and anchored on no G between sweeps."""
+
+    #: (max_delay, precision) per sweep: reuse, a delay change, a
+    #: mid-run promotion mixed -> full64, reuse, a delay change
+    PLAN = ((8, "mixed"), (8, "mixed"), (3, "mixed"), (3, "full64"),
+            (3, "full64"), (5, "full64"))
+
+    @classmethod
+    def _chain(cls, reuse, mu):
+        model = HubbardModel(
+            SquareLattice(2, 2), u=4.0, beta=1.5, n_slices=12, mu=mu
+        )
+        rng = np.random.default_rng(17)
+        field = HSField.random(model.n_slices, model.n_sites, rng)
+        eng = GreensFunctionEngine(
+            BMatrixFactory(model), field, cluster_size=4, precision="mixed"
+        )
+        kept, accepted = [], 0
+        for k, (delay, policy) in enumerate(cls.PLAN):
+            eng.set_precision(policy)
+            if not reuse:
+                eng.delayed_updater = None
+            st = sweep(eng, rng, max_delay=delay,
+                       direction=("forward", "backward")[k % 2])
+            kept.append(eng.delayed_updater)
+            accepted += st.accepted
+        return eng, kept, accepted
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5])
+    def test_reuse_equals_a_fresh_updater_per_sweep(self, mu):
+        reused, kept, accepted = self._chain(True, mu)
+        fresh, _, fresh_accepted = self._chain(False, mu)
+        assert accepted == fresh_accepted > 0
+        np.testing.assert_array_equal(reused.field.h, fresh.field.h)
+        for s in reused.sectors:
+            np.testing.assert_array_equal(
+                reused.boundary_greens(s, 0), fresh.boundary_greens(s, 0)
+            )
+        a, b, c, d, e, f = kept
+        assert a is b and d is e
+        assert len({id(a), id(c), id(d), id(f)}) == 4
+        assert [u.max_delay for u in kept] == [8, 8, 3, 3, 3, 5]
+        assert c.diag.dtype == np.float32 and d.diag.dtype == np.float64
+        assert a.diag.shape == (len(reused.sectors), 4)
+
+    def test_kept_updater_holds_no_g(self, monkeypatch):
+        sweep_module = sys.modules["repro.dqmc.sweep"]
+        monkeypatch.setattr(sweep_module, "DelayedUpdater", RecordingUpdater)
+        monkeypatch.setattr(RecordingUpdater, "anchored", [])
+        eng, rng = small_engine(seed=2)
+        for direction in ("forward", "backward"):
+            sweep(eng, rng, direction=direction)
+            gc.collect()
+            upd = eng.delayed_updater
+            assert isinstance(upd, RecordingUpdater) and upd.g is None
+            # every slice's G, the last one included, is gone
+            assert len(upd.anchored) == 12
+            assert all(ref() is None for ref in upd.anchored)
+            upd.anchored.clear()
+        assert eng.delayed_updater is upd
 
 
 class TestSweepStats:
